@@ -6,18 +6,20 @@
     fujita fixtures list|run [id]   catalog listing / pass-fail table
 
 Flags: --json (machine output, byte-for-byte deterministic), --jobs N
-(parallel batch over files or fixture ids), --strict-fan (exact fan
-completeness and terminality checks).  FUJITA_FIXTURE_DIR overrides the
-fixture catalog directory.
+(parallel batch over files or fixture ids, at most one worker per task and
+per CPU), --strict-fan (exact fan completeness and terminality checks).
+FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
 
-Exit codes: 0 ok, 1 fixture failure, 2 parse or schema error, 3 bundle not
-big, 4 canonical class pseudo-effective, 5 internal error.
+Exit codes: 0 ok, 1 fixture failure or stdout closed early (as in
+`fujita fixtures run | head`), 2 parse or schema error, 3 bundle not big,
+4 canonical class pseudo-effective, 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -149,6 +151,11 @@ _REPORTERS = {
 }
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for a batch: never more than the tasks or the CPUs."""
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def _process_file(args: tuple[str, str, bool]) -> tuple[int, dict | list]:
     command, path, strict_fan = args
     try:
@@ -199,8 +206,9 @@ def _emit_human(command: str, path: str, payload) -> None:
 
 def _run_files(command: str, paths: list[str], as_json: bool, jobs: int, strict_fan: bool) -> int:
     tasks = [(command, p, strict_fan) for p in paths]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _workers(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_process_file, tasks))
     else:
         results = [_process_file(t) for t in tasks]
@@ -215,9 +223,8 @@ def _run_files(command: str, paths: list[str], as_json: bool, jobs: int, strict_
     return exit_code
 
 
-def _run_fixture_by_id(args: tuple[str, bool]) -> dict:
-    fid, strict_fan = args
-    report = fixtures.run_fixture(fid, fixtures.load_catalog(strict_fan=strict_fan))
+def _fixture_report(fixture: fixtures.Fixture) -> dict:
+    report = fixtures.run_fixture(fixture)
     return {
         "id": report.fixture_id,
         "passed": report.passed,
@@ -226,6 +233,13 @@ def _run_fixture_by_id(args: tuple[str, bool]) -> dict:
             for c in report.checks
         ],
     }
+
+
+def _run_fixture_ids(args: tuple[list[str], bool]) -> list[dict]:
+    """Worker task: load the catalog once and run a share of the fixture ids."""
+    ids, strict_fan = args
+    catalog = fixtures.load_catalog(strict_fan=strict_fan)
+    return [_fixture_report(catalog[fid]) for fid in ids]
 
 
 def _cmd_fixtures(ns) -> int:
@@ -249,12 +263,15 @@ def _cmd_fixtures(ns) -> int:
     if missing:
         print(f"unknown fixture ids: {', '.join(missing)}", file=sys.stderr)
         return EXIT_SCHEMA
-    tasks = [(fid, ns.strict_fan) for fid in ids]
-    if ns.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            reports = list(pool.map(_run_fixture_by_id, tasks))
+    workers = _workers(ns.jobs, len(ids))
+    if workers > 1:
+        shares = [(ids[w::workers], ns.strict_fan) for w in range(workers)]
+        reports: list = [None] * len(ids)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for w, share in enumerate(pool.map(_run_fixture_ids, shares)):
+                reports[w::workers] = share
     else:
-        reports = [_run_fixture_by_id(t) for t in tasks]
+        reports = [_fixture_report(catalog[fid]) for fid in ids]
     all_passed = all(r["passed"] for r in reports)
     if ns.json:
         print(_json_dumps(reports))
@@ -302,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+def _dispatch(ns) -> int:
     try:
         if ns.command == "fixtures":
             return _cmd_fixtures(ns)
@@ -315,6 +331,22 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code
+
+
+def main(argv=None) -> int:
+    ns = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  As the `signal` module documentation
+        # recommends, point stdout at devnull so the flush at interpreter exit
+        # cannot raise again, and exit with 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

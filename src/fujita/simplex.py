@@ -1,10 +1,29 @@
-"""Dense exact-rational simplex with Bland's rule.
+"""Dense exact simplex with Bland's rule on a fraction-free integer tableau.
 
-Solves   min c.x  subject to  A x = b,  x >= 0   in two phases over
-`fractions.Fraction`.  Bland's pivoting rule (smallest entering index,
-smallest basic variable on ratio ties) guarantees termination even on the
-degenerate systems the cone machinery produces; speed matters less than the
-termination guarantee at the sizes we run (a few hundred columns at most).
+Solves   min c.x  subject to  A x = b,  x >= 0   in two phases.  Results are
+exact `fractions.Fraction` values, but the tableau holds Python integers in
+the style of lrs (Avis 2000):
+
+* Each constraint row, with its right-hand side, is scaled once to integers
+  by the lcm of its denominators; the phase-2 objective is scaled by its own.
+* Every row, the reduced-cost row included, shares one denominator D > 0,
+  the absolute value of the current basis determinant: the true tableau is
+  T / D.  The artificial start basis is the identity, so D starts at 1.
+* A pivot on entry p sets each other row to (p*a - f*b) // D.  The quotient
+  is exact by Sylvester's identity (Bareiss 1968): every stored entry is a
+  minor of the integer input.  The pivot row is kept and D becomes p.  A
+  negative p, which only the artificial drive-out step can pick, is handled
+  by negating the pivot row first, which negates the whole new tableau.
+
+Because D > 0, the sign of a stored reduced cost is the sign of the true
+one, and the ratio test compares rhs_i / a_i by cross-multiplication.  So
+Bland's rule (smallest entering index, smallest basic variable on ratio
+ties) picks exactly the pivots the rational tableau would, which keeps its
+termination guarantee on the degenerate systems the cone machinery
+produces.  Row scaling would change the phase-1 objective (the sum of the
+artificials), so artificial i is weighted by lcm / scale_i, which restores
+it up to a positive factor.  Artificial columns are never read, so they are
+not stored.
 """
 
 from __future__ import annotations
@@ -12,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .qlinalg import as_rat
@@ -30,120 +50,151 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int):
+def _scaled_ints(values: Sequence) -> tuple[list[int], int]:
+    """The integers den*values and den, the lcm of the denominators.
+
+    Sequences are built as lists on purpose: tuples built from generators
+    are resized from a length hint and leave blocks in the tuple freelists.
+    """
+    exact = []
+    den = 1
+    for v in values:
+        if type(v) is not int:
+            v = as_rat(v)
+            den = lcm(den, v.denominator)
+        exact.append(v)
+    if den == 1:
+        return [int(v) for v in exact], 1
+    return [v * den if type(v) is int else v.numerator * (den // v.denominator) for v in exact], den
+
+
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
+    """Pivot on (row, col) of a tableau over denominator d; returns the new one."""
     piv_row = tableau[row]
-    pv = piv_row[col]
-    if pv != 1:
-        inv = 1 / pv
-        tableau[row] = piv_row = [v * inv for v in piv_row]
+    p = piv_row[col]
+    if p < 0:
+        tableau[row] = piv_row = [-v for v in piv_row]
+        p = -p
     for i, r in enumerate(tableau):
         if i == row:
             continue
         f = r[col]
         if f == 0:
-            continue
-        tableau[i] = [a - f * b for a, b in zip(r, piv_row)]
+            if p != d:
+                tableau[i] = [p * a // d for a in r]
+        else:
+            tableau[i] = [(p * a - f * b) // d for a, b in zip(r, piv_row)]
     basis[row] = col
+    return p
 
 
-def _run_phase(tableau, basis, allowed_cols, m):
+def _run_phase(tableau, basis, n, m, d) -> tuple[bool, int]:
     """Bland iterations on a tableau whose last row is the reduced-cost row
-    and whose last column is the rhs.  Returns True, or False on unbounded."""
-    obj = tableau[m]
-    width = len(obj) - 1
+    and whose last column is the rhs; columns below n may enter.  Returns
+    (False on unbounded, the final denominator)."""
     while True:
         enter = -1
-        row_obj = tableau[m]
-        for j in allowed_cols:
-            if row_obj[j] < 0:
+        obj = tableau[m]
+        for j in range(n):
+            if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return True
+            return True, d
         leave = -1
-        best = None
         for i in range(m):
-            a = tableau[i][enter]
+            r = tableau[i]
+            a = r[enter]
             if a > 0:
-                ratio = tableau[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = r[n]
+                if leave < 0:
+                    better = True
+                else:
+                    lhs, rhs_cmp = rhs * a_best, rhs_best * a
+                    better = lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave])
+                if better:
+                    leave, a_best, rhs_best = i, a, rhs
         if leave < 0:
-            return False
-        _pivot(tableau, basis, leave, enter)
+            return False, d
+        d = _pivot(tableau, basis, leave, enter, d)
 
 
 def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0 (all data exact rationals)."""
     m = len(a_rows)
-    c = [as_rat(v) for v in c]
-    n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    c_int, c_den = _scaled_ints(c)
+    n = len(c_int)
+    tableau: list[list[int]] = []
+    scales: list[int] = []
     for ar, bv in zip(a_rows, b):
-        r = [as_rat(v) for v in ar]
-        bb = as_rat(bv)
-        if len(r) != n:
+        row = list(ar)
+        if len(row) != n:
             raise ValueError("constraint width does not match objective length")
-        if bb < 0:
-            r = [-v for v in r]
-            bb = -bb
-        rows.append(r)
-        rhs.append(bb)
+        row.append(bv)
+        row, scale = _scaled_ints(row)
+        if row[n] < 0:
+            row = [-v for v in row]
+        tableau.append(row)
+        scales.append(scale)
     if m == 0:
-        if any(v < 0 for v in c):
+        if any(v < 0 for v in c_int):
             return LPResult(LPStatus.UNBOUNDED, None, None)
         return LPResult(LPStatus.OPTIMAL, Fraction(0), tuple([Fraction(0)] * n))
 
-    # phase 1: artificial basis
-    width = n + m
-    tableau = [
-        rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
+    # phase 1: artificial basis; artificial i costs lcm / scale_i, so the
+    # reduced costs are a positive multiple of those of the unscaled system
     basis = [n + i for i in range(m)]
-    # reduced costs for min sum(artificials): r_j = -sum_i A_ij on real columns
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(n):
-            obj[j] -= tableau[i][j]
-        obj[width] -= tableau[i][width]
+    big = 1
+    for s in scales:
+        big = lcm(big, s)
+    obj = [0] * (n + 1)
+    for row, s in zip(tableau, scales):
+        w = big // s
+        obj = [a - w * v for a, v in zip(obj, row)]
     tableau.append(obj)
 
-    if not _run_phase(tableau, basis, range(n), m):
+    feasible, d = _run_phase(tableau, basis, n, m, 1)
+    if not feasible:
         raise AssertionError("phase 1 cannot be unbounded")
-    if -tableau[m][width] > 0:
+    if tableau[m][n] < 0:
         return LPResult(LPStatus.INFEASIBLE, None, None)
 
     # drive surviving artificials out of the basis, drop redundant rows
     drop: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            row = tableau[i]
+            col = next((j for j in range(n) if row[j] != 0), None)
             if col is None:
                 drop.append(i)
             else:
-                _pivot(tableau, basis, i, col)
+                d = _pivot(tableau, basis, i, col, d)
     if drop:
-        tableau = [r for i, r in enumerate(tableau[:m]) if i not in drop] + [tableau[m]]
+        tableau = [r for i, r in enumerate(tableau[:m]) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]
         m = len(basis)
+    else:
+        del tableau[m]
 
-    # phase 2: real objective, artificial columns removed
-    tableau = [r[:n] + [r[width]] for r in tableau[:m]]
-    obj = list(c) + [Fraction(0)]
+    # phase 2: reduced costs d*c - sum_i c_B(i) * row_i
+    obj = [d * v for v in c_int]
+    obj.append(0)
     for i in range(m):
-        cb = c[basis[i]]
+        cb = c_int[basis[i]]
         if cb != 0:
-            obj = [a - cb * bcol for a, bcol in zip(obj, tableau[i])]
+            obj = [a - cb * v for a, v in zip(obj, tableau[i])]
     tableau.append(obj)
 
-    if not _run_phase(tableau, basis, range(n), m):
+    feasible, d = _run_phase(tableau, basis, n, m, d)
+    if not feasible:
         return LPResult(LPStatus.UNBOUNDED, None, None)
 
-    x = [Fraction(0)] * n
+    zero = Fraction(0)
+    x = [zero] * n
+    total = 0
     for i in range(m):
-        x[basis[i]] = tableau[i][n]
-    objective = sum((cv * xv for cv, xv in zip(c, x)), Fraction(0))
-    return LPResult(LPStatus.OPTIMAL, objective, tuple(x))
+        v = tableau[i][n]
+        if v:
+            x[basis[i]] = Fraction(v, d)
+            total += c_int[basis[i]] * v
+    return LPResult(LPStatus.OPTIMAL, Fraction(total, d * c_den), tuple(x))

@@ -3,14 +3,15 @@
 Everything here deliberately avoids the library's own dual-description and
 membership code paths: Fourier-Motzkin elimination and brute-force normal
 search double-check facet lists, a raw big-integer calculator checks
-Fraction arithmetic, and a per-generator LP support test checks minimal
-faces.
+Fraction arithmetic, a per-generator LP support test checks minimal faces,
+and basis enumeration solves small LPs without the simplex.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
-from fujita.qlinalg import VecQ, span_dim
+from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.simplex import LPStatus, solve_lp
 
 
@@ -133,3 +134,46 @@ def mul_fractions_bigint(an, ad, bn, bd):
         num //= g
         den //= g
     return num, den or 1
+
+
+def _basic_solutions(a_rows, b, n):
+    """Every basic solution of A x = b: for each set S of at most m columns
+    with A_S x_S = b uniquely solvable, that solution padded with zeros."""
+    m = len(a_rows)
+    out = []
+    if all(Fraction(v) == 0 for v in b):
+        out.append((Fraction(0),) * n)
+    for size in range(1, min(m, n) + 1):
+        for cols in combinations(range(n), size):
+            sol = solve(MatQ([[row[j] for j in cols] for row in a_rows]), VecQ(b))
+            if sol is None or not sol.unique:
+                continue
+            x = [Fraction(0)] * n
+            for j, v in zip(cols, sol.particular):
+                x[j] = v
+            out.append(tuple(x))
+    return out
+
+
+def lp_by_basis_enumeration(a_rows, b, c):
+    """min c.x st A x = b, x >= 0 for small LPs (m <= 4, n <= 7) without the
+    simplex: returns (status, optimum or None, set of optimal basic x).
+
+    Feasible iff some basic solution is nonnegative.  Unbounded iff feasible
+    and the polytope {r >= 0 : A r = 0, sum r = 1} has a vertex with c.r < 0.
+    Otherwise the optimum is the least c.x over the nonnegative basic
+    solutions."""
+    n = len(c)
+    assert len(a_rows) <= 4 and n <= 7
+
+    def cost(x):
+        return sum((Fraction(cv) * xv for cv, xv in zip(c, x)), Fraction(0))
+
+    feasible = [x for x in _basic_solutions(a_rows, b, n) if min(x, default=0) >= 0]
+    if not feasible:
+        return LPStatus.INFEASIBLE, None, frozenset()
+    rays = _basic_solutions(list(a_rows) + [[1] * n], [0] * len(a_rows) + [1], n)
+    if any(min(r) >= 0 and cost(r) < 0 for r in rays):
+        return LPStatus.UNBOUNDED, None, frozenset()
+    best = min(cost(x) for x in feasible)
+    return LPStatus.OPTIMAL, best, frozenset(x for x in feasible if cost(x) == best)

@@ -1,6 +1,9 @@
 import json
+import sys
 
-from fujita import cli
+import pytest
+
+from fujita import cli, fixtures
 from fujita.fixtures import _fixture_dir
 
 
@@ -248,6 +251,114 @@ class TestBatchMode:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["error"]["code"] == "schema_error"
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "seen", [])
+    return _InProcessPool.seen
+
+
+@pytest.fixture
+def count_catalog_loads(monkeypatch):
+    calls = []
+    real = fixtures.load_catalog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "load_catalog", counting)
+    return calls
+
+
+class TestJobsClamp:
+    def test_clamped_to_tasks(self, capsys, in_process_pool, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
+        _, serial = run_cli(capsys, "invariants", *files, "--json")
+        code, out = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
+        assert (code, out) == (0, serial)
+        assert in_process_pool == [2]
+
+    def test_clamped_to_cpus(self, capsys, in_process_pool, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        files = [fixture_path(f) for f in ("dp7-anticanonical", "p2-toric", "dp3-anticanonical", "pgl2-p3")]
+        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
+        assert code == 0
+        assert in_process_pool == [3]
+
+    def test_one_cpu_runs_serially(self, capsys, in_process_pool, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
+        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "8")
+        assert code == 0
+        assert in_process_pool == []
+
+    def test_fixtures_run_clamped(self, capsys, in_process_pool, monkeypatch, count_catalog_loads):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        ids = ["cubic-threefold", "dp3-anticanonical", "p2-toric", "x22-lines", "pgl2-p3"]
+        _, serial = run_cli(capsys, "fixtures", "run", *ids, "--json")
+        count_catalog_loads.clear()
+        code, out = run_cli(capsys, "fixtures", "run", *ids, "--json", "--jobs", "99")
+        assert (code, out) == (0, serial)
+        assert in_process_pool == [2]
+        # once to check the ids, then once in each worker
+        assert len(count_catalog_loads) == 3
+
+
+class TestFixturesCatalogLoads:
+    def test_serial_run_loads_catalog_once(self, capsys, count_catalog_loads):
+        ids = ["cubic-threefold", "p2-toric", "x22-lines"]
+        code, out = run_cli(capsys, "fixtures", "run", *ids, "--json")
+        assert code == 0
+        assert [r["id"] for r in json.loads(out)] == ids
+        assert len(count_catalog_loads) == 1
+
+
+class _BrokenStdout:
+    """A stdout whose reader has gone away, as in `fujita ... | head`."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestBrokenPipe:
+    def test_exit_without_traceback(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", _BrokenStdout(fh.fileno()))
+            code = cli.main(["fixtures", "list"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestStrictFan:
