@@ -61,27 +61,25 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
 def _report_invariants(path: str, strict_fan: bool) -> dict:
     problem = modelio.load_problem(path, strict_fan)
     m = problem.model.variety
-    fr = invariants.fujita(m, problem.bundle_class)
-    face = m.eff_cone.minimal_face(fr.boundary_class)
-    b = m.ns_rank - face.span_dim
+    res = invariants.b_invariant(m, problem.bundle_class)
     report = {
-        "a": rational_to_str(fr.a),
-        "b": b,
-        "face_generators": [vector_to_str_list(g) for g in face.generator_vectors()],
+        "a": rational_to_str(res.fujita.a),
+        "b": res.b,
+        "face_generators": [vector_to_str_list(g) for g in res.face_generators],
         "model": problem.name,
         "ns_rank": m.ns_rank,
         "paths": ["polyhedral"],
     }
     if problem.model.kind == "del_pezzo":
         case = delpezzo.surface_b(problem.model.surface, problem.bundle_class)
-        if case.b != b:
+        if case.b != res.b:
             raise AssertionError(
-                f"surface case analysis b={case.b} disagrees with polyhedral b={b}"
+                f"surface case analysis b={case.b} disagrees with polyhedral b={res.b}"
             )
         report["paths"].append("surface_case")
         report["surface_case"] = case.case.value
     try:
-        report["rigid"] = invariants.is_rigid_class(m, fr.boundary_class)
+        report["rigid"] = invariants.is_rigid_class(m, res.fujita.boundary_class)
         report["paths"].append(
             "divisor_polytope" if problem.model.kind == "toric" else "zariski"
         )

@@ -2,10 +2,10 @@
 
 A `ConeQ` is stored by its generators (primitive integer vectors); the facet
 description is computed lazily by the double description method with
-lexicographic insertion order and memoized behind a lock, so concurrent
-readers observe a single dual description.  Membership, strictness, and the
-ray optimization `min_a_on_ray` run on an exact rational simplex whenever the
-facets have not been materialized; once facets exist, sign checks are used.
+lexicographic insertion order and memoized on the cone.  Membership,
+strictness, and the ray optimization `min_a_on_ray` run on an exact
+rational simplex whenever the facets have not been materialized; once
+facets exist, sign checks are used.
 Both routes are equivalent: the interior of a full-dimensional cone is its
 relative interior, and relint(cone(G)) consists of the strictly positive
 combinations of all generators.
@@ -17,7 +17,6 @@ the distinction drawn for general closed cones is vacuous in this module.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -57,8 +56,8 @@ def _int_scaled(v: VecQ) -> tuple[int, ...]:
         if d != 1:
             den = den * d // gcd(den, d)
     if den == 1:
-        return tuple(x.numerator for x in v.entries)
-    return tuple(int(x * den) for x in v.entries)
+        return tuple([x.numerator for x in v.entries])
+    return tuple([int(x * den) for x in v.entries])
 
 
 def _extends_rank(echelon: list[list[Fraction]], vec: Sequence) -> bool:
@@ -173,10 +172,7 @@ class FaceQ:
 
     def generator_vectors(self) -> tuple[VecQ, ...]:
         gens = self.parent.generators
-        return tuple(gens[i] for i in sorted(self.generators_in_face))
-
-    def cone(self) -> "ConeQ":
-        return ConeQ(self.generator_vectors(), ambient_dim=self.parent.ambient_dim)
+        return tuple([gens[i] for i in sorted(self.generators_in_face)])
 
 
 class ConeQ:
@@ -193,7 +189,6 @@ class ConeQ:
         "_facets_int",
         "_facet_gen_masks",
         "_lineality",
-        "_lock",
     )
 
     def __init__(self, generators: Iterable, ambient_dim: int | None = None):
@@ -215,7 +210,6 @@ class ConeQ:
         self._facets_int = None
         self._facet_gen_masks = None
         self._lineality = None
-        self._lock = threading.Lock()
 
     @property
     def generators(self) -> tuple[VecQ, ...]:
@@ -239,9 +233,7 @@ class ConeQ:
         """Irredundant facet normals (plus +/- equation pairs when the cone
         is not full dimensional), primitive integer, lexicographic order."""
         if self._facets is None:
-            with self._lock:
-                if self._facets is None:
-                    self._compute_facets()
+            self._compute_facets()
         return self._facets
 
     def facet_generator_masks(self) -> tuple[int, ...]:
@@ -347,7 +339,7 @@ class ConeQ:
         gens = self._gens_int
         d = self.ambient_dim
         k = len(gens)
-        total = tuple(sum(g[t] for g in gens) for t in range(d))
+        total = [sum(g[t] for g in gens) for t in range(d)]
         # columns: mu_1..mu_k, t, slack ; rows: sum mu g + t*total = v, t + slack = 1
         a_rows = []
         for t in range(d):

@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveDegree,
     NotPseudoEffective,
 )
-from .invariants import DelPezzo, VarietyModel
+from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
 from .qlinalg import MatQ, VecQ
 
 
@@ -202,12 +202,15 @@ def _zariski(curves, pair, eff_cone: ConeQ, d: VecQ) -> ZariskiDecomposition:
             negative = negative + x * c
     return ZariskiDecomposition(
         positive=d - negative,
-        negative_support=tuple(zip(support, mults)),
+        negative_support=tuple(list(zip(support, mults))),
     )
 
 
+@lru_cache(maxsize=MEMO_BOUND)
 def zariski_decompose(m: DelPezzoModel, d: VecQ) -> ZariskiDecomposition:
-    """Zariski decomposition d = P + N on a del Pezzo model."""
+    """Zariski decomposition d = P + N on a del Pezzo model.  The last
+    MEMO_BOUND results are kept per (model, class): the surface case split
+    and the rigidity of the same boundary class share one decomposition."""
     return _zariski(m.negative_curves, m.pair, m.variety().eff_cone, d)
 
 
@@ -250,41 +253,36 @@ class SurfaceBalance:
     fiber_class: VecQ | None     # primitive fiber class witness when unbalanced in the fibration case
 
 
-def _adjoint_decomposition(m: DelPezzoModel, bundle: VecQ):
+def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, VecQ]:
+    """Decompose the boundary class a*L + K and split on its positive part:
+    zero gives b = rank - #support, a nonzero (necessarily square-zero nef)
+    class gives b = 1.  Returns the analysis and the positive part."""
     fr = invariants.fujita(m.variety(), bundle)
     dec = zariski_decompose(m, fr.boundary_class)
-    return fr, dec
+    n = len(dec.negative_support)
+    if dec.positive.is_zero():
+        return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), dec.positive
+    if m.pair(dec.positive, dec.positive) != 0:
+        raise InternalNonTermination(
+            "positive part of a boundary class must have square zero"
+        )
+    return SurfaceCaseAnalysis(SurfaceCase.BASE_CURVE, 1, n), dec.positive
 
 
 def surface_b(m: DelPezzoModel, bundle: VecQ) -> SurfaceCaseAnalysis:
     """The case split for b on a surface: decompose a*L + K; a vanishing
     positive part gives b = rank - #support, a nonzero one gives b = 1."""
-    _, dec = _adjoint_decomposition(m, bundle)
-    n = len(dec.negative_support)
-    if dec.positive.is_zero():
-        return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n)
-    if m.pair(dec.positive, dec.positive) != 0:
-        raise InternalNonTermination(
-            "positive part of a boundary class must have square zero"
-        )
-    return SurfaceCaseAnalysis(SurfaceCase.BASE_CURVE, 1, n)
+    return _surface_case(m, bundle)[0]
 
 
 def surface_balanced(m: DelPezzoModel, bundle: VecQ) -> SurfaceBalance:
     """Balanced iff the adjoint boundary class is rigid (positive part
     zero).  In the fibration case the general fiber realizes the same pair
     (a, 1), and its primitive class is returned as the witness."""
-    _, dec = _adjoint_decomposition(m, bundle)
-    n = len(dec.negative_support)
-    if dec.positive.is_zero():
-        return SurfaceBalance(
-            True, SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), None
-        )
-    return SurfaceBalance(
-        False,
-        SurfaceCaseAnalysis(SurfaceCase.BASE_CURVE, 1, n),
-        dec.positive.primitive(),
-    )
+    analysis, positive = _surface_case(m, bundle)
+    if analysis.case is SurfaceCase.BASE_POINT:
+        return SurfaceBalance(True, analysis, None)
+    return SurfaceBalance(False, analysis, positive.primitive())
 
 
 def curve_fujita(deg_on_curve) -> Fraction:

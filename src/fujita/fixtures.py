@@ -117,17 +117,16 @@ def run_fixture(fixture, catalog=None) -> FixtureReport:
     if "ns_rank" in exp:
         add("ns_rank", int(exp["ns_rank"]), m.ns_rank)
 
-    fr = None
+    res = None
     if {"a", "b", "rigid"} & set(exp):
-        fr = invariants.fujita(m, p.bundle_class)
+        res = invariants.b_invariant(m, p.bundle_class)
     if "a" in exp:
-        add("a", rational_to_str(parse_rational(exp["a"], "expected.a")), rational_to_str(fr.a))
+        add("a", rational_to_str(parse_rational(exp["a"], "expected.a")), rational_to_str(res.fujita.a))
     if "b" in exp:
-        face = m.eff_cone.minimal_face(fr.boundary_class)
-        add("b", int(exp["b"]), m.ns_rank - face.span_dim)
+        add("b", int(exp["b"]), res.b)
     if "rigid" in exp:
         try:
-            rigid = invariants.is_rigid_class(m, fr.boundary_class)
+            rigid = invariants.is_rigid_class(m, res.fujita.boundary_class)
         except RigidityUndecidable:
             rigid = None
         add("rigid", bool(exp["rigid"]), rigid)

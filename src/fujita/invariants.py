@@ -8,6 +8,15 @@ cone, and the codimension `b` of the minimal supported face containing that
 adjoint boundary class; plus rigidity bookkeeping and the lexicographic
 balanced-verdict comparison against subvariety data.
 
+The chain a -> boundary class a*L + K -> minimal face -> b is written once,
+in `b_invariant`; every other caller (the (a, b) pair, the CLI report, the
+fixture runner, the toric fibration cross-check) reads its result.  Each
+stage is computed once per (model, class): `fujita` keeps a small memo of
+its last results, and so do the Zariski decomposition and toric class
+rigidity, which the surface and toric verdicts all ask for on the same
+boundary class.  The memos hold frozen results, never exceptions, and their
+bound is fixed.
+
 Subvariety data (the subvariety's own model and the restricted bundle) is
 explicit user input: computing restriction maps between Neron-Severi
 lattices is a case-by-case geometric task, so fixtures carry the restricted
@@ -19,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .cones import ConeQ, Containment, FaceQ
 from .errors import (
@@ -33,6 +43,11 @@ from .errors import (
 from .qlinalg import MatQ, VecQ, inertia
 
 DivisorClass = VecQ
+
+# Results kept by each memo on the chain.  A fixed bound, not a setting: a
+# bundle is asked for at most a few times in a row, and an unbounded memo
+# would grow memory with the number of queries.
+MEMO_BOUND = 16
 
 
 # -- provenance tags -----------------------------------------------------------
@@ -53,9 +68,14 @@ class Toric:
     fan: object  # toric.Fan; typed loosely to avoid an import cycle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarietyModel:
-    """Rank, canonical class, effective cone, optional intersection form."""
+    """Rank, canonical class, effective cone, optional intersection form.
+
+    Equality and hashing are by identity.  The cone already compares by
+    identity, so field equality only ever held between models sharing one
+    cone object; identity keeps the memo lookups below cheap.
+    """
 
     name: str
     ns_rank: int
@@ -105,6 +125,7 @@ class BInvariantResult:
     b: int
     face: FaceQ
     face_generators: tuple[DivisorClass, ...]
+    fujita: FujitaResult                  # the a and boundary class b was read from
 
 
 @dataclass(frozen=True)
@@ -140,12 +161,14 @@ class BalancedVerdict:
 
 # -- operations ---------------------------------------------------------------
 
+@lru_cache(maxsize=MEMO_BOUND)
 def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
     """Least rational a with a*bundle + K in the effective cone.
 
     Requires the bundle to be big; a <= 0 (canonical class pseudo-effective)
     is reported as an error because every verdict downstream assumes the
-    uniruled setting.
+    uniruled setting.  The last MEMO_BOUND results are kept per (model,
+    bundle).
     """
     if not m.is_big(bundle):
         raise NotBig(f"bundle is not big on {m.name!r}")
@@ -159,18 +182,17 @@ def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
 
 
 def b_invariant(m: VarietyModel, bundle: DivisorClass) -> BInvariantResult:
-    """Codimension of the minimal supported face containing a*L + K."""
+    """The chain a -> boundary class -> minimal face -> b: the codimension
+    of the minimal supported face containing a*L + K."""
     fr = fujita(m, bundle)
     face = m.eff_cone.minimal_face(fr.boundary_class)
-    b = m.ns_rank - face.span_dim
-    return BInvariantResult(b, face, face.generator_vectors())
+    return BInvariantResult(m.ns_rank - face.span_dim, face, face.generator_vectors(), fr)
 
 
 def invariant_pair(m: VarietyModel, bundle: DivisorClass) -> tuple[Fraction, int]:
     """(a, b) in one call."""
-    fr = fujita(m, bundle)
-    face = m.eff_cone.minimal_face(fr.boundary_class)
-    return fr.a, m.ns_rank - face.span_dim
+    res = b_invariant(m, bundle)
+    return res.fujita.a, res.b
 
 
 def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:

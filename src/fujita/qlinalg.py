@@ -45,7 +45,9 @@ class VecQ:
     __slots__ = ("_e",)
 
     def __init__(self, entries: Iterable):
-        self._e = tuple(as_rat(x) for x in entries)
+        # from a list: a tuple built from a generator is resized from a
+        # length hint and parks blocks in the freelists of other sizes
+        self._e = tuple([as_rat(x) for x in entries])
 
     @staticmethod
     def zero(dim: int) -> "VecQ":
@@ -145,7 +147,7 @@ class MatQ:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self._rows = tuple(VecQ(r) for r in rows)
+        self._rows = tuple([VecQ(r) for r in rows])
         widths = {len(r) for r in self._rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
@@ -197,12 +199,17 @@ class MatQ:
         return "MatQ(%d x %d)" % (self.rows, self.cols)
 
 
+def _row_lcm(r: VecQ) -> int:
+    den = 1
+    for x in r:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return den
+
+
 def _cleared_int_rows(rows: Iterable[VecQ]) -> list[list[int]]:
     out = []
     for r in rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = _row_lcm(r)
         out.append([int(x * den) for x in r])
     return out
 
@@ -263,6 +270,26 @@ def span_dim(vectors: Sequence[VecQ]) -> int:
     return len(pivots)
 
 
+def abs_det(m: MatQ) -> Fraction:
+    """|det m| of a square matrix by fraction-free elimination.  Each row is
+    cleared to integers by the lcm of its denominators; the last Bareiss
+    pivot is the determinant of the cleared matrix up to the sign of the row
+    swaps, which are not tracked."""
+    n = m.rows
+    if m.cols != n:
+        raise DimensionMismatch(f"{n} x {m.cols} matrix is not square")
+    if n == 0:
+        return Fraction(1)
+    rows = _cleared_int_rows(m.row_list())
+    _, pivots = _bareiss_echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    scale = 1
+    for r in m.row_list():
+        scale *= _row_lcm(r)
+    return Fraction(abs(rows[n - 1][n - 1]), scale)
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     """Affine solution set of a consistent linear system.
@@ -315,9 +342,7 @@ def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:
         return VecQ(x)
 
     particular = back_substitute({}, True)
-    kernel = tuple(
-        back_substitute({f: Fraction(1)}, False) for f in free_cols
-    )
+    kernel = tuple([back_substitute({f: Fraction(1)}, False) for f in free_cols])
     return LinearSolution(particular, kernel)
 
 

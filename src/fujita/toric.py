@@ -36,28 +36,9 @@ from .errors import (
     NotPseudoEffective,
     ProjectionIncompatible,
 )
-from .invariants import Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, span_dim
+from .invariants import MEMO_BOUND, Toric, VarietyModel
+from .qlinalg import MatQ, VecQ, abs_det, as_rat, span_dim
 from .simplex import LPStatus, solve_lp
-
-
-def _det(rows) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 class Fan:
@@ -93,14 +74,14 @@ class Fan:
         self.max_cones = cones
         smooth = True
         for c in cones:
-            d = _det([rays[i] for i in c])
+            d = abs_det(MatQ([rays[i] for i in c]))
             if d == 0:
                 raise NonSimplicialCone(f"maximal cone {c} is degenerate")
-            if abs(d) != 1:
+            if d != 1:
                 smooth = False
                 if require_smooth:
                     raise NonSmoothCone(
-                        f"maximal cone {c} has determinant {d}"
+                        f"maximal cone {c} has determinant of absolute value {d}"
                     )
         self.smooth_checked = smooth
         self._hash = hash((n, rays, cones))
@@ -202,7 +183,7 @@ class Fan:
 
         for c in self.max_cones:
             vs = [self.rays[i] for i in c]
-            if abs(_det(vs)) == 1:
+            if abs_det(MatQ(vs)) == 1:
                 continue
             mat = self._cone_matrix(c)
             lo = [min(0, *(v[t] for v in vs)) for t in range(self.lattice_dim)]
@@ -374,7 +355,7 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
     a = [as_rat(x) for x in coeffs]
     if len(a) != len(f.rays):
         raise InvalidModel("coefficient count does not match ray count")
-    ineqs = tuple((VecQ(v), ai) for v, ai in zip(f.rays, a))
+    ineqs = tuple([(VecQ(v), ai) for v, ai in zip(f.rays, a)])
     probe = _max_common_slack(f, a, range(len(f.rays)))
     if probe is None:
         return DivisorPolytope(ineqs, -1, None)
@@ -412,8 +393,11 @@ def toric_rigid(f: Fan, coeffs) -> bool:
     return d == 0
 
 
+@lru_cache(maxsize=MEMO_BOUND)
 def class_is_rigid(f: Fan, cls: VecQ) -> bool:
-    """Rigidity of a divisor class (lifted to an invariant divisor)."""
+    """Rigidity of a divisor class (lifted to an invariant divisor).  The
+    last MEMO_BOUND results are kept per (fan, class): rigidity and the
+    toric balanced verdict ask for the same adjoint boundary class."""
     pres = ns_presentation(f)
     coeffs = pres.lift_class(cls)
     den = 1
@@ -424,15 +408,11 @@ def class_is_rigid(f: Fan, cls: VecQ) -> bool:
 
 def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
     """Balanced against every toric subvariety iff the adjoint boundary
-    divisor a*L + K is rigid."""
-    pres = ns_presentation(f)
-    model = variety_model(f)
-    fr = invariants.fujita(model, pres.divisor_class(bundle_coeffs))
-    adjoint = [fr.a * as_rat(x) - 1 for x in bundle_coeffs]
-    den = 1
-    for x in adjoint:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return toric_rigid(f, [x * den for x in adjoint])
+    class a*L + K is rigid.  Linear equivalence translates the divisor
+    polytope, so any invariant divisor of that class decides it."""
+    bundle = ns_presentation(f).divisor_class(bundle_coeffs)
+    fr = invariants.fujita(variety_model(f), bundle)
+    return class_is_rigid(f, fr.boundary_class)
 
 
 # -- fibrations ------------------------------------------------------------------
@@ -469,13 +449,11 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
     """
     pres = ns_presentation(f)
     model = variety_model(f)
-    bundle = pres.divisor_class(bundle_coeffs)
-    fr = invariants.fujita(model, bundle)
-    face = model.eff_cone.minimal_face(fr.boundary_class)
-    b_face = model.ns_rank - face.span_dim
+    res = invariants.b_invariant(model, pres.divisor_class(bundle_coeffs))
 
-    adjoint = [fr.a * as_rat(x) - 1 for x in bundle_coeffs]
-    tight_rays = _implicit_equalities(f, adjoint)
+    # an invariant divisor of the boundary class; another one of the same
+    # class translates the polytope and keeps its implicit equalities
+    tight_rays = _implicit_equalities(f, list(pres.lift_class(res.fujita.boundary_class)))
     if tight_rays is None:
         raise ProjectionIncompatible("adjoint divisor has empty polytope")
     hull_dirs = qlinalg.nullspace(MatQ([f.rays[i] for i in tight_rays])) if tight_rays \
@@ -489,7 +467,6 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
             "polytope affine hull does not match the annihilator of ker(projection)"
         )
     fib = fibration_data(f, projection)
-    b_fib = model.ns_rank - fib.ns_pi_rank
-    return b_face, b_fib
+    return res.b, model.ns_rank - fib.ns_pi_rank
 
 

@@ -7,7 +7,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from fujita import delpezzo, invariants, toric
 from fujita.qlinalg import VecQ
+
+MEMOS = (invariants.fujita, delpezzo.zariski_decompose, toric.class_is_rigid)
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Every test starts with empty memos, so that call counts and timings
+    do not depend on which tests ran before."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def vec(*xs) -> VecQ:

@@ -4,12 +4,14 @@ Everything here deliberately avoids the library's own dual-description and
 membership code paths: Fourier-Motzkin elimination and brute-force normal
 search double-check facet lists, a raw big-integer calculator checks
 Fraction arithmetic, a per-generator LP support test checks minimal faces,
-and basis enumeration solves small LPs without the simplex.
+basis enumeration solves small LPs without the simplex, the Leibniz
+expansion checks determinants without elimination, and the adjoint-divisor
+route checks toric balance without the class lift.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, prod
 
 from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.simplex import LPStatus, solve_lp
@@ -177,3 +179,30 @@ def lp_by_basis_enumeration(a_rows, b, c):
         return LPStatus.UNBOUNDED, None, frozenset()
     best = min(cost(x) for x in feasible)
     return LPStatus.OPTIMAL, best, frozenset(x for x in feasible if cost(x) == best)
+
+
+def det_by_permutations(rows) -> Fraction:
+    """det by the Leibniz expansion over all permutations (n <= 5)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = prod((Fraction(rows[i][perm[i]]) for i in range(n)), start=Fraction(1))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def toric_balanced_by_adjoint(fan, bundle_coeffs) -> bool:
+    """Toric balance read off the adjoint divisor a*L + K itself: the
+    coefficients a*l_ray - 1 (K is minus the sum of the boundary divisors),
+    cleared to integers, and the dimension of their polytope."""
+    from fujita.invariants import fujita
+    from fujita.toric import ns_presentation, toric_rigid, variety_model
+
+    pres = ns_presentation(fan)
+    fr = fujita(variety_model(fan), pres.divisor_class(bundle_coeffs))
+    adjoint = [fr.a * Fraction(x) - 1 for x in bundle_coeffs]
+    den = 1
+    for x in adjoint:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return toric_rigid(fan, [x * den for x in adjoint])

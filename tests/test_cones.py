@@ -142,27 +142,26 @@ class TestContains:
         assert c.contains(vec(0, -1)) is Containment.OUTSIDE
 
 
-class TestConcurrency:
-    def test_facets_memoized_once(self):
-        # concurrent readers must observe a single computed dual description
-        import threading
-
+class TestFacetMemo:
+    def test_facets_memoized_once(self, monkeypatch):
+        # every reader after the first sees the one computed dual description
         c = del_pezzo(3).variety().eff_cone
         fresh = ConeQ(c.generators, ambient_dim=c.ambient_dim)
-        results = []
-        barrier = threading.Barrier(8)
+        runs = []
+        compute = ConeQ._compute_facets
 
-        def reader():
-            barrier.wait()
-            results.append(fresh.facets)
+        def counted(self):
+            runs.append(self)
+            compute(self)
 
-        threads = [threading.Thread(target=reader) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
-        assert len(results[0]) == 99
+        monkeypatch.setattr(ConeQ, "_compute_facets", counted)
+        first = fresh.facets
+        anticanonical = vec(3, -1, -1, -1, -1, -1, -1)
+        assert fresh.contains(anticanonical) is Containment.INSIDE
+        fresh.minimal_face(fresh.generators[0])
+        assert all(fresh.facets is first for _ in range(8))
+        assert runs == [fresh]
+        assert len(first) == 99
 
 
 class TestStrictness:

@@ -8,6 +8,7 @@ from fujita.errors import DimensionMismatch
 from fujita.qlinalg import (
     MatQ,
     VecQ,
+    abs_det,
     inertia,
     nullspace,
     primitive_int,
@@ -15,7 +16,7 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
-from oracles import add_fractions_bigint, mul_fractions_bigint
+from oracles import add_fractions_bigint, det_by_permutations, mul_fractions_bigint
 
 
 class TestRank:
@@ -127,6 +128,40 @@ def test_fraction_arithmetic_against_bigint_oracle(an, ad, bn, bd):
     p = Fraction(an, ad) * Fraction(bn, bd)
     on, od = mul_fractions_bigint(an, ad, bn, bd)
     assert (p.numerator, p.denominator) == (on, od)
+
+
+class TestAbsDet:
+    def test_identity_and_signs(self):
+        assert abs_det(MatQ.identity(4)) == 1
+        assert abs_det(MatQ([[0, 1], [1, 0]])) == 1
+        assert abs_det(MatQ([[2, 1], [1, -3]])) == 7
+
+    def test_singular(self):
+        assert abs_det(MatQ([[1, 2, 3], [2, 4, 6], [0, 1, 5]])) == 0
+        assert abs_det(MatQ([[0, 0], [0, 0]])) == 0
+
+    def test_rational_rows(self):
+        assert abs_det(MatQ([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-2, 5)]])) == Fraction(8, 15)
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            abs_det(MatQ([[1, 2, 3], [4, 5, 6]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.booleans(),
+)
+def test_abs_det_against_permutation_oracle(rows, repeat_row):
+    # a repeated row makes every other draw singular
+    if repeat_row:
+        rows = rows[:-1] + [rows[0]]
+    assert abs_det(MatQ(rows)) == abs(det_by_permutations(rows))
 
 
 class TestInertia:

@@ -166,6 +166,48 @@ def test_beale_rescaled_and_permuted(order, scales):
     _agrees_with_oracle(rows, rhs, c)
 
 
+def _block_growth(fn, reps=300) -> int:
+    """Allocated blocks gained over `reps` calls, with the collector off."""
+    for _ in range(20):
+        fn()
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(reps):
+            fn()
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+
+
+def _query_path_sites():
+    """One call per site on the query path that builds a tuple."""
+    from fujita.cones import ConeQ, _int_scaled
+    from fujita.delpezzo import _zariski, del_pezzo
+    from fujita.qlinalg import MatQ, VecQ, solve
+    from fujita.toric import Fan, divisor_polytope
+
+    rational = VecQ([F(1, 2), F(2, 3), 5])
+    integral = VecQ([4, -1, 0, 7])
+    cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    face = cone.minimal_face(VecQ([1, 1, 0]))
+    p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    surf = del_pezzo(8)
+    surf_cone = surf.variety().eff_cone
+    return {
+        "VecQ": lambda: VecQ([F(1, 2), 3, -1]),
+        "_int_scaled": lambda: (_int_scaled(rational), _int_scaled(integral)),
+        "FaceQ.generator_vectors": face.generator_vectors,
+        "ConeQ._contains_lp": lambda: cone._contains_lp(rational),
+        "solve (kernel)": lambda: solve(MatQ([[1, 1, 1]]), VecQ([1])),
+        "divisor_polytope": lambda: divisor_polytope(p2, [1, 1, 1]),
+        "_zariski (support)": lambda: _zariski(
+            surf.negative_curves, surf.pair, surf_cone, VecQ([1, 1])
+        ),
+    }
+
+
 def test_no_tuple_freelist_drift():
     # Each tuple built from a generator is resized from a length hint and
     # leaves a block in the freelist of another size.  The integer tableau
@@ -176,15 +218,8 @@ def test_no_tuple_freelist_drift():
     b = [F(i % 3 + 1, 1 + i % 2) for i in range(8)]
     c = [F(j % 5, 1 + j % 3) for j in range(12)]
     assert solve_lp(a, b, c).status is LPStatus.OPTIMAL
-    for _ in range(20):
-        solve_lp(a, b, c)
-    gc.collect()
-    gc.disable()
-    try:
-        before = sys.getallocatedblocks()
-        for _ in range(300):
-            solve_lp(a, b, c)
-        growth = sys.getallocatedblocks() - before
-    finally:
-        gc.enable()
-    assert growth < 500
+    assert _block_growth(lambda: solve_lp(a, b, c)) < 500
+    # the other query-path sites: each leaves about 100 blocks whatever the
+    # call count, and a generator-built tuple there adds one block per call
+    growth = {name: _block_growth(fn, 1000) for name, fn in _query_path_sites().items()}
+    assert all(g < 400 for g in growth.values()), growth
