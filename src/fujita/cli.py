@@ -31,7 +31,7 @@ from .errors import (
     RigidityUndecidable,
     SchemaError,
 )
-from .modelio import rational_to_str, vector_to_str_list
+from .modelio import vector_to_str_list
 from .qlinalg import inertia, MatQ
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
     m = problem.model.variety
     res = invariants.b_invariant(m, problem.bundle_class)
     report = {
-        "a": rational_to_str(res.fujita.a),
+        "a": str(res.fujita.a),
         "b": res.b,
         "face_generators": [vector_to_str_list(g) for g in res.face_generators],
         "model": problem.name,
@@ -97,8 +97,8 @@ def _report_balanced(path: str, strict_fan: bool) -> list:
         out.append(
             {
                 "name": name,
-                "pair_x": [rational_to_str(verdict.pair_x[0]), verdict.pair_x[1]],
-                "pair_y": [rational_to_str(verdict.pair_y[0]), verdict.pair_y[1]],
+                "pair_x": [str(verdict.pair_x[0]), verdict.pair_x[1]],
+                "pair_y": [str(verdict.pair_y[0]), verdict.pair_y[1]],
                 "verdict": verdict.classification.value,
             }
         )
@@ -134,7 +134,7 @@ def _report_zariski(path: str, strict_fan: bool) -> dict:
     return {
         "positive": vector_to_str_list(dec.positive),
         "negative": [
-            {"class": vector_to_str_list(c), "mult": rational_to_str(x)}
+            {"class": vector_to_str_list(c), "mult": str(x)}
             for c, x in support
         ],
         "checks": checks,

@@ -10,6 +10,11 @@ Both routes are equivalent: the interior of a full-dimensional cone is its
 relative interior, and relint(cone(G)) consists of the strictly positive
 combinations of all generators.
 
+`positive_support` finds, by one LP, the coordinates that some point of
+{x >= 0 : A x = b} makes positive; the rest are the always-active
+constraints.  It gives the lineality space of a non-strict cone here and
+the implicit equalities of toric divisor polytopes.
+
 Faces here are supported faces (cut out by functionals nonnegative on the
 cone).  For finitely generated cones these coincide with extremal faces, so
 the distinction drawn for general closed cones is vacuous in this module.
@@ -17,7 +22,7 @@ the distinction drawn for general closed cones is vacuous in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -31,7 +36,7 @@ from .errors import (
     OutsideCone,
     UnboundedBelow,
 )
-from .qlinalg import MatQ, VecQ, primitive_int, sign_normalized, span_dim
+from .qlinalg import MatQ, VecQ, pivot_columns, primitive_int, sign_normalized, span_dim
 from .simplex import LPStatus, solve_lp
 
 
@@ -60,18 +65,46 @@ def _int_scaled(v: VecQ) -> tuple[int, ...]:
     return tuple([int(x * den) for x in v.entries])
 
 
-def _extends_rank(echelon: list[list[Fraction]], vec: Sequence) -> bool:
-    """Reduce vec against the running echelon; if independent, absorb it."""
-    row = [Fraction(x) for x in vec]
-    for er in echelon:
-        lead = next(i for i, v in enumerate(er) if v != 0)
-        if row[lead] != 0:
-            f = row[lead] / er[lead]
-            row = [a - f * b for a, b in zip(row, er)]
-    if all(v == 0 for v in row):
-        return False
-    echelon.append(row)
-    return True
+def positive_support(
+    a_rows: Sequence[Sequence], b: Sequence, measured: Iterable[int]
+) -> tuple[frozenset[int], tuple[Fraction, ...]] | None:
+    """The indices in `measured` that some x in {x >= 0 : A x = b} makes
+    positive, and a feasible x positive on exactly those; None when the
+    system is infeasible.  A must have at least one row.
+
+    One LP (Freund, Roundy and Todd 1985): homogenize to A y = s b with
+    s >= 1, write each measured y_i as t_i + w_i with 0 <= t_i <= 1, and
+    maximize the sum of the t_i.  A feasible point positive on the whole
+    support, scaled up by s, puts t_i = 1 on it, and t_i is 0 off it; so
+    the support is {i : t_i = 1} and the point is y / s.
+    """
+    measured = list(measured)
+    n = len(a_rows[0])
+    k = len(measured)
+    # columns: y (n; t_i for measured i), w (k), sigma = s - 1, u (k)
+    # rows: A y + sum A_i w_i - b sigma = b ; t_i + u_i = 1
+    rows = [
+        list(ar) + [ar[i] for i in measured] + [-bv] + [0] * k
+        for ar, bv in zip(a_rows, b)
+    ]
+    for p, i in enumerate(measured):
+        row = [0] * (n + 2 * k + 1)
+        row[i] = 1
+        row[n + k + 1 + p] = 1
+        rows.append(row)
+    c = [0] * (n + 2 * k + 1)
+    for i in measured:
+        c[i] = -1
+    res = solve_lp(rows, list(b) + [1] * k, c)
+    if res.status is LPStatus.INFEASIBLE:
+        return None
+    assert res.status is LPStatus.OPTIMAL
+    y = list(res.x[:n])
+    for p, i in enumerate(measured):
+        y[i] += res.x[n + p]
+    s = 1 + res.x[n + k]
+    support = frozenset([i for i in measured if res.x[i] == 1])
+    return support, tuple([v / s for v in y])
 
 
 def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
@@ -84,14 +117,9 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
     zero set contains the common zero set of the candidate pair).
     """
     order = sorted(range(len(cons)), key=lambda i: cons[i])
-    chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
-    rest: list[int] = []
-    for i in order:
-        if len(chosen) < d and _extends_rank(echelon, cons[i]):
-            chosen.append(i)
-        else:
-            rest.append(i)
+    independent = set(pivot_columns([cons[i] for i in order]))
+    chosen = [i for p, i in enumerate(order) if p in independent]
+    rest = [i for p, i in enumerate(order) if p not in independent]
     if len(chosen) < d:
         raise ValueError("constraints do not span the ambient space")
 
@@ -155,20 +183,11 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
 @dataclass(frozen=True)
 class FaceQ:
     """A supported face of a cone: the cut of all facets vanishing on a
-    given vector.  `active` of None means every facet is active (the face
-    {0} of a strict cone), kept lazy so the zero face never forces facet
-    enumeration."""
+    given vector, recorded by the generators it contains."""
 
     parent: "ConeQ"
     generators_in_face: frozenset[int]
     span_dim: int
-    active: frozenset[int] | None = field(default=None)
-
-    @property
-    def active_facets(self) -> frozenset[int]:
-        if self.active is None:
-            return frozenset(range(len(self.parent.facets)))
-        return self.active
 
     def generator_vectors(self) -> tuple[VecQ, ...]:
         gens = self.parent.generators
@@ -278,12 +297,8 @@ class ConeQ:
         ]
         # independent generator subset spanning the cone, in lex order
         sorted_gens = sorted(set(gens))
-        span_basis: list[tuple[int, ...]] = []
-        echelon: list[list[Fraction]] = []
+        span_basis = [sorted_gens[p] for p in pivot_columns(sorted_gens)]
         r = self.dim()
-        for g in sorted_gens:
-            if len(span_basis) < r and _extends_rank(echelon, g):
-                span_basis.append(g)
         bmat = MatQ(zip(*span_basis))  # columns are the basis vectors
         reduced = []
         for g in gens:
@@ -393,34 +408,12 @@ class ConeQ:
         k = len(gens)
         # strictness test: is there a nonzero nonnegative kernel combination?
         a_rows = [[g[t] for g in gens] for t in range(d)]
-        a_rows.append([1] * k)
-        res = solve_lp(a_rows, [0] * d + [1], [0] * k)
+        res = solve_lp(a_rows + [[1] * k], [0] * d + [1], [0] * k)
         if res.status is LPStatus.INFEASIBLE:
             return 0
-        # support closure: u_i = 1 exactly when generator i sits in a
-        # nonnegative kernel combination, i.e. lies in the lineality space
-        # columns: lam (k), u (k), p (k), q (k)
-        rows = []
-        for t in range(d):
-            rows.append([g[t] for g in gens] + [0] * (3 * k))
-        rhs = [0] * d
-        for i in range(k):
-            row = [0] * (4 * k)
-            row[k + i] = 1
-            row[i] = -1
-            row[2 * k + i] = 1
-            rows.append(row)
-            rhs.append(0)
-        for i in range(k):
-            row = [0] * (4 * k)
-            row[k + i] = 1
-            row[3 * k + i] = 1
-            rows.append(row)
-            rhs.append(1)
-        c = [0] * k + [-1] * k + [0] * (2 * k)
-        res = solve_lp(rows, rhs, c)
-        assert res.status is LPStatus.OPTIMAL
-        support = [i for i in range(k) if res.x[k + i] == 1]
+        # the generators in some nonnegative kernel combination are exactly
+        # those in the lineality space
+        support, _ = positive_support(a_rows, [0] * d, range(k))
         return span_dim([self._gens[i] for i in support])
 
     # -- faces ---------------------------------------------------------------
@@ -435,7 +428,7 @@ class ConeQ:
         if not self.is_strict():
             raise NonStrictCone("minimal_face requires a strict cone")
         if v.is_zero():
-            return FaceQ(self, frozenset(), 0, active=None)
+            return FaceQ(self, frozenset(), 0)
         self.facets
         vi = _int_scaled(v)
         active = frozenset(
@@ -447,7 +440,7 @@ class ConeQ:
             gmask &= masks[i]
         gens_in = frozenset(j for j in range(len(self._gens_int)) if gmask >> j & 1)
         sd = span_dim([self._gens[j] for j in sorted(gens_in)])
-        return FaceQ(self, gens_in, sd, active=active)
+        return FaceQ(self, gens_in, sd)
 
     # -- ray optimization ----------------------------------------------------
 

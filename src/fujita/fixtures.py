@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import invariants, modelio, toric
 from .errors import RigidityUndecidable, SchemaError, UnknownFixture
-from .modelio import LoadedProblem, parse_rational, rational_to_str
+from .modelio import LoadedProblem, parse_rational
 
 CATALOG_VERSION = "1"
 
@@ -121,7 +121,7 @@ def run_fixture(fixture, catalog=None) -> FixtureReport:
     if {"a", "b", "rigid"} & set(exp):
         res = invariants.b_invariant(m, p.bundle_class)
     if "a" in exp:
-        add("a", rational_to_str(parse_rational(exp["a"], "expected.a")), rational_to_str(res.fujita.a))
+        add("a", str(parse_rational(exp["a"], "expected.a")), str(res.fujita.a))
     if "b" in exp:
         add("b", int(exp["b"]), res.b)
     if "rigid" in exp:
@@ -148,7 +148,7 @@ def run_fixture(fixture, catalog=None) -> FixtureReport:
         if {"a", "b"} & set(sexp):
             ay, by = invariants.invariant_pair(datum.model, datum.restricted_bundle)
             if "a" in sexp:
-                add(prefix + "a", rational_to_str(parse_rational(sexp["a"], "expected.a")), rational_to_str(ay))
+                add(prefix + "a", str(parse_rational(sexp["a"], "expected.a")), str(ay))
             if "b" in sexp:
                 add(prefix + "b", int(sexp["b"]), by)
         if "verdict" in sexp:

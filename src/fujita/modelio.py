@@ -265,11 +265,6 @@ def rational_to_json(q: Fraction):
     return int(q) if q.denominator == 1 else str(q)
 
 
-def rational_to_str(q: Fraction) -> str:
-    """Canonical rational string, used on every CLI wire value."""
-    return str(q)
-
-
 def vector_to_json(v: VecQ) -> list:
     return [rational_to_json(x) for x in v]
 

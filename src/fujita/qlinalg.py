@@ -270,6 +270,16 @@ def span_dim(vectors: Sequence[VecQ]) -> int:
     return len(pivots)
 
 
+def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
+    """Indices of the vectors independent of all earlier ones: the pivot
+    columns of the matrix whose columns are the given vectors."""
+    vs = list(vectors)
+    if not vs:
+        return []
+    _, pivots = _bareiss_echelon(_cleared_int_rows(zip(*vs)), len(vs))
+    return pivots
+
+
 def abs_det(m: MatQ) -> Fraction:
     """|det m| of a square matrix by fraction-free elimination.  Each row is
     cleared to integers by the lcm of its denominators; the last Bareiss

@@ -5,15 +5,18 @@ maximal cones (as ray-index sets).  The divisor class group presentation
 NS = Z^rays / image(M) gives the class map, the effective cone is spanned by
 the boundary divisor classes, and rigidity of an invariant divisor is read
 off the dimension of its polytope {m : <m, v_ray> >= -a_ray}, which is the
-executable h^0 oracle used by the balancedness criterion.
+executable h^0 oracle used by the balancedness criterion.  One exact LP per
+polytope gives its emptiness, its implicit equalities (hence its dimension)
+and a relative-interior point.
 
 Completeness is checked by ridge pairing (every codimension-one wall lies in
 exactly two maximal cones) plus 27 seeded generic sample directions each
 covered exactly once; strict mode upgrades this to an exact degree argument
 (opposite-side orientation at every wall makes the covering number locally
-constant, hence identically one) and runs a terminality box test on singular
-cones.  Toric contractions and flips are not implemented; every criterion in
-scope reduces to polytope dimensions and spans.
+constant, hence identically one) and checks terminality of each singular
+cone on the |det| lattice points of its fundamental parallelepiped.  Toric
+contractions and flips are not implemented; every criterion in scope
+reduces to polytope dimensions and spans.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import invariants, qlinalg
-from .cones import ConeQ, Containment
+from .cones import ConeQ, Containment, positive_support
 from .errors import (
     IncompleteFan,
     InvalidModel,
@@ -38,7 +41,7 @@ from .errors import (
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
 from .qlinalg import MatQ, VecQ, abs_det, as_rat, span_dim
-from .simplex import LPStatus, solve_lp
+from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 
 class Fan:
@@ -176,26 +179,33 @@ class Fan:
                 )
 
     def _check_terminal(self):
-        """Box lattice-point test: conv(0, rays of the cone) may contain no
-        lattice point other than its vertices.  Partial check, run only on
-        singular cones in strict mode."""
-        from itertools import product as iproduct
-
+        """conv(0, rays of a singular cone) may contain no lattice point
+        other than its vertices.  Such a point has coordinates in [0, 1) on
+        the rays, so it is one of the |det| points of N / N_sigma: the
+        closure of {0} under adding each column of M^-1 mod 1, where the
+        columns of M are the rays.  Run only in strict mode."""
+        n = self.lattice_dim
         for c in self.max_cones:
-            vs = [self.rays[i] for i in c]
-            if abs_det(MatQ(vs)) == 1:
-                continue
             mat = self._cone_matrix(c)
-            lo = [min(0, *(v[t] for v in vs)) for t in range(self.lattice_dim)]
-            hi = [max(0, *(v[t] for v in vs)) for t in range(self.lattice_dim)]
-            for pt in iproduct(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-                if all(x == 0 for x in pt) or pt in vs:
-                    continue
-                lam = qlinalg.solve(mat, VecQ(pt)).particular
-                if all(x >= 0 for x in lam) and sum(lam) <= 1:
-                    raise NonTerminalCone(
-                        f"cone {c} contains interior box point {pt}"
-                    )
+            if abs_det(mat) == 1:
+                continue
+            steps = [qlinalg.solve(mat, VecQ.unit(n, j)).particular for j in range(n)]
+            zero = (Fraction(0),) * n
+            seen = {zero}
+            frontier = [zero]
+            while frontier:
+                lam = frontier.pop()
+                for step in steps:
+                    nxt = tuple([(x + y) % 1 for x, y in zip(lam, step)])
+                    if nxt in seen:
+                        continue
+                    if sum(nxt) <= 1:
+                        pt = tuple([int(x) for x in mat.apply(VecQ(nxt))])
+                        raise NonTerminalCone(
+                            f"cone {c} contains the lattice point {pt} of conv(0, rays)"
+                        )
+                    seen.add(nxt)
+                    frontier.append(nxt)
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:
@@ -254,15 +264,8 @@ class NSPresentation:
 def ns_presentation(f: Fan) -> NSPresentation:
     """Deterministic class-group presentation: pivot rays are the first
     lattice_dim rays that are linearly independent, in ray order."""
-    n = f.lattice_dim
-    pivots: list[int] = []
-    echelon: list[list[Fraction]] = []
-    from .cones import _extends_rank
-
-    for i, r in enumerate(f.rays):
-        if len(pivots) < n and _extends_rank(echelon, r):
-            pivots.append(i)
-    if len(pivots) < n:
+    pivots = qlinalg.pivot_columns(f.rays)
+    if len(pivots) < f.lattice_dim:
         raise IncompleteFan("rays do not span the lattice")
     basis = tuple(i for i in range(len(f.rays)) if i not in pivots)
     pres = NSPresentation(f, len(basis), tuple(pivots), basis, ())
@@ -296,52 +299,14 @@ def variety_model(f: Fan) -> VarietyModel:
 
 @dataclass(frozen=True)
 class DivisorPolytope:
-    """{m : <m, v_ray> >= -a_ray}; dim is -1 when empty."""
+    """{m : <m, v_ray> >= -a_ray}; dim is -1 when empty.  `tight_rays` are
+    the rays whose inequality holds with equality on the whole polytope;
+    `sample_point` is a relative-interior point, strict on every other ray."""
 
     inequalities: tuple[tuple[VecQ, Fraction], ...]
     dim: int
     sample_point: VecQ | None
-
-
-def _max_common_slack(f: Fan, a: list[Fraction], bound_set) -> tuple[Fraction, VecQ] | None:
-    """Maximize t <= 1 with <m, v_i> + a_i >= t for i in bound_set and >= 0
-    for the rest; None when the polytope is empty.  Returns (t*, point)."""
-    n = f.lattice_dim
-    rays = f.rays
-    k = len(rays)
-    # columns: m+ (n), m- (n), slack (k), t, cap
-    rows = []
-    for i, v in enumerate(rays):
-        row = list(v) + [-x for x in v] + [0] * (k + 2)
-        row[2 * n + i] = -1
-        if i in bound_set:
-            row[2 * n + k] = -1
-        rows.append(row)
-    rows.append([0] * (2 * n + k) + [1, 1])
-    rhs = [-x for x in a] + [1]
-    res = solve_lp(rows, rhs, [0] * (2 * n + k) + [-1, 0])
-    if res.status is LPStatus.INFEASIBLE:
-        return None
-    assert res.status is LPStatus.OPTIMAL
-    point = VecQ([res.x[t] - res.x[n + t] for t in range(n)])
-    return res.x[2 * n + k], point
-
-
-def _implicit_equalities(f: Fan, a: list[Fraction]) -> list[int] | None:
-    """Ray indices whose inequality is tight on the whole polytope; None
-    when the polytope is empty."""
-    k = len(f.rays)
-    probe = _max_common_slack(f, a, range(k))
-    if probe is None:
-        return None
-    if probe[0] > 0:
-        return []
-    tight = []
-    for j in range(k):
-        t_star, _ = _max_common_slack(f, a, {j})
-        if t_star == 0:
-            tight.append(j)
-    return tight
+    tight_rays: tuple[int, ...]
 
 
 def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
@@ -349,23 +314,29 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
 
     The dimension comes from the affine hull: a constraint that cannot attain
     positive slack anywhere on the polytope is an implicit equality, and the
-    hull is cut out by exactly those.  Each test is one small exact LP.
+    hull is cut out by exactly those.  One exact LP on the slacks
+    (`cones.positive_support`) finds all of them at once, decides emptiness
+    and gives a point with positive slack on every other ray.
     """
     n = f.lattice_dim
+    k = len(f.rays)
     a = [as_rat(x) for x in coeffs]
-    if len(a) != len(f.rays):
+    if len(a) != k:
         raise InvalidModel("coefficient count does not match ray count")
     ineqs = tuple([(VecQ(v), ai) for v, ai in zip(f.rays, a)])
-    probe = _max_common_slack(f, a, range(len(f.rays)))
-    if probe is None:
-        return DivisorPolytope(ineqs, -1, None)
-    _, sample = probe
-    tight = _implicit_equalities(f, a)
-    if tight:
-        dim = n - span_dim([VecQ(f.rays[j]) for j in tight])
-    else:
-        dim = n
-    return DivisorPolytope(ineqs, dim, sample)
+    # columns: m+ (n), m- (n), slack (k) ; rows: <m, v_i> - slack_i = -a_i
+    rows = []
+    for i, v in enumerate(f.rays):
+        row = list(v) + [-x for x in v] + [0] * k
+        row[2 * n + i] = -1
+        rows.append(row)
+    found = positive_support(rows, [-x for x in a], range(2 * n, 2 * n + k))
+    if found is None:
+        return DivisorPolytope(ineqs, -1, None, ())
+    slack, x = found
+    tight = tuple([i for i in range(k) if 2 * n + i not in slack])
+    dim = n - span_dim([VecQ(f.rays[i]) for i in tight])
+    return DivisorPolytope(ineqs, dim, VecQ([x[t] - x[n + t] for t in range(n)]), tight)
 
 
 def polytope_dim(f: Fan, coeffs) -> int:
@@ -453,9 +424,10 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
 
     # an invariant divisor of the boundary class; another one of the same
     # class translates the polytope and keeps its implicit equalities
-    tight_rays = _implicit_equalities(f, list(pres.lift_class(res.fujita.boundary_class)))
-    if tight_rays is None:
+    poly = divisor_polytope(f, pres.lift_class(res.fujita.boundary_class))
+    if poly.dim < 0:
         raise ProjectionIncompatible("adjoint divisor has empty polytope")
+    tight_rays = poly.tight_rays
     hull_dirs = qlinalg.nullspace(MatQ([f.rays[i] for i in tight_rays])) if tight_rays \
         else tuple(VecQ.unit(f.lattice_dim, i) for i in range(f.lattice_dim))
     proj_rows = list(projection.row_list())

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fujita import delpezzo, invariants, toric
+from fujita.fixtures import load_catalog
 from fujita.qlinalg import VecQ
 
 MEMOS = (invariants.fujita, delpezzo.zariski_decompose, toric.class_is_rigid)
@@ -19,6 +20,21 @@ def clear_memos():
     do not depend on which tests ran before."""
     for memo in MEMOS:
         memo.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def toric_fans():
+    """The catalog's toric fans and the two product fans of the benchmark."""
+    fans = {
+        fid: fx.problem.model.fan
+        for fid, fx in sorted(load_catalog().items())
+        if fx.problem.model.kind == "toric"
+    }
+    fans["dp6-toric*dp6-toric"] = toric.fan_product(fans["dp6-toric"], fans["dp6-toric"])
+    fans["toric-no-control*p2-toric"] = toric.fan_product(
+        fans["toric-no-control"], fans["p2-toric"]
+    )
+    return fans
 
 
 def vec(*xs) -> VecQ:

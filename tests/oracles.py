@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own dual-description and
 membership code paths: Fourier-Motzkin elimination and brute-force normal
 search double-check facet lists, a raw big-integer calculator checks
 Fraction arithmetic, a per-generator LP support test checks minimal faces,
-basis enumeration solves small LPs without the simplex, the Leibniz
-expansion checks determinants without elimination, and the adjoint-divisor
-route checks toric balance without the class lift.
+basis enumeration solves small LPs and finds positive supports without
+the simplex, the Leibniz expansion checks determinants without
+elimination, the adjoint-divisor route checks toric balance without the
+class lift, and one LP per ray checks the implicit equalities of divisor
+polytopes without the single support LP.
 """
 
 from fractions import Fraction
@@ -179,6 +181,54 @@ def lp_by_basis_enumeration(a_rows, b, c):
         return LPStatus.UNBOUNDED, None, frozenset()
     best = min(cost(x) for x in feasible)
     return LPStatus.OPTIMAL, best, frozenset(x for x in feasible if cost(x) == best)
+
+
+def positive_support_by_basis_enumeration(a_rows, b, measured):
+    """The indices in `measured` that some x in {x >= 0 : A x = b} makes
+    positive, or None when the system is infeasible, without the simplex.
+
+    {x >= 0 : A x = b} is the convex hull of its vertices plus the cone of
+    its extreme rays, so its support is the union of theirs: the vertices
+    are the nonnegative basic solutions, the extreme rays (scaled to sum 1)
+    the vertices of {r >= 0 : A r = 0, sum r = 1}."""
+    n = len(a_rows[0])
+    points = [x for x in _basic_solutions(a_rows, b, n) if min(x) >= 0]
+    if not points:
+        return None
+    rays = _basic_solutions(list(a_rows) + [[1] * n], [0] * len(a_rows) + [1], n)
+    points += [r for r in rays if min(r) >= 0]
+    return frozenset(i for i in measured if any(x[i] > 0 for x in points))
+
+
+def implicit_equalities_per_ray(fan, coeffs):
+    """Rays whose inequality <m, v_ray> >= -a_ray is tight on the whole
+    divisor polytope, or None when it is empty, by one LP per ray: ray j is
+    tight iff the largest t <= 1 with slack_j >= t is 0.  A first LP asking
+    for slack t on every ray settles emptiness and, when t > 0, that no ray
+    is tight."""
+    n = fan.lattice_dim
+    k = len(fan.rays)
+    a = [Fraction(x) for x in coeffs]
+
+    def max_common_slack(bound_set):
+        # columns: m+ (n), m- (n), slack (k), t, cap
+        rows = []
+        for i, v in enumerate(fan.rays):
+            row = list(v) + [-x for x in v] + [0] * (k + 2)
+            row[2 * n + i] = -1
+            if i in bound_set:
+                row[2 * n + k] = -1
+            rows.append(row)
+        rows.append([0] * (2 * n + k) + [1, 1])
+        res = solve_lp(rows, [-x for x in a] + [1], [0] * (2 * n + k) + [-1, 0])
+        return None if res.status is LPStatus.INFEASIBLE else res.x[2 * n + k]
+
+    probe = max_common_slack(range(k))
+    if probe is None:
+        return None
+    if probe > 0:
+        return frozenset()
+    return frozenset(j for j in range(k) if max_common_slack({j}) == 0)
 
 
 def det_by_permutations(rows) -> Fraction:

@@ -2,13 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fujita.cones import ConeQ, Containment, is_strict, min_a_on_ray, minimal_face
+from fujita.cones import (
+    ConeQ,
+    Containment,
+    is_strict,
+    min_a_on_ray,
+    minimal_face,
+    positive_support,
+)
 from fujita.delpezzo import del_pezzo, quadric_surface
 from fujita.errors import Infeasible, NonStrictCone, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
 from conftest import random_rational_vector, vec
-from oracles import brute_force_facets, fm_facets, minimal_face_generators_lp
+from oracles import (
+    brute_force_facets,
+    fm_facets,
+    minimal_face_generators_lp,
+    positive_support_by_basis_enumeration,
+)
 
 
 def int_facets(c):
@@ -191,7 +205,6 @@ class TestMinimalFace:
         c = FIXTURE_CONES["orthant2"]
         f = minimal_face(c, VecQ.zero(2))
         assert f.span_dim == 0 and f.generators_in_face == frozenset()
-        assert f.active_facets == frozenset(range(len(c.facets)))
 
     def test_ray_face(self):
         c = FIXTURE_CONES["orthant2"]
@@ -211,7 +224,6 @@ class TestMinimalFace:
         c = dp6_cone()
         f = minimal_face(c, vec(3, -1, -1, -1))
         assert f.span_dim == c.dim()
-        assert f.active == frozenset()
 
     def test_outside_rejected(self):
         with pytest.raises(OutsideCone):
@@ -251,9 +263,10 @@ class TestMinimalFace:
             face = c.minimal_face(v)
             masks = c.facet_generator_masks()
             all_gens = (1 << len(c.generators)) - 1
-            for dropped in face.active_facets:
+            active = [i for i, f in enumerate(c.facets) if f.dot(v) == 0]
+            for dropped in active:
                 gmask = all_gens
-                for i in face.active_facets:
+                for i in active:
                     if i != dropped:
                         gmask &= masks[i]
                 enlarged = [c.generators[j] for j in range(len(c.generators)) if gmask >> j & 1]
@@ -321,3 +334,57 @@ class TestMinAOnRay:
         for lam, g in zip(witness, c.generators):
             point = point + lam * g
         assert point == base + a * direction
+
+
+@st.composite
+def small_systems(draw):
+    """{x >= 0 : A x = b} with tiny integer entries, biased to degeneracy:
+    scaled duplicate rows, zero right-hand sides, and columns that repeat
+    or negate another one (lines and implicit equalities)."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from([1, -1, 2]))
+        rows[-1] = [k * v for v in rows[0]]
+        b[-1] = k * b[0]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from([1, -1]))
+        for r in rows:
+            r[-1] = k * r[0]
+    if draw(st.booleans()):
+        b = [0] * m
+    measured = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return rows, b, measured
+
+
+class TestPositiveSupport:
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_matches_basis_enumeration(self, system):
+        a, b, measured = system
+        expected = positive_support_by_basis_enumeration(a, b, measured)
+        found = positive_support(a, b, measured)
+        if expected is None:
+            assert found is None
+            return
+        support, x = found
+        assert support == expected
+        assert all(v >= 0 for v in x)
+        assert all(sum(r[j] * x[j] for j in range(len(x))) == bv for r, bv in zip(a, b))
+        assert {i for i in measured if x[i] > 0} == support
+
+    def test_forced_large_coefficient(self):
+        # x0 = 5 on every feasible point: t0 is capped at 1, w0 carries the rest
+        support, x = positive_support([[1, 0], [0, 1]], [5, 0], [0, 1])
+        assert support == {0}
+        assert x == (5, 0)
+
+    def test_infeasible(self):
+        assert positive_support([[1, 1]], [-1], [0, 1]) is None
+
+    def test_non_strict_lineality_support(self):
+        # the line through (1, 0, 0) plus two rays off it
+        c = ConeQ([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0), vec(1, 1, 1)])
+        assert c.lineality_dim == 1

@@ -7,31 +7,17 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from fujita import delpezzo, toric
+from fujita import cones, delpezzo, toric
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo, surface_b, surface_balanced, zariski_decompose
 from fujita.errors import NotBig
-from fujita.fixtures import load_catalog
 from fujita.invariants import b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import VecQ
-from fujita.toric import Fan, class_is_rigid, fan_product, ns_presentation, variety_model
+from fujita.toric import Fan, class_is_rigid, ns_presentation, variety_model
 from conftest import MEMOS, vec
 from oracles import toric_balanced_by_adjoint
 
 BOUND = 16
-
-
-@pytest.fixture(scope="module")
-def toric_fans():
-    """The catalog's toric fans and the two product fans of the benchmark."""
-    fans = {
-        fid: fx.problem.model.fan
-        for fid, fx in sorted(load_catalog().items())
-        if fx.problem.model.kind == "toric"
-    }
-    fans["dp6-toric*dp6-toric"] = fan_product(fans["dp6-toric"], fans["dp6-toric"])
-    fans["toric-no-control*p2-toric"] = fan_product(fans["toric-no-control"], fans["p2-toric"])
-    return fans
 
 
 def counting(monkeypatch, owner, name):
@@ -81,6 +67,21 @@ def test_toric_query_builds_one_polytope(monkeypatch, toric_fans):
         assert len(polytopes) == 1, name
         assert balanced == rigid, name
         monkeypatch.undo()
+
+
+def test_one_lp_per_divisor_polytope(monkeypatch, toric_fans):
+    # emptiness, the implicit equalities and the sample point come from one
+    # support LP, whether the polytope is empty, a point or full-dimensional
+    kinds = set()
+    for name, fan in toric_fans.items():
+        k = len(fan.rays)
+        for coeffs in ([1] * k, [0] * k, [-1] * k):
+            lps = counting(monkeypatch, cones, "solve_lp")
+            poly = toric.divisor_polytope(fan, coeffs)
+            assert len(lps) == 1, (name, coeffs)
+            kinds.add(min(poly.dim, 1))
+            monkeypatch.undo()
+    assert kinds == {-1, 0, 1}
 
 
 def test_memos_stay_within_their_bound():

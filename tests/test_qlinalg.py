@@ -11,6 +11,7 @@ from fujita.qlinalg import (
     abs_det,
     inertia,
     nullspace,
+    pivot_columns,
     primitive_int,
     rank,
     solve,
@@ -162,6 +163,29 @@ def test_abs_det_against_permutation_oracle(rows, repeat_row):
     if repeat_row:
         rows = rows[:-1] + [rows[0]]
     assert abs_det(MatQ(rows)) == abs(det_by_permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(
+                st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.just(3))),
+                min_size=d,
+                max_size=d,
+            ),
+            max_size=7,
+        )
+    )
+)
+def test_pivot_columns_are_the_greedy_independent_picks(vectors):
+    # a vector is picked iff it is independent of every earlier one
+    greedy = [
+        i
+        for i, v in enumerate(vectors)
+        if span_dim([VecQ(u) for u in vectors[: i + 1]]) > span_dim([VecQ(u) for u in vectors[:i]])
+    ]
+    assert pivot_columns(vectors) == greedy
 
 
 class TestInertia:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from fujita import qlinalg
 from fujita.cones import Containment
 from fujita.delpezzo import del_pezzo, quadric_surface, surface_balanced
 from fujita.errors import (
@@ -12,7 +15,7 @@ from fujita.errors import (
     ProjectionIncompatible,
 )
 from fujita.invariants import fujita, invariant_pair
-from fujita.qlinalg import MatQ, VecQ, solve
+from fujita.qlinalg import MatQ, VecQ, abs_det, solve, span_dim
 from fujita.toric import (
     Fan,
     divisor_polytope,
@@ -26,6 +29,7 @@ from fujita.toric import (
     variety_model,
 )
 from conftest import vec
+from oracles import implicit_equalities_per_ray
 
 
 def p2_fan():
@@ -102,6 +106,35 @@ class TestFanValidation:
         for fan_maker in (p2_fan, p1xp1_fan, bl1p2_fan, hexagon_fan, bl_line_p3_fan):
             f = fan_maker()
             Fan(f.rays, f.max_cones, strict=True)
+
+    def test_strict_terminality_ignores_coordinate_size(self, monkeypatch):
+        # two cones of |det| 2 whose bounding boxes hold about 4 * 10^6
+        # lattice points; the test walks the 2 points of each N / N_sigma
+        big = 10**6
+        rays = [(1, 0), (2 * big + 1, 2), (-1, 0), (0, -1)]
+        cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        with pytest.raises(NonTerminalCone, match=str((big + 1, 1))):
+            Fan.simplicial(rays, cones, strict=True)
+        f = Fan.simplicial(rays, cones)
+        calls = []
+        orig = qlinalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(qlinalg, "solve", counted)
+        with pytest.raises(NonTerminalCone):
+            f._check_terminal()
+        assert abs_det(MatQ([rays[0], rays[1]])) == 2
+        assert len(calls) <= 2
+
+    def test_strict_mode_passes_singular_terminal_fan(self):
+        # P(1,1,1,2): one singular cone, of type 1/2(1,1,1), which is terminal
+        rays = [(-1, -1, -2), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        f = Fan.simplicial(rays, cones, strict=True)
+        assert not f.smooth_checked
 
 
 class TestNSPresentation:
@@ -194,6 +227,44 @@ class TestPolytopes:
         assert poly.sample_point is not None
         for ray, a in poly.inequalities:
             assert ray.dot(poly.sample_point) >= -a
+
+
+def _random_polytopes(toric_fans, per_fan=10):
+    """Random divisors on every fan, plus each fan's K, 0 and -K."""
+    rng = random.Random(1985)
+    for name, fan in toric_fans.items():
+        k = len(fan.rays)
+        yield name, fan, [-1] * k
+        yield name, fan, [0] * k
+        yield name, fan, [1] * k
+        for _ in range(per_fan):
+            yield name, fan, [rng.randint(-2, 2) for _ in range(k)]
+
+
+def test_implicit_equalities_match_per_ray_route(toric_fans):
+    kinds = set()
+    for name, fan, coeffs in _random_polytopes(toric_fans):
+        expected = implicit_equalities_per_ray(fan, coeffs)
+        poly = divisor_polytope(fan, coeffs)
+        if expected is None:
+            assert poly.dim == -1 and poly.sample_point is None, (name, coeffs)
+            kinds.add("empty")
+            continue
+        assert set(poly.tight_rays) == expected, (name, coeffs)
+        n = fan.lattice_dim
+        assert poly.dim == n - span_dim([VecQ(fan.rays[i]) for i in expected])
+        kinds.add("point" if poly.dim == 0 else "full" if poly.dim == n else "lower")
+    assert kinds == {"empty", "point", "lower", "full"}
+
+
+def test_sample_point_has_zero_slack_exactly_on_tight_rays(toric_fans):
+    for name, fan, coeffs in _random_polytopes(toric_fans):
+        poly = divisor_polytope(fan, coeffs)
+        if poly.dim < 0:
+            continue
+        slack = [ray.dot(poly.sample_point) + a for ray, a in poly.inequalities]
+        assert all(s >= 0 for s in slack), (name, coeffs)
+        assert {i for i, s in enumerate(slack) if s == 0} == set(poly.tight_rays), (name, coeffs)
 
 
 class TestRigidity:
