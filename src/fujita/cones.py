@@ -36,7 +36,15 @@ from .errors import (
     OutsideCone,
     UnboundedBelow,
 )
-from .qlinalg import MatQ, VecQ, pivot_columns, primitive_int, sign_normalized, span_dim
+from .qlinalg import (
+    MatQ,
+    VecQ,
+    pivot_columns,
+    primitive_int,
+    scaled_inverse,
+    sign_normalized,
+    span_dim,
+)
 from .simplex import LPStatus, solve_lp
 
 
@@ -123,12 +131,11 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
     if len(chosen) < d:
         raise ValueError("constraints do not span the ambient space")
 
-    basis = MatQ([cons[i] for i in chosen])
-    rays: list[tuple[int, ...]] = []
-    for j in range(d):
-        sol = qlinalg.solve(basis, VecQ.unit(d, j))
-        assert sol is not None and sol.unique
-        rays.append(primitive_int(sol.particular))
+    # the columns of |det B| B^-1, B the basis rows: positive multiples of
+    # the rays of the starting simplicial cone
+    det, inverse = scaled_inverse([cons[i] for i in chosen])
+    assert det > 0
+    rays: list[tuple[int, ...]] = [primitive_int(col) for col in zip(*inverse)]
     full = (1 << d) - 1
     masks = [full ^ (1 << j) for j in range(d)]
     nproc = d

@@ -41,6 +41,12 @@ def enumerate_negative_curves(degree: int, search_bound: int = 6) -> tuple[VecQ,
 
     The classical bound is a <= 6; the regression suite re-runs the search
     with bound 8 and checks the count is stable.
+
+    The search picks b_1, b_2, ... in turn and needs sum b = 3a - 1 and
+    sum b^2 = a^2 + 1.  A branch with `rem` entries left, which still need
+    `need` in the sum and at most `room` in the squares, is cut when
+    rem * room < need^2: by Cauchy-Schwarz (sum b)^2 <= rem * sum b^2 over
+    the remaining entries, so no completion exists and the cut is exact.
     """
     if not 1 <= degree <= 7:
         raise DegreeOutOfRange(f"negative-curve enumeration needs degree in 1..7, got {degree}")
@@ -60,6 +66,9 @@ def enumerate_negative_curves(degree: int, search_bound: int = 6) -> tuple[VecQ,
                 return
             rem = r - i
             if s + rem * bmax < target_sum or s - rem > target_sum:
+                return
+            need = target_sum - s
+            if rem * (target_sq - sq) < need * need:
                 return
             for b in range(-1, bmax + 1):
                 prefix.append(b)

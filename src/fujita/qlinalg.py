@@ -214,9 +214,17 @@ def _cleared_int_rows(rows: Iterable[VecQ]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]], limit_cols: int) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(
+    rows: list[list[int]], limit_cols: int, jordan: bool = False
+) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form in place; pivots restricted to the
-    first `limit_cols` columns.  Returns (rows, pivot column list)."""
+    first `limit_cols` columns.  Returns (rows, pivot column list).
+
+    With `jordan` the same update also clears each pivot column above the
+    pivot (fraction-free Gauss-Jordan).  After k pivots the pivot rows are
+    adj(A_k) times the original rows, A_k the k x k pivot block, so the
+    divisions stay exact above the pivot as they do below it; columns left
+    of the current pivot are not kept up to date."""
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -234,7 +242,9 @@ def _bareiss_echelon(rows: list[list[int]], limit_cols: int) -> tuple[list[list[
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][c]
         top = rows[r]
-        for i in range(r + 1, len(rows)):
+        for i in range(0 if jordan else r + 1, len(rows)):
+            if i == r:
+                continue
             cur = rows[i]
             vi = cur[c]
             # full Bareiss update even when vi == 0 keeps divisions exact
@@ -298,6 +308,27 @@ def abs_det(m: MatQ) -> Fraction:
     for r in m.row_list():
         scale *= _row_lcm(r)
     return Fraction(abs(rows[n - 1][n - 1]), scale)
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """|det m| and the integer matrix |det m| * m^-1 of a square integer
+    matrix m, or (0, None) when m is singular.
+
+    Fraction-free Gauss-Jordan on [m | I] leaves d m^-1 in the right half,
+    where the last pivot d is det m up to the sign of the row swaps."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"{n}-row matrix is not square")
+    if n == 0:
+        return 1, []
+    aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
+    aug, pivots = _bareiss_echelon(aug, n, jordan=True)
+    if len(pivots) < n:
+        return 0, None
+    d = aug[n - 1][n - 1]
+    if d < 0:
+        return -d, [[-x for x in r[n:]] for r in aug]
+    return d, [r[n:] for r in aug]
 
 
 @dataclass(frozen=True)

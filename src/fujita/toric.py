@@ -11,10 +11,16 @@ and a relative-interior point.
 
 Completeness is checked by ridge pairing (every codimension-one wall lies in
 exactly two maximal cones) plus 27 seeded generic sample directions each
-covered exactly once; strict mode upgrades this to an exact degree argument
-(opposite-side orientation at every wall makes the covering number locally
-constant, hence identically one) and checks terminality of each singular
-cone on the |det| lattice points of its fundamental parallelepiped.  Toric
+covered exactly once.  That check runs in integers: one fraction-free
+Gauss-Jordan elimination per maximal cone gives |det| (degenerate and
+smoothness checks) and |det| times the inverse of the ray matrix, and the
+cone coordinates of a direction, scaled to integers, are then signed by one
+integer matrix-vector product per cone.  Strict mode upgrades this to an
+exact degree argument (opposite-side orientation at every wall makes the
+covering number locally constant, so the sampled directions fix it at one
+everywhere; a fan winding twice round the origin passes the walls and fails
+the samples) and checks terminality of each singular cone on the |det|
+lattice points of its fundamental parallelepiped.  Toric
 contractions and flips are not implemented; every criterion in scope
 reduces to polytope dimensions and spans.
 """
@@ -25,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import invariants, qlinalg
 from .cones import ConeQ, Containment, positive_support
@@ -40,7 +46,7 @@ from .errors import (
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, abs_det, as_rat, span_dim
+from .qlinalg import MatQ, VecQ, abs_det, as_rat, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 
@@ -76,8 +82,9 @@ class Fan:
         self.rays = rays
         self.max_cones = cones
         smooth = True
+        inverses = []
         for c in cones:
-            d = abs_det(MatQ([rays[i] for i in c]))
+            d, inverse = scaled_inverse(list(zip(*[rays[i] for i in c])))
             if d == 0:
                 raise NonSimplicialCone(f"maximal cone {c} is degenerate")
             if d != 1:
@@ -86,9 +93,10 @@ class Fan:
                     raise NonSmoothCone(
                         f"maximal cone {c} has determinant of absolute value {d}"
                     )
+            inverses.append(inverse)
         self.smooth_checked = smooth
         self._hash = hash((n, rays, cones))
-        self._check_complete(strict)
+        self._check_complete(strict, inverses)
         if strict and not smooth:
             self._check_terminal()
 
@@ -122,7 +130,7 @@ class Fan:
     def _cone_matrix(self, cone) -> MatQ:
         return MatQ(list(zip(*[self.rays[i] for i in cone])))
 
-    def _check_complete(self, strict: bool):
+    def _check_complete(self, strict: bool, inverses):
         n = self.lattice_dim
         ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for c in self.max_cones:
@@ -149,34 +157,7 @@ class Fan:
                         f"maximal cones on wall {ridge} do not cover both sides"
                     )
         # sampled coverage: 27 generic directions, each in exactly one cone
-        rng = random.Random(271828 + 101 * n)
-        matrices = [self._cone_matrix(c) for c in self.max_cones]
-        found = 0
-        attempts = 0
-        while found < 27:
-            attempts += 1
-            if attempts > 2000:
-                raise IncompleteFan("could not sample generic directions")
-            u = VecQ(
-                [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
-            )
-            generic = True
-            hits = 0
-            for mat in matrices:
-                sol = qlinalg.solve(mat, u)
-                lam = sol.particular
-                if any(x == 0 for x in lam):
-                    generic = False
-                    break
-                if all(x > 0 for x in lam):
-                    hits += 1
-            if not generic:
-                continue
-            found += 1
-            if hits != 1:
-                raise IncompleteFan(
-                    f"generic direction {tuple(u)} lies in {hits} maximal cones"
-                )
+        covering_cones(n, inverses)
 
     def _check_terminal(self):
         """conv(0, rays of a singular cone) may contain no lattice point
@@ -206,6 +187,44 @@ class Fan:
                         )
                     seen.add(nxt)
                     frontier.append(nxt)
+
+
+def covering_cones(n: int, inverses) -> list[int]:
+    """Sampled coverage: the maximal cone holding each of 27 seeded generic
+    directions, which must be exactly one.
+
+    `inverses[c]` is |det M_c| * M_c^-1, M_c the matrix whose columns are
+    the rays of cone c, so the cone coordinates of a direction u have the
+    signs of `inverses[c]` times u scaled to integers by the lcm of its
+    denominators.  A draw with a zero coordinate on some cone is not generic
+    and is skipped."""
+    rng = random.Random(271828 + 101 * n)
+    found: list[int] = []
+    attempts = 0
+    while len(found) < 27:
+        attempts += 1
+        if attempts > 2000:
+            raise IncompleteFan("could not sample generic directions")
+        u = [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
+        den = lcm(*[x.denominator for x in u])
+        w = [x.numerator * (den // x.denominator) for x in u]
+        generic = True
+        hits = []
+        for c, inverse in enumerate(inverses):
+            lam = [sum([a * b for a, b in zip(row, w)]) for row in inverse]
+            if 0 in lam:
+                generic = False
+                break
+            if all(x > 0 for x in lam):
+                hits.append(c)
+        if not generic:
+            continue
+        if len(hits) != 1:
+            raise IncompleteFan(
+                f"generic direction {tuple(u)} lies in {len(hits)} maximal cones"
+            )
+        found.append(hits[0])
+    return found
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:

@@ -7,14 +7,18 @@ Fraction arithmetic, a per-generator LP support test checks minimal faces,
 basis enumeration solves small LPs and finds positive supports without
 the simplex, the Leibniz expansion checks determinants without
 elimination, the adjoint-divisor route checks toric balance without the
-class lift, and one LP per ray checks the implicit equalities of divisor
-polytopes without the single support LP.
+class lift, one LP per ray checks the implicit equalities of divisor
+polytopes without the single support LP, a flat multiset search checks
+the pruned (-1)-curve recursion, and one rational solve per cone and
+direction checks the integer fan-coverage test.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+import random
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, prod
 
+from fujita.errors import IncompleteFan
 from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.simplex import LPStatus, solve_lp
 
@@ -256,3 +260,55 @@ def toric_balanced_by_adjoint(fan, bundle_coeffs) -> bool:
     for x in adjoint:
         den = den * x.denominator // gcd(den, x.denominator)
     return toric_rigid(fan, [x * den for x in adjoint])
+
+
+def minus_one_curves_by_multisets(degree, search_bound) -> set:
+    """Classes (a, -b_1, ..., -b_r) with sum b = 3a - 1 and sum b^2 = a^2 + 1
+    for 0 <= a <= search_bound and -1 <= b_i <= max(a, 0), r = 9 - degree:
+    every sorted multiset of b values is tested, and each solution is put
+    in every order.  No recursion and no pruning."""
+    r = 9 - degree
+    found = set()
+    for a in range(search_bound + 1):
+        values = range(-1, max(a, 0) + 1)
+        for bs in combinations_with_replacement(values, r):
+            if sum(bs) == 3 * a - 1 and sum(b * b for b in bs) == a * a + 1:
+                for perm in set(permutations(bs)):
+                    found.add((a,) + tuple(-b for b in perm))
+    return found
+
+
+def fan_coverage_by_solve(rays, max_cones) -> list:
+    """The cone holding each of the 27 seeded generic directions of the fan
+    check, found by solving M_c x = u in rationals for every maximal cone c
+    (M_c has the cone's rays as columns); raises IncompleteFan as the fan
+    check does."""
+    n = len(rays[0])
+    rng = random.Random(271828 + 101 * n)
+    matrices = [MatQ(list(zip(*[rays[i] for i in c]))) for c in max_cones]
+    found = []
+    attempts = 0
+    while len(found) < 27:
+        attempts += 1
+        if attempts > 2000:
+            raise IncompleteFan("could not sample generic directions")
+        u = VecQ(
+            [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
+        )
+        generic = True
+        hits = []
+        for c, mat in enumerate(matrices):
+            lam = solve(mat, u).particular
+            if any(x == 0 for x in lam):
+                generic = False
+                break
+            if all(x > 0 for x in lam):
+                hits.append(c)
+        if not generic:
+            continue
+        if len(hits) != 1:
+            raise IncompleteFan(
+                f"generic direction {tuple(u)} lies in {len(hits)} maximal cones"
+            )
+        found.append(hits[0])
+    return found

@@ -24,6 +24,7 @@ from fujita.errors import (
 from fujita.invariants import b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, inertia
 from conftest import sample_big_classes, vec
+from oracles import minus_one_curves_by_multisets
 
 CURVE_COUNTS = {7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
 
@@ -43,6 +44,15 @@ class TestEnumeration:
     def test_count_stable_under_bound_increase(self):
         for d in CURVE_COUNTS:
             assert len(enumerate_negative_curves(d, search_bound=8)) == CURVE_COUNTS[d]
+
+    @pytest.mark.parametrize("search_bound", [6, 8])
+    def test_matches_multiset_oracle(self, search_bound):
+        for d in range(1, 8):
+            got = {
+                tuple(int(x) for x in c)
+                for c in enumerate_negative_curves(d, search_bound=search_bound)
+            }
+            assert got == minus_one_curves_by_multisets(d, search_bound)
 
     def test_numerical_identities(self):
         for d in (6, 3, 1):

@@ -14,6 +14,7 @@ from fujita.qlinalg import (
     pivot_columns,
     primitive_int,
     rank,
+    scaled_inverse,
     solve,
     span_dim,
 )
@@ -186,6 +187,47 @@ def test_pivot_columns_are_the_greedy_independent_picks(vectors):
         if span_dim([VecQ(u) for u in vectors[: i + 1]]) > span_dim([VecQ(u) for u in vectors[:i]])
     ]
     assert pivot_columns(vectors) == greedy
+
+
+class TestScaledInverse:
+    def test_small_cases(self):
+        assert scaled_inverse([[2, 1], [1, 3]]) == (5, [[3, -1], [-1, 2]])
+        # a negative determinant: the sign goes into |det| * m^-1
+        assert scaled_inverse([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
+        assert scaled_inverse([[-3]]) == (3, [[-1]])
+        assert scaled_inverse([]) == (1, [])
+
+    def test_singular(self):
+        assert scaled_inverse([[1, 2], [2, 4]]) == (0, None)
+        assert scaled_inverse([[0, 0, 1], [0, 1, 0], [0, 2, 0]]) == (0, None)
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            scaled_inverse([[1, 2, 3], [4, 5, 6]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.booleans(),
+)
+def test_scaled_inverse_against_solve(rows, singular):
+    n = len(rows)
+    # every other draw gets a last row that is a combination of the others
+    if singular:
+        rows = rows[:-1] + [[x - 2 * y for x, y in zip(rows[0], rows[-2])] if n > 1 else [0]]
+    d = abs_det(MatQ(rows))
+    got = scaled_inverse(rows)
+    if d == 0:
+        assert got == (0, None)
+        return
+    columns = [solve(MatQ(rows), VecQ.unit(n, j)).particular for j in range(n)]
+    expected = [[d * columns[j][i] for j in range(n)] for i in range(n)]
+    assert got == (d, expected)
 
 
 class TestInertia:

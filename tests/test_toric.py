@@ -18,6 +18,7 @@ from fujita.invariants import fujita, invariant_pair
 from fujita.qlinalg import MatQ, VecQ, abs_det, solve, span_dim
 from fujita.toric import (
     Fan,
+    covering_cones,
     divisor_polytope,
     effective_cone,
     fan_product,
@@ -29,7 +30,7 @@ from fujita.toric import (
     variety_model,
 )
 from conftest import vec
-from oracles import implicit_equalities_per_ray
+from oracles import fan_coverage_by_solve, implicit_equalities_per_ray
 
 
 def p2_fan():
@@ -135,6 +136,51 @@ class TestFanValidation:
         cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         f = Fan.simplicial(rays, cones, strict=True)
         assert not f.smooth_checked
+
+
+def _cone_inverses(fan):
+    return [
+        qlinalg.scaled_inverse(list(zip(*[fan.rays[i] for i in c])))[1]
+        for c in fan.max_cones
+    ]
+
+
+def test_coverage_matches_solve_route(toric_fans):
+    for name, fan in toric_fans.items():
+        expected = fan_coverage_by_solve(fan.rays, fan.max_cones)
+        assert covering_cones(fan.lattice_dim, _cone_inverses(fan)) == expected, name
+
+
+# rays at about 0, 117, 243, 405, 540 and 675 degrees: every cone is strictly
+# convex and every ray lies in exactly two cones, but the cones go twice
+# round the origin, so only the sampled coverage can reject the fan
+WINDING_RAYS = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -1)]
+WINDING_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_fan_winding_twice_is_incomplete(strict):
+    with pytest.raises(IncompleteFan) as expected:
+        fan_coverage_by_solve(WINDING_RAYS, WINDING_CONES)
+    with pytest.raises(IncompleteFan) as got:
+        Fan(WINDING_RAYS, WINDING_CONES, strict=strict)
+    assert "lies in 2 maximal cones" in str(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_fan_checks_make_no_rational_solve(monkeypatch, toric_fans):
+    calls = []
+    orig = qlinalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(qlinalg, "solve", counted)
+    for fan in toric_fans.values():
+        Fan(fan.rays, fan.max_cones, require_smooth=fan.smooth_checked)
+    fan_product(toric_fans["dp6-toric"], toric_fans["dp6-toric"])
+    assert calls == []
 
 
 class TestNSPresentation:
