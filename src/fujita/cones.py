@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import qlinalg
@@ -55,10 +56,7 @@ class Containment(Enum):
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    s = 0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
+    return sum(map(mul, a, b))
 
 
 def _int_scaled(v: VecQ) -> tuple[int, ...]:
@@ -428,23 +426,29 @@ class ConeQ:
     def minimal_face(self, v: VecQ) -> FaceQ:
         """The minimal supported face containing v: the face cut out by all
         facets vanishing at v.  v = 0 returns the face {0} without forcing
-        facet enumeration."""
-        cls = self.contains(v)
-        if cls is Containment.OUTSIDE:
-            raise OutsideCone(f"{v!r} is outside the cone")
+        facet enumeration.
+
+        One pass over the facets both rejects v (a negative sign) and
+        collects the facets vanishing at v.  On a non-strict cone an
+        outside v still raises OutsideCone before NonStrictCone."""
+        if v.dim != self.ambient_dim:
+            raise DimensionMismatch("vector dimension mismatch")
         if not self.is_strict():
+            if self.contains(v) is Containment.OUTSIDE:
+                raise OutsideCone(f"{v!r} is outside the cone")
             raise NonStrictCone("minimal_face requires a strict cone")
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
         self.facets
         vi = _int_scaled(v)
-        active = frozenset(
-            i for i, f in enumerate(self._facets_int) if _idot(f, vi) == 0
-        )
         masks = self._facet_gen_masks
         gmask = (1 << len(self._gens_int)) - 1
-        for i in active:
-            gmask &= masks[i]
+        for f, m in zip(self._facets_int, masks):
+            s = _idot(f, vi)
+            if s < 0:
+                raise OutsideCone(f"{v!r} is outside the cone")
+            if s == 0:
+                gmask &= m
         gens_in = frozenset(j for j in range(len(self._gens_int)) if gmask >> j & 1)
         sd = span_dim([self._gens[j] for j in sorted(gens_in)])
         return FaceQ(self, gens_in, sd)

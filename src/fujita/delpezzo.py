@@ -11,6 +11,17 @@ The degree-b computation runs twice in this package: polyhedrally (minimal
 supported face) and through the Zariski decomposition case split implemented
 here; the test suite drives both on random big bundles and demands exact
 agreement.
+
+The Zariski decomposition runs in integers (`_zariski`): the class is scaled
+once by the lcm of its denominators, each curve's image under the form is
+precomputed, and the Gram system of the support is solved by one
+fraction-free inverse.  Where the (-1)-curves generate the effective cone
+(degrees 1-7) the kernel runs before any membership test, because a run that
+succeeds proves the class pseudo-effective: P meets every generator
+non-negatively, so P is nef; a nef class is pseudo-effective (the nef cone
+is the dual of the effective cone and lies inside it); and N is a
+nonnegative combination of curves.  Only a failing run asks the cone whether
+the class was outside it.
 """
 
 from __future__ import annotations
@@ -19,19 +30,22 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from typing import Sequence
 
-from . import invariants, qlinalg
-from .cones import ConeQ, Containment
+from . import invariants
+from .cones import ConeQ, Containment, _idot
 from .errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
+    DimensionMismatch,
     InternalNonTermination,
     InvalidModel,
     NonPositiveDegree,
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, VecQ
+from .qlinalg import MatQ, VecQ, as_rat, primitive_int, scaled_inverse
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +131,9 @@ class DelPezzoModel:
                 self.negative_curves = enumerate_negative_curves(degree)
                 self.eff_generators = self.negative_curves
             self.name = f"del-pezzo-degree-{degree}"
+        # on degrees 1-7 the negative curves are the effective-cone generators
+        self.curves_generate_cone = self.eff_generators is self.negative_curves
+        self.zariski_curves = SurfaceCurves(self.negative_curves, self.intersection_form)
         self._variety: VarietyModel | None = None
 
     @property
@@ -171,8 +188,36 @@ class ZariskiDecomposition:
         return n
 
 
-def _zariski(curves, pair, eff_cone: ConeQ, d: VecQ) -> ZariskiDecomposition:
-    """Iterative Zariski decomposition against a fixed negative-curve list.
+class SurfaceCurves:
+    """A fixed list of negative curves with the intersection form, in
+    integers, for the Zariski kernel.
+
+    `form` is the form times the lcm of its denominators.  A positive
+    multiple of the form leaves every sign, the supports and the Gram
+    solutions unchanged (the Gram matrix and the right-hand side scale
+    alike), so the kernel never divides by it.  `images[i]` is form times
+    curve i, so a class pairs with a curve in one integer dot product."""
+
+    __slots__ = ("curves", "form", "ints", "images")
+
+    def __init__(self, curves: Sequence[VecQ], form: MatQ):
+        rows = form.row_list()
+        den = lcm(*[x.denominator for row in rows for x in row])
+        self.curves = tuple(curves)
+        self.form = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        # cone generators and enumerated curves are integer vectors
+        assert all(x.denominator == 1 for c in self.curves for x in c)
+        self.ints = [[x.numerator for x in c] for c in self.curves]
+        self.images = [self.image(c) for c in self.ints]
+
+    def image(self, v: Sequence[int]) -> list[int]:
+        """form times the integer vector v."""
+        return [_idot(row, v) for row in self.form]
+
+
+def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
+    """Iterative Zariski decomposition against a fixed negative-curve list,
+    in integers.
 
     Maintain a support set; each round adds every curve the current residual
     meets negatively and re-solves the Gram system so the residual is
@@ -180,47 +225,77 @@ def _zariski(curves, pair, eff_cone: ConeQ, d: VecQ) -> ZariskiDecomposition:
     curve count, so termination is structural; a non-unique or non-positive
     Gram solution would contradict negative definiteness and trips the
     internal guard.
+
+    d is scaled once to D = den * d by the lcm of its denominators.  With
+    det * G^-1 from `qlinalg.scaled_inverse` of the support's Gram matrix G,
+    the multiplicities are y / (det * den) for the integer y = det * G^-1
+    (D . F c_i), and the residual is carried as the integer vector
+    det * den * (d - N) = det * D - sum y_i c_i.  Fractions are built only
+    for the result.  The caller decides pseudo-effectivity.
     """
-    if eff_cone.contains(d) is Containment.OUTSIDE:
-        raise NotPseudoEffective("class is not pseudo-effective")
-    support: list[VecQ] = []
-    in_support: set[VecQ] = set()
-    mults: list[Fraction] = []
-    negative = VecQ.zero(d.dim)
+    if d.dim != len(sc.form):
+        raise DimensionMismatch("vector dimension mismatch")
+    den = lcm(*[x.denominator for x in d])
+    big_d = [x.numerator * (den // x.denominator) for x in d]
+    ints, images = sc.ints, sc.images
+    k = len(ints)
+    in_support = [False] * k
+    support: list[int] = []
+    ys: list[int] = []
+    det = 1
+    residual = big_d
     rounds = 0
     while True:
-        residual = d - negative
-        new = [c for c in curves if c not in in_support and pair(residual, c) < 0]
+        new = [i for i in range(k) if not in_support[i] and _idot(residual, images[i]) < 0]
         if not new:
             break
         rounds += 1
-        if rounds > len(curves) + 1:
+        if rounds > k + 1:
             raise InternalNonTermination("support exceeded the curve count")
         support.extend(new)
-        in_support.update(new)
-        gram = MatQ([[pair(ci, cj) for cj in support] for ci in support])
-        rhs = VecQ([pair(d, ci) for ci in support])
-        sol = qlinalg.solve(gram, rhs)
-        if sol is None or not sol.unique:
+        for i in new:
+            in_support[i] = True
+        gram = [[_idot(ints[i], images[j]) for j in support] for i in support]
+        det, inverse = scaled_inverse(gram)
+        if det == 0:
             raise InternalNonTermination("support Gram system is degenerate")
-        mults = list(sol.particular)
-        if any(x <= 0 for x in mults):
+        rhs = [_idot(big_d, images[i]) for i in support]
+        ys = [_idot(row, rhs) for row in inverse]
+        if any(y <= 0 for y in ys):
             raise InternalNonTermination("nonpositive multiplicity in support")
-        negative = VecQ.zero(d.dim)
-        for c, x in zip(support, mults):
-            negative = negative + x * c
+        residual = [det * x for x in big_d]
+        for y, i in zip(ys, support):
+            residual = [r - y * c for r, c in zip(residual, ints[i])]
+    scale = det * den
     return ZariskiDecomposition(
-        positive=d - negative,
-        negative_support=tuple(list(zip(support, mults))),
+        positive=VecQ([Fraction(r, scale) for r in residual]),
+        negative_support=tuple([(sc.curves[i], Fraction(y, scale)) for i, y in zip(support, ys)]),
     )
+
+
+def _require_pseudo_effective(cone: ConeQ, d: VecQ) -> None:
+    if cone.contains(d) is Containment.OUTSIDE:
+        raise NotPseudoEffective("class is not pseudo-effective")
 
 
 @lru_cache(maxsize=MEMO_BOUND)
 def zariski_decompose(m: DelPezzoModel, d: VecQ) -> ZariskiDecomposition:
     """Zariski decomposition d = P + N on a del Pezzo model.  The last
     MEMO_BOUND results are kept per (model, class): the surface case split
-    and the rigidity of the same boundary class share one decomposition."""
-    return _zariski(m.negative_curves, m.pair, m.variety().eff_cone, d)
+    and the rigidity of the same boundary class share one decomposition.
+
+    Where the negative curves generate the effective cone (degrees 1-7),
+    membership is tested only when the kernel fails (see the module
+    docstring); elsewhere it is tested first."""
+    cone = m.variety().eff_cone
+    if m.curves_generate_cone:
+        try:
+            return _zariski(m.zariski_curves, d)
+        except InternalNonTermination:
+            _require_pseudo_effective(cone, d)
+            raise
+    _require_pseudo_effective(cone, d)
+    return _zariski(m.zariski_curves, d)
 
 
 def negative_classes(m: VarietyModel) -> tuple[VecQ, ...]:
@@ -237,7 +312,8 @@ def zariski_for_variety(m: VarietyModel, d: VecQ) -> ZariskiDecomposition:
         surf = quadric_surface() if prov.quadric else del_pezzo(prov.degree)
         return zariski_decompose(surf, d)
     if m.intersection_form is not None:
-        return _zariski(negative_classes(m), m.pair, m.eff_cone, d)
+        _require_pseudo_effective(m.eff_cone, d)
+        return _zariski(SurfaceCurves(negative_classes(m), m.intersection_form), d)
     raise InvalidModel(
         f"model {m.name!r} has no intersection form; Zariski decomposition unavailable"
     )
@@ -271,7 +347,8 @@ def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, 
     n = len(dec.negative_support)
     if dec.positive.is_zero():
         return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), dec.positive
-    if m.pair(dec.positive, dec.positive) != 0:
+    p = primitive_int(dec.positive)
+    if _idot(p, m.zariski_curves.image(p)) != 0:
         raise InternalNonTermination(
             "positive part of a boundary class must have square zero"
         )
@@ -296,7 +373,7 @@ def surface_balanced(m: DelPezzoModel, bundle: VecQ) -> SurfaceBalance:
 
 def curve_fujita(deg_on_curve) -> Fraction:
     """a(C, L|_C) = 2/deg for a rational curve; b is always 1."""
-    deg = Fraction(deg_on_curve)
+    deg = as_rat(deg_on_curve)
     if deg <= 0:
         raise NonPositiveDegree(f"curve degree must be positive, got {deg}")
     return Fraction(2) / deg

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import invariants, qlinalg
-from .cones import ConeQ, Containment, positive_support
+from .cones import ConeQ, Containment, _idot, positive_support
 from .errors import (
     IncompleteFan,
     InvalidModel,
@@ -245,26 +245,38 @@ def fan_product(f1: Fan, f2: Fan) -> Fan:
 
 @dataclass(frozen=True)
 class NSPresentation:
-    """NS = Z^rays / image(M), in the basis of the non-pivot boundary rays."""
+    """NS = Z^rays / image(M), in the basis of the non-pivot boundary rays.
+
+    The class of sum a_ray D_ray has coordinate a_ray - <m, v_ray> on each
+    basis ray, m the character with <m, v> = a on the pivot rays: m =
+    P^-1 a_pivot, P the matrix whose rows are the pivot rays.  With
+    det = |det P| and the integer matrix det * P^-1 from one
+    `qlinalg.scaled_inverse`, <m, v_ray> = basis_rows[i] . a_pivot / det,
+    where basis_rows[i] is v_ray times det * P^-1 for the i-th basis ray."""
 
     fan: Fan
     rank: int
     pivot_rays: tuple[int, ...]
     basis_rays: tuple[int, ...]
+    pivot_det: int
+    basis_rows: tuple[tuple[int, ...], ...]
     ray_classes: tuple[VecQ, ...]
 
     def divisor_class(self, coeffs) -> VecQ:
-        """Class of sum a_ray D_ray in the chosen NS basis."""
-        f = self.fan
+        """Class of sum a_ray D_ray in the chosen NS basis, in integers:
+        the coefficients are scaled once by the lcm of their denominators."""
         xs = [as_rat(a) for a in coeffs]
-        if len(xs) != len(f.rays):
+        if len(xs) != len(self.fan.rays):
             raise InvalidModel("coefficient count does not match ray count")
-        pivot_matrix = MatQ([f.rays[i] for i in self.pivot_rays])
-        m = qlinalg.solve(pivot_matrix, VecQ([xs[i] for i in self.pivot_rays]))
-        assert m is not None and m.unique
-        mv = m.particular
+        den = lcm(*[x.denominator for x in xs])
+        ints = [x.numerator * (den // x.denominator) for x in xs]
+        pivot = [ints[i] for i in self.pivot_rays]
+        det = self.pivot_det
         return VecQ(
-            [xs[i] - mv.dot(VecQ(f.rays[i])) for i in self.basis_rays]
+            [
+                Fraction(det * ints[i] - _idot(row, pivot), det * den)
+                for i, row in zip(self.basis_rays, self.basis_rows)
+            ]
         )
 
     def canonical_class(self) -> VecQ:
@@ -287,12 +299,15 @@ def ns_presentation(f: Fan) -> NSPresentation:
     if len(pivots) < f.lattice_dim:
         raise IncompleteFan("rays do not span the lattice")
     basis = tuple(i for i in range(len(f.rays)) if i not in pivots)
-    pres = NSPresentation(f, len(basis), tuple(pivots), basis, ())
+    det, inverse = scaled_inverse([f.rays[i] for i in pivots])
+    columns = list(zip(*inverse))
+    rows = tuple([tuple([_idot(f.rays[i], col) for col in columns]) for i in basis])
+    pres = NSPresentation(f, len(basis), tuple(pivots), basis, det, rows, ())
     classes = tuple(
         pres.divisor_class([1 if j == i else 0 for j in range(len(f.rays))])
         for i in range(len(f.rays))
     )
-    return NSPresentation(f, len(basis), tuple(pivots), basis, classes)
+    return NSPresentation(f, len(basis), tuple(pivots), basis, det, rows, classes)
 
 
 def effective_cone(f: Fan) -> ConeQ:

@@ -37,6 +37,19 @@ def toric_fans():
     return fans
 
 
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def vec(*xs) -> VecQ:
     return VecQ(xs)
 

@@ -9,8 +9,10 @@ the simplex, the Leibniz expansion checks determinants without
 elimination, the adjoint-divisor route checks toric balance without the
 class lift, one LP per ray checks the implicit equalities of divisor
 polytopes without the single support LP, a flat multiset search checks
-the pruned (-1)-curve recursion, and one rational solve per cone and
-direction checks the integer fan-coverage test.
+the pruned (-1)-curve recursion, one rational solve per cone and
+direction checks the integer fan-coverage test, the Fraction loop checks
+the integer Zariski kernel, and one rational solve on the pivot rays checks
+the integer toric class map.
 """
 
 from fractions import Fraction
@@ -18,8 +20,10 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, prod
 
-from fujita.errors import IncompleteFan
-from fujita.qlinalg import MatQ, VecQ, solve, span_dim
+from fujita.cones import Containment
+from fujita.delpezzo import ZariskiDecomposition
+from fujita.errors import IncompleteFan, InternalNonTermination, NotPseudoEffective
+from fujita.qlinalg import MatQ, VecQ, as_rat, solve, span_dim
 from fujita.simplex import LPStatus, solve_lp
 
 
@@ -312,3 +316,60 @@ def fan_coverage_by_solve(rays, max_cones) -> list:
             )
         found.append(hits[0])
     return found
+
+
+def zariski_by_fractions(curves, pair, eff_cone, d) -> ZariskiDecomposition:
+    """Iterative Zariski decomposition against a fixed negative-curve list.
+
+    Maintain a support set; each round adds every curve the current residual
+    meets negatively and re-solves the Gram system so the residual is
+    orthogonal to the support.  The support grows strictly, bounded by the
+    curve count, so termination is structural; a non-unique or non-positive
+    Gram solution would contradict negative definiteness and trips the
+    internal guard.
+    """
+    if eff_cone.contains(d) is Containment.OUTSIDE:
+        raise NotPseudoEffective("class is not pseudo-effective")
+    support: list[VecQ] = []
+    in_support: set[VecQ] = set()
+    mults: list[Fraction] = []
+    negative = VecQ.zero(d.dim)
+    rounds = 0
+    while True:
+        residual = d - negative
+        new = [c for c in curves if c not in in_support and pair(residual, c) < 0]
+        if not new:
+            break
+        rounds += 1
+        if rounds > len(curves) + 1:
+            raise InternalNonTermination("support exceeded the curve count")
+        support.extend(new)
+        in_support.update(new)
+        gram = MatQ([[pair(ci, cj) for cj in support] for ci in support])
+        rhs = VecQ([pair(d, ci) for ci in support])
+        sol = solve(gram, rhs)
+        if sol is None or not sol.unique:
+            raise InternalNonTermination("support Gram system is degenerate")
+        mults = list(sol.particular)
+        if any(x <= 0 for x in mults):
+            raise InternalNonTermination("nonpositive multiplicity in support")
+        negative = VecQ.zero(d.dim)
+        for c, x in zip(support, mults):
+            negative = negative + x * c
+    return ZariskiDecomposition(
+        positive=d - negative,
+        negative_support=tuple(list(zip(support, mults))),
+    )
+
+
+def divisor_class_by_solve(pres, coeffs) -> VecQ:
+    """Class of sum a_ray D_ray in the presentation's basis: solve for the
+    character m with <m, v> = a on the pivot rays in rationals, then
+    subtract <m, v> from a on each basis ray."""
+    f = pres.fan
+    xs = [as_rat(a) for a in coeffs]
+    pivot_matrix = MatQ([f.rays[i] for i in pres.pivot_rays])
+    m = solve(pivot_matrix, VecQ([xs[i] for i in pres.pivot_rays]))
+    assert m is not None and m.unique
+    mv = m.particular
+    return VecQ([xs[i] - mv.dot(VecQ(f.rays[i])) for i in pres.basis_rays])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fujita.cones import Containment
+from fujita.cones import ConeQ, Containment
 from fujita.delpezzo import (
     DelPezzoModel,
     SurfaceCase,
@@ -12,8 +12,10 @@ from fujita.delpezzo import (
     quadric_surface,
     surface_b,
     surface_balanced,
+    negative_classes,
     weak_balance_curve_check,
     zariski_decompose,
+    zariski_for_variety,
 )
 from fujita.errors import (
     CurveInExcludedLocus,
@@ -21,10 +23,10 @@ from fujita.errors import (
     NonPositiveDegree,
     NotPseudoEffective,
 )
-from fujita.invariants import b_invariant, fujita, is_rigid_class
+from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, inertia
-from conftest import sample_big_classes, vec
-from oracles import minus_one_curves_by_multisets
+from conftest import random_rational_vector, sample_big_classes, vec
+from oracles import minus_one_curves_by_multisets, zariski_by_fractions
 
 CURVE_COUNTS = {7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
 
@@ -124,6 +126,79 @@ class TestZariski:
                     assert inertia(gram) == (0, len(support), 0)
 
 
+def _raw_surfaces():
+    """Lattice-surface models with no del Pezzo provenance, so Zariski goes
+    through their negative generators: the quadric with its form halved, a
+    degree-6 surface given by its (-1)-curves with its form times 2/3, and
+    the Hirzebruch surface F_2 in the basis (fiber, negative section)."""
+    quad = quadric_surface()
+    dp6 = del_pezzo(6)
+    return [
+        VarietyModel(
+            "raw-half-quadric", 2, quad.canonical, ConeQ([vec(1, 0), vec(0, 1)]),
+            intersection_form=MatQ([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]),
+        ),
+        VarietyModel(
+            "raw-dp6", 4, dp6.canonical, ConeQ(dp6.negative_curves),
+            intersection_form=MatQ(
+                [[Fraction(2, 3) * x for x in row] for row in dp6.intersection_form.row_list()]
+            ),
+        ),
+        VarietyModel(
+            "raw-f2", 2, vec(-4, -2), ConeQ([vec(1, 0), vec(0, 1)]),
+            intersection_form=MatQ([[0, 1], [1, -2]]),
+        ),
+    ]
+
+
+def _zariski_cases():
+    """(name, model, route, oracle curves): every del Pezzo degree, the
+    quadric and the raw lattice surfaces."""
+    cases = []
+    for surf in [del_pezzo(d) for d in range(1, 10)] + [quadric_surface()]:
+        cases.append(
+            (surf.name, surf.variety(), lambda d, s=surf: zariski_decompose(s, d),
+             surf.negative_curves, surf.pair)
+        )
+    for m in _raw_surfaces():
+        cases.append(
+            (m.name, m, lambda d, m=m: zariski_for_variety(m, d), negative_classes(m), m.pair)
+        )
+    return cases
+
+
+class TestZariskiKernelOracle:
+    """The integer kernel against the Fraction loop it replaced."""
+
+    def test_equal_decompositions_inside_the_cone(self, rng):
+        for name, m, route, curves, pair in _zariski_cases():
+            gens = m.eff_cone.generators
+            count = 4 if m.ns_rank == 9 else 12
+            for _ in range(count):
+                # a nonnegative rational combination of a few generators,
+                # plus a multiple of -K where that is pseudo-effective
+                d = VecQ.zero(m.ns_rank)
+                for g in rng.sample(gens, min(len(gens), rng.randint(1, 4))):
+                    d = d + Fraction(rng.randint(0, 9), rng.randint(1, 5)) * g
+                if m.name != "raw-f2" and rng.random() < 0.5:
+                    d = d + Fraction(rng.randint(1, 4), rng.randint(1, 3)) * (-1 * m.canonical)
+                assert route(d) == zariski_by_fractions(curves, pair, m.eff_cone, d), (name, d)
+
+    def test_same_error_outside_the_cone(self, rng):
+        for name, m, route, curves, pair in _zariski_cases():
+            outside = []
+            while len(outside) < 6:
+                d = random_rational_vector(rng, m.ns_rank)
+                if m.eff_cone.contains(d) is Containment.OUTSIDE:
+                    outside.append(d)
+            for d in outside:
+                with pytest.raises(NotPseudoEffective) as expected:
+                    zariski_by_fractions(curves, pair, m.eff_cone, d)
+                with pytest.raises(NotPseudoEffective) as got:
+                    route(d)
+                assert str(got.value) == str(expected.value), (name, d)
+
+
 class TestSurfaceB:
     def test_anticanonical(self):
         for d in (6, 3):
@@ -188,6 +263,11 @@ class TestCurveChecks:
     def test_nonpositive_degree(self):
         with pytest.raises(NonPositiveDegree):
             curve_fujita(0)
+
+    @pytest.mark.parametrize("degree", [0.5, True])
+    def test_float_and_bool_degrees_rejected(self, degree):
+        with pytest.raises(TypeError):
+            curve_fujita(degree)
 
     def test_quadric_bidegree_11_1(self):
         # the (1)-factor drives the invariant: a = 2 through the quadric model

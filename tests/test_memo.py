@@ -7,30 +7,17 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from fujita import cones, delpezzo, toric
+from fujita import cones, delpezzo, qlinalg, toric
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo, surface_b, surface_balanced, zariski_decompose
 from fujita.errors import NotBig
 from fujita.invariants import b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import VecQ
 from fujita.toric import Fan, class_is_rigid, ns_presentation, variety_model
-from conftest import MEMOS, vec
+from conftest import MEMOS, counting, vec
 from oracles import toric_balanced_by_adjoint
 
 BOUND = 16
-
-
-def counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that records each call."""
-    calls = []
-    orig = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5, 7])
@@ -40,6 +27,8 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
     bundle = -2 * surf.canonical + m.eff_cone.generators[0] + 2 * m.eff_cone.generators[-1]
     rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
     decompositions = counting(monkeypatch, delpezzo, "_zariski")
+    memberships = counting(monkeypatch, ConeQ, "contains")
+    solves = counting(monkeypatch, qlinalg, "solve")
 
     fr = fujita(m, bundle)
     res = b_invariant(m, bundle)
@@ -49,6 +38,11 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
 
     assert len(rays) == 1
     assert len(decompositions) == 1
+    # `fujita` asks whether the bundle is big and `is_rigid_class` whether
+    # the class is pseudo-effective; the face pass and the Zariski kernel
+    # prove membership of the boundary class themselves
+    assert len(memberships) == 2
+    assert solves == []
     assert res.fujita is fr
     assert case.b == res.b
     assert balance.balanced == rigid

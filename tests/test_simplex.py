@@ -194,7 +194,6 @@ def _query_path_sites():
     face = cone.minimal_face(VecQ([1, 1, 0]))
     p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     surf = del_pezzo(8)
-    surf_cone = surf.variety().eff_cone
     return {
         "VecQ": lambda: VecQ([F(1, 2), 3, -1]),
         "_int_scaled": lambda: (_int_scaled(rational), _int_scaled(integral)),
@@ -202,9 +201,7 @@ def _query_path_sites():
         "ConeQ._contains_lp": lambda: cone._contains_lp(rational),
         "solve (kernel)": lambda: solve(MatQ([[1, 1, 1]]), VecQ([1])),
         "divisor_polytope": lambda: divisor_polytope(p2, [1, 1, 1]),
-        "_zariski (support)": lambda: _zariski(
-            surf.negative_curves, surf.pair, surf_cone, VecQ([1, 1])
-        ),
+        "_zariski (support)": lambda: _zariski(surf.zariski_curves, VecQ([1, 1])),
     }
 
 

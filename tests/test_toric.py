@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from fujita.errors import (
     NotBig,
     ProjectionIncompatible,
 )
-from fujita.invariants import fujita, invariant_pair
+from fujita.invariants import b_invariant, fujita, invariant_pair, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, abs_det, solve, span_dim
 from fujita.toric import (
     Fan,
@@ -29,8 +30,8 @@ from fujita.toric import (
     toric_rigid,
     variety_model,
 )
-from conftest import vec
-from oracles import fan_coverage_by_solve, implicit_equalities_per_ray
+from conftest import counting, vec
+from oracles import divisor_class_by_solve, fan_coverage_by_solve, implicit_equalities_per_ray
 
 
 def p2_fan():
@@ -181,6 +182,35 @@ def test_fan_checks_make_no_rational_solve(monkeypatch, toric_fans):
         Fan(fan.rays, fan.max_cones, require_smooth=fan.smooth_checked)
     fan_product(toric_fans["dp6-toric"], toric_fans["dp6-toric"])
     assert calls == []
+
+
+def test_divisor_class_matches_solve_route(toric_fans):
+    rng = random.Random(1729)
+    for name, fan in toric_fans.items():
+        pres = ns_presentation(fan)
+        k = len(fan.rays)
+        units = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+        assert list(pres.ray_classes) == [divisor_class_by_solve(pres, u) for u in units], name
+        for _ in range(8):
+            ints = [rng.randint(-6, 6) for _ in range(k)]
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)]
+            for coeffs in (ints, fracs):
+                got = pres.divisor_class(coeffs)
+                assert got == divisor_class_by_solve(pres, coeffs), (name, coeffs)
+
+
+def test_toric_queries_make_no_rational_solve(monkeypatch, toric_fans):
+    models = {name: variety_model(fan) for name, fan in toric_fans.items()}
+    solves = counting(monkeypatch, qlinalg, "solve")
+    for name, fan in toric_fans.items():
+        m = models[name]
+        coeffs = [1 + i % 3 for i in range(len(fan.rays))]
+        bundle = ns_presentation(fan).divisor_class(coeffs)
+        fr = fujita(m, bundle)
+        b_invariant(m, bundle)
+        is_rigid_class(m, fr.boundary_class)
+        toric_balanced_all_subvarieties(fan, coeffs)
+    assert solves == []
 
 
 class TestNSPresentation:
