@@ -2,18 +2,24 @@
 
 A `ConeQ` is stored by its generators (primitive integer vectors); the facet
 description is computed lazily by the double description method with
-lexicographic insertion order and memoized on the cone.  Membership,
-strictness, and the ray optimization `min_a_on_ray` run on an exact
+lexicographic insertion order and memoized on the cone.  A cone that
+spans a proper subspace is dualized by the same one run, on its generators
+together with the annihilator of its span as +/- equation pairs; those
+pairs are then listed among the facets.
+
+Membership and the ray optimization `min_a_on_ray` run on an exact
 rational simplex whenever the facets have not been materialized; once
 facets exist, sign checks are used.
 Both routes are equivalent: the interior of a full-dimensional cone is its
 relative interior, and relint(cone(G)) consists of the strictly positive
-combinations of all generators.
+combinations of all generators.  Strictness is one memoized LP: the cone
+is strict iff no nonzero nonnegative combination of the generators
+vanishes.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
-constraints.  It gives the lineality space of a non-strict cone here and
-the implicit equalities of toric divisor polytopes.
+constraints.  Its one caller is `toric.divisor_polytope`, for the implicit
+equalities of a divisor polytope.
 
 Faces here are supported faces (cut out by functionals nonnegative on the
 cone).  For finitely generated cones these coincide with extremal faces, so
@@ -42,6 +48,7 @@ from .qlinalg import (
     VecQ,
     pivot_columns,
     primitive_int,
+    scaled_ints,
     scaled_inverse,
     sign_normalized,
     span_dim,
@@ -57,18 +64,6 @@ class Containment(Enum):
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
-
-
-def _int_scaled(v: VecQ) -> tuple[int, ...]:
-    """v times the lcm of its denominators (same ray, integer entries)."""
-    den = 1
-    for x in v.entries:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return tuple([x.numerator for x in v.entries])
-    return tuple([int(x * den) for x in v.entries])
 
 
 def positive_support(
@@ -212,7 +207,7 @@ class ConeQ:
         "_facets",
         "_facets_int",
         "_facet_gen_masks",
-        "_lineality",
+        "_strict",
     )
 
     def __init__(self, generators: Iterable, ambient_dim: int | None = None):
@@ -233,7 +228,7 @@ class ConeQ:
         self._facets = None
         self._facets_int = None
         self._facet_gen_masks = None
-        self._lineality = None
+        self._strict = None
 
     @property
     def generators(self) -> tuple[VecQ, ...]:
@@ -277,7 +272,14 @@ class ConeQ:
         elif self.dim() == d:
             normals = _dd_extremal_rays(list(gens), d)
         else:
-            normals = self._facets_of_degenerate()
+            # the facet normals of a lower-dimensional cone are taken in its
+            # span: the annihilator joins the DD input as +/- equations
+            eqs = [
+                sign_normalized(primitive_int(v))
+                for v in qlinalg.nullspace(MatQ(gens))
+            ]
+            eqs += [tuple([-x for x in e]) for e in eqs]
+            normals = _dd_extremal_rays(list(gens) + eqs, d) + eqs
         normals.sort()
         facets_int = tuple(normals)
         masks = []
@@ -291,43 +293,6 @@ class ConeQ:
         self._facets_int = facets_int
         self._facets = tuple(VecQ(f) for f in facets_int)
 
-    def _facets_of_degenerate(self) -> list[tuple[int, ...]]:
-        """Facets of a cone spanning a proper subspace: reduce to the span,
-        dualize there, lift back, and add the +/- annihilator equations."""
-        gens = self._gens_int
-        d = self.ambient_dim
-        kernel = [
-            sign_normalized(primitive_int(v.entries))
-            for v in qlinalg.nullspace(MatQ(gens))
-        ]
-        # independent generator subset spanning the cone, in lex order
-        sorted_gens = sorted(set(gens))
-        span_basis = [sorted_gens[p] for p in pivot_columns(sorted_gens)]
-        r = self.dim()
-        bmat = MatQ(zip(*span_basis))  # columns are the basis vectors
-        reduced = []
-        for g in gens:
-            sol = qlinalg.solve(bmat, VecQ(g))
-            assert sol is not None
-            reduced.append(primitive_int(sol.particular))
-        inner = _dd_extremal_rays(list(set(reduced)), r)
-        gram = MatQ(
-            [[_idot(a, b) for b in span_basis] for a in span_basis]
-        )
-        lifted = []
-        for f in inner:
-            alpha = qlinalg.solve(gram, VecQ(f))
-            assert alpha is not None
-            vec = VecQ.zero(d)
-            for coef, bas in zip(alpha.particular, span_basis):
-                vec = vec + coef * VecQ(bas)
-            lifted.append(primitive_int(vec.entries))
-        out = lifted
-        for k in kernel:
-            out.append(k)
-            out.append(tuple(-x for x in k))
-        return out
-
     # -- membership --------------------------------------------------------
 
     def contains(self, v: VecQ) -> Containment:
@@ -339,12 +304,12 @@ class ConeQ:
             raise DimensionMismatch("vector dimension mismatch")
         if not self._gens_int:
             return Containment.BOUNDARY if v.is_zero() else Containment.OUTSIDE
-        if v.is_zero() and self._lineality == 0:
+        if v.is_zero() and self._strict:
             return Containment.BOUNDARY
         if self._facets_int is not None:
             # positive rescaling preserves all signs; integer dots are far
             # cheaper than Fraction arithmetic on big facet lists
-            vi = _int_scaled(v)
+            vi, _ = scaled_ints(v)
             boundary = False
             for f in self._facets_int:
                 s = _idot(f, vi)
@@ -393,33 +358,21 @@ class ConeQ:
             return None
         return res.x
 
-    # -- strictness / lineality ---------------------------------------------
-
-    @property
-    def lineality_dim(self) -> int:
-        if self._lineality is None:
-            self._lineality = self._compute_lineality()
-        return self._lineality
+    # -- strictness ------------------------------------------------------------
 
     def is_strict(self) -> bool:
-        """True iff the cone contains no line."""
-        return self.lineality_dim == 0
-
-    def _compute_lineality(self) -> int:
-        gens = self._gens_int
-        if not gens:
-            return 0
-        d = self.ambient_dim
-        k = len(gens)
-        # strictness test: is there a nonzero nonnegative kernel combination?
-        a_rows = [[g[t] for g in gens] for t in range(d)]
-        res = solve_lp(a_rows + [[1] * k], [0] * d + [1], [0] * k)
-        if res.status is LPStatus.INFEASIBLE:
-            return 0
-        # the generators in some nonnegative kernel combination are exactly
-        # those in the lineality space
-        support, _ = positive_support(a_rows, [0] * d, range(k))
-        return span_dim([self._gens[i] for i in support])
+        """True iff the cone contains no line, that is, no nonzero
+        nonnegative combination of the generators vanishes (one LP,
+        memoized)."""
+        if self._strict is None:
+            gens = self._gens_int
+            d = self.ambient_dim
+            k = len(gens)
+            a_rows = [[g[t] for g in gens] for t in range(d)] + [[1] * k]
+            self._strict = not gens or (
+                solve_lp(a_rows, [0] * d + [1], [0] * k).status is LPStatus.INFEASIBLE
+            )
+        return self._strict
 
     # -- faces ---------------------------------------------------------------
 
@@ -440,7 +393,7 @@ class ConeQ:
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
         self.facets
-        vi = _int_scaled(v)
+        vi, _ = scaled_ints(v)
         masks = self._facet_gen_masks
         gmask = (1 << len(self._gens_int)) - 1
         for f, m in zip(self._facets_int, masks):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Sequence
 
 from . import invariants
@@ -45,7 +44,7 @@ from .errors import (
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, primitive_int, scaled_inverse
+from .qlinalg import MatQ, VecQ, as_rat, primitive_int, scaled_ints, scaled_inverse
 
 
 @lru_cache(maxsize=None)
@@ -201,10 +200,10 @@ class SurfaceCurves:
     __slots__ = ("curves", "form", "ints", "images")
 
     def __init__(self, curves: Sequence[VecQ], form: MatQ):
-        rows = form.row_list()
-        den = lcm(*[x.denominator for row in rows for x in row])
+        flat, _ = scaled_ints([x for row in form.row_list() for x in row])
+        w = form.cols
         self.curves = tuple(curves)
-        self.form = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        self.form = [flat[i * w:(i + 1) * w] for i in range(form.rows)]
         # cone generators and enumerated curves are integer vectors
         assert all(x.denominator == 1 for c in self.curves for x in c)
         self.ints = [[x.numerator for x in c] for c in self.curves]
@@ -235,8 +234,7 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
     """
     if d.dim != len(sc.form):
         raise DimensionMismatch("vector dimension mismatch")
-    den = lcm(*[x.denominator for x in d])
-    big_d = [x.numerator * (den // x.denominator) for x in d]
+    big_d, den = scaled_ints(d)
     ints, images = sc.ints, sc.images
     k = len(ints)
     in_support = [False] * k

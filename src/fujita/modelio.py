@@ -73,11 +73,16 @@ def parse_vector(x, path: str) -> VecQ:
     return VecQ([parse_rational(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(x, path))])
 
 
-def parse_int_matrix(x, path: str) -> MatQ:
+def parse_int_matrix(x, path: str, entry=parse_int) -> MatQ:
+    """A matrix of `entry` values, integers by default; a row whose length
+    differs from row 0 is a schema error at that row's path."""
     rows = [
-        [parse_int(v, f"{path}[{i}][{j}]") for j, v in enumerate(_expect_list(r, f"{path}[{i}]"))]
+        [entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(_expect_list(r, f"{path}[{i}]"))]
         for i, r in enumerate(_expect_list(x, path))
     ]
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise SchemaError(f"row has {len(r)} entries, row 0 has {len(rows[0])}", f"{path}[{i}]")
     return MatQ(rows)
 
 
@@ -114,13 +119,15 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
             parse_vector(g, f"{path}.effective_generators[{i}]")
             for i, g in enumerate(_expect_list(node.get("effective_generators"), f"{path}.effective_generators"))
         ]
+        for i, g in enumerate(gens):
+            if g.dim != rank:
+                raise SchemaError(
+                    f"generator has {g.dim} entries, rank is {rank}",
+                    f"{path}.effective_generators[{i}]",
+                )
         form = None
         if node.get("intersection_form") is not None:
-            rows = [
-                parse_vector(r, f"{path}.intersection_form[{i}]")
-                for i, r in enumerate(_expect_list(node["intersection_form"], f"{path}.intersection_form"))
-            ]
-            form = MatQ([r.entries for r in rows])
+            form = parse_int_matrix(node["intersection_form"], f"{path}.intersection_form", parse_rational)
         from .cones import ConeQ
         from .errors import InvalidModel
 

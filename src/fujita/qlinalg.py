@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -118,13 +118,28 @@ class VecQ:
         return VecQ(primitive_int(self._e))
 
 
-def primitive_int(entries: Sequence) -> tuple[int, ...]:
-    """Clear denominators and divide by the gcd, preserving direction."""
-    fr = [as_rat(x) for x in entries]
+def scaled_ints(values: Iterable) -> tuple[list[int], int]:
+    """The integers den*values and den, the lcm of the denominators.
+
+    This is the one place that clears denominators.  Sequences are built as
+    lists on purpose: tuples built from generators are resized from a
+    length hint and leave blocks in the tuple freelists.
+    """
+    exact = []
     den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
+    for v in values:
+        if type(v) is not int:
+            v = as_rat(v)
+            den = lcm(den, v.denominator)
+        exact.append(v)
+    if den == 1:
+        return [int(v) for v in exact], 1
+    return [v * den if type(v) is int else v.numerator * (den // v.denominator) for v in exact], den
+
+
+def primitive_int(entries: Iterable) -> tuple[int, ...]:
+    """Clear denominators and divide by the gcd, preserving direction."""
+    ints, _ = scaled_ints(entries)
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -199,21 +214,6 @@ class MatQ:
         return "MatQ(%d x %d)" % (self.rows, self.cols)
 
 
-def _row_lcm(r: VecQ) -> int:
-    den = 1
-    for x in r:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return den
-
-
-def _cleared_int_rows(rows: Iterable[VecQ]) -> list[list[int]]:
-    out = []
-    for r in rows:
-        den = _row_lcm(r)
-        out.append([int(x * den) for x in r])
-    return out
-
-
 def _bareiss_echelon(
     rows: list[list[int]], limit_cols: int, jordan: bool = False
 ) -> tuple[list[list[int]], list[int]]:
@@ -261,7 +261,7 @@ def _bareiss_echelon(
 
 def rank(m: MatQ) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    rows = _cleared_int_rows(m.row_list())
+    rows = [scaled_ints(r)[0] for r in m.row_list()]
     _, pivots = _bareiss_echelon(rows, m.cols)
     return len(pivots)
 
@@ -275,7 +275,7 @@ def span_dim(vectors: Sequence[VecQ]) -> int:
     for v in vs:
         if v.dim != d:
             raise DimensionMismatch("vectors of mixed dimension")
-    rows = _cleared_int_rows(vs)
+    rows = [scaled_ints(v)[0] for v in vs]
     _, pivots = _bareiss_echelon(rows, d)
     return len(pivots)
 
@@ -286,28 +286,8 @@ def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
     vs = list(vectors)
     if not vs:
         return []
-    _, pivots = _bareiss_echelon(_cleared_int_rows(zip(*vs)), len(vs))
+    _, pivots = _bareiss_echelon([scaled_ints(r)[0] for r in zip(*vs)], len(vs))
     return pivots
-
-
-def abs_det(m: MatQ) -> Fraction:
-    """|det m| of a square matrix by fraction-free elimination.  Each row is
-    cleared to integers by the lcm of its denominators; the last Bareiss
-    pivot is the determinant of the cleared matrix up to the sign of the row
-    swaps, which are not tracked."""
-    n = m.rows
-    if m.cols != n:
-        raise DimensionMismatch(f"{n} x {m.cols} matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    rows = _cleared_int_rows(m.row_list())
-    _, pivots = _bareiss_echelon(rows, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    scale = 1
-    for r in m.row_list():
-        scale *= _row_lcm(r)
-    return Fraction(abs(rows[n - 1][n - 1]), scale)
 
 
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
@@ -357,9 +337,7 @@ def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:
     if rhs.dim != m.rows:
         raise DimensionMismatch(f"{m.rows} rows vs rhs of dim {rhs.dim}")
     n = m.cols
-    aug = _cleared_int_rows(
-        VecQ(list(r.entries) + [b]) for r, b in zip(m.row_list(), rhs)
-    )
+    aug = [scaled_ints(list(r.entries) + [b])[0] for r, b in zip(m.row_list(), rhs)]
     aug, pivots = _bareiss_echelon(aug, n)
     nrows = len(aug)
     for i in range(len(pivots), nrows):

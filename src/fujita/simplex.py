@@ -5,7 +5,8 @@ exact `fractions.Fraction` values, but the tableau holds Python integers in
 the style of lrs (Avis 2000):
 
 * Each constraint row, with its right-hand side, is scaled once to integers
-  by the lcm of its denominators; the phase-2 objective is scaled by its own.
+  by the lcm of its denominators (`qlinalg.scaled_ints`); the phase-2
+  objective is scaled by its own.
 * Every row, the reduced-cost row included, shares one denominator D > 0,
   the absolute value of the current basis determinant: the true tableau is
   T / D.  The artificial start basis is the identity, so D starts at 1.
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .qlinalg import as_rat
+from .qlinalg import scaled_ints
 
 
 class LPStatus(Enum):
@@ -48,24 +49,6 @@ class LPResult:
     status: LPStatus
     objective: Fraction | None
     x: tuple[Fraction, ...] | None
-
-
-def _scaled_ints(values: Sequence) -> tuple[list[int], int]:
-    """The integers den*values and den, the lcm of the denominators.
-
-    Sequences are built as lists on purpose: tuples built from generators
-    are resized from a length hint and leave blocks in the tuple freelists.
-    """
-    exact = []
-    den = 1
-    for v in values:
-        if type(v) is not int:
-            v = as_rat(v)
-            den = lcm(den, v.denominator)
-        exact.append(v)
-    if den == 1:
-        return [int(v) for v in exact], 1
-    return [v * den if type(v) is int else v.numerator * (den // v.denominator) for v in exact], den
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
@@ -122,7 +105,7 @@ def _run_phase(tableau, basis, n, m, d) -> tuple[bool, int]:
 def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0 (all data exact rationals)."""
     m = len(a_rows)
-    c_int, c_den = _scaled_ints(c)
+    c_int, c_den = scaled_ints(c)
     n = len(c_int)
     tableau: list[list[int]] = []
     scales: list[int] = []
@@ -131,7 +114,7 @@ def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
         if len(row) != n:
             raise ValueError("constraint width does not match objective length")
         row.append(bv)
-        row, scale = _scaled_ints(row)
+        row, scale = scaled_ints(row)
         if row[n] < 0:
             row = [-v for v in row]
         tableau.append(row)

@@ -20,7 +20,9 @@ exact degree argument (opposite-side orientation at every wall makes the
 covering number locally constant, so the sampled directions fix it at one
 everywhere; a fan winding twice round the origin passes the walls and fails
 the samples) and checks terminality of each singular cone on the |det|
-lattice points of its fundamental parallelepiped.  Toric
+lattice points of its fundamental parallelepiped.  Both strict checks read
+the same per-cone inverse: a row of it is the wall normal, its columns are
+the steps between the lattice points.  Toric
 contractions and flips are not implemented; every criterion in scope
 reduces to polytope dimensions and spans.
 """
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import invariants, qlinalg
 from .cones import ConeQ, Containment, _idot, positive_support
@@ -46,7 +48,7 @@ from .errors import (
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, abs_det, as_rat, scaled_inverse, span_dim
+from .qlinalg import MatQ, VecQ, as_rat, scaled_ints, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 
@@ -82,6 +84,7 @@ class Fan:
         self.rays = rays
         self.max_cones = cones
         smooth = True
+        dets = []
         inverses = []
         for c in cones:
             d, inverse = scaled_inverse(list(zip(*[rays[i] for i in c])))
@@ -93,12 +96,13 @@ class Fan:
                     raise NonSmoothCone(
                         f"maximal cone {c} has determinant of absolute value {d}"
                     )
+            dets.append(d)
             inverses.append(inverse)
         self.smooth_checked = smooth
         self._hash = hash((n, rays, cones))
         self._check_complete(strict, inverses)
         if strict and not smooth:
-            self._check_terminal()
+            self._check_terminal(dets, inverses)
 
     @classmethod
     def smooth(cls, rays, max_cones, strict=False) -> "Fan":
@@ -127,61 +131,59 @@ class Fan:
 
     # -- validation ---------------------------------------------------------
 
-    def _cone_matrix(self, cone) -> MatQ:
-        return MatQ(list(zip(*[self.rays[i] for i in cone])))
-
     def _check_complete(self, strict: bool, inverses):
+        """Every wall lies in exactly two maximal cones; in strict mode the
+        two lie on opposite sides of it.  Row j of |det M| M^-1, M the ray
+        matrix of an owner and j the position of its ray off the wall,
+        vanishes on the wall and is positive on that ray, so the wall is
+        oriented correctly iff it is negative on the other owner's ray."""
         n = self.lattice_dim
-        ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for c in self.max_cones:
+        ridges: dict[tuple[int, ...], list[int]] = {}
+        for ci, c in enumerate(self.max_cones):
             for drop in range(n):
                 ridge = c[:drop] + c[drop + 1:]
-                ridges.setdefault(ridge, []).append(c)
+                ridges.setdefault(ridge, []).append(ci)
         for ridge, owners in ridges.items():
             if len(owners) != 2:
                 raise IncompleteFan(
                     f"wall {ridge} lies in {len(owners)} maximal cones, expected 2"
                 )
         if strict:
-            for ridge, owners in ridges.items():
-                wall = MatQ([self.rays[i] for i in ridge])
-                normal = qlinalg.nullspace(wall)
-                assert len(normal) == 1
-                h = normal[0]
-                extras = []
-                for c in owners:
-                    extra = next(i for i in c if i not in ridge)
-                    extras.append(h.dot(VecQ(self.rays[extra])))
-                if extras[0] * extras[1] >= 0:
+            for ridge, (first, other) in ridges.items():
+                c = self.max_cones[first]
+                j = next(p for p, i in enumerate(c) if i not in ridge)
+                extra = next(i for i in self.max_cones[other] if i not in ridge)
+                if _idot(inverses[first][j], self.rays[extra]) >= 0:
                     raise IncompleteFan(
                         f"maximal cones on wall {ridge} do not cover both sides"
                     )
         # sampled coverage: 27 generic directions, each in exactly one cone
         covering_cones(n, inverses)
 
-    def _check_terminal(self):
+    def _check_terminal(self, dets, inverses):
         """conv(0, rays of a singular cone) may contain no lattice point
         other than its vertices.  Such a point has coordinates in [0, 1) on
         the rays, so it is one of the |det| points of N / N_sigma: the
         closure of {0} under adding each column of M^-1 mod 1, where the
-        columns of M are the rays.  Run only in strict mode."""
-        n = self.lattice_dim
-        for c in self.max_cones:
-            mat = self._cone_matrix(c)
-            if abs_det(mat) == 1:
+        columns of M are the rays.  The walk runs in integers, on |det|
+        times those coordinates mod |det|, from the inverses `__init__`
+        computed.  Run only in strict mode."""
+        for c, d, inverse in zip(self.max_cones, dets, inverses):
+            if d == 1:
                 continue
-            steps = [qlinalg.solve(mat, VecQ.unit(n, j)).particular for j in range(n)]
-            zero = (Fraction(0),) * n
+            steps = list(zip(*inverse))
+            zero = (0,) * len(c)
             seen = {zero}
             frontier = [zero]
             while frontier:
                 lam = frontier.pop()
                 for step in steps:
-                    nxt = tuple([(x + y) % 1 for x, y in zip(lam, step)])
+                    nxt = tuple([(x + y) % d for x, y in zip(lam, step)])
                     if nxt in seen:
                         continue
-                    if sum(nxt) <= 1:
-                        pt = tuple([int(x) for x in mat.apply(VecQ(nxt))])
+                    if sum(nxt) <= d:
+                        rows = zip(*[self.rays[i] for i in c])
+                        pt = tuple([_idot(row, nxt) // d for row in rows])
                         raise NonTerminalCone(
                             f"cone {c} contains the lattice point {pt} of conv(0, rays)"
                         )
@@ -206,8 +208,7 @@ def covering_cones(n: int, inverses) -> list[int]:
         if attempts > 2000:
             raise IncompleteFan("could not sample generic directions")
         u = [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
-        den = lcm(*[x.denominator for x in u])
-        w = [x.numerator * (den // x.denominator) for x in u]
+        w, _ = scaled_ints(u)
         generic = True
         hits = []
         for c, inverse in enumerate(inverses):
@@ -265,11 +266,9 @@ class NSPresentation:
     def divisor_class(self, coeffs) -> VecQ:
         """Class of sum a_ray D_ray in the chosen NS basis, in integers:
         the coefficients are scaled once by the lcm of their denominators."""
-        xs = [as_rat(a) for a in coeffs]
-        if len(xs) != len(self.fan.rays):
+        ints, den = scaled_ints(coeffs)
+        if len(ints) != len(self.fan.rays):
             raise InvalidModel("coefficient count does not match ray count")
-        den = lcm(*[x.denominator for x in xs])
-        ints = [x.numerator * (den // x.denominator) for x in xs]
         pivot = [ints[i] for i in self.pivot_rays]
         det = self.pivot_det
         return VecQ(
@@ -403,12 +402,11 @@ def class_is_rigid(f: Fan, cls: VecQ) -> bool:
     """Rigidity of a divisor class (lifted to an invariant divisor).  The
     last MEMO_BOUND results are kept per (fan, class): rigidity and the
     toric balanced verdict ask for the same adjoint boundary class."""
-    pres = ns_presentation(f)
-    coeffs = pres.lift_class(cls)
-    den = 1
-    for x in coeffs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return toric_rigid(f, [x * den for x in coeffs])
+    # a positive multiple has the same rigidity; scaling to integers first
+    # keeps Fraction right-hand sides out of the polytope LP, which is
+    # measurably slower with them
+    ints, _ = scaled_ints(ns_presentation(f).lift_class(cls))
+    return toric_rigid(f, ints)
 
 
 def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:

@@ -11,8 +11,10 @@ class lift, one LP per ray checks the implicit equalities of divisor
 polytopes without the single support LP, a flat multiset search checks
 the pruned (-1)-curve recursion, one rational solve per cone and
 direction checks the integer fan-coverage test, the Fraction loop checks
-the integer Zariski kernel, and one rational solve on the pivot rays checks
-the integer toric class map.
+the integer Zariski kernel, one rational solve on the pivot rays checks
+the integer toric class map, reduction to the span with a Gram lift checks
+the one-DD dual of lower-dimensional cones, and a nullspace wall normal
+with a Fraction lattice walk checks the strict fan checks.
 """
 
 from fractions import Fraction
@@ -20,10 +22,25 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, prod
 
-from fujita.cones import Containment
+from fujita import qlinalg
+from fujita.cones import Containment, _dd_extremal_rays, _idot
 from fujita.delpezzo import ZariskiDecomposition
-from fujita.errors import IncompleteFan, InternalNonTermination, NotPseudoEffective
-from fujita.qlinalg import MatQ, VecQ, as_rat, solve, span_dim
+from fujita.errors import (
+    IncompleteFan,
+    InternalNonTermination,
+    NonTerminalCone,
+    NotPseudoEffective,
+)
+from fujita.qlinalg import (
+    MatQ,
+    VecQ,
+    as_rat,
+    pivot_columns,
+    primitive_int,
+    sign_normalized,
+    solve,
+    span_dim,
+)
 from fujita.simplex import LPStatus, solve_lp
 
 
@@ -240,14 +257,14 @@ def implicit_equalities_per_ray(fan, coeffs):
 
 
 def det_by_permutations(rows) -> Fraction:
-    """det by the Leibniz expansion over all permutations (n <= 5)."""
+    """det by the Leibniz expansion over all permutations (n <= 6)."""
     n = len(rows)
-    total = Fraction(0)
+    total = 0
     for perm in permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = prod((Fraction(rows[i][perm[i]]) for i in range(n)), start=Fraction(1))
+        term = prod((rows[i][perm[i]] for i in range(n)), start=1)
         total += -term if inversions % 2 else term
-    return total
+    return Fraction(total)
 
 
 def toric_balanced_by_adjoint(fan, bundle_coeffs) -> bool:
@@ -373,3 +390,97 @@ def divisor_class_by_solve(pres, coeffs) -> VecQ:
     assert m is not None and m.unique
     mv = m.particular
     return VecQ([xs[i] - mv.dot(VecQ(f.rays[i])) for i in pres.basis_rays])
+
+
+def facets_of_degenerate_by_reduction(cone) -> list:
+    """Facets of a cone spanning a proper subspace: reduce to the span,
+    dualize there, lift back, and add the +/- annihilator equations.
+    Sorted, as `ConeQ.facets` lists them."""
+    gens = cone._gens_int
+    d = cone.ambient_dim
+    kernel = [
+        sign_normalized(primitive_int(v.entries))
+        for v in qlinalg.nullspace(MatQ(gens))
+    ]
+    # independent generator subset spanning the cone, in lex order
+    sorted_gens = sorted(set(gens))
+    span_basis = [sorted_gens[p] for p in pivot_columns(sorted_gens)]
+    r = cone.dim()
+    bmat = MatQ(zip(*span_basis))  # columns are the basis vectors
+    reduced = []
+    for g in gens:
+        sol = qlinalg.solve(bmat, VecQ(g))
+        assert sol is not None
+        reduced.append(primitive_int(sol.particular))
+    inner = _dd_extremal_rays(list(set(reduced)), r)
+    gram = MatQ(
+        [[_idot(a, b) for b in span_basis] for a in span_basis]
+    )
+    lifted = []
+    for f in inner:
+        alpha = qlinalg.solve(gram, VecQ(f))
+        assert alpha is not None
+        vec = VecQ.zero(d)
+        for coef, bas in zip(alpha.particular, span_basis):
+            vec = vec + coef * VecQ(bas)
+        lifted.append(primitive_int(vec.entries))
+    out = lifted
+    for k in kernel:
+        out.append(k)
+        out.append(tuple(-x for x in k))
+    return sorted(out)
+
+
+def strict_fan_checks_by_solve(rays, max_cones) -> None:
+    """The strict fan checks in rationals, raising what `Fan(..., strict=True)`
+    raises on a fan whose cones are simplicial and nondegenerate: wall
+    counts, wall orientation by a nullspace normal, the sampled coverage
+    (`fan_coverage_by_solve`), then terminality by a Fraction walk over
+    the columns of M^-1 mod 1, M solved one unit vector at a time."""
+    n = len(rays[0])
+    cones = [tuple(sorted(set(c))) for c in max_cones]
+    ridges = {}
+    for c in cones:
+        for drop in range(n):
+            ridge = c[:drop] + c[drop + 1:]
+            ridges.setdefault(ridge, []).append(c)
+    for ridge, owners in ridges.items():
+        if len(owners) != 2:
+            raise IncompleteFan(
+                f"wall {ridge} lies in {len(owners)} maximal cones, expected 2"
+            )
+    for ridge, owners in ridges.items():
+        wall = MatQ([rays[i] for i in ridge])
+        normal = qlinalg.nullspace(wall)
+        assert len(normal) == 1
+        h = normal[0]
+        extras = []
+        for c in owners:
+            extra = next(i for i in c if i not in ridge)
+            extras.append(h.dot(VecQ(rays[extra])))
+        if extras[0] * extras[1] >= 0:
+            raise IncompleteFan(
+                f"maximal cones on wall {ridge} do not cover both sides"
+            )
+    fan_coverage_by_solve(rays, cones)
+    for c in cones:
+        mat = MatQ(list(zip(*[rays[i] for i in c])))
+        if abs(det_by_permutations([list(r.entries) for r in mat.row_list()])) == 1:
+            continue
+        steps = [solve(mat, VecQ.unit(n, j)).particular for j in range(n)]
+        zero = (Fraction(0),) * n
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            lam = frontier.pop()
+            for step in steps:
+                nxt = tuple([(x + y) % 1 for x, y in zip(lam, step)])
+                if nxt in seen:
+                    continue
+                if sum(nxt) <= 1:
+                    pt = tuple([int(x) for x in mat.apply(VecQ(nxt))])
+                    raise NonTerminalCone(
+                        f"cone {c} contains the lattice point {pt} of conv(0, rays)"
+                    )
+                seen.add(nxt)
+                frontier.append(nxt)

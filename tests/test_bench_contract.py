@@ -1,11 +1,17 @@
 """The benchmark's span tracer wraps fixed names in the `fujita` modules;
-each must still resolve, or every traced benchmark run fails at install."""
+each must still resolve, or every traced benchmark run fails at install.
+The benchmark's self-test must pass, so that a changed default-seed
+answer, CLI stdout or exit code fails here and not only in a benchmark
+run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_targets() -> dict:
@@ -30,3 +36,15 @@ def test_every_tracer_target_resolves():
             if not found:
                 missing.append(f"{layer}.{qual}")
     assert not missing, f"tracer targets no longer in fujita: {missing}"
+
+
+def test_bench_selftest_passes():
+    # about 5 s: one default-seed round of every workload, with planted faults
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -89,6 +89,44 @@ class TestInvariantsCommand:
         code, out = run_cli(capsys, "invariants", path, "--json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "case, path",
+        [
+            ("generator", "$.model.effective_generators[1]"),
+            ("form", "$.model.intersection_form[1]"),
+            ("projection", "$.fibration.projection[1]"),
+        ],
+    )
+    def test_exit_2_on_ragged_rows(self, capsys, tmp_path, case, path):
+        # one row of another length than the rest, in each matrix of the format
+        model = {
+            "kind": "lattice",
+            "rank": 2,
+            "canonical": [-1, -1],
+            "effective_generators": [[1, 0], [0, 1]],
+            "intersection_form": [[0, 1], [1, 0]],
+        }
+        doc = {"model": model, "line_bundle": [1, 1]}
+        if case == "generator":
+            model["effective_generators"] = [[1, 0], [0, 1, 0]]
+        elif case == "form":
+            model["intersection_form"] = [[0, 1], [1]]
+        else:
+            doc = {
+                "model": {
+                    "kind": "toric",
+                    "rays": [[1, 0], [0, 1], [-1, -1]],
+                    "max_cones": [[0, 1], [1, 2], [0, 2]],
+                },
+                "line_bundle": {"toric_coeffs": [1, 0, 0]},
+                "fibration": {"projection": [[1, 0], [0]]},
+            }
+        code, out = run_cli(capsys, "invariants", write(tmp_path, doc), "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "schema_error"
+        assert error["message"].startswith(path + ": ")
+
     def test_exit_2_on_bad_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")

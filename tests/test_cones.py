@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fujita import cones
 from fujita.cones import (
     ConeQ,
     Containment,
@@ -16,9 +17,10 @@ from fujita.cones import (
 from fujita.delpezzo import del_pezzo, quadric_surface
 from fujita.errors import Infeasible, NonStrictCone, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
-from conftest import random_rational_vector, vec
+from conftest import counting, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
+    facets_of_degenerate_by_reduction,
     fm_facets,
     minimal_face_generators_lp,
     positive_support_by_basis_enumeration,
@@ -97,6 +99,31 @@ class TestDualize:
         assert len(facets) == 3
         for f in facets:
             assert sum(a * b for a, b in zip(f, (1, 2))) >= 0
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_lower_dimensional_matches_reduction_route(self, strict):
+        # a random basis of an r-dimensional subspace of Q^d; the generators
+        # are combinations of it, and a non-strict cone also gets the
+        # negative of its first generator
+        rng = random.Random(4909 + strict)
+        checked = 0
+        while checked < 60:
+            d = rng.randint(2, 5)
+            r = rng.randint(1, d - 1)
+            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+            lo = 0 if strict else -2
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                coefs = [rng.randint(lo, 3) for _ in range(r)]
+                gens.append([sum(c * b[t] for c, b in zip(coefs, basis)) for t in range(d)])
+            if not strict:
+                gens.append([-x for x in gens[0]])
+            c = ConeQ(gens, ambient_dim=d)
+            if not c.generators or c.dim() != r or c.is_strict() != strict:
+                continue
+            checked += 1
+            expected = facets_of_degenerate_by_reduction(c)
+            assert [tuple(int(x) for x in f) for f in c.facets] == expected, gens
 
     def test_duality_round_trip(self):
         # up to rank 8 / 56 generators
@@ -185,15 +212,21 @@ class TestStrictness:
     def test_line_not_strict(self):
         c = ConeQ([vec(1, 0), vec(-1, 0)])
         assert not is_strict(c)
-        assert c.lineality_dim == 1
 
     def test_whole_plane(self):
         c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)])
-        assert c.lineality_dim == 2
+        assert not c.is_strict()
 
     def test_halfplane_lineality(self):
         c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
-        assert c.lineality_dim == 1
+        assert not c.is_strict()
+
+    def test_strictness_is_one_memoized_lp(self, monkeypatch):
+        calls = counting(monkeypatch, cones, "solve_lp")
+        for gens, strict in (([vec(1, 0), vec(1, 1)], True), ([vec(1, 0), vec(-1, 0)], False)):
+            c = ConeQ(gens)
+            assert [c.is_strict() for _ in range(3)] == [strict] * 3
+        assert len(calls) == 2
 
     def test_del_pezzo_cones_strict(self):
         for d in range(1, 10):
@@ -385,6 +418,10 @@ class TestPositiveSupport:
         assert positive_support([[1, 1]], [-1], [0, 1]) is None
 
     def test_non_strict_lineality_support(self):
-        # the line through (1, 0, 0) plus two rays off it
-        c = ConeQ([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0), vec(1, 1, 1)])
-        assert c.lineality_dim == 1
+        # the line through (1, 0, 0) plus two rays off it: the generators in
+        # some vanishing nonnegative combination span the lineality space
+        gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 1)]
+        assert not ConeQ(gens).is_strict()
+        a_rows = [[g[t] for g in gens] for t in range(3)]
+        support, _ = positive_support(a_rows, [0, 0, 0], range(4))
+        assert support == {0, 1}

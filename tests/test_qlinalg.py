@@ -8,12 +8,12 @@ from fujita.errors import DimensionMismatch
 from fujita.qlinalg import (
     MatQ,
     VecQ,
-    abs_det,
     inertia,
     nullspace,
     pivot_columns,
     primitive_int,
     rank,
+    scaled_ints,
     scaled_inverse,
     solve,
     span_dim,
@@ -110,6 +110,17 @@ class TestVecQ:
         assert primitive_int([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
         assert primitive_int([0, 0]) == (0, 0)
 
+    def test_scaled_ints(self):
+        assert scaled_ints([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+        # the least common multiple, not the product of the denominators
+        assert scaled_ints([Fraction(1, 2), Fraction(3, 4)]) == ([2, 3], 4)
+        assert scaled_ints(VecQ([4, -1])) == ([4, -1], 1)
+        assert scaled_ints([]) == ([], 1)
+        # an int stays an int: the fast path does not build Fractions
+        assert all(type(x) is int for x in scaled_ints([2, Fraction(5), "3/1"])[0])
+        with pytest.raises(TypeError):
+            scaled_ints([0.5])
+
     def test_reduced_invariants(self):
         # Fraction keeps lowest terms with positive denominator
         x = Fraction(6, -4)
@@ -132,24 +143,6 @@ def test_fraction_arithmetic_against_bigint_oracle(an, ad, bn, bd):
     assert (p.numerator, p.denominator) == (on, od)
 
 
-class TestAbsDet:
-    def test_identity_and_signs(self):
-        assert abs_det(MatQ.identity(4)) == 1
-        assert abs_det(MatQ([[0, 1], [1, 0]])) == 1
-        assert abs_det(MatQ([[2, 1], [1, -3]])) == 7
-
-    def test_singular(self):
-        assert abs_det(MatQ([[1, 2, 3], [2, 4, 6], [0, 1, 5]])) == 0
-        assert abs_det(MatQ([[0, 0], [0, 0]])) == 0
-
-    def test_rational_rows(self):
-        assert abs_det(MatQ([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-2, 5)]])) == Fraction(8, 15)
-
-    def test_not_square(self):
-        with pytest.raises(DimensionMismatch):
-            abs_det(MatQ([[1, 2, 3], [4, 5, 6]]))
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 4).flatmap(
@@ -159,11 +152,11 @@ class TestAbsDet:
     ),
     st.booleans(),
 )
-def test_abs_det_against_permutation_oracle(rows, repeat_row):
+def test_scaled_inverse_det_against_permutation_oracle(rows, repeat_row):
     # a repeated row makes every other draw singular
     if repeat_row:
         rows = rows[:-1] + [rows[0]]
-    assert abs_det(MatQ(rows)) == abs(det_by_permutations(rows))
+    assert scaled_inverse(rows)[0] == abs(det_by_permutations(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,12 +187,17 @@ class TestScaledInverse:
         assert scaled_inverse([[2, 1], [1, 3]]) == (5, [[3, -1], [-1, 2]])
         # a negative determinant: the sign goes into |det| * m^-1
         assert scaled_inverse([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
+        assert scaled_inverse([[2, 1], [1, -3]]) == (7, [[3, 1], [1, -2]])
         assert scaled_inverse([[-3]]) == (3, [[-1]])
         assert scaled_inverse([]) == (1, [])
+        identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        assert scaled_inverse(identity) == (1, identity)
 
     def test_singular(self):
         assert scaled_inverse([[1, 2], [2, 4]]) == (0, None)
         assert scaled_inverse([[0, 0, 1], [0, 1, 0], [0, 2, 0]]) == (0, None)
+        assert scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == (0, None)
+        assert scaled_inverse([[0, 0], [0, 0]]) == (0, None)
 
     def test_not_square(self):
         with pytest.raises(DimensionMismatch):
@@ -220,7 +218,7 @@ def test_scaled_inverse_against_solve(rows, singular):
     # every other draw gets a last row that is a combination of the others
     if singular:
         rows = rows[:-1] + [[x - 2 * y for x, y in zip(rows[0], rows[-2])] if n > 1 else [0]]
-    d = abs_det(MatQ(rows))
+    d = abs(det_by_permutations(rows))
     got = scaled_inverse(rows)
     if d == 0:
         assert got == (0, None)

@@ -183,9 +183,9 @@ def _block_growth(fn, reps=300) -> int:
 
 def _query_path_sites():
     """One call per site on the query path that builds a tuple."""
-    from fujita.cones import ConeQ, _int_scaled
+    from fujita.cones import ConeQ
     from fujita.delpezzo import _zariski, del_pezzo
-    from fujita.qlinalg import MatQ, VecQ, solve
+    from fujita.qlinalg import MatQ, VecQ, scaled_ints, solve
     from fujita.toric import Fan, divisor_polytope
 
     rational = VecQ([F(1, 2), F(2, 3), 5])
@@ -196,7 +196,7 @@ def _query_path_sites():
     surf = del_pezzo(8)
     return {
         "VecQ": lambda: VecQ([F(1, 2), 3, -1]),
-        "_int_scaled": lambda: (_int_scaled(rational), _int_scaled(integral)),
+        "scaled_ints": lambda: (scaled_ints(rational), scaled_ints(integral)),
         "FaceQ.generator_vectors": face.generator_vectors,
         "ConeQ._contains_lp": lambda: cone._contains_lp(rational),
         "solve (kernel)": lambda: solve(MatQ([[1, 1, 1]]), VecQ([1])),

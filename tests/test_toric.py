@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from fujita.errors import (
     ProjectionIncompatible,
 )
 from fujita.invariants import b_invariant, fujita, invariant_pair, is_rigid_class
-from fujita.qlinalg import MatQ, VecQ, abs_det, solve, span_dim
+from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.toric import (
     Fan,
     covering_cones,
@@ -31,7 +32,12 @@ from fujita.toric import (
     variety_model,
 )
 from conftest import counting, vec
-from oracles import divisor_class_by_solve, fan_coverage_by_solve, implicit_equalities_per_ray
+from oracles import (
+    divisor_class_by_solve,
+    fan_coverage_by_solve,
+    implicit_equalities_per_ray,
+    strict_fan_checks_by_solve,
+)
 
 
 def p2_fan():
@@ -105,7 +111,8 @@ class TestFanValidation:
             )
 
     def test_strict_mode_passes_complete_fans(self):
-        for fan_maker in (p2_fan, p1xp1_fan, bl1p2_fan, hexagon_fan, bl_line_p3_fan):
+        # the walls of the P^1 fan are the empty cone
+        for fan_maker in (p1_fan, p2_fan, p1xp1_fan, bl1p2_fan, hexagon_fan, bl_line_p3_fan):
             f = fan_maker()
             Fan(f.rays, f.max_cones, strict=True)
 
@@ -115,21 +122,11 @@ class TestFanValidation:
         big = 10**6
         rays = [(1, 0), (2 * big + 1, 2), (-1, 0), (0, -1)]
         cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert qlinalg.scaled_inverse([list(r) for r in zip(rays[0], rays[1])])[0] == 2
+        solves = counting(monkeypatch, qlinalg, "solve")
         with pytest.raises(NonTerminalCone, match=str((big + 1, 1))):
             Fan.simplicial(rays, cones, strict=True)
-        f = Fan.simplicial(rays, cones)
-        calls = []
-        orig = qlinalg.solve
-
-        def counted(*args):
-            calls.append(args)
-            return orig(*args)
-
-        monkeypatch.setattr(qlinalg, "solve", counted)
-        with pytest.raises(NonTerminalCone):
-            f._check_terminal()
-        assert abs_det(MatQ([rays[0], rays[1]])) == 2
-        assert len(calls) <= 2
+        assert solves == []
 
     def test_strict_mode_passes_singular_terminal_fan(self):
         # P(1,1,1,2): one singular cone, of type 1/2(1,1,1), which is terminal
@@ -169,19 +166,70 @@ def test_fan_winding_twice_is_incomplete(strict):
     assert str(got.value) == str(expected.value)
 
 
+# P(1,1,1,2), terminal with one singular cone, and the fan of the
+# non-terminal 1/2(1,1) quotient point
+P1112 = ([(-1, -1, -2), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+HALF_11 = ([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+
+
 def test_fan_checks_make_no_rational_solve(monkeypatch, toric_fans):
-    calls = []
-    orig = qlinalg.solve
-
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(qlinalg, "solve", counted)
-    for fan in toric_fans.values():
-        Fan(fan.rays, fan.max_cones, require_smooth=fan.smooth_checked)
-    fan_product(toric_fans["dp6-toric"], toric_fans["dp6-toric"])
+    calls = counting(monkeypatch, qlinalg, "solve")
+    for strict in (False, True):
+        for fan in toric_fans.values():
+            Fan(fan.rays, fan.max_cones, require_smooth=fan.smooth_checked, strict=strict)
+        fan_product(toric_fans["dp6-toric"], toric_fans["dp6-toric"])
+        Fan(*P1112, strict=strict)
+        if strict:
+            with pytest.raises(NonTerminalCone):
+                Fan(*HALF_11, strict=True)
+        else:
+            Fan(*HALF_11)
     assert calls == []
+
+
+def _strict_outcome(check, rays, cones):
+    try:
+        check(rays, cones)
+    except (IncompleteFan, NonTerminalCone) as e:
+        return type(e), str(e)
+    return None
+
+
+def _random_plane_fan(rng):
+    """Rays at distinct angles, no two opposite, each cone spanned by
+    neighbours in angle order.  A gap of more than half a turn between
+    neighbours makes the fan incomplete; most singular cones are not
+    terminal."""
+    k = rng.randint(3, 7)
+    rays = {}
+    while len(rays) < k:
+        r = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if r == (0, 0) or math.gcd(*r) != 1:
+            continue
+        rays[math.atan2(r[1], r[0])] = r
+    ordered = [rays[t] for t in sorted(rays)]
+    if any(r[0] * q[1] == r[1] * q[0] for r in ordered for q in ordered if r != q):
+        return None
+    return ordered, [(i, (i + 1) % k) for i in range(k)]
+
+
+def test_strict_checks_match_fraction_route(toric_fans):
+    cases = [(fan.rays, fan.max_cones) for fan in toric_fans.values()]
+    cases += [P1112, HALF_11, (WINDING_RAYS, WINDING_CONES)]
+    rng = random.Random(6151)
+    while len(cases) < 150:
+        drawn = _random_plane_fan(rng)
+        if drawn is not None:
+            cases.append(drawn)
+    outcomes = set()
+    for rays, cones in cases:
+        expected = _strict_outcome(strict_fan_checks_by_solve, rays, cones)
+        got = _strict_outcome(lambda r, c: Fan(r, c, strict=True), rays, cones)
+        assert got == expected, rays
+        outcomes.add(None if expected is None else expected[1].split()[-1])
+    # every strict outcome is reached: accepted, a misoriented wall, a point
+    # of conv(0, rays), and (walls passed) a direction in two cones
+    assert outcomes == {None, "sides", "rays)", "cones"}, outcomes
 
 
 def test_divisor_class_matches_solve_route(toric_fans):
