@@ -182,22 +182,35 @@ def test_pivot_columns_are_the_greedy_independent_picks(vectors):
     assert pivot_columns(vectors) == greedy
 
 
+class TestAbsDet:
+    """|det| is the first entry of ``scaled_inverse``, the only determinant left in src."""
+
+    def test_identity_and_signs(self):
+        identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        assert scaled_inverse(identity) == (1, identity)
+        assert scaled_inverse([[0, 1], [1, 0]])[0] == 1
+        assert scaled_inverse([[2, 1], [1, -3]]) == (7, [[3, 1], [1, -2]])
+
+    def test_singular(self):
+        assert scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == (0, None)
+        assert scaled_inverse([[0, 0], [0, 0]]) == (0, None)
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            scaled_inverse([[1, 2], [3, 4], [5, 6]])
+
+
 class TestScaledInverse:
     def test_small_cases(self):
         assert scaled_inverse([[2, 1], [1, 3]]) == (5, [[3, -1], [-1, 2]])
         # a negative determinant: the sign goes into |det| * m^-1
         assert scaled_inverse([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
-        assert scaled_inverse([[2, 1], [1, -3]]) == (7, [[3, 1], [1, -2]])
         assert scaled_inverse([[-3]]) == (3, [[-1]])
         assert scaled_inverse([]) == (1, [])
-        identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        assert scaled_inverse(identity) == (1, identity)
 
     def test_singular(self):
         assert scaled_inverse([[1, 2], [2, 4]]) == (0, None)
         assert scaled_inverse([[0, 0, 1], [0, 1, 0], [0, 2, 0]]) == (0, None)
-        assert scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == (0, None)
-        assert scaled_inverse([[0, 0], [0, 0]]) == (0, None)
 
     def test_not_square(self):
         with pytest.raises(DimensionMismatch):
