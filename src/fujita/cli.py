@@ -11,7 +11,8 @@ per CPU), --strict-fan (exact fan completeness and terminality checks).
 FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
 
 Exit codes: 0 ok, 1 fixture failure or stdout closed early (as in
-`fujita fixtures run | head`), 2 parse or schema error, 3 bundle not big,
+`fujita fixtures run | head`), 2 parse or schema error, 3 bundle not big
+(also a class outside the effective cone, which is not big either),
 4 canonical class pseudo-effective, 5 internal error.
 """
 
@@ -28,6 +29,7 @@ from .errors import (
     FujitaError,
     KPseudoEffective,
     NotBig,
+    NotPseudoEffective,
     RigidityUndecidable,
     SchemaError,
 )
@@ -53,6 +55,8 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
         code, name = EXIT_K_PSEFF, "k_pseudo_effective"
     elif isinstance(exc, NotBig):
         code, name = EXIT_NOT_BIG, "not_big"
+    elif isinstance(exc, NotPseudoEffective):
+        code, name = EXIT_NOT_BIG, "not_pseudo_effective"
     else:
         code, name = EXIT_INTERNAL, "internal_error"
     return code, {"error": {"code": name, "message": str(exc)}}

@@ -7,14 +7,13 @@ spans a proper subspace is dualized by the same one run, on its generators
 together with the annihilator of its span as +/- equation pairs; those
 pairs are then listed among the facets.
 
-Membership and the ray optimization `min_a_on_ray` run on an exact
-rational simplex whenever the facets have not been materialized; once
-facets exist, sign checks are used.
-Both routes are equivalent: the interior of a full-dimensional cone is its
-relative interior, and relint(cone(G)) consists of the strictly positive
-combinations of all generators.  Strictness is one memoized LP: the cone
-is strict iff no nonzero nonnegative combination of the generators
-vanishes.
+Membership and `min_a_on_ray` solve one LP, the least a with base +
+a*direction in the cone; membership takes v along the generator sum, which
+lies in relint(cone(G)), until the facets exist and their signs decide.
+v is outside iff that least a is positive or none exists, and in the
+relative interior iff it is negative or unbounded below.  Strictness is
+one memoized LP: the cone is strict iff no nonzero nonnegative combination
+of the generators vanishes.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -53,7 +52,7 @@ from .qlinalg import (
     sign_normalized,
     span_dim,
 )
-from .simplex import LPStatus, solve_lp
+from .simplex import LPResult, LPStatus, solve_lp
 
 
 class Containment(Enum):
@@ -203,7 +202,6 @@ class ConeQ:
         "_gens",
         "_gens_int",
         "_dim",
-        "_full_dim",
         "_facets",
         "_facets_int",
         "_facet_gen_masks",
@@ -224,7 +222,6 @@ class ConeQ:
         self._gens_int = tuple(ints)
         self._gens = tuple(VecQ(g) for g in ints)
         self._dim = None
-        self._full_dim = None
         self._facets = None
         self._facets_int = None
         self._facet_gen_masks = None
@@ -237,13 +234,11 @@ class ConeQ:
     def dim(self) -> int:
         """Dimension of the linear span of the cone."""
         if self._dim is None:
-            self._dim = span_dim(self._gens) if self._gens else 0
+            self._dim = span_dim(self._gens_int)
         return self._dim
 
     def is_full_dimensional(self) -> bool:
-        if self._full_dim is None:
-            self._full_dim = self.dim() == self.ambient_dim
-        return self._full_dim
+        return self.dim() == self.ambient_dim
 
     # -- dual description -------------------------------------------------
 
@@ -318,26 +313,16 @@ class ConeQ:
                 if s == 0:
                     boundary = True
             return Containment.BOUNDARY if boundary else Containment.INSIDE
-        return self._contains_lp(v)
-
-    def _contains_lp(self, v: VecQ) -> Containment:
-        gens = self._gens_int
-        d = self.ambient_dim
-        k = len(gens)
-        total = [sum(g[t] for g in gens) for t in range(d)]
-        # columns: mu_1..mu_k, t, slack ; rows: sum mu g + t*total = v, t + slack = 1
-        a_rows = []
-        for t in range(d):
-            a_rows.append([g[t] for g in gens] + [total[t], 0])
-        a_rows.append([0] * k + [1, 1])
-        b = list(v.entries) + [1]
-        c = [0] * k + [-1, 0]
-        res = solve_lp(a_rows, b, c)
+        # the a with v + a*total in the cone form [a*, oo), all of Q, or
+        # nothing when v is off the span (see the module docstring)
+        res = self._ray_lp(v, [sum(col) for col in zip(*self._gens_int)])
         if res.status is LPStatus.INFEASIBLE:
             return Containment.OUTSIDE
-        assert res.status is LPStatus.OPTIMAL
-        t_star = res.x[k]
-        if t_star > 0 and self.is_full_dimensional():
+        k = len(self._gens_int)
+        a = -1 if res.status is LPStatus.UNBOUNDED else res.x[k] - res.x[k + 1]
+        if a > 0:
+            return Containment.OUTSIDE
+        if a < 0 and self.is_full_dimensional():
             return Containment.INSIDE
         return Containment.BOUNDARY
 
@@ -403,7 +388,7 @@ class ConeQ:
             if s == 0:
                 gmask &= m
         gens_in = frozenset(j for j in range(len(self._gens_int)) if gmask >> j & 1)
-        sd = span_dim([self._gens[j] for j in sorted(gens_in)])
+        sd = span_dim([self._gens_int[j] for j in sorted(gens_in)])
         return FaceQ(self, gens_in, sd)
 
     # -- ray optimization ----------------------------------------------------
@@ -420,14 +405,8 @@ class ConeQ:
         combination realizing the boundary point."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
-        gens = self._gens_int
-        k = len(gens)
-        # columns: lam (k), a_plus, a_minus ; rows: sum lam g - a*dir = base
-        a_rows = []
-        for t in range(self.ambient_dim):
-            a_rows.append([g[t] for g in gens] + [-direction[t], direction[t]])
-        c = [0] * k + [1, -1]
-        res = solve_lp(a_rows, list(base.entries), c)
+        k = len(self._gens_int)
+        res = self._ray_lp(base, direction)
         if res.status is LPStatus.INFEASIBLE:
             raise Infeasible("ray never meets the cone")
         if res.status is LPStatus.UNBOUNDED:
@@ -437,6 +416,16 @@ class ConeQ:
             )
         a = res.x[k] - res.x[k + 1]
         return a, res.x[:k]
+
+    def _ray_lp(self, base: VecQ, direction: Sequence) -> LPResult:
+        """The LP min a s.t. base + a*direction is a nonnegative combination
+        of the generators; x is the combination, then a+ and a-."""
+        gens = self._gens_int
+        # columns: lam (k), a_plus, a_minus ; rows: sum lam g - a*dir = base
+        a_rows = [
+            [g[t] for g in gens] + [-direction[t], direction[t]] for t in range(self.ambient_dim)
+        ]
+        return solve_lp(a_rows, list(base.entries), [0] * len(gens) + [1, -1])
 
     def __repr__(self):
         return "ConeQ(dim ambient=%d, generators=%d)" % (

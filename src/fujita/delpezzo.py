@@ -135,10 +135,6 @@ class DelPezzoModel:
         self.zariski_curves = SurfaceCurves(self.negative_curves, self.intersection_form)
         self._variety: VarietyModel | None = None
 
-    @property
-    def r(self) -> int:
-        return 0 if self.quadric else 9 - self.degree
-
     def pair(self, u: VecQ, v: VecQ) -> Fraction:
         ue, ve = u.entries, v.entries
         if self.quadric:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -52,25 +53,19 @@ class FixtureReport:
 def _fixture_dir():
     override = os.environ.get("FUJITA_FIXTURE_DIR")
     if override:
-        return override
+        return pathlib.Path(override)
     return resources.files("fujita") / "fixtures_data"
 
 
 def _iter_fixture_files(directory):
-    if isinstance(directory, str):
-        names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
-        for n in names:
-            with open(os.path.join(directory, n), "r", encoding="utf-8") as fh:
-                yield json.load(fh)
-    else:
-        for entry in sorted(directory.iterdir(), key=lambda p: p.name):
-            if entry.name.endswith(".json"):
-                yield json.loads(entry.read_text(encoding="utf-8"))
+    for entry in sorted(directory.iterdir(), key=lambda p: p.name):
+        if entry.name.endswith(".json"):
+            yield json.loads(entry.read_text(encoding="utf-8"))
 
 
 def load_catalog(directory=None, strict_fan: bool = False) -> dict[str, Fixture]:
     """Load and parse every fixture file, keyed by id."""
-    directory = directory if directory is not None else _fixture_dir()
+    directory = _fixture_dir() if directory is None else pathlib.Path(directory)
     catalog: dict[str, Fixture] = {}
     for doc in _iter_fixture_files(directory):
         fid = doc.get("id")

@@ -17,6 +17,10 @@ rigidity, which the surface and toric verdicts all ask for on the same
 boundary class.  The memos hold frozen results, never exceptions, and their
 bound is fixed.
 
+Membership in the effective cone is asked once, by the stage that needs
+it: `fujita` (is the bundle big), `SubvarietyDatum` (is the restricted
+bundle big) and the rigidity route (is the class pseudo-effective).
+
 Subvariety data (the subvariety's own model and the restricted bundle) is
 explicit user input: computing restriction maps between Neron-Severi
 lattices is a case-by-case geometric task, so fixtures carry the restricted
@@ -109,9 +113,6 @@ class VarietyModel:
     def is_big(self, d: DivisorClass) -> bool:
         return self.eff_cone.contains(d) is Containment.INSIDE
 
-    def is_pseudo_effective(self, d: DivisorClass) -> bool:
-        return self.eff_cone.contains(d) is not Containment.OUTSIDE
-
 
 @dataclass(frozen=True)
 class FujitaResult:
@@ -201,10 +202,9 @@ def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
     Surfaces with negative-curve data use the Zariski route (rigid iff the
     positive part vanishes); toric models use the divisor polytope (rigid
     iff dimension zero); a raw model without an intersection form has no
-    rigidity oracle.
+    rigidity oracle.  Each route raises NotPseudoEffective on a class
+    outside the effective cone, asking the cone itself when it must.
     """
-    if m.eff_cone.contains(d) is Containment.OUTSIDE:
-        raise NotPseudoEffective(f"class is not pseudo-effective on {m.name!r}")
     prov = m.provenance
     if isinstance(prov, Toric):
         from . import toric
@@ -214,6 +214,8 @@ def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
         from . import delpezzo
 
         return delpezzo.zariski_for_variety(m, d).positive.is_zero()
+    if m.eff_cone.contains(d) is Containment.OUTSIDE:
+        raise NotPseudoEffective(f"class is not pseudo-effective on {m.name!r}")
     raise RigidityUndecidable(
         f"model {m.name!r} carries neither surface nor toric rigidity data"
     )
@@ -223,9 +225,8 @@ def balanced_verdict(
     m: VarietyModel, bundle: DivisorClass, y: SubvarietyDatum
 ) -> BalancedVerdict:
     """Lexicographic comparison of the (a, b) pairs of the ambient model and
-    a subvariety datum."""
-    if not y.model.is_big(y.restricted_bundle):
-        raise BigFailureOnY(f"restricted bundle on {y.name!r} is not big")
+    a subvariety datum.  The datum checked its restricted bundle big when
+    it was built."""
     pair_x = invariant_pair(m, bundle)
     pair_y = invariant_pair(y.model, y.restricted_bundle)
     if pair_y > pair_x:

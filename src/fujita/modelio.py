@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import delpezzo, toric
-from .errors import SchemaError
-from .invariants import SubvarietyDatum, VarietyModel
+from .cones import ConeQ
+from .errors import BigFailureOnY, DegreeOutOfRange, InvalidModel, SchemaError
+from .invariants import DelPezzo, SubvarietyDatum, Toric, VarietyModel
 from .qlinalg import MatQ, VecQ
 
 _FIXTURE_KEYS = {"id", "description", "source", "expected", "name"}
@@ -128,9 +129,6 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
         form = None
         if node.get("intersection_form") is not None:
             form = parse_int_matrix(node["intersection_form"], f"{path}.intersection_form", parse_rational)
-        from .cones import ConeQ
-        from .errors import InvalidModel
-
         try:
             variety = VarietyModel(
                 name=str(node.get("name", "lattice-model")),
@@ -148,8 +146,6 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
         quadric = node.get("quadric", False)
         if not isinstance(quadric, bool):
             raise SchemaError("'quadric' must be a boolean", f"{path}.quadric")
-        from .errors import DegreeOutOfRange
-
         try:
             surf = delpezzo.quadric_surface() if quadric else delpezzo.del_pezzo(degree)
         except DegreeOutOfRange as e:
@@ -168,8 +164,6 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
         smooth = node.get("smooth", False)
         if not isinstance(smooth, bool):
             raise SchemaError("'smooth' must be a boolean", f"{path}.smooth")
-        from .errors import InvalidModel
-
         try:
             fan = toric.Fan(rays, cones, require_smooth=smooth, strict=strict_fan)
         except InvalidModel as e:
@@ -231,8 +225,6 @@ def parse_problem(doc: dict, strict_fan: bool = False) -> LoadedProblem:
             raise SchemaError("subvariety needs a string 'name'", f"{spath}.name")
         smodel = _parse_model(sub.get("model"), f"{spath}.model", strict_fan)
         sbundle, _ = _parse_bundle(sub.get("restricted_bundle"), smodel, f"{spath}.restricted_bundle")
-        from .errors import BigFailureOnY, InvalidModel
-
         try:
             datum = SubvarietyDatum(name, smodel.variety, sbundle)
         except (BigFailureOnY, InvalidModel) as e:
@@ -305,8 +297,6 @@ def problem_to_dict(problem: LoadedProblem) -> dict:
 
 
 def _loaded_from_variety(variety: VarietyModel) -> LoadedModel:
-    from .invariants import DelPezzo, Toric
-
     prov = variety.provenance
     if isinstance(prov, DelPezzo):
         surf = delpezzo.quadric_surface() if prov.quadric else delpezzo.del_pezzo(prov.degree)

@@ -266,14 +266,14 @@ def rank(m: MatQ) -> int:
     return len(pivots)
 
 
-def span_dim(vectors: Sequence[VecQ]) -> int:
-    """Dimension of the rational span of the given vectors."""
+def span_dim(vectors: Sequence[Sequence]) -> int:
+    """Dimension of the rational span of the given equal-length vectors."""
     vs = list(vectors)
     if not vs:
         return 0
-    d = vs[0].dim
+    d = len(vs[0])
     for v in vs:
-        if v.dim != d:
+        if len(v) != d:
             raise DimensionMismatch("vectors of mixed dimension")
     rows = [scaled_ints(v)[0] for v in vs]
     _, pivots = _bareiss_echelon(rows, d)

@@ -336,7 +336,6 @@ class DivisorPolytope:
     the rays whose inequality holds with equality on the whole polytope;
     `sample_point` is a relative-interior point, strict on every other ray."""
 
-    inequalities: tuple[tuple[VecQ, Fraction], ...]
     dim: int
     sample_point: VecQ | None
     tight_rays: tuple[int, ...]
@@ -356,7 +355,6 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
     a = [as_rat(x) for x in coeffs]
     if len(a) != k:
         raise InvalidModel("coefficient count does not match ray count")
-    ineqs = tuple([(VecQ(v), ai) for v, ai in zip(f.rays, a)])
     # columns: m+ (n), m- (n), slack (k) ; rows: <m, v_i> - slack_i = -a_i
     rows = []
     for i, v in enumerate(f.rays):
@@ -365,11 +363,11 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
         rows.append(row)
     found = positive_support(rows, [-x for x in a], range(2 * n, 2 * n + k))
     if found is None:
-        return DivisorPolytope(ineqs, -1, None, ())
+        return DivisorPolytope(-1, None, ())
     slack, x = found
     tight = tuple([i for i in range(k) if 2 * n + i not in slack])
-    dim = n - span_dim([VecQ(f.rays[i]) for i in tight])
-    return DivisorPolytope(ineqs, dim, VecQ([x[t] - x[n + t] for t in range(n)]), tight)
+    dim = n - span_dim([f.rays[i] for i in tight])
+    return DivisorPolytope(dim, VecQ([x[t] - x[n + t] for t in range(n)]), tight)
 
 
 def polytope_dim(f: Fan, coeffs) -> int:

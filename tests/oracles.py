@@ -13,8 +13,10 @@ the pruned (-1)-curve recursion, one rational solve per cone and
 direction checks the integer fan-coverage test, the Fraction loop checks
 the integer Zariski kernel, one rational solve on the pivot rays checks
 the integer toric class map, reduction to the span with a Gram lift checks
-the one-DD dual of lower-dimensional cones, and a nullspace wall normal
-with a Fraction lattice walk checks the strict fan checks.
+the one-DD dual of lower-dimensional cones, a nullspace wall normal
+with a Fraction lattice walk checks the strict fan checks, and an LP of
+another shape (v minus a bounded multiple of the generator sum) checks
+membership by the ray LP.
 """
 
 from fractions import Fraction
@@ -138,6 +140,31 @@ def minimal_face_generators_lp(cone, v) -> frozenset:
         if res.status is LPStatus.OPTIMAL and res.x[k] > 0:
             out.add(i)
     return frozenset(out)
+
+
+def contains_by_lp(cone, v) -> Containment:
+    """Membership before facets exist, by the LP max t <= 1 with v - t*total
+    a nonnegative combination of the generators, total their sum: v is in
+    the cone iff t = 0 is feasible, and in its relative interior iff t* > 0."""
+    gens = cone._gens_int
+    d = cone.ambient_dim
+    k = len(gens)
+    total = [sum(g[t] for g in gens) for t in range(d)]
+    # columns: mu_1..mu_k, t, slack ; rows: sum mu g + t*total = v, t + slack = 1
+    a_rows = []
+    for t in range(d):
+        a_rows.append([g[t] for g in gens] + [total[t], 0])
+    a_rows.append([0] * k + [1, 1])
+    b = list(v.entries) + [1]
+    c = [0] * k + [-1, 0]
+    res = solve_lp(a_rows, b, c)
+    if res.status is LPStatus.INFEASIBLE:
+        return Containment.OUTSIDE
+    assert res.status is LPStatus.OPTIMAL
+    t_star = res.x[k]
+    if t_star > 0 and cone.is_full_dimensional():
+        return Containment.INSIDE
+    return Containment.BOUNDARY
 
 
 def add_fractions_bigint(an, ad, bn, bd):

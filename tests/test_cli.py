@@ -237,6 +237,30 @@ class TestZariskiCommand:
         code, out = run_cli(capsys, "zariski", fixture_path("p2-toric"), "--json")
         assert code == 2
 
+    @pytest.mark.parametrize("model", [{"degree": 8}, {"degree": 6}])
+    def test_exit_3_outside_cone(self, capsys, tmp_path, model):
+        # an outside class is not big either; on degree 6 the kernel fails
+        # first and the cone is asked after it
+        bundle = [-1, 0] if model["degree"] == 8 else [-1, 0, 0, 0]
+        path = write(tmp_path, {"model": {"kind": "del_pezzo", **model}, "line_bundle": bundle})
+        code, out = run_cli(capsys, "zariski", path, "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": {"code": "not_pseudo_effective", "message": "class is not pseudo-effective"}
+        }
+
+    def test_exit_3_outside_cone_human(self, capsys, tmp_path):
+        path = write(
+            tmp_path,
+            {"model": {"kind": "del_pezzo", "degree": 8}, "line_bundle": [-1, 0]},
+        )
+        code, out = run_cli(capsys, "zariski", path)
+        assert code == 3
+        assert out == (
+            f"== {path}\n"
+            "error (not_pseudo_effective): class is not pseudo-effective\n"
+        )
+
 
 class TestFixturesCommand:
     def test_list(self, capsys):

@@ -20,6 +20,7 @@ from fujita.qlinalg import VecQ, span_dim
 from conftest import counting, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
+    contains_by_lp,
     facets_of_degenerate_by_reduction,
     fm_facets,
     minimal_face_generators_lp,
@@ -171,6 +172,38 @@ class TestContains:
             for _ in range(40):
                 v = random_rational_vector(rng, c.ambient_dim, (-5, 5), (1, 3))
                 assert lazy.contains(v) is eager.contains(v), name
+
+    def test_ray_lp_matches_bounded_lp_oracle(self):
+        # strict and non-strict, full and lower-dimensional cones in
+        # dimensions 1-4, asked before their facets exist; the vectors are
+        # random points, generators, positive combinations and zero
+        rng = random.Random(1307)
+        seen = {}
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            r = rng.randint(1, d)
+            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+            lo = rng.choice([0, -1])
+            gens = []
+            for _ in range(rng.randint(1, 5)):
+                coefs = [rng.randint(lo, 3) for _ in range(r)]
+                gens.append([sum(c * b[t] for c, b in zip(coefs, basis)) for t in range(d)])
+            c = ConeQ(gens, ambient_dim=d)
+            if not c.generators:
+                continue
+            kind = (c.is_strict(), c.is_full_dimensional())
+            probes = [VecQ.zero(d), c.generators[0]]
+            probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(3)]
+            for _ in range(3):
+                weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in gens]
+                probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
+            for v in probes:
+                got = c.contains(v)
+                assert got is contains_by_lp(c, v), (gens, v)
+                seen.setdefault(kind, set()).add(got)
+            assert c._facets is None
+        assert set(seen) == {(s, f) for s in (True, False) for f in (True, False)}
+        assert set().union(*seen.values()) == set(Containment)
 
     def test_zero_vector(self):
         c = FIXTURE_CONES["orthant2"]

@@ -10,6 +10,7 @@ from fujita.errors import (
     InvalidModel,
     KPseudoEffective,
     NotBig,
+    NotPseudoEffective,
     RigidityUndecidable,
 )
 from fujita.invariants import (
@@ -24,6 +25,7 @@ from fujita.invariants import (
     is_rigid_class,
 )
 from fujita.qlinalg import MatQ, VecQ
+from fujita.toric import Fan, ns_presentation, variety_model
 from conftest import vec
 
 
@@ -164,6 +166,36 @@ class TestRigidity:
     def test_raw_without_form_undecidable(self):
         with pytest.raises(RigidityUndecidable):
             is_rigid_class(CUBIC_3FOLD, vec(1))
+
+    @pytest.mark.parametrize(
+        "route", ["toric", "dp2", "dp5", "dp7", "dp8", "dp9", "quadric", "lattice-form", "raw"]
+    )
+    def test_outside_class_not_pseudo_effective_on_every_route(self, route):
+        # each route decides membership itself; the exception type is the
+        # same whichever route raises it
+        if route == "toric":
+            p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+            m = variety_model(p2)
+            outside = ns_presentation(p2).divisor_class([-1, 0, 0])
+        elif route.startswith("dp"):
+            surf = del_pezzo(int(route[2:]))
+            m, outside = surf.variety(), surf.canonical
+        elif route == "quadric":
+            m, outside = quadric_surface().variety(), vec(-1, 0)
+        elif route == "lattice-form":
+            quad = quadric_surface().variety()
+            m = VarietyModel(
+                "raw-quadric",
+                2,
+                quad.canonical,
+                ConeQ([vec(1, 0), vec(0, 1)]),
+                intersection_form=quad.intersection_form,
+            )
+            outside = vec(1, -1)
+        else:
+            m, outside = CUBIC_3FOLD, vec(-1)
+        with pytest.raises(NotPseudoEffective):
+            is_rigid_class(m, outside)
 
     def test_raw_with_form_uses_zariski(self):
         quad = quadric_surface().variety()

@@ -191,6 +191,7 @@ def _query_path_sites():
     rational = VecQ([F(1, 2), F(2, 3), 5])
     integral = VecQ([4, -1, 0, 7])
     cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    lp_cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])  # never dualized
     face = cone.minimal_face(VecQ([1, 1, 0]))
     p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     surf = del_pezzo(8)
@@ -198,7 +199,7 @@ def _query_path_sites():
         "VecQ": lambda: VecQ([F(1, 2), 3, -1]),
         "scaled_ints": lambda: (scaled_ints(rational), scaled_ints(integral)),
         "FaceQ.generator_vectors": face.generator_vectors,
-        "ConeQ._contains_lp": lambda: cone._contains_lp(rational),
+        "ConeQ.contains (ray LP)": lambda: lp_cone.contains(rational),
         "solve (kernel)": lambda: solve(MatQ([[1, 1, 1]]), VecQ([1])),
         "divisor_polytope": lambda: divisor_polytope(p2, [1, 1, 1]),
         "_zariski (support)": lambda: _zariski(surf.zariski_curves, VecQ([1, 1])),

@@ -347,10 +347,11 @@ class TestPolytopes:
                 assert polytope_dim(f, [n * c for c in coeffs]) == base
 
     def test_sample_point_satisfies_inequalities(self):
-        poly = divisor_polytope(bl1p2_fan(), [1, 0, 1, 0])
+        fan, coeffs = bl1p2_fan(), [1, 0, 1, 0]
+        poly = divisor_polytope(fan, coeffs)
         assert poly.sample_point is not None
-        for ray, a in poly.inequalities:
-            assert ray.dot(poly.sample_point) >= -a
+        for ray, a in zip(fan.rays, coeffs):
+            assert VecQ(ray).dot(poly.sample_point) >= -a
 
 
 def _random_polytopes(toric_fans, per_fan=10):
@@ -386,7 +387,7 @@ def test_sample_point_has_zero_slack_exactly_on_tight_rays(toric_fans):
         poly = divisor_polytope(fan, coeffs)
         if poly.dim < 0:
             continue
-        slack = [ray.dot(poly.sample_point) + a for ray, a in poly.inequalities]
+        slack = [VecQ(ray).dot(poly.sample_point) + a for ray, a in zip(fan.rays, coeffs)]
         assert all(s >= 0 for s in slack), (name, coeffs)
         assert {i for i, s in enumerate(slack) if s == 0} == set(poly.tight_rays), (name, coeffs)
 
