@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import delpezzo, fixtures, invariants, modelio
 from .errors import (
@@ -158,6 +159,28 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _batch(items: list, jobs: int, run_one, run_share) -> list:
+    """The results for the items, in item order.  With one worker,
+    run_one(item) runs each in this process; otherwise each worker of a
+    process pool takes every workers-th item and runs run_share(share),
+    which returns the share's results in order, so a worker's set-up (such
+    as a catalog load) happens once per worker."""
+    workers = _workers(jobs, len(items))
+    if workers <= 1:
+        return [run_one(item) for item in items]
+    results: list = [None] * len(items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        shares = [items[w::workers] for w in range(workers)]
+        for w, share in enumerate(pool.map(run_share, shares)):
+            results[w::workers] = share
+    return results
+
+
+def _process_files(tasks: list[tuple[str, str, bool]]) -> list[tuple[int, dict | list]]:
+    """Worker task: run a share of the files."""
+    return [_process_file(t) for t in tasks]
+
+
 def _process_file(args: tuple[str, str, bool]) -> tuple[int, dict | list]:
     command, path, strict_fan = args
     try:
@@ -208,12 +231,7 @@ def _emit_human(command: str, path: str, payload) -> None:
 
 def _run_files(command: str, paths: list[str], as_json: bool, jobs: int, strict_fan: bool) -> int:
     tasks = [(command, p, strict_fan) for p in paths]
-    workers = _workers(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_process_file, tasks))
-    else:
-        results = [_process_file(t) for t in tasks]
+    results = _batch(tasks, jobs, _process_file, _process_files)
     exit_code = EXIT_OK
     for path, (code, payload) in zip(paths, results):
         if as_json:
@@ -237,9 +255,8 @@ def _fixture_report(fixture: fixtures.Fixture) -> dict:
     }
 
 
-def _run_fixture_ids(args: tuple[list[str], bool]) -> list[dict]:
+def _run_fixture_ids(ids: list[str], strict_fan: bool) -> list[dict]:
     """Worker task: load the catalog once and run a share of the fixture ids."""
-    ids, strict_fan = args
     catalog = fixtures.load_catalog(strict_fan=strict_fan)
     return [_fixture_report(catalog[fid]) for fid in ids]
 
@@ -265,15 +282,12 @@ def _cmd_fixtures(ns) -> int:
     if missing:
         print(f"unknown fixture ids: {', '.join(missing)}", file=sys.stderr)
         return EXIT_SCHEMA
-    workers = _workers(ns.jobs, len(ids))
-    if workers > 1:
-        shares = [(ids[w::workers], ns.strict_fan) for w in range(workers)]
-        reports: list = [None] * len(ids)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for w, share in enumerate(pool.map(_run_fixture_ids, shares)):
-                reports[w::workers] = share
-    else:
-        reports = [_fixture_report(catalog[fid]) for fid in ids]
+    reports = _batch(
+        ids,
+        ns.jobs,
+        lambda fid: _fixture_report(catalog[fid]),
+        partial(_run_fixture_ids, strict_fan=ns.strict_fan),
+    )
     all_passed = all(r["passed"] for r in reports)
     if ns.json:
         print(_json_dumps(reports))

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import qlinalg
@@ -45,6 +44,7 @@ from .errors import (
 from .qlinalg import (
     MatQ,
     VecQ,
+    idot,
     pivot_columns,
     primitive_int,
     scaled_ints,
@@ -59,10 +59,6 @@ class Containment(Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
     OUTSIDE = "outside"
-
-
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 def positive_support(
@@ -135,7 +131,7 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
 
     for ci in rest:
         g = cons[ci]
-        vals = [_idot(g, r) for r in rays]
+        vals = [idot(g, r) for r in rays]
         bit = 1 << nproc
         nproc += 1
         if all(v >= 0 for v in vals):
@@ -281,7 +277,7 @@ class ConeQ:
         for f in facets_int:
             m = 0
             for j, g in enumerate(gens):
-                if _idot(f, g) == 0:
+                if idot(f, g) == 0:
                     m |= 1 << j
             masks.append(m)
         self._facet_gen_masks = tuple(masks)
@@ -307,7 +303,7 @@ class ConeQ:
             vi, _ = scaled_ints(v)
             boundary = False
             for f in self._facets_int:
-                s = _idot(f, vi)
+                s = idot(f, vi)
                 if s < 0:
                     return Containment.OUTSIDE
                 if s == 0:
@@ -382,7 +378,7 @@ class ConeQ:
         masks = self._facet_gen_masks
         gmask = (1 << len(self._gens_int)) - 1
         for f, m in zip(self._facets_int, masks):
-            s = _idot(f, vi)
+            s = idot(f, vi)
             if s < 0:
                 raise OutsideCone(f"{v!r} is outside the cone")
             if s == 0:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import invariants
-from .cones import ConeQ, Containment, _idot
+from .cones import ConeQ, Containment
 from .errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
@@ -44,7 +44,7 @@ from .errors import (
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, primitive_int, scaled_ints, scaled_inverse
+from .qlinalg import MatQ, VecQ, as_rat, idot, primitive_int, scaled_ints, scaled_inverse
 
 
 @lru_cache(maxsize=None)
@@ -136,13 +136,7 @@ class DelPezzoModel:
         self._variety: VarietyModel | None = None
 
     def pair(self, u: VecQ, v: VecQ) -> Fraction:
-        ue, ve = u.entries, v.entries
-        if self.quadric:
-            return ue[0] * ve[1] + ue[1] * ve[0]
-        s = ue[0] * ve[0]
-        for a, b in zip(ue[1:], ve[1:]):
-            s -= a * b
-        return s
+        return self.variety().pair(u, v)
 
     def variety(self) -> VarietyModel:
         if self._variety is None:
@@ -207,7 +201,7 @@ class SurfaceCurves:
 
     def image(self, v: Sequence[int]) -> list[int]:
         """form times the integer vector v."""
-        return [_idot(row, v) for row in self.form]
+        return [idot(row, v) for row in self.form]
 
 
 def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
@@ -240,7 +234,7 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
     residual = big_d
     rounds = 0
     while True:
-        new = [i for i in range(k) if not in_support[i] and _idot(residual, images[i]) < 0]
+        new = [i for i in range(k) if not in_support[i] and idot(residual, images[i]) < 0]
         if not new:
             break
         rounds += 1
@@ -249,12 +243,12 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
         support.extend(new)
         for i in new:
             in_support[i] = True
-        gram = [[_idot(ints[i], images[j]) for j in support] for i in support]
+        gram = [[idot(ints[i], images[j]) for j in support] for i in support]
         det, inverse = scaled_inverse(gram)
         if det == 0:
             raise InternalNonTermination("support Gram system is degenerate")
-        rhs = [_idot(big_d, images[i]) for i in support]
-        ys = [_idot(row, rhs) for row in inverse]
+        rhs = [idot(big_d, images[i]) for i in support]
+        ys = [idot(row, rhs) for row in inverse]
         if any(y <= 0 for y in ys):
             raise InternalNonTermination("nonpositive multiplicity in support")
         residual = [det * x for x in big_d]
@@ -342,7 +336,7 @@ def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, 
     if dec.positive.is_zero():
         return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), dec.positive
     p = primitive_int(dec.positive)
-    if _idot(p, m.zariski_curves.image(p)) != 0:
+    if idot(p, m.zariski_curves.image(p)) != 0:
         raise InternalNonTermination(
             "positive part of a boundary class must have square zero"
         )

@@ -8,7 +8,11 @@ values, so everything here is safe to share between threads.
 Elimination is fraction-free in the Bareiss style: rows are cleared to
 integers and updated by the exact two-by-two determinant recurrence, which
 keeps intermediate entries polynomially bounded (naive rational elimination
-explodes denominators already on rank-9 del Pezzo Gram systems).
+explodes denominators already on rank-9 del Pezzo Gram systems).  `pivot`
+is the one row update in the package: the simplex tableau, the
+Gauss-Jordan form behind rank, pivot columns, inverses and solves, and the
+symmetric reduction of `inertia` all run on it.  Rows share one
+denominator, kept positive, so stored signs are true signs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -214,56 +219,65 @@ class MatQ:
         return "MatQ(%d x %d)" % (self.rows, self.cols)
 
 
-def _bareiss_echelon(
-    rows: list[list[int]], limit_cols: int, jordan: bool = False
-) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form in place; pivots restricted to the
-    first `limit_cols` columns.  Returns (rows, pivot column list).
+def idot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Dot product of two integer sequences."""
+    return sum(map(mul, a, b))
 
-    With `jordan` the same update also clears each pivot column above the
-    pivot (fraction-free Gauss-Jordan).  After k pivots the pivot rows are
-    adj(A_k) times the original rows, A_k the k x k pivot block, so the
-    divisions stay exact above the pivot as they do below it; columns left
-    of the current pivot are not kept up to date."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+
+def pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free pivot on (r, c) of integer rows over the common
+    denominator d > 0; returns the new denominator.
+
+    The rows stand for rows / d.  Every other row becomes (p*a - f*b) // d,
+    p the pivot and f its entry in column c; the quotient is exact by
+    Sylvester's identity (Bareiss 1968), as every stored entry is a minor
+    of the integer input.  The pivot row is kept and p is the new
+    denominator.  A negative p is handled by negating the pivot row first,
+    which negates the whole new tableau, so the denominator stays positive
+    and stored signs are true signs."""
+    piv_row = rows[r]
+    p = piv_row[c]
+    if p < 0:
+        rows[r] = piv_row = [-v for v in piv_row]
+        p = -p
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f == 0:
+            if p != d:
+                rows[i] = [p * a // d for a in row]
+        else:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, piv_row)]
+    return p
+
+
+def _jordan(rows: list[list[int]], limit_cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan form in place by `pivot`, pivots
+    restricted to the first `limit_cols` columns and taken in column order
+    from the first row at or below the current one.  Returns (rows, pivot
+    column list, d): pivot row k holds d on its pivot column and d times
+    the reduced row echelon form, the rows after the pivots are zero on the
+    first `limit_cols` columns, and d is the absolute value of the pivot
+    block's determinant."""
     pivots: list[int] = []
-    r = 0
-    prev = 1
+    d = 1
     for c in range(limit_cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        top = rows[r]
-        for i in range(0 if jordan else r + 1, len(rows)):
-            if i == r:
-                continue
-            cur = rows[i]
-            vi = cur[c]
-            # full Bareiss update even when vi == 0 keeps divisions exact
-            for j in range(c + 1, ncols):
-                cur[j] = (pv * cur[j] - vi * top[j]) // prev
-            cur[c] = 0
-        prev = pv
+        d = pivot(rows, r, c, d)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return rows, pivots, d
 
 
 def rank(m: MatQ) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    rows = [scaled_ints(r)[0] for r in m.row_list()]
-    _, pivots = _bareiss_echelon(rows, m.cols)
-    return len(pivots)
+    return span_dim(m.row_list())
 
 
 def span_dim(vectors: Sequence[Sequence]) -> int:
@@ -275,9 +289,7 @@ def span_dim(vectors: Sequence[Sequence]) -> int:
     for v in vs:
         if len(v) != d:
             raise DimensionMismatch("vectors of mixed dimension")
-    rows = [scaled_ints(v)[0] for v in vs]
-    _, pivots = _bareiss_echelon(rows, d)
-    return len(pivots)
+    return len(_jordan([scaled_ints(v)[0] for v in vs], d)[1])
 
 
 def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
@@ -286,28 +298,24 @@ def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
     vs = list(vectors)
     if not vs:
         return []
-    _, pivots = _bareiss_echelon([scaled_ints(r)[0] for r in zip(*vs)], len(vs))
-    return pivots
+    return _jordan([scaled_ints(r)[0] for r in zip(*vs)], len(vs))[1]
 
 
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
     """|det m| and the integer matrix |det m| * m^-1 of a square integer
     matrix m, or (0, None) when m is singular.
 
-    Fraction-free Gauss-Jordan on [m | I] leaves d m^-1 in the right half,
-    where the last pivot d is det m up to the sign of the row swaps."""
+    Fraction-free Gauss-Jordan on [m | I] leaves d * [I | m^-1], where the
+    last denominator d is |det m|."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"{n}-row matrix is not square")
     if n == 0:
         return 1, []
     aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    aug, pivots = _bareiss_echelon(aug, n, jordan=True)
+    aug, pivots, d = _jordan(aug, n)
     if len(pivots) < n:
         return 0, None
-    d = aug[n - 1][n - 1]
-    if d < 0:
-        return -d, [[-x for x in r[n:]] for r in aug]
     return d, [r[n:] for r in aug]
 
 
@@ -338,31 +346,23 @@ def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:
         raise DimensionMismatch(f"{m.rows} rows vs rhs of dim {rhs.dim}")
     n = m.cols
     aug = [scaled_ints(list(r.entries) + [b])[0] for r, b in zip(m.row_list(), rhs)]
-    aug, pivots = _bareiss_echelon(aug, n)
-    nrows = len(aug)
-    for i in range(len(pivots), nrows):
-        if aug[i][n] != 0:
-            return None
-
-    free_cols = [c for c in range(n) if c not in pivots]
-
-    def back_substitute(freevals: dict[int, Fraction], b_on: bool) -> VecQ:
-        x: list[Fraction] = [Fraction(0)] * n
-        for c, val in freevals.items():
-            x[c] = val
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = aug[k]
-            s = Fraction(row[n]) if b_on else Fraction(0)
-            for j in range(c + 1, n):
-                if row[j] != 0 and x[j] != 0:
-                    s -= row[j] * x[j]
-            x[c] = s / row[c]
-        return VecQ(x)
-
-    particular = back_substitute({}, True)
-    kernel = tuple([back_substitute({f: Fraction(1)}, False) for f in free_cols])
-    return LinearSolution(particular, kernel)
+    aug, pivots, d = _jordan(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    # pivot row k reads d * x[pivots[k]] + sum over free f of row[f] * x[f] = row[n]
+    particular = [Fraction(0)] * n
+    for k, c in enumerate(pivots):
+        particular[c] = Fraction(aug[k][n], d)
+    kernel = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for k, c in enumerate(pivots):
+            x[c] = Fraction(-aug[k][f], d)
+        kernel.append(VecQ(x))
+    return LinearSolution(VecQ(particular), tuple(kernel))
 
 
 def nullspace(m: MatQ) -> tuple[VecQ, ...]:
@@ -376,41 +376,39 @@ def inertia(m: MatQ) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric rational matrix,
     by exact symmetric congruence reduction (Sylvester's law).
 
-    Only the trailing submatrix a[i:, i:] is kept current; it stays symmetric
-    because the row-only Schur update a'[k][j] = a[k][j] - a[k][i]a[i][j]/d
-    already is the symmetric Schur complement.
+    The form is scaled to integers once; a positive multiple has the same
+    signature.  Only the trailing block is kept, and `pivot` keeps it equal
+    to d times the Schur complement with d > 0, so it stays symmetric and
+    the sign of each diagonal pivot is a true sign.
     """
     if not m.is_symmetric():
         raise DimensionMismatch("matrix is not symmetric")
     n = m.rows
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    flat, _ = scaled_ints([x for row in m.row_list() for x in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    d = 1
     pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+    while a:
+        if a[0][0] == 0:
+            swap = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
             if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[i], row[swap] = row[swap], row[i]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                mate = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                mate = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
                 if mate is None:
                     zero += 1
+                    a = [row[1:] for row in a[1:]]
                     continue
-                # symmetric row+column addition, a[i][i] becomes 2*a[i][mate]
-                for j in range(i, n):
-                    a[i][j] += a[mate][j]
-                for j in range(i, n):
-                    a[j][i] += a[j][mate]
-        d = a[i][i]
-        if d > 0:
+                # symmetric row+column addition, a[0][0] becomes 2*a[0][mate]
+                a[0] = [x + y for x, y in zip(a[0], a[mate])]
+                for row in a:
+                    row[0] += row[mate]
+        if a[0][0] > 0:
             pos += 1
         else:
             neg += 1
-        for k in range(i + 1, n):
-            f = a[k][i] / d
-            if f == 0:
-                continue
-            for j in range(i + 1, n):
-                a[k][j] -= f * a[i][j]
+        d = pivot(a, 0, 0, d)
+        a = [row[1:] for row in a[1:]]
     return pos, neg, zero

@@ -10,11 +10,12 @@ the style of lrs (Avis 2000):
 * Every row, the reduced-cost row included, shares one denominator D > 0,
   the absolute value of the current basis determinant: the true tableau is
   T / D.  The artificial start basis is the identity, so D starts at 1.
-* A pivot on entry p sets each other row to (p*a - f*b) // D.  The quotient
-  is exact by Sylvester's identity (Bareiss 1968): every stored entry is a
-  minor of the integer input.  The pivot row is kept and D becomes p.  A
-  negative p, which only the artificial drive-out step can pick, is handled
-  by negating the pivot row first, which negates the whole new tableau.
+* Every pivot is `qlinalg.pivot`, the package's one elimination step: each
+  other row becomes (p*a - f*b) // D, exact by Sylvester's identity
+  (Bareiss 1968), the pivot row is kept and D becomes p.  A negative p,
+  which only the artificial drive-out step can pick, is handled by
+  negating the pivot row first, so D stays positive.  `solve_lp` keeps
+  the basis itself.
 
 Because D > 0, the sign of a stored reduced cost is the sign of the true
 one, and the ratio test compares rhs_i / a_i by cross-multiplication.  So
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .qlinalg import scaled_ints
+from .qlinalg import pivot, scaled_ints
 
 
 class LPStatus(Enum):
@@ -49,26 +50,6 @@ class LPResult:
     status: LPStatus
     objective: Fraction | None
     x: tuple[Fraction, ...] | None
-
-
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
-    """Pivot on (row, col) of a tableau over denominator d; returns the new one."""
-    piv_row = tableau[row]
-    p = piv_row[col]
-    if p < 0:
-        tableau[row] = piv_row = [-v for v in piv_row]
-        p = -p
-    for i, r in enumerate(tableau):
-        if i == row:
-            continue
-        f = r[col]
-        if f == 0:
-            if p != d:
-                tableau[i] = [p * a // d for a in r]
-        else:
-            tableau[i] = [(p * a - f * b) // d for a, b in zip(r, piv_row)]
-    basis[row] = col
-    return p
 
 
 def _run_phase(tableau, basis, n, m, d) -> tuple[bool, int]:
@@ -99,7 +80,8 @@ def _run_phase(tableau, basis, n, m, d) -> tuple[bool, int]:
                     leave, a_best, rhs_best = i, a, rhs
         if leave < 0:
             return False, d
-        d = _pivot(tableau, basis, leave, enter, d)
+        d = pivot(tableau, leave, enter, d)
+        basis[leave] = enter
 
 
 def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
@@ -151,7 +133,8 @@ def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
             if col is None:
                 drop.append(i)
             else:
-                d = _pivot(tableau, basis, i, col, d)
+                d = pivot(tableau, i, col, d)
+                basis[i] = col
     if drop:
         tableau = [r for i, r in enumerate(tableau[:m]) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import invariants, qlinalg
-from .cones import ConeQ, Containment, _idot, positive_support
+from .cones import ConeQ, Containment, positive_support
 from .errors import (
     IncompleteFan,
     InvalidModel,
@@ -48,7 +48,7 @@ from .errors import (
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, scaled_ints, scaled_inverse, span_dim
+from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 
@@ -153,7 +153,7 @@ class Fan:
                 c = self.max_cones[first]
                 j = next(p for p, i in enumerate(c) if i not in ridge)
                 extra = next(i for i in self.max_cones[other] if i not in ridge)
-                if _idot(inverses[first][j], self.rays[extra]) >= 0:
+                if idot(inverses[first][j], self.rays[extra]) >= 0:
                     raise IncompleteFan(
                         f"maximal cones on wall {ridge} do not cover both sides"
                     )
@@ -183,7 +183,7 @@ class Fan:
                         continue
                     if sum(nxt) <= d:
                         rows = zip(*[self.rays[i] for i in c])
-                        pt = tuple([_idot(row, nxt) // d for row in rows])
+                        pt = tuple([idot(row, nxt) // d for row in rows])
                         raise NonTerminalCone(
                             f"cone {c} contains the lattice point {pt} of conv(0, rays)"
                         )
@@ -212,7 +212,7 @@ def covering_cones(n: int, inverses) -> list[int]:
         generic = True
         hits = []
         for c, inverse in enumerate(inverses):
-            lam = [sum([a * b for a, b in zip(row, w)]) for row in inverse]
+            lam = [idot(row, w) for row in inverse]
             if 0 in lam:
                 generic = False
                 break
@@ -273,7 +273,7 @@ class NSPresentation:
         det = self.pivot_det
         return VecQ(
             [
-                Fraction(det * ints[i] - _idot(row, pivot), det * den)
+                Fraction(det * ints[i] - idot(row, pivot), det * den)
                 for i, row in zip(self.basis_rays, self.basis_rows)
             ]
         )
@@ -300,7 +300,7 @@ def ns_presentation(f: Fan) -> NSPresentation:
     basis = tuple(i for i in range(len(f.rays)) if i not in pivots)
     det, inverse = scaled_inverse([f.rays[i] for i in pivots])
     columns = list(zip(*inverse))
-    rows = tuple([tuple([_idot(f.rays[i], col) for col in columns]) for i in basis])
+    rows = tuple([tuple([idot(f.rays[i], col) for col in columns]) for i in basis])
     pres = NSPresentation(f, len(basis), tuple(pivots), basis, det, rows, ())
     classes = tuple(
         pres.divisor_class([1 if j == i else 0 for j in range(len(f.rays))])
@@ -457,14 +457,14 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
     poly = divisor_polytope(f, pres.lift_class(res.fujita.boundary_class))
     if poly.dim < 0:
         raise ProjectionIncompatible("adjoint divisor has empty polytope")
-    tight_rays = poly.tight_rays
-    hull_dirs = qlinalg.nullspace(MatQ([f.rays[i] for i in tight_rays])) if tight_rays \
-        else tuple(VecQ.unit(f.lattice_dim, i) for i in range(f.lattice_dim))
-    proj_rows = list(projection.row_list())
-    ra = span_dim(list(hull_dirs))
-    rb = span_dim(proj_rows)
-    rc = span_dim(list(hull_dirs) + proj_rows)
-    if not ra == rb == rc:
+    # the hull's directions are the annihilator of the tight rays, so they
+    # match the annihilator of ker(projection) iff span(tight) = ker(projection):
+    # the projection kills every tight ray and the dimensions add up
+    tight = [f.rays[i] for i in poly.tight_rays]
+    if not (
+        all(projection.apply(VecQ(r)).is_zero() for r in tight)
+        and span_dim(tight) + span_dim(projection.row_list()) == f.lattice_dim
+    ):
         raise ProjectionIncompatible(
             "polytope affine hull does not match the annihilator of ker(projection)"
         )

@@ -14,31 +14,40 @@ direction checks the integer fan-coverage test, the Fraction loop checks
 the integer Zariski kernel, one rational solve on the pivot rays checks
 the integer toric class map, reduction to the span with a Gram lift checks
 the one-DD dual of lower-dimensional cones, a nullspace wall normal
-with a Fraction lattice walk checks the strict fan checks, and an LP of
+with a Fraction lattice walk checks the strict fan checks, an LP of
 another shape (v minus a bounded multiple of the generator sum) checks
-membership by the ray LP.
+membership by the ray LP, the forward Bareiss echelon with Fraction
+back-substitution and the Fraction Schur loop check the Gauss-Jordan
+kernel on `qlinalg.pivot`, and the annihilator of the tight rays checks
+the span-dimension test of a fibration projection.
 """
 
 from fractions import Fraction
 import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, prod
+from typing import Sequence
 
 from fujita import qlinalg
-from fujita.cones import Containment, _dd_extremal_rays, _idot
+from fujita.cones import Containment, _dd_extremal_rays
 from fujita.delpezzo import ZariskiDecomposition
 from fujita.errors import (
+    DimensionMismatch,
     IncompleteFan,
     InternalNonTermination,
     NonTerminalCone,
     NotPseudoEffective,
+    ProjectionIncompatible,
 )
 from fujita.qlinalg import (
+    LinearSolution,
     MatQ,
     VecQ,
     as_rat,
+    idot,
     pivot_columns,
     primitive_int,
+    scaled_ints,
     sign_normalized,
     solve,
     span_dim,
@@ -441,7 +450,7 @@ def facets_of_degenerate_by_reduction(cone) -> list:
         reduced.append(primitive_int(sol.particular))
     inner = _dd_extremal_rays(list(set(reduced)), r)
     gram = MatQ(
-        [[_idot(a, b) for b in span_basis] for a in span_basis]
+        [[idot(a, b) for b in span_basis] for a in span_basis]
     )
     lifted = []
     for f in inner:
@@ -511,3 +520,190 @@ def strict_fan_checks_by_solve(rays, max_cones) -> None:
                     )
                 seen.add(nxt)
                 frontier.append(nxt)
+
+
+# -- the elimination kernels as they were before `qlinalg.pivot` --------------
+# Forward Bareiss echelon with an optional Jordan pass, back-substitution in
+# Fractions and a Fraction Schur loop; kept verbatim as oracles for the
+# Gauss-Jordan kernel on `qlinalg.pivot`.
+
+
+def _bareiss_echelon(
+    rows: list[list[int]], limit_cols: int, jordan: bool = False
+) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form in place; pivots restricted to the
+    first `limit_cols` columns.  Returns (rows, pivot column list).
+
+    With `jordan` the same update also clears each pivot column above the
+    pivot (fraction-free Gauss-Jordan).  After k pivots the pivot rows are
+    adj(A_k) times the original rows, A_k the k x k pivot block, so the
+    divisions stay exact above the pivot as they do below it; columns left
+    of the current pivot are not kept up to date."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    prev = 1
+    for c in range(limit_cols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        top = rows[r]
+        for i in range(0 if jordan else r + 1, len(rows)):
+            if i == r:
+                continue
+            cur = rows[i]
+            vi = cur[c]
+            # full Bareiss update even when vi == 0 keeps divisions exact
+            for j in range(c + 1, ncols):
+                cur[j] = (pv * cur[j] - vi * top[j]) // prev
+            cur[c] = 0
+        prev = pv
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rank_by_bareiss(m: MatQ) -> int:
+    """Rank over the rationals by fraction-free elimination."""
+    rows = [scaled_ints(r)[0] for r in m.row_list()]
+    _, pivots = _bareiss_echelon(rows, m.cols)
+    return len(pivots)
+
+
+def pivot_columns_by_bareiss(vectors: Sequence[Sequence]) -> list[int]:
+    """Indices of the vectors independent of all earlier ones: the pivot
+    columns of the matrix whose columns are the given vectors."""
+    vs = list(vectors)
+    if not vs:
+        return []
+    _, pivots = _bareiss_echelon([scaled_ints(r)[0] for r in zip(*vs)], len(vs))
+    return pivots
+
+
+def scaled_inverse_by_bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """|det m| and the integer matrix |det m| * m^-1 of a square integer
+    matrix m, or (0, None) when m is singular.
+
+    Fraction-free Gauss-Jordan on [m | I] leaves d m^-1 in the right half,
+    where the last pivot d is det m up to the sign of the row swaps."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"{n}-row matrix is not square")
+    if n == 0:
+        return 1, []
+    aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
+    aug, pivots = _bareiss_echelon(aug, n, jordan=True)
+    if len(pivots) < n:
+        return 0, None
+    d = aug[n - 1][n - 1]
+    if d < 0:
+        return -d, [[-x for x in r[n:]] for r in aug]
+    return d, [r[n:] for r in aug]
+
+
+def solve_by_back_substitution(m: MatQ, rhs: VecQ) -> LinearSolution | None:
+    """Solve m x = rhs exactly.
+
+    Returns None when the system is inconsistent, otherwise a particular
+    solution together with a kernel basis (free variables set to one, in
+    column order, so the output is deterministic).
+    """
+    if rhs.dim != m.rows:
+        raise DimensionMismatch(f"{m.rows} rows vs rhs of dim {rhs.dim}")
+    n = m.cols
+    aug = [scaled_ints(list(r.entries) + [b])[0] for r, b in zip(m.row_list(), rhs)]
+    aug, pivots = _bareiss_echelon(aug, n)
+    nrows = len(aug)
+    for i in range(len(pivots), nrows):
+        if aug[i][n] != 0:
+            return None
+
+    free_cols = [c for c in range(n) if c not in pivots]
+
+    def back_substitute(freevals: dict[int, Fraction], b_on: bool) -> VecQ:
+        x: list[Fraction] = [Fraction(0)] * n
+        for c, val in freevals.items():
+            x[c] = val
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            row = aug[k]
+            s = Fraction(row[n]) if b_on else Fraction(0)
+            for j in range(c + 1, n):
+                if row[j] != 0 and x[j] != 0:
+                    s -= row[j] * x[j]
+            x[c] = s / row[c]
+        return VecQ(x)
+
+    particular = back_substitute({}, True)
+    kernel = tuple([back_substitute({f: Fraction(1)}, False) for f in free_cols])
+    return LinearSolution(particular, kernel)
+
+
+def inertia_by_fractions(m: MatQ) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric rational matrix,
+    by exact symmetric congruence reduction (Sylvester's law).
+
+    Only the trailing submatrix a[i:, i:] is kept current; it stays symmetric
+    because the row-only Schur update a'[k][j] = a[k][j] - a[k][i]a[i][j]/d
+    already is the symmetric Schur complement.
+    """
+    if not m.is_symmetric():
+        raise DimensionMismatch("matrix is not symmetric")
+    n = m.rows
+    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                mate = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if mate is None:
+                    zero += 1
+                    continue
+                # symmetric row+column addition, a[i][i] becomes 2*a[i][mate]
+                for j in range(i, n):
+                    a[i][j] += a[mate][j]
+                for j in range(i, n):
+                    a[j][i] += a[j][mate]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for k in range(i + 1, n):
+            f = a[k][i] / d
+            if f == 0:
+                continue
+            for j in range(i + 1, n):
+                a[k][j] -= f * a[i][j]
+    return pos, neg, zero
+
+
+def check_fibration_hull_by_nullspace(f, tight_rays, projection) -> None:
+    """The projection check of `toric.fibration_b_crosscheck` as it was
+    before the span-dimension test: the annihilator of the tight rays, by a
+    nullspace, must span the row space of the projection."""
+    hull_dirs = qlinalg.nullspace(MatQ([f.rays[i] for i in tight_rays])) if tight_rays \
+        else tuple(VecQ.unit(f.lattice_dim, i) for i in range(f.lattice_dim))
+    proj_rows = list(projection.row_list())
+    ra = span_dim(list(hull_dirs))
+    rb = span_dim(proj_rows)
+    rc = span_dim(list(hull_dirs) + proj_rows)
+    if not ra == rb == rc:
+        raise ProjectionIncompatible(
+            "polytope affine hull does not match the annihilator of ker(projection)"
+        )

@@ -20,6 +20,7 @@ from fujita.delpezzo import (
 from fujita.errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
+    DimensionMismatch,
     NonPositiveDegree,
     NotPseudoEffective,
 )
@@ -68,6 +69,14 @@ class TestEnumeration:
             enumerate_negative_curves(8)
         with pytest.raises(DegreeOutOfRange):
             DelPezzoModel(0)
+
+    def test_pair_rejects_a_class_of_the_wrong_length(self):
+        # the pairing is the variety's form, which checks dimensions
+        for m in (del_pezzo(6), del_pezzo(9), quadric_surface()):
+            short, long = VecQ([1] * (m.rank - 1)), VecQ([1] * (m.rank + 1))
+            for u, v in ((short, m.canonical), (m.canonical, long), (long, long)):
+                with pytest.raises(DimensionMismatch):
+                    m.pair(u, v)
 
     def test_canonical_self_intersection_is_degree(self):
         for d in range(1, 10):

@@ -18,7 +18,16 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
-from oracles import add_fractions_bigint, det_by_permutations, mul_fractions_bigint
+from oracles import (
+    add_fractions_bigint,
+    det_by_permutations,
+    inertia_by_fractions,
+    mul_fractions_bigint,
+    pivot_columns_by_bareiss,
+    rank_by_bareiss,
+    scaled_inverse_by_bareiss,
+    solve_by_back_substitution,
+)
 
 
 class TestRank:
@@ -233,12 +242,85 @@ def test_scaled_inverse_against_solve(rows, singular):
         rows = rows[:-1] + [[x - 2 * y for x, y in zip(rows[0], rows[-2])] if n > 1 else [0]]
     d = abs(det_by_permutations(rows))
     got = scaled_inverse(rows)
+    assert got == scaled_inverse_by_bareiss(rows)
     if d == 0:
         assert got == (0, None)
         return
     columns = [solve(MatQ(rows), VecQ.unit(n, j)).particular for j in range(n)]
     expected = [[d * columns[j][i] for j in range(n)] for i in range(n)]
     assert got == (d, expected)
+
+
+RATIONALS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational matrix up to 6 x 6, with some rows replaced by
+    combinations of earlier ones (rank-deficient draws), and a right-hand
+    side that is either drawn freely or m times a drawn x (consistent)."""
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 6))
+    rows = [draw(st.lists(RATIONALS, min_size=c, max_size=c)) for _ in range(r)]
+    for i in range(1, r):
+        if draw(st.booleans()):
+            s, t = draw(RATIONALS), draw(RATIONALS)
+            j = draw(st.integers(0, i - 1))
+            rows[i] = [s * a + t * b for a, b in zip(rows[j], rows[i - 1])]
+    m = MatQ(rows)
+    if draw(st.booleans()):
+        rhs = VecQ(draw(st.lists(RATIONALS, min_size=r, max_size=r)))
+    else:
+        rhs = m.apply(VecQ(draw(st.lists(RATIONALS, min_size=c, max_size=c))))
+    return m, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_systems())
+def test_kernels_against_bareiss_oracles(system):
+    m, rhs = system
+    assert rank(m) == rank_by_bareiss(m)
+    assert span_dim(m.row_list()) == rank_by_bareiss(m)
+    columns = [list(col) for col in zip(*[r.entries for r in m.row_list()])]
+    assert pivot_columns(columns) == pivot_columns_by_bareiss(columns)
+    assert pivot_columns(m.row_list()) == pivot_columns_by_bareiss(m.row_list())
+    assert solve(m, rhs) == solve_by_back_substitution(m, rhs)
+    assert nullspace(m) == solve_by_back_substitution(m, VecQ.zero(m.rows)).kernel
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric rational matrices up to 6 x 6: free draws, zero diagonals,
+    sums of hyperbolic planes, and degenerate congruences P^T D P."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["free", "zero_diagonal", "hyperbolic", "degenerate"]))
+    a = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "degenerate":
+        diag = draw(st.lists(st.sampled_from([-2, -1, 0, 0, 1, 3]), min_size=n, max_size=n))
+        p = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                a[i][j] = sum(Fraction(p[k][i]) * diag[k] * p[k][j] for k in range(n))
+        return MatQ(a)
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "hyperbolic":
+                x = draw(RATIONALS) if j == i + 1 and i % 2 == 0 else 0
+            elif kind == "zero_diagonal" and i == j:
+                x = 0
+            else:
+                x = draw(RATIONALS)
+            a[i][j] = a[j][i] = Fraction(x)
+    return MatQ(a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_forms())
+def test_inertia_against_fraction_oracle(form):
+    assert inertia(form) == inertia_by_fractions(form)
 
 
 class TestInertia:

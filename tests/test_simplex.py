@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fujita import qlinalg, simplex
 from fujita.simplex import LPStatus, solve_lp
+from conftest import counting
 from oracles import lp_by_basis_enumeration
 
 F = Fraction
@@ -108,6 +110,26 @@ def test_x_pinned_to_rational_pivot_path(name):
     assert res.x == x
     assert all(type(v) is Fraction for v in res.x)
     assert res.objective == sum(F(cv) * xv for cv, xv in zip(c, x))
+
+
+@pytest.mark.parametrize(
+    "name", ["beale", "fraction_row_negative_rhs", "scaled_row_phase1", "tie_on_objective"]
+)
+def test_pivots_only_through_qlinalg_pivot(monkeypatch, name):
+    # The simplex has no row update of its own.  Replaying the (row, column)
+    # of every `qlinalg.pivot` call on the artificial start basis gives a
+    # basis of original columns holding the support of the optimum; these
+    # LPs drop no redundant row, so the replay needs no reindexing.
+    assert simplex.pivot is qlinalg.pivot and not hasattr(simplex, "_pivot")
+    calls = counting(monkeypatch, simplex, "pivot")
+    a, b, c, x = PINNED[name]
+    assert solve_lp(a, b, c).x == x
+    n = len(c)
+    basis = [n + i for i in range(len(a))]
+    for _, row, col, _ in calls:
+        basis[row] = col
+    assert calls and all(j < n for j in basis)
+    assert {j for j, v in enumerate(x) if v} <= set(basis)
 
 
 _entry = st.one_of(

@@ -33,6 +33,7 @@ from fujita.toric import (
 )
 from conftest import counting, vec
 from oracles import (
+    check_fibration_hull_by_nullspace,
     divisor_class_by_solve,
     fan_coverage_by_solve,
     implicit_equalities_per_ray,
@@ -552,3 +553,43 @@ class TestFanProduct:
         pres = ns_presentation(f)
         model = variety_model(f)
         assert invariant_pair(model, pres.divisor_class([1, 1, 1, 1])) == (1, 2)
+
+
+def _projection_outcome(check):
+    try:
+        return check()
+    except ProjectionIncompatible as e:
+        return str(e)
+
+
+def test_fibration_check_matches_nullspace_route(toric_fans):
+    # Random big bundles, and projections that are either combinations of
+    # the annihilator of the adjoint polytope's tight rays (mostly accepted)
+    # or small random matrices (mostly rejected).
+    rng = random.Random(2013)
+    accepted = []
+    for name, fan in toric_fans.items():
+        n = fan.lattice_dim
+        pres = ns_presentation(fan)
+        for _ in range(5):
+            coeffs = [rng.randint(1, 3) for _ in fan.rays]
+            res = b_invariant(variety_model(fan), pres.divisor_class(coeffs))
+            tight = divisor_polytope(fan, pres.lift_class(res.fujita.boundary_class)).tight_rays
+            hull = qlinalg.nullspace(MatQ([fan.rays[i] for i in tight])) if tight else ()
+            for _ in range(12):
+                if hull and rng.random() < 0.5:
+                    rows = [
+                        [sum(rng.randint(-2, 2) * h[j] for h in hull) for j in range(n)]
+                        for _ in range(rng.randint(1, len(hull) + 1))
+                    ]
+                else:
+                    rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, n))]
+                proj = MatQ(rows)
+                expected = _projection_outcome(lambda: check_fibration_hull_by_nullspace(fan, tight, proj))
+                got = _projection_outcome(lambda: fibration_b_crosscheck(fan, coeffs, proj))
+                if expected is None:
+                    assert isinstance(got, tuple), (name, coeffs, rows)
+                else:
+                    assert got == expected, (name, coeffs, rows)
+                accepted.append(expected is None)
+    assert 0 < sum(accepted) < len(accepted)
