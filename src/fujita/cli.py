@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import delpezzo, fixtures, invariants, modelio
@@ -43,6 +42,7 @@ EXIT_SCHEMA = 2
 EXIT_NOT_BIG = 3
 EXIT_K_PSEFF = 4
 EXIT_INTERNAL = 5
+ProcessPoolExecutor = None  # loads multiprocessing: imported by the first pooled batch
 
 
 def _json_dumps(obj) -> str:
@@ -165,9 +165,12 @@ def _batch(items: list, jobs: int, run_one, run_share) -> list:
     process pool takes every workers-th item and runs run_share(share),
     which returns the share's results in order, so a worker's set-up (such
     as a catalog load) happens once per worker."""
+    global ProcessPoolExecutor
     workers = _workers(jobs, len(items))
     if workers <= 1:
         return [run_one(item) for item in items]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     results: list = [None] * len(items)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         shares = [items[w::workers] for w in range(workers)]

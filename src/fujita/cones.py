@@ -15,6 +15,14 @@ relative interior iff it is negative or unbounded below.  Strictness is
 one memoized LP: the cone is strict iff no nonzero nonnegative combination
 of the generators vanishes.
 
+Once the facets exist, membership and the minimal face take every facet
+sign from one packed product (Kronecker substitution): x = sum_t v_t P_t +
+HIGH, P_t = sum_j f_jt 2^(w j), holds f_j.v + 2^(w-1) in slot j.  The slot
+width w, a power of two >= 64 above the bit length of l1 * max|v_t| (l1
+the largest absolute row sum of the facets), keeps |f_j.v| < 2^(w-1), so
+no slot of x or x - ONES borrows or carries: the top bit of slot j is set
+in x iff f_j.v >= 0, and in x - ONES iff f_j.v >= 1.
+
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
 constraints.  Its one caller is `toric.divisor_polytope`, for the implicit
@@ -201,6 +209,8 @@ class ConeQ:
         "_facets",
         "_facets_int",
         "_facet_gen_masks",
+        "_l1",
+        "_packs",
         "_strict",
     )
 
@@ -221,6 +231,7 @@ class ConeQ:
         self._facets = None
         self._facets_int = None
         self._facet_gen_masks = None
+        self._packs = {}
         self._strict = None
 
     @property
@@ -281,8 +292,37 @@ class ConeQ:
                     m |= 1 << j
             masks.append(m)
         self._facet_gen_masks = tuple(masks)
+        self._l1 = max([sum(map(abs, f)) for f in facets_int], default=0)
         self._facets_int = facets_int
         self._facets = tuple(VecQ(f) for f in facets_int)
+
+    def _pack(self, w: int) -> tuple[list[int], int, int, list[int]]:
+        """P_t, ONES, HIGH and each generator's vanishing facets at width w."""
+        size, n = w // 8, len(self._facets_int)
+        ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+        half, high = 1 << (w - 1), ones << (w - 1)
+        biased = [b"".join([(x + half).to_bytes(size, "little") for x in c]) for c in zip(*self._facets_int)]
+        cols = [int.from_bytes(b, "little") - high for b in biased]
+        slots = [bytearray(n * size) for _ in self._gens_int]
+        for j, m in enumerate(self._facet_gen_masks):
+            while m:
+                low = m & -m
+                slots[low.bit_length() - 1][j * size + size - 1] = 0x80
+                m ^= low
+        return cols, ones, high, [int.from_bytes(s, "little") for s in slots]
+
+    def _signs(self, v: VecQ) -> tuple[bool, int, list[int]]:
+        """Whether some facet is negative at v, the top bits of the facets
+        vanishing at v, and the generator masks (see the module docstring)."""
+        self.facets
+        vi, _ = scaled_ints(v)
+        bits = (self._l1 * max([abs(x) for x in vi] + [1])).bit_length()
+        w = max(64, 1 << bits.bit_length())
+        if w not in self._packs:
+            self._packs[w] = self._pack(w)
+        cols, ones, high, gen_masks = self._packs[w]
+        x = idot(vi, cols) + high
+        return x & high != high, ~(x - ones) & high, gen_masks
 
     # -- membership --------------------------------------------------------
 
@@ -298,17 +338,10 @@ class ConeQ:
         if v.is_zero() and self._strict:
             return Containment.BOUNDARY
         if self._facets_int is not None:
-            # positive rescaling preserves all signs; integer dots are far
-            # cheaper than Fraction arithmetic on big facet lists
-            vi, _ = scaled_ints(v)
-            boundary = False
-            for f in self._facets_int:
-                s = idot(f, vi)
-                if s < 0:
-                    return Containment.OUTSIDE
-                if s == 0:
-                    boundary = True
-            return Containment.BOUNDARY if boundary else Containment.INSIDE
+            negative, zeros, _ = self._signs(v)
+            if negative:
+                return Containment.OUTSIDE
+            return Containment.BOUNDARY if zeros else Containment.INSIDE
         # the a with v + a*total in the cone form [a*, oo), all of Q, or
         # nothing when v is off the span (see the module docstring)
         res = self._ray_lp(v, [sum(col) for col in zip(*self._gens_int)])
@@ -362,9 +395,10 @@ class ConeQ:
         facets vanishing at v.  v = 0 returns the face {0} without forcing
         facet enumeration.
 
-        One pass over the facets both rejects v (a negative sign) and
-        collects the facets vanishing at v.  On a non-strict cone an
-        outside v still raises OutsideCone before NonStrictCone."""
+        One packed product both rejects v (a negative sign) and marks the
+        facets vanishing at v; a generator is in the face iff it vanishes on
+        all of them.  On a non-strict cone an outside v still raises
+        OutsideCone before NonStrictCone."""
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
         if not self.is_strict():
@@ -373,19 +407,11 @@ class ConeQ:
             raise NonStrictCone("minimal_face requires a strict cone")
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
-        self.facets
-        vi, _ = scaled_ints(v)
-        masks = self._facet_gen_masks
-        gmask = (1 << len(self._gens_int)) - 1
-        for f, m in zip(self._facets_int, masks):
-            s = idot(f, vi)
-            if s < 0:
-                raise OutsideCone(f"{v!r} is outside the cone")
-            if s == 0:
-                gmask &= m
-        gens_in = frozenset(j for j in range(len(self._gens_int)) if gmask >> j & 1)
-        sd = span_dim([self._gens_int[j] for j in sorted(gens_in)])
-        return FaceQ(self, gens_in, sd)
+        negative, zeros, gen_masks = self._signs(v)
+        if negative:
+            raise OutsideCone(f"{v!r} is outside the cone")
+        gens_in = frozenset([j for j, m in enumerate(gen_masks) if zeros & m == zeros])
+        return FaceQ(self, gens_in, span_dim([self._gens_int[j] for j in sorted(gens_in)]))
 
     # -- ray optimization ----------------------------------------------------
 

@@ -9,10 +9,10 @@ Elimination is fraction-free in the Bareiss style: rows are cleared to
 integers and updated by the exact two-by-two determinant recurrence, which
 keeps intermediate entries polynomially bounded (naive rational elimination
 explodes denominators already on rank-9 del Pezzo Gram systems).  `pivot`
-is the one row update in the package: the simplex tableau, the
-Gauss-Jordan form behind rank, pivot columns, inverses and solves, and the
-symmetric reduction of `inertia` all run on it.  Rows share one
-denominator, kept positive, so stored signs are true signs.
+is the one row update in the package: the simplex tableau, the echelon
+forms behind rank, pivot columns, inverses and solves, and the symmetric
+reduction of `inertia` all run on it.  Rows share one denominator, kept
+positive, so stored signs are true signs.
 """
 
 from __future__ import annotations
@@ -224,14 +224,14 @@ def idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+def pivot(rows: list[list[int]], r: int, c: int, d: int, first: int = 0) -> int:
     """Fraction-free pivot on (r, c) of integer rows over the common
     denominator d > 0; returns the new denominator.
 
-    The rows stand for rows / d.  Every other row becomes (p*a - f*b) // d,
-    p the pivot and f its entry in column c; the quotient is exact by
-    Sylvester's identity (Bareiss 1968), as every stored entry is a minor
-    of the integer input.  The pivot row is kept and p is the new
+    The rows stand for rows / d.  Every other row from `first` on becomes
+    (p*a - f*b) // d, p the pivot and f its entry in column c; the quotient
+    is exact by Sylvester's identity (Bareiss 1968), as every stored entry
+    is a minor of the integer input.  The pivot row is kept and p is the new
     denominator.  A negative p is handled by negating the pivot row first,
     which negates the whole new tableau, so the denominator stays positive
     and stored signs are true signs."""
@@ -240,7 +240,8 @@ def pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     if p < 0:
         rows[r] = piv_row = [-v for v in piv_row]
         p = -p
-    for i, row in enumerate(rows):
+    for i in range(first, len(rows)):
+        row = rows[i]
         if i == r:
             continue
         f = row[c]
@@ -252,14 +253,14 @@ def pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def _jordan(rows: list[list[int]], limit_cols: int) -> tuple[list[list[int]], list[int], int]:
+def _jordan(rows: list[list[int]], limit_cols: int, forward=False) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan form in place by `pivot`, pivots
     restricted to the first `limit_cols` columns and taken in column order
     from the first row at or below the current one.  Returns (rows, pivot
     column list, d): pivot row k holds d on its pivot column and d times
     the reduced row echelon form, the rows after the pivots are zero on the
     first `limit_cols` columns, and d is the absolute value of the pivot
-    block's determinant."""
+    block's determinant.  With `forward` the rows above a pivot are left alone."""
     pivots: list[int] = []
     d = 1
     for c in range(limit_cols):
@@ -270,7 +271,7 @@ def _jordan(rows: list[list[int]], limit_cols: int) -> tuple[list[list[int]], li
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        d = pivot(rows, r, c, d)
+        d = pivot(rows, r, c, d, r if forward else 0)
         pivots.append(c)
     return rows, pivots, d
 
@@ -289,7 +290,7 @@ def span_dim(vectors: Sequence[Sequence]) -> int:
     for v in vs:
         if len(v) != d:
             raise DimensionMismatch("vectors of mixed dimension")
-    return len(_jordan([scaled_ints(v)[0] for v in vs], d)[1])
+    return len(_jordan([scaled_ints(v)[0] for v in vs], d, forward=True)[1])
 
 
 def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
@@ -298,7 +299,7 @@ def pivot_columns(vectors: Sequence[Sequence]) -> list[int]:
     vs = list(vectors)
     if not vs:
         return []
-    return _jordan([scaled_ints(r)[0] for r in zip(*vs)], len(vs))[1]
+    return _jordan([scaled_ints(r)[0] for r in zip(*vs)], len(vs), forward=True)[1]
 
 
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:

@@ -18,8 +18,9 @@ with a Fraction lattice walk checks the strict fan checks, an LP of
 another shape (v minus a bounded multiple of the generator sum) checks
 membership by the ray LP, the forward Bareiss echelon with Fraction
 back-substitution and the Fraction Schur loop check the Gauss-Jordan
-kernel on `qlinalg.pivot`, and the annihilator of the tight rays checks
-the span-dimension test of a fibration projection.
+kernel on `qlinalg.pivot`, the annihilator of the tight rays checks
+the span-dimension test of a fibration projection, and one integer dot
+per facet checks the packed facet signs of membership and minimal faces.
 """
 
 from fractions import Fraction
@@ -29,14 +30,16 @@ from math import gcd, prod
 from typing import Sequence
 
 from fujita import qlinalg
-from fujita.cones import Containment, _dd_extremal_rays
+from fujita.cones import Containment, FaceQ, _dd_extremal_rays
 from fujita.delpezzo import ZariskiDecomposition
 from fujita.errors import (
     DimensionMismatch,
     IncompleteFan,
     InternalNonTermination,
+    NonStrictCone,
     NonTerminalCone,
     NotPseudoEffective,
+    OutsideCone,
     ProjectionIncompatible,
 )
 from fujita.qlinalg import (
@@ -707,3 +710,52 @@ def check_fibration_hull_by_nullspace(f, tight_rays, projection) -> None:
         raise ProjectionIncompatible(
             "polytope affine hull does not match the annihilator of ker(projection)"
         )
+
+
+def contains_by_facet_loop(cone, v) -> Containment:
+    """`ConeQ.contains` on a cone whose facets exist, by one integer dot
+    per facet: the facet route of `contains` before the packed product."""
+    if v.dim != cone.ambient_dim:
+        raise DimensionMismatch("vector dimension mismatch")
+    if not cone._gens_int:
+        return Containment.BOUNDARY if v.is_zero() else Containment.OUTSIDE
+    if v.is_zero() and cone._strict:
+        return Containment.BOUNDARY
+    assert cone._facets_int is not None
+    # positive rescaling preserves all signs; integer dots are far
+    # cheaper than Fraction arithmetic on big facet lists
+    vi, _ = scaled_ints(v)
+    boundary = False
+    for f in cone._facets_int:
+        s = idot(f, vi)
+        if s < 0:
+            return Containment.OUTSIDE
+        if s == 0:
+            boundary = True
+    return Containment.BOUNDARY if boundary else Containment.INSIDE
+
+
+def minimal_face_by_facet_loop(cone, v) -> FaceQ:
+    """`ConeQ.minimal_face` by one integer dot per facet, intersecting the
+    generator masks of the facets vanishing at v."""
+    if v.dim != cone.ambient_dim:
+        raise DimensionMismatch("vector dimension mismatch")
+    if not cone.is_strict():
+        if contains_by_facet_loop(cone, v) is Containment.OUTSIDE:
+            raise OutsideCone(f"{v!r} is outside the cone")
+        raise NonStrictCone("minimal_face requires a strict cone")
+    if v.is_zero():
+        return FaceQ(cone, frozenset(), 0)
+    cone.facets
+    vi, _ = scaled_ints(v)
+    masks = cone._facet_gen_masks
+    gmask = (1 << len(cone._gens_int)) - 1
+    for f, m in zip(cone._facets_int, masks):
+        s = idot(f, vi)
+        if s < 0:
+            raise OutsideCone(f"{v!r} is outside the cone")
+        if s == 0:
+            gmask &= m
+    gens_in = frozenset(j for j in range(len(cone._gens_int)) if gmask >> j & 1)
+    sd = span_dim([cone._gens_int[j] for j in sorted(gens_in)])
+    return FaceQ(cone, gens_in, sd)

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -299,6 +301,16 @@ class TestFixturesCommand:
 
 
 class TestBatchMode:
+    def test_import_leaves_process_pool_unloaded(self):
+        # a serial run needs no multiprocessing: the pool is imported by the
+        # first batch that uses one
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        probe = "import sys, fujita.cli; print('concurrent.futures.process' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
+
     def test_jobs_parallel_matches_serial(self, capsys):
         files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
         code1, out1 = run_cli(capsys, "invariants", *files, "--json")

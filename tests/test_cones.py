@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fujita import cones
+from fujita import cones, qlinalg
 from fujita.cones import (
     ConeQ,
     Containment,
@@ -20,9 +20,11 @@ from fujita.qlinalg import VecQ, span_dim
 from conftest import counting, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
+    contains_by_facet_loop,
     contains_by_lp,
     facets_of_degenerate_by_reduction,
     fm_facets,
+    minimal_face_by_facet_loop,
     minimal_face_generators_lp,
     positive_support_by_basis_enumeration,
 )
@@ -236,6 +238,144 @@ class TestFacetMemo:
         assert all(fresh.facets is first for _ in range(8))
         assert runs == [fresh]
         assert len(first) == 99
+
+
+def face_outcome(face_of, c, v):
+    """The minimal face of v, or the class of the error it raises."""
+    try:
+        return face_of(c, v)
+    except (OutsideCone, NonStrictCone) as exc:
+        return type(exc)
+
+
+def check_packed_against_loop(c, v, seen):
+    """contains and minimal_face on a cone with facets against the per-facet
+    loops; records each outcome in `seen`."""
+    got = c.contains(v)
+    assert got is contains_by_facet_loop(c, v), v
+    face = face_outcome(ConeQ.minimal_face, c, v)
+    assert face == face_outcome(minimal_face_by_facet_loop, c, v), v
+    seen.update([got, face if isinstance(face, type) else "face"])
+
+
+def big_probes(c, v, rng):
+    """v scaled past 2^64 and 2^200, plus a small offset, so that huge slots
+    sit next to small ones; and the largest facet row at the edge of the
+    64-bit slot, where s_j = +-l1 * max|v_t| crosses 2^63."""
+    out = []
+    for n in (2**64 + 1, 2**200 + 3):
+        out.append(n * v)
+        out.append(n * v + random_rational_vector(rng, c.ambient_dim, (-2, 2), (1, 2)))
+    if c.facets:
+        f = max(c._facets_int, key=lambda f: sum(map(abs, f)))
+        l1 = sum(map(abs, f))
+        for m in (-(-(2**63) // l1), 2**63 // l1):
+            edge = VecQ([m * ((x > 0) - (x < 0)) for x in f])
+            out += [edge, -edge]
+    return out
+
+
+@st.composite
+def random_cones(draw):
+    """Cones in dimensions 1-5 spanned by combinations of r <= d basis
+    vectors: full-dimensional or lower-dimensional (facets with +/-
+    equation pairs), strict or not."""
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(1, d))
+    ints = st.integers(-3, 3)
+    basis = [draw(st.lists(ints, min_size=d, max_size=d)) for _ in range(r)]
+    coefs = st.lists(st.integers(draw(st.sampled_from([0, 0, -1])), 3), min_size=r, max_size=r)
+    gens = []
+    for cs in draw(st.lists(coefs, min_size=1, max_size=6)):
+        gens.append([sum(k * b[t] for k, b in zip(cs, basis)) for t in range(d)])
+    return ConeQ(gens, ambient_dim=d)
+
+
+class TestPackedSigns:
+    @settings(max_examples=150, deadline=None)
+    @given(random_cones(), st.randoms(use_true_random=False))
+    def test_random_cones_match_facet_loop(self, c, rng):
+        c.facets
+        d = c.ambient_dim
+        probes = [VecQ.zero(d)] + list(c.generators)
+        probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(4)]
+        if c.generators:
+            weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in c.generators]
+            probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
+        small = list(probes)
+        for v in small[1:]:
+            probes += big_probes(c, v, rng)
+        seen = set()
+        for v in probes:
+            check_packed_against_loop(c, v, seen)
+        if c.facets and any(not v.is_zero() for v in small):
+            # the memo took a second width for the big probes
+            assert len(c._packs) >= 2
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_del_pezzo_classes_match_facet_loop(self, degree):
+        # 500 seeded classes: box points, Fraction points, sums of a few
+        # generators (often on the boundary) and their huge multiples
+        eff = del_pezzo(degree).variety().eff_cone
+        c = ConeQ(eff.generators, ambient_dim=eff.ambient_dim)
+        c.facets
+        rng = random.Random(0xFACE + degree)
+        gens = list(c.generators)
+        seen = set()
+        for i in range(500):
+            kind = i % 4
+            if kind == 0:
+                v = VecQ([rng.randint(-5, 10) for _ in range(c.ambient_dim)])
+            elif kind == 1:
+                v = random_rational_vector(rng, c.ambient_dim, (-6, 6), (1, 4))
+            else:
+                v = VecQ.zero(c.ambient_dim)
+                for j in rng.sample(range(len(gens)), rng.randint(1, 4)):
+                    v = v + rng.randint(1, 3) * gens[j]
+                if kind == 3:
+                    v = (2**64 + rng.randint(0, 9)) * v
+            check_packed_against_loop(c, v, seen)
+        assert seen == {*Containment, "face", OutsideCone}
+
+    def test_width_boundary(self):
+        # s = +-2^63 needs 128-bit slots; one bit less carries into the
+        # next slot (or out of the last one) and flips the sign read
+        seen = set()
+        for c in (ConeQ([vec(1)]), ConeQ([vec(1, 0), vec(1, 1)]), ConeQ([vec(1, 2), vec(0, 1)])):
+            c.facets
+            for e in (62, 63, 64):
+                for x in (2**e - 1, 2**e, 2**e + 1):
+                    for v in (vec(x), vec(x, 0), vec(x, x), vec(x, -x), vec(0, x), vec(x, 1)):
+                        if v.dim == c.ambient_dim:
+                            check_packed_against_loop(c, v, seen)
+                            check_packed_against_loop(c, -v, seen)
+        assert seen == {*Containment, "face", OutsideCone}
+
+    def test_one_product_per_question(self, monkeypatch):
+        eff = del_pezzo(2).variety().eff_cone
+        c = ConeQ(eff.generators, ambient_dim=eff.ambient_dim)
+        assert len(c.facets) == 702
+        c.is_strict()  # the one memoized strictness LP of minimal_face
+        boundary = c.generators[0] + c.generators[1]
+        inside = vec(3, -1, -1, -1, -1, -1, -1, -1)
+        dots = [counting(monkeypatch, owner, "idot") for owner in (qlinalg, cones)]
+        lps = counting(monkeypatch, cones, "solve_lp")
+        for v in (boundary, inside, -inside):
+            for ask in (c.contains, lambda v: face_outcome(ConeQ.minimal_face, c, v)):
+                for calls in dots:
+                    calls.clear()
+                ask(v)
+                assert sum(map(len, dots)) == 1
+        assert lps == []
+
+    def test_one_packing_per_width(self):
+        c = ConeQ(del_pezzo(3).variety().eff_cone.generators, ambient_dim=7)
+        v = vec(3, -1, -1, -1, -1, -1, -1)
+        for _ in range(2):
+            for n in (1, 2**80, 2**200):
+                assert c.contains(n * v) is Containment.INSIDE
+                assert c.minimal_face(n * v).span_dim == 7
+        assert sorted(c._packs) == [64, 128, 256]
 
 
 class TestStrictness:
