@@ -7,13 +7,12 @@ spans a proper subspace is dualized by the same one run, on its generators
 together with the annihilator of its span as +/- equation pairs; those
 pairs are then listed among the facets.
 
-Membership and `min_a_on_ray` solve one LP, the least a with base +
-a*direction in the cone; membership takes v along the generator sum, which
-lies in relint(cone(G)), until the facets exist and their signs decide.
-v is outside iff that least a is positive or none exists, and in the
-relative interior iff it is negative or unbounded below.  Strictness is
-one memoized LP: the cone is strict iff no nonzero nonnegative combination
-of the generators vanishes.
+Until the facets exist, membership and the least a with base +
+a*direction in the cone solve one LP, the ray LP; membership takes v along
+the generator sum, which lies in relint(cone(G)): v is outside iff that
+least a is positive or none exists, and in the relative interior iff it is
+negative or unbounded below.  Strictness is one memoized LP: the cone is
+strict iff no nonzero nonnegative combination of the generators vanishes.
 
 Once the facets exist, membership and the minimal face take every facet
 sign from one packed product (Kronecker substitution): x = sum_t v_t P_t +
@@ -21,7 +20,15 @@ HIGH, P_t = sum_j f_jt 2^(w j), holds f_j.v + 2^(w-1) in slot j.  The slot
 width w, a power of two >= 64 above the bit length of l1 * max|v_t| (l1
 the largest absolute row sum of the facets), keeps |f_j.v| < 2^(w-1), so
 no slot of x or x - ONES borrows or carries: the top bit of slot j is set
-in x iff f_j.v >= 0, and in x - ONES iff f_j.v >= 1.
+in x iff f_j.v >= 0, and in x - ONES iff f_j.v >= 1.  The slots of x with
+their top bits flipped hold every f_j.v in two's complement.
+
+Two such products, of L and of K, give the least a with K + aL in the cone
+by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
+cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
+facets reaching it are exactly those vanishing at K + aL, all others being
+positive there, so they cut out its minimal face: the generators on all
+of them.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -35,6 +42,7 @@ the distinction drawn for general closed cones is vacuous in this module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -111,14 +119,16 @@ def positive_support(
     return support, tuple([v / s for v in y])
 
 
-def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Extremal rays of {x : c.x >= 0 for all c in cons}.
+def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Extremal rays of {x : c.x >= 0 for all c in cons}, and per ray its
+    zero set: the bitmask of the constraints vanishing on it, bit i for
+    cons[i].
 
     Requires the constraints to span Q^d, which makes every intermediate cone
     pointed.  Constraints are inserted in lexicographic order starting from a
-    greedily chosen independent basis; zero sets are tracked as bitmasks and
-    adjacency is decided by the standard combinatorial test (no third ray's
-    zero set contains the common zero set of the candidate pair).
+    greedily chosen independent basis; adjacency is decided on the zero sets
+    by the standard combinatorial test (no third ray's zero set contains the
+    common zero set of the candidate pair).
     """
     order = sorted(range(len(cons)), key=lambda i: cons[i])
     independent = set(pivot_columns([cons[i] for i in order]))
@@ -132,16 +142,14 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
     det, inverse = scaled_inverse([cons[i] for i in chosen])
     assert det > 0
     rays: list[tuple[int, ...]] = [primitive_int(col) for col in zip(*inverse)]
-    full = (1 << d) - 1
-    masks = [full ^ (1 << j) for j in range(d)]
-    nproc = d
+    full = sum([1 << i for i in chosen])
+    masks = [full ^ (1 << i) for i in chosen]
     thresh = d - 2
 
     for ci in rest:
         g = cons[ci]
         vals = [idot(g, r) for r in rays]
-        bit = 1 << nproc
-        nproc += 1
+        bit = 1 << ci
         if all(v >= 0 for v in vals):
             for i, v in enumerate(vals):
                 if v == 0:
@@ -180,7 +188,7 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> list[tuple[int, ..
                 new_masks.append(mm | bit)
         rays = [rays[i] for i in pos] + [rays[i] for i in zer] + new_rays
         masks = [masks[i] for i in pos] + [masks[i] | bit for i in zer] + new_masks
-    return rays
+    return rays, masks
 
 
 @dataclass(frozen=True)
@@ -257,22 +265,20 @@ class ConeQ:
             self._compute_facets()
         return self._facets
 
-    def facet_generator_masks(self) -> tuple[int, ...]:
-        """Per facet, a bitmask of the generators it annihilates."""
-        self.facets
-        return self._facet_gen_masks
-
     def _compute_facets(self):
+        """The facets and the generators each annihilates: DD's zero sets,
+        less the equation rows, which vanish on every generator."""
         d = self.ambient_dim
         gens = self._gens_int
+        every = (1 << len(gens)) - 1
         if not gens:
             normals = []
             for i in range(d):
                 e = tuple(1 if j == i else 0 for j in range(d))
-                normals.append(e)
-                normals.append(tuple(-x for x in e))
+                normals += [e, tuple(-x for x in e)]
+            zero_sets = [0] * len(normals)
         elif self.dim() == d:
-            normals = _dd_extremal_rays(list(gens), d)
+            normals, zero_sets = _dd_extremal_rays(list(gens), d)
         else:
             # the facet normals of a lower-dimensional cone are taken in its
             # span: the annihilator joins the DD input as +/- equations
@@ -281,17 +287,12 @@ class ConeQ:
                 for v in qlinalg.nullspace(MatQ(gens))
             ]
             eqs += [tuple([-x for x in e]) for e in eqs]
-            normals = _dd_extremal_rays(list(gens) + eqs, d) + eqs
-        normals.sort()
-        facets_int = tuple(normals)
-        masks = []
-        for f in facets_int:
-            m = 0
-            for j, g in enumerate(gens):
-                if idot(f, g) == 0:
-                    m |= 1 << j
-            masks.append(m)
-        self._facet_gen_masks = tuple(masks)
+            normals, zero_sets = _dd_extremal_rays(list(gens) + eqs, d)
+            normals += eqs
+            zero_sets += [every] * len(eqs)
+        ordered = sorted(zip(normals, zero_sets))
+        facets_int = tuple([f for f, _ in ordered])
+        self._facet_gen_masks = tuple([z & every for _, z in ordered])
         self._l1 = max([sum(map(abs, f)) for f in facets_int], default=0)
         self._facets_int = facets_int
         self._facets = tuple(VecQ(f) for f in facets_int)
@@ -311,18 +312,32 @@ class ConeQ:
                 m ^= low
         return cols, ones, high, [int.from_bytes(s, "little") for s in slots]
 
-    def _signs(self, v: VecQ) -> tuple[bool, int, list[int]]:
-        """Whether some facet is negative at v, the top bits of the facets
-        vanishing at v, and the generator masks (see the module docstring)."""
+    def _product(self, vi: list[int]) -> tuple[int, int, tuple]:
+        """The packed product x of the integer vector vi, the slot width w
+        and the pack at w (see the module docstring)."""
         self.facets
-        vi, _ = scaled_ints(v)
         bits = (self._l1 * max([abs(x) for x in vi] + [1])).bit_length()
         w = max(64, 1 << bits.bit_length())
         if w not in self._packs:
             self._packs[w] = self._pack(w)
-        cols, ones, high, gen_masks = self._packs[w]
-        x = idot(vi, cols) + high
+        pack = self._packs[w]
+        return idot(vi, pack[0]) + pack[2], w, pack
+
+    def _signs(self, v: VecQ) -> tuple[bool, int, list[int]]:
+        """Whether some facet is negative at v, the top bits of the facets
+        vanishing at v, and the generator masks (see the module docstring)."""
+        x, _, (_, ones, high, gen_masks) = self._product(scaled_ints(v)[0])
         return x & high != high, ~(x - ones) & high, gen_masks
+
+    def _slots(self, vi: list[int]) -> Sequence[int]:
+        """Every f_j.vi, in facet order: flipping the top bit of each slot
+        turns f_j.vi + 2^(w-1) into f_j.vi in two's complement."""
+        x, w, (_, _, high, _) = self._product(vi)
+        size = w // 8
+        raw = (x ^ high).to_bytes(size * len(self._facets_int), "little")
+        if w == 64 and sys.byteorder == "little":
+            return memoryview(raw).cast("q")
+        return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
     # -- membership --------------------------------------------------------
 
@@ -415,16 +430,49 @@ class ConeQ:
 
     # -- ray optimization ----------------------------------------------------
 
-    def min_a_on_ray(self, base: VecQ, direction: VecQ) -> Fraction:
-        """Least rational a with base + a*direction in the cone."""
-        a, _ = self.min_a_with_witness(base, direction)
-        return a
+    def min_a_with_face(
+        self, base: VecQ, direction: VecQ
+    ) -> tuple[Fraction, tuple[Fraction, ...], FaceQ | None] | None:
+        """As `min_a_with_witness`, with the minimal face of the boundary
+        point; None unless direction is interior.  With the facets built, two
+        packed products give a and the face (see the module docstring) and
+        the witness is one LP on the face's generators.  Without them,
+        `contains` and the ray LP answer and the face is None, left to
+        `minimal_face`: a alone never forces the facets."""
+        if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
+            raise DimensionMismatch("ray data dimension mismatch")
+        if self._facets_int is None:
+            if self.contains(direction) is not Containment.INSIDE:
+                return None
+            return *self.min_a_with_witness(base, direction), None
+        (vl, dl), (vk, dk) = scaled_ints(direction), scaled_ints(base)
+        sl = self._slots(vl)
+        if min(sl, default=0) <= 0:
+            return None
+        sk = self._slots(vk)
+        num, den, face = -sk[0], sl[0], self._facet_gen_masks[0]
+        for k, l, m in zip(sk, sl, self._facet_gen_masks):
+            c = -k * den - num * l  # -k/l against num/den; l, den > 0
+            if c > 0:
+                num, den, face = -k, l, m
+            elif c == 0:
+                face &= m
+        a = Fraction(num * dl, den * dk)
+        gens = self._gens_int
+        inside = [j for j in range(len(gens)) if face >> j & 1]
+        # den*dk*(a*direction + base), in integers
+        p = [num * l + den * k for l, k in zip(vl, vk)]
+        res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
+        witness = [Fraction(0)] * len(gens)
+        for j, x in zip(inside, res.x):
+            witness[j] = x / (den * dk)
+        return a, tuple(witness), FaceQ(self, frozenset(inside), span_dim([gens[j] for j in inside]))
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ
     ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """As min_a_on_ray, also returning the nonnegative generator
-        combination realizing the boundary point."""
+        """The least a with base + a*direction in the cone, by the ray LP,
+        and a nonnegative generator combination equal to that point."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         k = len(self._gens_int)
@@ -473,7 +521,7 @@ def minimal_face(c: ConeQ, v: VecQ) -> FaceQ:
 
 
 def min_a_on_ray(c: ConeQ, base: VecQ, direction: VecQ) -> Fraction:
-    return c.min_a_on_ray(base, direction)
+    return c.min_a_with_witness(base, direction)[0]
 
 
 def is_strict(c: ConeQ) -> bool:

@@ -8,18 +8,19 @@ cone, and the codimension `b` of the minimal supported face containing that
 adjoint boundary class; plus rigidity bookkeeping and the lexicographic
 balanced-verdict comparison against subvariety data.
 
-The chain a -> boundary class a*L + K -> minimal face -> b is written once,
-in `b_invariant`; every other caller (the (a, b) pair, the CLI report, the
-fixture runner, the toric fibration cross-check) reads its result.  Each
-stage is computed once per (model, class): `fujita` keeps a small memo of
-its last results, and so do the Zariski decomposition and toric class
-rigidity, which the surface and toric verdicts all ask for on the same
-boundary class.  The memos hold frozen results, never exceptions, and their
-bound is fixed.
+The chain a -> boundary class a*L + K -> minimal face -> b is written once:
+`fujita` takes a, its witness and, when the cone's facets exist, the
+minimal face from one `ConeQ.min_a_with_face` call, and `b_invariant` reads
+that face or else asks `minimal_face`; every other caller (the (a, b) pair,
+the CLI report, the fixture runner, the toric fibration cross-check) reads
+theirs.  Each stage is computed once per (model, class): `fujita`, the
+Zariski decomposition and toric class rigidity keep small memos of their
+last results, frozen, never exceptions, with a fixed bound.
 
 Membership in the effective cone is asked once, by the stage that needs
-it: `fujita` (is the bundle big), `SubvarietyDatum` (is the restricted
-bundle big) and the rigidity route (is the class pseudo-effective).
+it: `fujita` (is the bundle big, read off the facet product of a once the
+facets exist), `SubvarietyDatum` (is the restricted bundle big) and the
+rigidity route (is the class pseudo-effective).
 
 Subvariety data (the subvariety's own model and the restricted bundle) is
 explicit user input: computing restriction maps between Neron-Severi
@@ -119,6 +120,7 @@ class FujitaResult:
     a: Fraction
     boundary_class: DivisorClass          # a*L + K, on the cone boundary
     witness: tuple[Fraction, ...]         # nonnegative combination in the generators
+    face: FaceQ | None = None             # its minimal face, when the cone's facets existed
 
 
 @dataclass(frozen=True)
@@ -171,22 +173,22 @@ def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
     uniruled setting.  The last MEMO_BOUND results are kept per (model,
     bundle).
     """
-    if not m.is_big(bundle):
+    found = m.eff_cone.min_a_with_face(m.canonical, bundle)
+    if found is None:
         raise NotBig(f"bundle is not big on {m.name!r}")
-    a, witness = m.eff_cone.min_a_with_witness(m.canonical, bundle)
+    a, witness, face = found
     if a <= 0:
         raise KPseudoEffective(
             f"canonical class of {m.name!r} is pseudo-effective along the ray (a={a})"
         )
-    boundary = a * bundle + m.canonical
-    return FujitaResult(a, boundary, witness)
+    return FujitaResult(a, a * bundle + m.canonical, witness, face)
 
 
 def b_invariant(m: VarietyModel, bundle: DivisorClass) -> BInvariantResult:
     """The chain a -> boundary class -> minimal face -> b: the codimension
     of the minimal supported face containing a*L + K."""
     fr = fujita(m, bundle)
-    face = m.eff_cone.minimal_face(fr.boundary_class)
+    face = fr.face if fr.face is not None else m.eff_cone.minimal_face(fr.boundary_class)
     return BInvariantResult(m.ns_rank - face.span_dim, face, face.generator_vectors(), fr)
 
 

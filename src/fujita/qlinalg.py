@@ -58,10 +58,6 @@ class VecQ:
     def zero(dim: int) -> "VecQ":
         return VecQ([0] * dim)
 
-    @staticmethod
-    def unit(dim: int, i: int) -> "VecQ":
-        return VecQ([1 if j == i else 0 for j in range(dim)])
-
     @property
     def dim(self) -> int:
         return len(self._e)
@@ -172,10 +168,6 @@ class MatQ:
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
 
-    @staticmethod
-    def identity(n: int) -> "MatQ":
-        return MatQ([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -192,9 +184,6 @@ class MatQ:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
-
-    def transpose(self) -> "MatQ":
-        return MatQ(zip(*[r.entries for r in self._rows])) if self._rows else MatQ([])
 
     def apply(self, v: VecQ) -> VecQ:
         """Matrix-vector product."""

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fujita import delpezzo, invariants, toric
 from fujita.fixtures import load_catalog
-from fujita.qlinalg import VecQ
+from fujita.qlinalg import MatQ, VecQ
 
 MEMOS = (invariants.fujita, delpezzo.zariski_decompose, toric.class_is_rigid)
 
@@ -52,6 +52,18 @@ def counting(monkeypatch, owner, name):
 
 def vec(*xs) -> VecQ:
     return VecQ(xs)
+
+
+def unit(dim, i) -> VecQ:
+    return VecQ([1 if j == i else 0 for j in range(dim)])
+
+
+def identity(n) -> MatQ:
+    return MatQ([list(unit(n, i)) for i in range(n)])
+
+
+def transpose(m) -> MatQ:
+    return MatQ(list(zip(*[r.entries for r in m.row_list()])))
 
 
 def frac(p, q=1) -> Fraction:

@@ -19,8 +19,11 @@ another shape (v minus a bounded multiple of the generator sum) checks
 membership by the ray LP, the forward Bareiss echelon with Fraction
 back-substitution and the Fraction Schur loop check the Gauss-Jordan
 kernel on `qlinalg.pivot`, the annihilator of the tight rays checks
-the span-dimension test of a fibration projection, and one integer dot
-per facet checks the packed facet signs of membership and minimal faces.
+the span-dimension test of a fibration projection, one integer dot
+per facet checks the packed facet signs of membership and minimal faces,
+one integer dot per (facet, generator) pair checks the incidence masks
+read off DD, and the ray LP on a copy of the cone without facets checks
+the facet route for a and its minimal face.
 """
 
 from fractions import Fraction
@@ -30,7 +33,7 @@ from math import gcd, prod
 from typing import Sequence
 
 from fujita import qlinalg
-from fujita.cones import Containment, FaceQ, _dd_extremal_rays
+from fujita.cones import ConeQ, Containment, FaceQ, _dd_extremal_rays
 from fujita.delpezzo import ZariskiDecomposition
 from fujita.errors import (
     DimensionMismatch,
@@ -451,7 +454,7 @@ def facets_of_degenerate_by_reduction(cone) -> list:
         sol = qlinalg.solve(bmat, VecQ(g))
         assert sol is not None
         reduced.append(primitive_int(sol.particular))
-    inner = _dd_extremal_rays(list(set(reduced)), r)
+    inner, _ = _dd_extremal_rays(list(set(reduced)), r)
     gram = MatQ(
         [[idot(a, b) for b in span_basis] for a in span_basis]
     )
@@ -506,7 +509,7 @@ def strict_fan_checks_by_solve(rays, max_cones) -> None:
         mat = MatQ(list(zip(*[rays[i] for i in c])))
         if abs(det_by_permutations([list(r.entries) for r in mat.row_list()])) == 1:
             continue
-        steps = [solve(mat, VecQ.unit(n, j)).particular for j in range(n)]
+        steps = [solve(mat, VecQ([int(i == j) for i in range(n)])).particular for j in range(n)]
         zero = (Fraction(0),) * n
         seen = {zero}
         frontier = [zero]
@@ -701,7 +704,7 @@ def check_fibration_hull_by_nullspace(f, tight_rays, projection) -> None:
     before the span-dimension test: the annihilator of the tight rays, by a
     nullspace, must span the row space of the projection."""
     hull_dirs = qlinalg.nullspace(MatQ([f.rays[i] for i in tight_rays])) if tight_rays \
-        else tuple(VecQ.unit(f.lattice_dim, i) for i in range(f.lattice_dim))
+        else tuple(VecQ([int(i == j) for j in range(f.lattice_dim)]) for i in range(f.lattice_dim))
     proj_rows = list(projection.row_list())
     ra = span_dim(list(hull_dirs))
     rb = span_dim(proj_rows)
@@ -759,3 +762,29 @@ def minimal_face_by_facet_loop(cone, v) -> FaceQ:
     gens_in = frozenset(j for j in range(len(cone._gens_int)) if gmask >> j & 1)
     sd = span_dim([cone._gens_int[j] for j in sorted(gens_in)])
     return FaceQ(cone, gens_in, sd)
+
+
+def facet_generator_masks_by_dot(cone) -> tuple[int, ...]:
+    """Per facet, the bitmask of the generators it annihilates, by one
+    integer dot per (facet, generator) pair."""
+    masks = []
+    for f in cone._facets_int:
+        m = 0
+        for j, g in enumerate(cone._gens_int):
+            if idot(f, g) == 0:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)
+
+
+def min_a_and_face_by_ray_lp(cone, base, direction):
+    """a, the face generators and the face's span dimension of
+    `ConeQ.min_a_with_face`, or None when direction is not interior: by
+    membership and the ray LP on a copy of the cone without facets, and the
+    face by the per-facet loop at base + a*direction."""
+    fresh = ConeQ(cone.generators, ambient_dim=cone.ambient_dim)
+    if fresh.contains(direction) is not Containment.INSIDE:
+        return None
+    a, _ = fresh.min_a_with_witness(base, direction)
+    face = minimal_face_by_facet_loop(cone, base + a * direction)
+    return a, face.generators_in_face, face.span_dim

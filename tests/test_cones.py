@@ -17,11 +17,13 @@ from fujita.cones import (
 from fujita.delpezzo import del_pezzo, quadric_surface
 from fujita.errors import Infeasible, NonStrictCone, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
+from fujita.toric import variety_model
 from conftest import counting, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
     contains_by_facet_loop,
     contains_by_lp,
+    facet_generator_masks_by_dot,
     facets_of_degenerate_by_reduction,
     fm_facets,
     minimal_face_by_facet_loop,
@@ -71,7 +73,8 @@ class TestDualize:
     def test_dp6_generator_saturation(self):
         # every generator saturates at least dim(cone) - 1 = 3 facets
         c = dp6_cone()
-        masks = c.facet_generator_masks()
+        c.facets
+        masks = c._facet_gen_masks
         for j in range(len(c.generators)):
             assert sum(1 for m in masks if m >> j & 1) >= 3
 
@@ -291,6 +294,32 @@ def random_cones(draw):
     return ConeQ(gens, ambient_dim=d)
 
 
+class TestIncidenceMasks:
+    """The facet-generator incidence read off DD's zero sets against one
+    integer dot per (facet, generator) pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_cones())
+    def test_random_cones_match_dot_loop(self, c):
+        c.facets
+        assert c._facet_gen_masks == facet_generator_masks_by_dot(c)
+
+    def test_del_pezzo_toric_and_lower_dimensional_cones(self, toric_fans):
+        cases = [del_pezzo(d).variety().eff_cone for d in range(2, 8)]
+        cases += [variety_model(f).eff_cone for f in toric_fans.values()]
+        # the +/- equation rows of a lower-dimensional cone vanish on every
+        # generator
+        cases += [
+            ConeQ([vec(2, -1)]),
+            ConeQ([vec(1, 0, 0), vec(1, 1, 0), vec(2, 1, 0)]),
+            ConeQ([vec(1, 2, 3, 0), vec(0, 1, 1, 0), vec(1, 3, 4, 0), vec(1, 0, 1, 1)]),
+        ]
+        for c in cases:
+            c.facets
+            assert c._facet_gen_masks == facet_generator_masks_by_dot(c), c
+        assert {c.is_full_dimensional() for c in cases} == {True, False}
+
+
 class TestPackedSigns:
     @settings(max_examples=150, deadline=None)
     @given(random_cones(), st.randoms(use_true_random=False))
@@ -467,7 +496,7 @@ class TestMinimalFace:
         ]
         for c, v in cases:
             face = c.minimal_face(v)
-            masks = c.facet_generator_masks()
+            masks = c._facet_gen_masks
             all_gens = (1 << len(c.generators)) - 1
             active = [i for i, f in enumerate(c.facets) if f.dot(v) == 0]
             for dropped in active:

@@ -26,7 +26,7 @@ from fujita.invariants import (
 )
 from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import Fan, ns_presentation, variety_model
-from conftest import vec
+from conftest import identity, vec
 
 
 def rank1_model(canonical=-2, name="rank1"):
@@ -261,7 +261,7 @@ class TestBirationalInvariance:
     def test_identity_pullback(self):
         m = del_pezzo(6).variety()
         assert check_birational_invariance(
-            m, m, MatQ.identity(4), vec(3, -1, -1, -1)
+            m, m, identity(4), vec(3, -1, -1, -1)
         )
 
     def test_plane_to_blowup(self):
@@ -281,7 +281,7 @@ class TestBirationalInvariance:
     def test_incompatible_shapes(self):
         with pytest.raises(IncompatibleModels):
             check_birational_invariance(
-                del_pezzo(9).variety(), del_pezzo(8).variety(), MatQ.identity(1), vec(1)
+                del_pezzo(9).variety(), del_pezzo(8).variety(), identity(1), vec(1)
             )
 
 

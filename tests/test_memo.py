@@ -3,7 +3,7 @@
 read through class rigidity agrees with the adjoint-divisor route."""
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -20,51 +20,80 @@ from oracles import toric_balanced_by_adjoint
 BOUND = 16
 
 
+def fresh_cone(m, warm):
+    """m over a new ConeQ on the same generators, its facets built iff warm,
+    with every memo emptied: the counts below then do not depend on which
+    tests already built the facets of the shared cone."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    fresh = replace(m, eff_cone=ConeQ(m.eff_cone.generators, ambient_dim=m.ns_rank))
+    if warm:
+        fresh.eff_cone.facets
+    return fresh
+
+
 @pytest.mark.parametrize("degree", [2, 3, 5, 7])
 def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
     surf = del_pezzo(degree)
-    m = surf.variety()
-    bundle = -2 * surf.canonical + m.eff_cone.generators[0] + 2 * m.eff_cone.generators[-1]
-    rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
-    decompositions = counting(monkeypatch, delpezzo, "_zariski")
-    memberships = counting(monkeypatch, ConeQ, "contains")
-    solves = counting(monkeypatch, qlinalg, "solve")
+    for warm in (False, True):
+        m = fresh_cone(surf.variety(), warm)
+        monkeypatch.setattr(surf, "_variety", m)
+        bundle = -2 * surf.canonical + m.eff_cone.generators[0] + 2 * m.eff_cone.generators[-1]
+        rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
+        decompositions = counting(monkeypatch, delpezzo, "_zariski")
+        memberships = counting(monkeypatch, ConeQ, "contains")
+        faces = counting(monkeypatch, ConeQ, "minimal_face")
+        lps = counting(monkeypatch, cones, "solve_lp")
+        solves = counting(monkeypatch, qlinalg, "solve")
 
-    fr = fujita(m, bundle)
-    res = b_invariant(m, bundle)
-    case = surface_b(surf, bundle)
-    balance = surface_balanced(surf, bundle)
-    rigid = is_rigid_class(m, fr.boundary_class)
+        fr = fujita(m, bundle)
+        res = b_invariant(m, bundle)
+        case = surface_b(surf, bundle)
+        balance = surface_balanced(surf, bundle)
+        rigid = is_rigid_class(m, fr.boundary_class)
 
-    assert len(rays) == 1
-    assert len(decompositions) == 1
-    # only `fujita` asks the cone, whether the bundle is big; the face pass
-    # and the Zariski kernel prove membership of the boundary class
-    # themselves, and `is_rigid_class` leaves the question to its route
-    assert len(memberships) == 1
-    assert solves == []
-    assert res.fujita is fr
-    assert case.b == res.b
-    assert balance.balanced == rigid
+        if warm:
+            # the facet products decide bigness, a and the face; one LP
+            # over the face's generators gives the witness
+            assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 0, 1)
+            assert len(lps[0][2]) <= len(res.face.generators_in_face)
+        else:
+            # `fujita` asks the cone once whether the bundle is big, then
+            # solves the ray LP; `b_invariant` builds the facets for the face
+            assert (len(rays), len(memberships), len(faces), len(lps)) == (1, 1, 1, 2)
+        # the face pass and the Zariski kernel prove membership of the
+        # boundary class themselves, and `is_rigid_class` leaves the
+        # question to its route
+        assert len(decompositions) == 1
+        assert solves == []
+        assert res.fujita is fr
+        assert case.b == res.b
+        assert balance.balanced == rigid
+        monkeypatch.undo()
 
 
 def test_toric_query_builds_one_polytope(monkeypatch, toric_fans):
     for name, fan in toric_fans.items():
-        m = variety_model(fan)
-        coeffs = [1 + i % 3 for i in range(len(fan.rays))]
-        bundle = ns_presentation(fan).divisor_class(coeffs)
-        polytopes = counting(monkeypatch, toric, "divisor_polytope")
-        memberships = counting(monkeypatch, ConeQ, "contains")
-        fr = fujita(m, bundle)
-        m.eff_cone.minimal_face(fr.boundary_class)
-        rigid = is_rigid_class(m, fr.boundary_class)
-        balanced = toric.toric_balanced_all_subvarieties(fan, coeffs)
-        assert len(polytopes) == 1, name
-        # `fujita` asks whether the bundle is big; a nonempty polytope
-        # settles membership of the boundary class
-        assert len(memberships) == 1, name
-        assert balanced == rigid, name
-        monkeypatch.undo()
+        for warm in (False, True):
+            m = fresh_cone(variety_model(fan), warm)
+            monkeypatch.setattr(toric, "variety_model", lambda f: m)
+            coeffs = [1 + i % 3 for i in range(len(fan.rays))]
+            bundle = ns_presentation(fan).divisor_class(coeffs)
+            polytopes = counting(monkeypatch, toric, "divisor_polytope")
+            memberships = counting(monkeypatch, ConeQ, "contains")
+            rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
+            faces = counting(monkeypatch, ConeQ, "minimal_face")
+            fr = b_invariant(m, bundle).fujita
+            rigid = is_rigid_class(m, fr.boundary_class)
+            balanced = toric.toric_balanced_all_subvarieties(fan, coeffs)
+            assert len(polytopes) == 1, name
+            # cold, `fujita` asks whether the bundle is big and solves the
+            # ray LP, and `b_invariant` builds the facets for the face;
+            # warm, the facet products answer all three.  A nonempty
+            # polytope settles membership of the boundary class.
+            assert (len(memberships), len(rays), len(faces)) == ((0, 0, 0) if warm else (1, 1, 1)), name
+            assert balanced == rigid, name
+            monkeypatch.undo()
 
 
 def test_one_lp_per_divisor_polytope(monkeypatch, toric_fans):

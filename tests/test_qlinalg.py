@@ -18,6 +18,7 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
+from conftest import identity, transpose, unit
 from oracles import (
     add_fractions_bigint,
     det_by_permutations,
@@ -32,7 +33,7 @@ from oracles import (
 
 class TestRank:
     def test_identity(self):
-        assert rank(MatQ.identity(3)) == 3
+        assert rank(identity(3)) == 3
 
     def test_zero_matrix(self):
         assert rank(MatQ([[0] * 5, [0] * 5])) == 0
@@ -45,7 +46,7 @@ class TestRank:
             r = rng.randint(1, 5)
             c = rng.randint(1, 5)
             m = MatQ([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)])
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(transpose(m))
 
 
 class TestSolve:
@@ -246,7 +247,7 @@ def test_scaled_inverse_against_solve(rows, singular):
     if d == 0:
         assert got == (0, None)
         return
-    columns = [solve(MatQ(rows), VecQ.unit(n, j)).particular for j in range(n)]
+    columns = [solve(MatQ(rows), unit(n, j)).particular for j in range(n)]
     expected = [[d * columns[j][i] for j in range(n)] for i in range(n)]
     assert got == (d, expected)
 

@@ -31,7 +31,7 @@ from fujita.toric import (
     toric_rigid,
     variety_model,
 )
-from conftest import counting, vec
+from conftest import counting, identity, transpose, vec
 from oracles import (
     check_fibration_hull_by_nullspace,
     divisor_class_by_solve,
@@ -454,7 +454,7 @@ class TestFibration:
 
     def test_identity_projection_rejected(self):
         with pytest.raises(ProjectionIncompatible):
-            fibration_b_crosscheck(p1xp1_fan(), [0, 2, 0, 1], MatQ.identity(2))
+            fibration_b_crosscheck(p1xp1_fan(), [0, 2, 0, 1], identity(2))
 
     def test_wrong_factor_rejected(self):
         with pytest.raises(ProjectionIncompatible):
@@ -478,7 +478,7 @@ def class_isomorphism(fan, dp_classes):
     images = [dp_classes[i] for i in idx]
     rows = []
     for t in range(len(images[0])):
-        sol = solve(basis.transpose(), VecQ([img[t] for img in images]))
+        sol = solve(transpose(basis), VecQ([img[t] for img in images]))
         assert sol is not None and sol.unique
         rows.append(sol.particular.entries)
     m = MatQ(rows)
