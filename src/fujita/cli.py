@@ -5,7 +5,7 @@
     fujita zariski <file>...        Zariski decomposition of the class in "line_bundle"
     fujita fixtures list|run [id]   catalog listing / pass-fail table
 
-Flags: --json (machine output, byte-for-byte deterministic), --jobs N
+Flags: --json (machine output, byte-for-byte deterministic), --jobs N >= 1
 (parallel batch over files or fixture ids, at most one worker per task and
 per CPU), --strict-fan (exact fan completeness and terminality checks).
 FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
@@ -353,7 +353,10 @@ def _dispatch(ns) -> int:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.jobs < 1:
+        parser.error(f"argument --jobs: expected an integer >= 1, got {ns.jobs}")
     try:
         code = _dispatch(ns)
         sys.stdout.flush()

@@ -14,21 +14,22 @@ least a is positive or none exists, and in the relative interior iff it is
 negative or unbounded below.  Strictness is one memoized LP: the cone is
 strict iff no nonzero nonnegative combination of the generators vanishes.
 
-Once the facets exist, membership and the minimal face take every facet
-sign from one packed product (Kronecker substitution): x = sum_t v_t P_t +
-HIGH, P_t = sum_j f_jt 2^(w j), holds f_j.v + 2^(w-1) in slot j.  The slot
-width w, a power of two >= 64 above the bit length of l1 * max|v_t| (l1
-the largest absolute row sum of the facets), keeps |f_j.v| < 2^(w-1), so
-no slot of x or x - ONES borrows or carries: the top bit of slot j is set
-in x iff f_j.v >= 0, and in x - ONES iff f_j.v >= 1.  The slots of x with
-their top bits flipped hold every f_j.v in two's complement.
+Once the facets exist, membership and the minimal face read every f_j.v
+off one packed product (Kronecker substitution): x = sum_t v_t P_t + HIGH,
+P_t = sum_j f_jt 2^(w j), HIGH the top bit of every slot, holds
+f_j.v + 2^(w-1) in slot j.  The slot width w, a power of two >= 64 above
+the bit length of l1 * max|v_t| (l1 the largest absolute row sum of the
+facets), keeps |f_j.v| < 2^(w-1), so no slot borrows or carries, and
+x ^ HIGH holds every f_j.v in two's complement.  v is outside iff some
+f_j.v < 0 and on the boundary iff the least is 0 (with no facets, the
+whole space, every v is interior); its minimal face is cut out by the
+facets vanishing at v: the generators on all of them.
 
 Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
 cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
-positive there, so they cut out its minimal face: the generators on all
-of them.
+positive there, so by the same rule they cut out its minimal face.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -46,7 +47,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import gcd
+from operator import and_, not_
 from typing import Iterable, Sequence
 
 from . import qlinalg
@@ -297,44 +301,25 @@ class ConeQ:
         self._facets_int = facets_int
         self._facets = tuple(VecQ(f) for f in facets_int)
 
-    def _pack(self, w: int) -> tuple[list[int], int, int, list[int]]:
-        """P_t, ONES, HIGH and each generator's vanishing facets at width w."""
-        size, n = w // 8, len(self._facets_int)
-        ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-        half, high = 1 << (w - 1), ones << (w - 1)
+    def _pack(self, w: int) -> tuple[list[int], int]:
+        """P_t and HIGH at slot width w (see the module docstring)."""
+        size = w // 8
+        high = int.from_bytes((bytes(size - 1) + b"\x80") * len(self._facets_int), "little")
+        half = 1 << (w - 1)
         biased = [b"".join([(x + half).to_bytes(size, "little") for x in c]) for c in zip(*self._facets_int)]
-        cols = [int.from_bytes(b, "little") - high for b in biased]
-        slots = [bytearray(n * size) for _ in self._gens_int]
-        for j, m in enumerate(self._facet_gen_masks):
-            while m:
-                low = m & -m
-                slots[low.bit_length() - 1][j * size + size - 1] = 0x80
-                m ^= low
-        return cols, ones, high, [int.from_bytes(s, "little") for s in slots]
+        return [int.from_bytes(b, "little") - high for b in biased], high
 
-    def _product(self, vi: list[int]) -> tuple[int, int, tuple]:
-        """The packed product x of the integer vector vi, the slot width w
-        and the pack at w (see the module docstring)."""
+    def _slots(self, vi: list[int]) -> Sequence[int]:
+        """Every f_j.vi, in facet order, from one packed product (see the
+        module docstring)."""
         self.facets
         bits = (self._l1 * max([abs(x) for x in vi] + [1])).bit_length()
         w = max(64, 1 << bits.bit_length())
         if w not in self._packs:
             self._packs[w] = self._pack(w)
-        pack = self._packs[w]
-        return idot(vi, pack[0]) + pack[2], w, pack
-
-    def _signs(self, v: VecQ) -> tuple[bool, int, list[int]]:
-        """Whether some facet is negative at v, the top bits of the facets
-        vanishing at v, and the generator masks (see the module docstring)."""
-        x, _, (_, ones, high, gen_masks) = self._product(scaled_ints(v)[0])
-        return x & high != high, ~(x - ones) & high, gen_masks
-
-    def _slots(self, vi: list[int]) -> Sequence[int]:
-        """Every f_j.vi, in facet order: flipping the top bit of each slot
-        turns f_j.vi + 2^(w-1) into f_j.vi in two's complement."""
-        x, w, (_, _, high, _) = self._product(vi)
+        cols, high = self._packs[w]
         size = w // 8
-        raw = (x ^ high).to_bytes(size * len(self._facets_int), "little")
+        raw = ((idot(vi, cols) + high) ^ high).to_bytes(size * len(self._facets_int), "little")
         if w == 64 and sys.byteorder == "little":
             return memoryview(raw).cast("q")
         return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
@@ -353,10 +338,11 @@ class ConeQ:
         if v.is_zero() and self._strict:
             return Containment.BOUNDARY
         if self._facets_int is not None:
-            negative, zeros, _ = self._signs(v)
-            if negative:
+            # no facets: the cone is the whole space
+            least = min(self._slots(scaled_ints(v)[0]), default=1)
+            if least < 0:
                 return Containment.OUTSIDE
-            return Containment.BOUNDARY if zeros else Containment.INSIDE
+            return Containment.BOUNDARY if least == 0 else Containment.INSIDE
         # the a with v + a*total in the cone form [a*, oo), all of Q, or
         # nothing when v is off the span (see the module docstring)
         res = self._ray_lp(v, [sum(col) for col in zip(*self._gens_int)])
@@ -410,10 +396,10 @@ class ConeQ:
         facets vanishing at v.  v = 0 returns the face {0} without forcing
         facet enumeration.
 
-        One packed product both rejects v (a negative sign) and marks the
-        facets vanishing at v; a generator is in the face iff it vanishes on
-        all of them.  On a non-strict cone an outside v still raises
-        OutsideCone before NonStrictCone."""
+        One packed product both rejects v (a negative slot) and marks the
+        facets vanishing at v (its zero slots); a generator is in the face
+        iff it vanishes on all of them.  On a non-strict cone an outside v
+        still raises OutsideCone before NonStrictCone."""
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
         if not self.is_strict():
@@ -422,11 +408,16 @@ class ConeQ:
             raise NonStrictCone("minimal_face requires a strict cone")
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
-        negative, zeros, gen_masks = self._signs(v)
-        if negative:
+        sl = self._slots(scaled_ints(v)[0])
+        if min(sl) < 0:
             raise OutsideCone(f"{v!r} is outside the cone")
-        gens_in = frozenset([j for j, m in enumerate(gen_masks) if zeros & m == zeros])
-        return FaceQ(self, gens_in, span_dim([self._gens_int[j] for j in sorted(gens_in)]))
+        # -1, every generator, when no facet vanishes at v
+        return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), -1))
+
+    def _face(self, mask: int) -> FaceQ:
+        """The face whose generators are the set bits of mask."""
+        inside = [j for j in range(len(self._gens_int)) if mask >> j & 1]
+        return FaceQ(self, frozenset(inside), span_dim([self._gens_int[j] for j in inside]))
 
     # -- ray optimization ----------------------------------------------------
 
@@ -450,23 +441,24 @@ class ConeQ:
         if min(sl, default=0) <= 0:
             return None
         sk = self._slots(vk)
-        num, den, face = -sk[0], sl[0], self._facet_gen_masks[0]
+        num, den, mask = -sk[0], sl[0], self._facet_gen_masks[0]
         for k, l, m in zip(sk, sl, self._facet_gen_masks):
             c = -k * den - num * l  # -k/l against num/den; l, den > 0
             if c > 0:
-                num, den, face = -k, l, m
+                num, den, mask = -k, l, m
             elif c == 0:
-                face &= m
+                mask &= m
         a = Fraction(num * dl, den * dk)
         gens = self._gens_int
-        inside = [j for j in range(len(gens)) if face >> j & 1]
+        face = self._face(mask)
+        inside = sorted(face.generators_in_face)
         # den*dk*(a*direction + base), in integers
         p = [num * l + den * k for l, k in zip(vl, vk)]
         res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
         witness = [Fraction(0)] * len(gens)
         for j, x in zip(inside, res.x):
             witness[j] = x / (den * dk)
-        return a, tuple(witness), FaceQ(self, frozenset(inside), span_dim([gens[j] for j in inside]))
+        return a, tuple(witness), face
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

@@ -48,24 +48,24 @@ from .qlinalg import MatQ, VecQ, as_rat, idot, primitive_int, scaled_ints, scale
 
 
 @lru_cache(maxsize=None)
-def enumerate_negative_curves(degree: int, search_bound: int = 6) -> tuple[VecQ, ...]:
+def enumerate_negative_curves(degree: int) -> tuple[VecQ, ...]:
     """All classes aH - sum b_i E_i with self-intersection -1 and
-    anticanonical degree 1, by exhaustive search with 0 <= a <= search_bound.
-
-    The classical bound is a <= 6; the regression suite re-runs the search
-    with bound 8 and checks the count is stable.
+    anticanonical degree 1, by exhaustive search.
 
     The search picks b_1, b_2, ... in turn and needs sum b = 3a - 1 and
     sum b^2 = a^2 + 1.  A branch with `rem` entries left, which still need
     `need` in the sum and at most `room` in the squares, is cut when
     rem * room < need^2: by Cauchy-Schwarz (sum b)^2 <= rem * sum b^2 over
     the remaining entries, so no completion exists and the cut is exact.
+    Over all r entries the same cut, r(a^2 + 1) >= (3a - 1)^2, holds for a
+    from 0 up to 1, 1, 1, 2, 2, 3, 7 (r = 2..8) and fails beyond.
     """
     if not 1 <= degree <= 7:
         raise DegreeOutOfRange(f"negative-curve enumeration needs degree in 1..7, got {degree}")
     r = 9 - degree
     found: list[tuple[int, ...]] = []
-    for a in range(0, search_bound + 1):
+    a = 0
+    while r * (a * a + 1) >= (3 * a - 1) ** 2:
         target_sum = 3 * a - 1
         target_sq = a * a + 1
         bmax = a if a >= 1 else 0
@@ -89,6 +89,7 @@ def enumerate_negative_curves(degree: int, search_bound: int = 6) -> tuple[VecQ,
                 prefix.pop()
 
         rec(0, 0, 0, [])
+        a += 1
     found.sort()
     return tuple(VecQ(f) for f in found)
 

@@ -23,7 +23,7 @@ every fixture is directly consumable by the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import delpezzo, toric
@@ -105,7 +105,6 @@ class LoadedProblem:
     bundle_toric_coeffs: tuple[int, ...] | None
     subvarieties: tuple[tuple[str, SubvarietyDatum], ...]
     fibration: MatQ | None
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
@@ -243,7 +242,6 @@ def parse_problem(doc: dict, strict_fan: bool = False) -> LoadedProblem:
         bundle_toric_coeffs=coeffs,
         subvarieties=tuple(subs),
         fibration=fib,
-        raw=doc,
     )
 
 

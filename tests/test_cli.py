@@ -400,6 +400,13 @@ class TestJobsClamp:
         # once to check the ids, then once in each worker
         assert len(count_catalog_loads) == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fixtures", "run", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
+
 
 class TestFixturesCatalogLoads:
     def test_serial_run_loads_catalog_once(self, capsys, count_catalog_loads):

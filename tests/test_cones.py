@@ -220,6 +220,22 @@ class TestContains:
         assert c.contains(vec(3, 0)) is Containment.BOUNDARY
         assert c.contains(vec(0, -1)) is Containment.OUTSIDE
 
+    @pytest.mark.parametrize(
+        "gens",
+        [[(1,), (-1,)], [(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (0, 1), (-1, -1)]],
+        ids=["line", "plus-minus-axes", "three-rays"],
+    )
+    def test_whole_space_is_interior(self, gens):
+        # no facet bounds the whole space, so every point is interior: by
+        # the ray LP, and again once the (empty) facet list exists
+        c = ConeQ([VecQ(g) for g in gens])
+        probes = [VecQ.zero(c.ambient_dim), VecQ([3, -2][: c.ambient_dim])]
+        for v in probes:
+            assert c.contains(v) is Containment.INSIDE
+        assert c.facets == ()
+        for v in probes:
+            assert c.contains(v) is Containment.INSIDE
+
 
 class TestFacetMemo:
     def test_facets_memoized_once(self, monkeypatch):

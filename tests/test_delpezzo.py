@@ -45,17 +45,16 @@ class TestEnumeration:
         }
 
     def test_count_stable_under_bound_increase(self):
+        # the oracle searches up to a = 8, past the bound the search derives
         for d in CURVE_COUNTS:
-            assert len(enumerate_negative_curves(d, search_bound=8)) == CURVE_COUNTS[d]
+            got = len(enumerate_negative_curves(d))
+            assert got == len(minus_one_curves_by_multisets(d, 8)) == CURVE_COUNTS[d]
 
-    @pytest.mark.parametrize("search_bound", [6, 8])
-    def test_matches_multiset_oracle(self, search_bound):
+    @pytest.mark.parametrize("oracle_bound", [6, 8])
+    def test_matches_multiset_oracle(self, oracle_bound):
         for d in range(1, 8):
-            got = {
-                tuple(int(x) for x in c)
-                for c in enumerate_negative_curves(d, search_bound=search_bound)
-            }
-            assert got == minus_one_curves_by_multisets(d, search_bound)
+            got = {tuple(int(x) for x in c) for c in enumerate_negative_curves(d)}
+            assert got == minus_one_curves_by_multisets(d, oracle_bound)
 
     def test_numerical_identities(self):
         for d in (6, 3, 1):
