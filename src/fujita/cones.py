@@ -34,7 +34,8 @@ positive there, so by the same rule they cut out its minimal face.
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
 constraints.  Its one caller is `toric.divisor_polytope`, for the implicit
-equalities of a divisor polytope.
+equalities and a sample point of a divisor polytope.  No query path calls
+it: toric rigidity and the fibration check read the minimal face instead.
 
 Faces here are supported faces (cut out by functionals nonnegative on the
 cone).  For finitely generated cones these coincide with extremal faces, so
@@ -415,9 +416,12 @@ class ConeQ:
         return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), -1))
 
     def _face(self, mask: int) -> FaceQ:
-        """The face whose generators are the set bits of mask."""
-        inside = [j for j in range(len(self._gens_int)) if mask >> j & 1]
-        return FaceQ(self, frozenset(inside), span_dim([self._gens_int[j] for j in inside]))
+        """The face whose generators are the set bits of mask.  The whole
+        cone, the face of every interior vector, spans `dim()`."""
+        gens = self._gens_int
+        inside = [j for j in range(len(gens)) if mask >> j & 1]
+        span = self.dim() if len(inside) == len(gens) else span_dim([gens[j] for j in inside])
+        return FaceQ(self, frozenset(inside), span)
 
     # -- ray optimization ----------------------------------------------------
 
@@ -427,18 +431,21 @@ class ConeQ:
         """As `min_a_with_witness`, with the minimal face of the boundary
         point; None unless direction is interior.  With the facets built, two
         packed products give a and the face (see the module docstring) and
-        the witness is one LP on the face's generators.  Without them,
-        `contains` and the ray LP answer and the face is None, left to
-        `minimal_face`: a alone never forces the facets."""
+        the witness is one LP on the face's generators, none when the face
+        is {0}.  Without them, `contains` and the ray LP answer and the face
+        is None, left to `minimal_face`: a alone never forces the facets.
+        Both routes raise UnboundedBelow on the whole space (no facets)."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
             if self.contains(direction) is not Containment.INSIDE:
                 return None
             return *self.min_a_with_witness(base, direction), None
+        if not self._facets_int:
+            raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
         (vl, dl), (vk, dk) = scaled_ints(direction), scaled_ints(base)
         sl = self._slots(vl)
-        if min(sl, default=0) <= 0:
+        if min(sl) <= 0:
             return None
         sk = self._slots(vk)
         num, den, mask = -sk[0], sl[0], self._facet_gen_masks[0]
@@ -452,12 +459,13 @@ class ConeQ:
         gens = self._gens_int
         face = self._face(mask)
         inside = sorted(face.generators_in_face)
-        # den*dk*(a*direction + base), in integers
-        p = [num * l + den * k for l, k in zip(vl, vk)]
-        res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
         witness = [Fraction(0)] * len(gens)
-        for j, x in zip(inside, res.x):
-            witness[j] = x / (den * dk)
+        if inside:
+            # den*dk*(a*direction + base), in integers
+            p = [num * l + den * k for l, k in zip(vl, vk)]
+            res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
+            for j, x in zip(inside, res.x):
+                witness[j] = x / (den * dk)
         return a, tuple(witness), face
 
     def min_a_with_witness(

@@ -99,11 +99,6 @@ class NonTerminalCone(InvalidModel):
     """Strict-mode terminality box test failed for a singular cone."""
 
 
-class NotEffective(FujitaError):
-    """Invariant divisor has empty polytope although its class was
-    expected to be effective."""
-
-
 class ProjectionIncompatible(FujitaError):
     """Supplied lattice projection does not realize the semi-ample
     fibration of the adjoint divisor."""

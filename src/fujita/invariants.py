@@ -203,7 +203,8 @@ def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
 
     Surfaces with negative-curve data use the Zariski route (rigid iff the
     positive part vanishes); toric models use the divisor polytope (rigid
-    iff dimension zero); a raw model without an intersection form has no
+    iff dimension zero), whose dimension is read off the minimal face of
+    the class with no LP; a raw model without an intersection form has no
     rigidity oracle.  Each route raises NotPseudoEffective on a class
     outside the effective cone, asking the cone itself when it must.
     """

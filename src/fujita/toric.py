@@ -3,11 +3,23 @@
 A `Fan` is a complete simplicial fan given by primitive integer rays and
 maximal cones (as ray-index sets).  The divisor class group presentation
 NS = Z^rays / image(M) gives the class map, the effective cone is spanned by
-the boundary divisor classes, and rigidity of an invariant divisor is read
-off the dimension of its polytope {m : <m, v_ray> >= -a_ray}, which is the
-executable h^0 oracle used by the balancedness criterion.  One exact LP per
-polytope gives its emptiness, its implicit equalities (hence its dimension)
-and a relative-interior point.
+the boundary divisor classes (generator j is the class of ray j; none is
+zero on a complete fan), and its facets are built with the model.  An
+invariant divisor is rigid iff its polytope {m : <m, v_ray> >= -a_ray} is
+a point, which is the executable h^0 oracle used by the balancedness
+criterion.
+
+That dimension is read off the minimal face F of the effective cone
+containing the class, with no LP.  The polytope is the set of
+nonnegative coefficient vectors of the class in the exact sequence
+0 -> M -> Z^rays -> Cl -> 0 (Cox, Little and Schenck, Toric Varieties,
+2011, 4.1): the rays off F are tight on all of it, a relative-interior
+point is positive on every ray in F, so the polytope spans the fibre of
+the class map restricted to the coordinates in F, and its dimension is
+|F| - span_dim(F).  It is empty iff the class is outside the cone.
+`divisor_polytope` stays the LP answer, and the tests' oracle for that
+rule: one exact LP per polytope gives its emptiness, its implicit
+equalities (hence its dimension) and a relative-interior point.
 
 Completeness is checked by ridge pairing (every codimension-one wall lies in
 exactly two maximal cones) plus 27 seeded generic sample directions each
@@ -36,15 +48,15 @@ from functools import lru_cache
 from math import gcd
 
 from . import invariants, qlinalg
-from .cones import ConeQ, Containment, positive_support
+from .cones import ConeQ, positive_support
 from .errors import (
     IncompleteFan,
     InvalidModel,
     NonSimplicialCone,
     NonSmoothCone,
     NonTerminalCone,
-    NotEffective,
     NotPseudoEffective,
+    OutsideCone,
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
@@ -316,12 +328,16 @@ def effective_cone(f: Fan) -> ConeQ:
 
 @lru_cache(maxsize=None)
 def variety_model(f: Fan) -> VarietyModel:
+    """The model of the fan, its cone's facets built: every toric query
+    reads them, and DD on these cones is cheap."""
     pres = ns_presentation(f)
+    cone = ConeQ(pres.ray_classes, ambient_dim=pres.rank)
+    cone.facets
     return VarietyModel(
         name=f"toric-{len(f.rays)}rays-dim{f.lattice_dim}",
         ns_rank=pres.rank,
         canonical=pres.canonical_class(),
-        eff_cone=ConeQ(pres.ray_classes, ambient_dim=pres.rank),
+        eff_cone=cone,
         intersection_form=None,
         provenance=Toric(f),
     )
@@ -370,41 +386,41 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
     return DivisorPolytope(dim, VecQ([x[t] - x[n + t] for t in range(n)]), tight)
 
 
+def _class_dim(f: Fan, cls: VecQ) -> int:
+    """Dimension of the polytope of any invariant divisor of the class,
+    -1 iff empty: |F| - span_dim(F), F the generators of the minimal face
+    containing the class (see the module docstring)."""
+    try:
+        face = variety_model(f).eff_cone.minimal_face(cls)
+    except OutsideCone:
+        return -1
+    return len(face.generators_in_face) - face.span_dim
+
+
 def polytope_dim(f: Fan, coeffs) -> int:
-    """Dimension of the divisor polytope; -1 iff empty."""
-    return divisor_polytope(f, coeffs).dim
+    """Dimension of the divisor polytope; -1 iff empty.  Read off the
+    minimal face; `divisor_polytope(f, coeffs).dim` is the LP answer."""
+    return _class_dim(f, ns_presentation(f).divisor_class(coeffs))
 
 
 def toric_rigid(f: Fan, coeffs) -> bool:
     """True iff the divisor polytope is a single point (h^0 of every
-    multiple is one); false on positive dimension.
-
-    An empty polytope for a pseudo-effective class cannot occur: linear
-    equivalence translates the polytope, so emptiness is a class invariant
-    and (for complete fans) equivalent to the class lying outside the
-    effective cone.  The NotEffective branch is a defensive guard.
-    """
-    d = polytope_dim(f, coeffs)
-    if d < 0:
-        cls = ns_presentation(f).divisor_class(coeffs)
-        if variety_model(f).eff_cone.contains(cls) is not Containment.OUTSIDE:
-            raise NotEffective(
-                "empty polytope for an effective class; no representative shift can fix this"
-            )
-        raise NotPseudoEffective("divisor class is not pseudo-effective")
-    return d == 0
+    multiple is one); false on positive dimension.  Raises
+    NotPseudoEffective when it is empty, which happens exactly for a class
+    outside the effective cone."""
+    return class_is_rigid(f, ns_presentation(f).divisor_class(coeffs))
 
 
 @lru_cache(maxsize=MEMO_BOUND)
 def class_is_rigid(f: Fan, cls: VecQ) -> bool:
-    """Rigidity of a divisor class (lifted to an invariant divisor).  The
-    last MEMO_BOUND results are kept per (fan, class): rigidity and the
-    toric balanced verdict ask for the same adjoint boundary class."""
-    # a positive multiple has the same rigidity; scaling to integers first
-    # keeps Fraction right-hand sides out of the polytope LP, which is
-    # measurably slower with them
-    ints, _ = scaled_ints(ns_presentation(f).lift_class(cls))
-    return toric_rigid(f, ints)
+    """Rigidity of a divisor class: its polytope is a point iff the
+    generators of its minimal face are linearly independent.  The last
+    MEMO_BOUND results are kept per (fan, class): rigidity and the toric
+    balanced verdict ask for the same adjoint boundary class."""
+    d = _class_dim(f, cls)
+    if d < 0:
+        raise NotPseudoEffective("divisor class is not pseudo-effective")
+    return d == 0
 
 
 def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
@@ -446,21 +462,18 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
     The projection is verified against the adjoint divisor: the direction
     space of its polytope's affine hull must equal the annihilator of
     ker(projection), otherwise the projection does not realize the
-    semi-ample fibration and the call is rejected.
+    semi-ample fibration and the call is rejected.  The rays tight on that
+    polytope are those off the minimal face b was read from (see the
+    module docstring), so the check needs no LP.
     """
     pres = ns_presentation(f)
     model = variety_model(f)
     res = invariants.b_invariant(model, pres.divisor_class(bundle_coeffs))
 
-    # an invariant divisor of the boundary class; another one of the same
-    # class translates the polytope and keeps its implicit equalities
-    poly = divisor_polytope(f, pres.lift_class(res.fujita.boundary_class))
-    if poly.dim < 0:
-        raise ProjectionIncompatible("adjoint divisor has empty polytope")
     # the hull's directions are the annihilator of the tight rays, so they
     # match the annihilator of ker(projection) iff span(tight) = ker(projection):
     # the projection kills every tight ray and the dimensions add up
-    tight = [f.rays[i] for i in poly.tight_rays]
+    tight = [r for i, r in enumerate(f.rays) if i not in res.face.generators_in_face]
     if not (
         all(projection.apply(VecQ(r)).is_zero() for r in tight)
         and span_dim(tight) + span_dim(projection.row_list()) == f.lattice_dim

@@ -12,7 +12,8 @@ polytopes without the single support LP, a flat multiset search checks
 the pruned (-1)-curve recursion, one rational solve per cone and
 direction checks the integer fan-coverage test, the Fraction loop checks
 the integer Zariski kernel, one rational solve on the pivot rays checks
-the integer toric class map, reduction to the span with a Gram lift checks
+the integer toric class map, the support LP of the divisor polytope checks
+toric rigidity read off the minimal face, reduction to the span with a Gram lift checks
 the one-DD dual of lower-dimensional cones, a nullspace wall normal
 with a Fraction lattice walk checks the strict fan checks, an LP of
 another shape (v minus a bounded multiple of the generator sum) checks
@@ -312,9 +313,10 @@ def det_by_permutations(rows) -> Fraction:
 def toric_balanced_by_adjoint(fan, bundle_coeffs) -> bool:
     """Toric balance read off the adjoint divisor a*L + K itself: the
     coefficients a*l_ray - 1 (K is minus the sum of the boundary divisors),
-    cleared to integers, and the dimension of their polytope."""
+    cleared to integers, and the dimension of their polytope by the support
+    LP, not by the minimal face."""
     from fujita.invariants import fujita
-    from fujita.toric import ns_presentation, toric_rigid, variety_model
+    from fujita.toric import divisor_polytope, ns_presentation, variety_model
 
     pres = ns_presentation(fan)
     fr = fujita(variety_model(fan), pres.divisor_class(bundle_coeffs))
@@ -322,7 +324,7 @@ def toric_balanced_by_adjoint(fan, bundle_coeffs) -> bool:
     den = 1
     for x in adjoint:
         den = den * x.denominator // gcd(den, x.denominator)
-    return toric_rigid(fan, [x * den for x in adjoint])
+    return divisor_polytope(fan, [x * den for x in adjoint]).dim == 0
 
 
 def minus_one_curves_by_multisets(degree, search_bound) -> set:

@@ -476,6 +476,21 @@ class TestMinimalFace:
         f = minimal_face(c, vec(3, -1, -1, -1))
         assert f.span_dim == c.dim()
 
+    def test_interior_face_spans_the_cone_dimension(self, toric_fans):
+        # the whole-cone face takes its span from `dim()`; Bareiss on the
+        # generators is the reference, and the plane in Q^3 keeps dim()
+        # apart from the ambient dimension
+        cones_ = [del_pezzo(d).variety().eff_cone for d in range(2, 8)]
+        cones_ += [variety_model(fan).eff_cone for fan in toric_fans.values()]
+        cones_.append(ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]))
+        for c in cones_:
+            total = VecQ.zero(c.ambient_dim)
+            for g in c.generators:
+                total = total + g
+            f = c.minimal_face(total)
+            assert f.generators_in_face == frozenset(range(len(c.generators))), c
+            assert f.span_dim == c.dim() == span_dim(c.generators), c
+
     def test_outside_rejected(self):
         with pytest.raises(OutsideCone):
             minimal_face(FIXTURE_CONES["orthant2"], vec(-1, 0))
@@ -563,6 +578,21 @@ class TestMinAOnRay:
         c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
         with pytest.raises(UnboundedBelow):
             min_a_on_ray(c, vec(0, 1), vec(1, 0))
+
+    @pytest.mark.parametrize(
+        "gens, base, direction",
+        [([(1,), (-1,)], (-1,), (1,)), ([(1, 0), (0, 1), (-1, -1)], (2, -5), (0, 1))],
+        ids=["line", "three-rays"],
+    )
+    def test_whole_space_unbounded_on_both_routes(self, gens, base, direction):
+        # no finite least a in the whole space: by the ray LP, and again
+        # once the (empty) facet list exists
+        for warm in (False, True):
+            c = ConeQ([VecQ(g) for g in gens])
+            if warm:
+                assert c.facets == ()
+            with pytest.raises(UnboundedBelow):
+                c.min_a_with_face(VecQ(base), VecQ(direction))
 
     def test_boundary_probe_property(self):
         eps = Fraction(1, 1000)

@@ -72,7 +72,7 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         monkeypatch.undo()
 
 
-def test_toric_query_builds_one_polytope(monkeypatch, toric_fans):
+def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fans):
     for name, fan in toric_fans.items():
         for warm in (False, True):
             m = fresh_cone(variety_model(fan), warm)
@@ -80,18 +80,33 @@ def test_toric_query_builds_one_polytope(monkeypatch, toric_fans):
             coeffs = [1 + i % 3 for i in range(len(fan.rays))]
             bundle = ns_presentation(fan).divisor_class(coeffs)
             polytopes = counting(monkeypatch, toric, "divisor_polytope")
+            supports = counting(monkeypatch, toric, "positive_support")
             memberships = counting(monkeypatch, ConeQ, "contains")
             rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
             faces = counting(monkeypatch, ConeQ, "minimal_face")
-            fr = b_invariant(m, bundle).fujita
+            lps = counting(monkeypatch, cones, "solve_lp")
+            res = b_invariant(m, bundle)
+            fr = res.fujita
+            chain_lps = len(lps)
             rigid = is_rigid_class(m, fr.boundary_class)
             balanced = toric.toric_balanced_all_subvarieties(fan, coeffs)
-            assert len(polytopes) == 1, name
-            # cold, `fujita` asks whether the bundle is big and solves the
-            # ray LP, and `b_invariant` builds the facets for the face;
-            # warm, the facet products answer all three.  A nonempty
-            # polytope settles membership of the boundary class.
-            assert (len(memberships), len(rays), len(faces)) == ((0, 0, 0) if warm else (1, 1, 1)), name
+            # rigidity and the balanced verdict are read off the minimal
+            # face of the boundary class: no polytope, no LP
+            assert (len(polytopes), len(supports), len(lps)) == (0, 0, chain_lps), name
+            # `toric.variety_model` builds the facets with the model, so a
+            # query sees the warm state.  Warm, the facet products decide
+            # bigness, a and the face of `b_invariant`, one LP over the
+            # face's generators (none when the face is {0}) gives the
+            # witness, and rigidity asks the face once, through its memo.
+            # Cold (a cone built without facets), `fujita` asks whether the
+            # bundle is big and solves the ray LP, and `b_invariant` builds
+            # the facets for the face.
+            if warm:
+                assert (len(memberships), len(rays), len(faces)) == (0, 0, 1), name
+                assert chain_lps == (1 if res.face.generators_in_face else 0), name
+            else:
+                assert (len(memberships), len(rays), len(faces)) == (1, 1, 2), name
+                assert chain_lps == 2, name
             assert balanced == rigid, name
             monkeypatch.undo()
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fujita import qlinalg
-from fujita.cones import Containment
+from fujita import cones, qlinalg, toric
+from fujita.cones import ConeQ, Containment
 from fujita.delpezzo import del_pezzo, quadric_surface, surface_balanced
 from fujita.errors import (
     IncompleteFan,
@@ -14,12 +14,14 @@ from fujita.errors import (
     NonSmoothCone,
     NonTerminalCone,
     NotBig,
+    NotPseudoEffective,
     ProjectionIncompatible,
 )
 from fujita.invariants import b_invariant, fujita, invariant_pair, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.toric import (
     Fan,
+    class_is_rigid,
     covering_cones,
     divisor_polytope,
     effective_cone,
@@ -391,6 +393,89 @@ def test_sample_point_has_zero_slack_exactly_on_tight_rays(toric_fans):
         slack = [VecQ(ray).dot(poly.sample_point) + a for ray, a in zip(fan.rays, coeffs)]
         assert all(s >= 0 for s in slack), (name, coeffs)
         assert {i for i, s in enumerate(slack) if s == 0} == set(poly.tight_rays), (name, coeffs)
+
+
+def _rank_rule_cases(toric_fans):
+    """On every fan: the zero class, seeded coefficients with zeros and
+    negatives, and the boundary classes a*L + K of seeded big bundles,
+    lifted to rational coefficients."""
+    rng = random.Random(0x9A7E)
+    for name, fan in toric_fans.items():
+        k = len(fan.rays)
+        pres = ns_presentation(fan)
+        yield name, fan, [0] * k
+        for _ in range(25):
+            yield name, fan, [rng.randint(-2, 3) for _ in range(k)]
+        for _ in range(4):
+            bundle = pres.divisor_class([rng.randint(1, 3) for _ in range(k)])
+            fr = fujita(variety_model(fan), bundle)
+            yield name, fan, list(pres.lift_class(fr.boundary_class))
+
+
+def test_rank_rule_matches_polytope_lp(toric_fans):
+    # dim = |F| - span_dim(F), F the minimal face of the class, against
+    # the support LP of `divisor_polytope`
+    seen = set()
+    for name, fan, coeffs in _rank_rule_cases(toric_fans):
+        expected = divisor_polytope(fan, coeffs).dim
+        m = variety_model(fan)
+        cls = ns_presentation(fan).divisor_class(coeffs)
+        assert polytope_dim(fan, coeffs) == expected, (name, coeffs)
+        if expected < 0:
+            with pytest.raises(NotPseudoEffective):
+                toric_rigid(fan, coeffs)
+            with pytest.raises(NotPseudoEffective):
+                class_is_rigid(fan, cls)
+            with pytest.raises(NotPseudoEffective):
+                is_rigid_class(m, cls)
+        else:
+            assert toric_rigid(fan, coeffs) is (expected == 0), (name, coeffs)
+            assert class_is_rigid(fan, cls) is (expected == 0), (name, coeffs)
+            assert is_rigid_class(m, cls) is (expected == 0), (name, coeffs)
+        seen.add(min(expected, 2))
+    assert seen == {-1, 0, 1, 2}
+
+
+def test_tight_rays_are_the_rays_off_the_face(toric_fans):
+    # the rays `fibration_b_crosscheck` takes as tight: those whose class is
+    # off the minimal face of the boundary class
+    rng = random.Random(0x71647)
+    for name, fan in toric_fans.items():
+        pres = ns_presentation(fan)
+        for _ in range(6):
+            coeffs = [rng.randint(1, 3) for _ in fan.rays]
+            res = b_invariant(variety_model(fan), pres.divisor_class(coeffs))
+            poly = divisor_polytope(fan, pres.lift_class(res.fujita.boundary_class))
+            off = set(range(len(fan.rays))) - res.face.generators_in_face
+            assert off == set(poly.tight_rays), (name, coeffs)
+
+
+def test_toric_queries_run_on_the_facet_route(monkeypatch, toric_fans):
+    # the model is built with its facets, so a query runs no DD and no ray
+    # LP; on P^2 a*L + K is 0, its face is {0} and the witness needs no LP.
+    # The models are built anew: the memoized ones may have had their
+    # facets built by earlier queries.
+    models = {name: variety_model.__wrapped__(fan) for name, fan in toric_fans.items()}
+    by_fan = {fan: models[name] for name, fan in toric_fans.items()}
+    monkeypatch.setattr(toric, "variety_model", by_fan.__getitem__)
+    runs = counting(monkeypatch, ConeQ, "_compute_facets")
+    rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
+    lps = counting(monkeypatch, cones, "solve_lp")
+    for name, fan in toric_fans.items():
+        m = models[name]
+        coeffs = [1 + i % 3 for i in range(len(fan.rays))]
+        bundle = ns_presentation(fan).divisor_class(coeffs)
+        before = len(lps)
+        res = b_invariant(m, bundle)
+        is_rigid_class(m, res.fujita.boundary_class)
+        toric_balanced_all_subvarieties(fan, coeffs)
+        assert len(lps) - before == (1 if res.face.generators_in_face else 0), name
+        if name == "p2-toric":
+            assert res.fujita.boundary_class.is_zero()
+            assert res.face.generators_in_face == frozenset()
+            assert set(res.fujita.witness) == {0}
+    assert "p2-toric" in toric_fans
+    assert runs == [] and rays == []
 
 
 class TestRigidity:
