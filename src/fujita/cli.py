@@ -155,8 +155,13 @@ _REPORTERS = {
 
 
 def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for a batch: never more than the tasks or the CPUs."""
-    return min(jobs, tasks, os.cpu_count() or 1)
+    """Worker processes for a batch: never more than the tasks or the CPUs
+    this process may run on (its affinity mask, where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, tasks, cpus)
 
 
 def _batch(items: list, jobs: int, run_one, run_share) -> list:

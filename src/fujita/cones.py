@@ -45,14 +45,13 @@ the distinction drawn for general closed cones is vacuous in this module.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd
 from operator import and_, not_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import qlinalg
 from .errors import (
@@ -196,8 +195,7 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> tuple[list[tuple[i
     return rays, masks
 
 
-@dataclass(frozen=True)
-class FaceQ:
+class FaceQ(NamedTuple):
     """A supported face of a cone: the cut of all facets vanishing on a
     given vector, recorded by the generators it contains."""
 

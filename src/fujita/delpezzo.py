@@ -26,11 +26,10 @@ the class was outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import invariants
 from .cones import ConeQ, Containment
@@ -165,8 +164,7 @@ def quadric_surface() -> DelPezzoModel:
     return DelPezzoModel(8, quadric=True)
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     positive: VecQ
     negative_support: tuple[tuple[VecQ, Fraction], ...]
 
@@ -191,10 +189,8 @@ class SurfaceCurves:
     __slots__ = ("curves", "form", "ints", "images")
 
     def __init__(self, curves: Sequence[VecQ], form: MatQ):
-        flat, _ = scaled_ints([x for row in form.row_list() for x in row])
-        w = form.cols
         self.curves = tuple(curves)
-        self.form = [flat[i * w:(i + 1) * w] for i in range(form.rows)]
+        self.form = form.scaled_rows()[0]
         # cone generators and enumerated curves are integer vectors
         assert all(x.denominator == 1 for c in self.curves for x in c)
         self.ints = [[x.numerator for x in c] for c in self.curves]
@@ -313,15 +309,13 @@ class SurfaceCase(Enum):
     BASE_CURVE = "base_curve"    # positive part a nonzero square-zero nef class
 
 
-@dataclass(frozen=True)
-class SurfaceCaseAnalysis:
+class SurfaceCaseAnalysis(NamedTuple):
     case: SurfaceCase
     b: int
     n_components: int
 
 
-@dataclass(frozen=True)
-class SurfaceBalance:
+class SurfaceBalance(NamedTuple):
     balanced: bool
     analysis: SurfaceCaseAnalysis
     fiber_class: VecQ | None     # primitive fiber class witness when unbalanced in the fibration case

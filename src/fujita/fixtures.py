@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import invariants, modelio, toric
 from .errors import RigidityUndecidable, SchemaError, UnknownFixture
@@ -22,8 +22,7 @@ from .modelio import LoadedProblem, parse_rational
 CATALOG_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     id: str
     description: str
     source: str
@@ -32,16 +31,14 @@ class Fixture:
     sub_expected: dict
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: object
     actual: object
     ok: bool
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     fixture_id: str
     checks: tuple[CheckResult, ...]
 

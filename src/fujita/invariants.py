@@ -15,7 +15,8 @@ that face or else asks `minimal_face`; every other caller (the (a, b) pair,
 the CLI report, the fixture runner, the toric fibration cross-check) reads
 theirs.  Each stage is computed once per (model, class): `fujita`, the
 Zariski decomposition and toric class rigidity keep small memos of their
-last results, frozen, never exceptions, with a fixed bound.
+last results, immutable NamedTuples shared between callers, never
+exceptions, with a fixed bound.
 
 Membership in the effective cone is asked once, by the stage that needs
 it: `fujita` (is the bundle big, read off the facet product of a once the
@@ -30,14 +31,15 @@ classes with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cones import ConeQ, Containment, FaceQ
 from .errors import (
     BigFailureOnY,
+    DimensionMismatch,
     IncompatibleModels,
     InvalidModel,
     KPseudoEffective,
@@ -45,7 +47,7 @@ from .errors import (
     NotPseudoEffective,
     RigidityUndecidable,
 )
-from .qlinalg import MatQ, VecQ, inertia
+from .qlinalg import MatQ, VecQ, idot, inertia, scaled_ints
 
 DivisorClass = VecQ
 
@@ -57,31 +59,23 @@ MEMO_BOUND = 16
 
 # -- provenance tags -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class Raw:
-    """No extra structure beyond the lattice data."""
+    """No extra structure beyond the lattice data.  Not a tuple: an empty
+    tuple would test false."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DelPezzo:
+class DelPezzo(NamedTuple):
     degree: int
     quadric: bool = False
 
 
-@dataclass(frozen=True)
-class Toric:
+class Toric(NamedTuple):
     fan: object  # toric.Fan; typed loosely to avoid an import cycle
 
 
-@dataclass(frozen=True, eq=False)
-class VarietyModel:
-    """Rank, canonical class, effective cone, optional intersection form.
-
-    Equality and hashing are by identity.  The cone already compares by
-    identity, so field equality only ever held between models sharing one
-    cone object; identity keeps the memo lookups below cheap.
-    """
-
+class _ModelFields(NamedTuple):
     name: str
     ns_rank: int
     canonical: DivisorClass
@@ -89,7 +83,24 @@ class VarietyModel:
     intersection_form: MatQ | None = None
     provenance: object = Raw()
 
-    def __post_init__(self):
+
+class VarietyModel(_ModelFields):
+    """Rank, canonical class, effective cone, optional intersection form,
+    checked on construction.
+
+    Equality and hashing are by identity.  The cone already compares by
+    identity, so field equality only ever held between models sharing one
+    cone object; identity keeps the memo lookups below cheap.  `_replace`
+    skips the checks, so build a changed model with the constructor.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.canonical.dim != self.ns_rank:
             raise InvalidModel("canonical class dimension does not match rank")
         if self.eff_cone.ambient_dim != self.ns_rank:
@@ -104,49 +115,60 @@ class VarietyModel:
                 raise InvalidModel("intersection form must be symmetric")
             if inertia(form) != (1, self.ns_rank - 1, 0):
                 raise InvalidModel("intersection form must have signature (1, rank-1)")
+        return self
 
     def pair(self, u: DivisorClass, v: DivisorClass) -> Fraction:
-        """Intersection product, when the model carries a form."""
-        if self.intersection_form is None:
+        """Intersection product, when the model carries a form.  It runs in
+        integers: the form's rows are scaled once per form, each class once
+        per call, and one Fraction divides by the product of the scales."""
+        form = self.intersection_form
+        if form is None:
             raise InvalidModel(f"model {self.name!r} has no intersection form")
-        return u.dot(self.intersection_form.apply(v))
+        if u.dim != self.ns_rank or v.dim != self.ns_rank:
+            raise DimensionMismatch(f"classes of dim {u.dim} and {v.dim} on rank {self.ns_rank}")
+        rows, den = form.scaled_rows()
+        (iu, du), (iv, dv) = scaled_ints(u), scaled_ints(v)
+        return Fraction(idot(iu, [idot(row, iv) for row in rows]), den * du * dv)
 
     def is_big(self, d: DivisorClass) -> bool:
         return self.eff_cone.contains(d) is Containment.INSIDE
 
 
-@dataclass(frozen=True)
-class FujitaResult:
+class FujitaResult(NamedTuple):
     a: Fraction
     boundary_class: DivisorClass          # a*L + K, on the cone boundary
     witness: tuple[Fraction, ...]         # nonnegative combination in the generators
     face: FaceQ | None = None             # its minimal face, when the cone's facets existed
 
 
-@dataclass(frozen=True)
-class BInvariantResult:
+class BInvariantResult(NamedTuple):
     b: int
     face: FaceQ
     face_generators: tuple[DivisorClass, ...]
     fujita: FujitaResult                  # the a and boundary class b was read from
 
 
-@dataclass(frozen=True)
-class SubvarietyDatum:
-    """A subvariety with its own model and the user-supplied restricted
-    bundle, expressed in the subvariety's basis."""
-
+class _DatumFields(NamedTuple):
     name: str
     model: VarietyModel
     restricted_bundle: DivisorClass
 
-    def __post_init__(self):
+
+class SubvarietyDatum(_DatumFields):
+    """A subvariety with its own model and the user-supplied restricted
+    bundle, expressed in the subvariety's basis; checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.restricted_bundle.dim != self.model.ns_rank:
             raise InvalidModel("restricted bundle dimension does not match model")
         if not self.model.is_big(self.restricted_bundle):
             raise BigFailureOnY(
                 f"restricted bundle on {self.name!r} is not big"
             )
+        return self
 
 
 class BalancedClass(Enum):
@@ -155,8 +177,7 @@ class BalancedClass(Enum):
     NOT_WEAKLY_BALANCED = "not_weakly_balanced"
 
 
-@dataclass(frozen=True)
-class BalancedVerdict:
+class BalancedVerdict(NamedTuple):
     pair_x: tuple[Fraction, int]
     pair_y: tuple[Fraction, int]
     classification: BalancedClass

@@ -23,8 +23,8 @@ every fixture is directly consumable by the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import delpezzo, toric
 from .cones import ConeQ
@@ -87,8 +87,7 @@ def parse_int_matrix(x, path: str, entry=parse_int) -> MatQ:
     return MatQ(rows)
 
 
-@dataclass
-class LoadedModel:
+class LoadedModel(NamedTuple):
     """A parsed model plus whatever extra structure its kind provides."""
 
     kind: str
@@ -97,8 +96,7 @@ class LoadedModel:
     surface: delpezzo.DelPezzoModel | None = None
 
 
-@dataclass
-class LoadedProblem:
+class LoadedProblem(NamedTuple):
     name: str
     model: LoadedModel
     bundle_class: VecQ

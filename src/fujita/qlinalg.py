@@ -17,11 +17,10 @@ positive, so stored signs are true signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 
@@ -160,13 +159,14 @@ def sign_normalized(entries: Sequence[int]) -> tuple[int, ...]:
 class MatQ:
     """Immutable dense matrix of exact rationals (row major)."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_scaled")
 
     def __init__(self, rows: Iterable[Iterable]):
         self._rows = tuple([VecQ(r) for r in rows])
         widths = {len(r) for r in self._rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
+        self._scaled = None
 
     @property
     def rows(self) -> int:
@@ -184,6 +184,16 @@ class MatQ:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
+
+    def scaled_rows(self) -> tuple[list[list[int]], int]:
+        """The rows times the lcm of all denominators, and that lcm.
+        Computed on the first call and shared by every later one, so
+        callers must not modify the rows."""
+        if self._scaled is None:
+            flat, den = scaled_ints([x for row in self._rows for x in row])
+            w = self.cols
+            self._scaled = [flat[i * w:(i + 1) * w] for i in range(self.rows)], den
+        return self._scaled
 
     def apply(self, v: VecQ) -> VecQ:
         """Matrix-vector product."""
@@ -309,8 +319,7 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] 
     return d, [r[n:] for r in aug]
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Affine solution set of a consistent linear system.
 
     `particular + span(kernel)` is the full solution set; the system has a

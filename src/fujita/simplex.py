@@ -30,11 +30,10 @@ not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qlinalg import pivot, scaled_ints
 
@@ -45,8 +44,7 @@ class LPStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: LPStatus
     objective: Fraction | None
     x: tuple[Fraction, ...] | None

@@ -42,10 +42,10 @@ reduces to polytope dimensions and spans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import invariants, qlinalg
 from .cones import ConeQ, positive_support
@@ -256,8 +256,7 @@ def fan_product(f1: Fan, f2: Fan) -> Fan:
 # -- divisor class machinery ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NSPresentation:
+class NSPresentation(NamedTuple):
     """NS = Z^rays / image(M), in the basis of the non-pivot boundary rays.
 
     The class of sum a_ray D_ray has coordinate a_ray - <m, v_ray> on each
@@ -346,8 +345,7 @@ def variety_model(f: Fan) -> VarietyModel:
 # -- divisor polytopes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorPolytope:
+class DivisorPolytope(NamedTuple):
     """{m : <m, v_ray> >= -a_ray}; dim is -1 when empty.  `tight_rays` are
     the rays whose inequality holds with equality on the whole polytope;
     `sample_point` is a relative-interior point, strict on every other ray."""
@@ -435,8 +433,7 @@ def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
 # -- fibrations ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FibrationData:
+class FibrationData(NamedTuple):
     projection: MatQ
     vertical_ray_indices: frozenset[int]
     ns_pi_rank: int

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fujita import delpezzo, invariants, toric
+from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
 from fujita.qlinalg import MatQ, VecQ
 
@@ -48,6 +49,20 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def with_fresh_cone(m):
+    """A new model with m's fields over a new ConeQ on the same generators,
+    its facets not built.  The constructor checks the new model as it
+    checked m."""
+    return invariants.VarietyModel(
+        m.name,
+        m.ns_rank,
+        m.canonical,
+        ConeQ(m.eff_cone.generators, ambient_dim=m.ns_rank),
+        m.intersection_form,
+        m.provenance,
+    )
 
 
 def vec(*xs) -> VecQ:

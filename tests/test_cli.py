@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,6 +18,16 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def fresh_python(probe):
+    """stdout of a new interpreter that runs probe with this sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
 
 
 def write(tmp_path, doc, name="model.json"):
@@ -304,12 +315,19 @@ class TestBatchMode:
     def test_import_leaves_process_pool_unloaded(self):
         # a serial run needs no multiprocessing: the pool is imported by the
         # first batch that uses one
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         probe = "import sys, fujita.cli; print('concurrent.futures.process' in sys.modules)"
-        run = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        assert fresh_python(probe) == "False"
+
+    def test_import_loads_no_dataclasses(self):
+        # the records are NamedTuples: dataclasses, with the inspect module
+        # it loads, would add to the start-up of every cold fujita process
+        probe = (
+            "import sys; before = set(sys.modules); import fujita.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
         )
-        assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
+        assert fresh_python(probe) == "[]"
+        package = pathlib.Path(cli.__file__).parent
+        assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
 
     def test_jobs_parallel_matches_serial(self, capsys):
         files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
@@ -366,9 +384,15 @@ def count_catalog_loads(monkeypatch):
     return calls
 
 
+def allow_cpus(monkeypatch, n):
+    """The process may run on n CPUs, whatever the machine has."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+
+
 class TestJobsClamp:
     def test_clamped_to_tasks(self, capsys, in_process_pool, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        allow_cpus(monkeypatch, 64)
         files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
         _, serial = run_cli(capsys, "invariants", *files, "--json")
         code, out = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
@@ -376,21 +400,31 @@ class TestJobsClamp:
         assert in_process_pool == [2]
 
     def test_clamped_to_cpus(self, capsys, in_process_pool, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        # the affinity mask counts, not the 64 CPUs of the machine
+        allow_cpus(monkeypatch, 3)
         files = [fixture_path(f) for f in ("dp7-anticanonical", "p2-toric", "dp3-anticanonical", "pgl2-p3")]
         code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
         assert code == 0
         assert in_process_pool == [3]
 
     def test_one_cpu_runs_serially(self, capsys, in_process_pool, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        allow_cpus(monkeypatch, 1)
         files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
         code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "8")
         assert code == 0
         assert in_process_pool == []
 
+    @pytest.mark.parametrize("cpus, pool", [(None, []), (3, [3])])
+    def test_without_affinity_counts_the_machine(self, capsys, in_process_pool, monkeypatch, cpus, pool):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        files = [fixture_path(f) for f in ("dp7-anticanonical", "p2-toric", "dp3-anticanonical", "pgl2-p3")]
+        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "8")
+        assert code == 0
+        assert in_process_pool == pool
+
     def test_fixtures_run_clamped(self, capsys, in_process_pool, monkeypatch, count_catalog_loads):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         ids = ["cubic-threefold", "dp3-anticanonical", "p2-toric", "x22-lines", "pgl2-p3"]
         _, serial = run_cli(capsys, "fixtures", "run", *ids, "--json")
         count_catalog_loads.clear()

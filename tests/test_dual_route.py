@@ -4,7 +4,6 @@ the face's generators.  The ray LP on a copy of the cone without facets is
 the oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from fujita.errors import KPseudoEffective, NotBig
 from fujita.invariants import VarietyModel, fujita
 from fujita.qlinalg import VecQ
 from fujita.toric import ns_presentation, variety_model
-from conftest import counting, random_rational_vector, vec
+from conftest import counting, random_rational_vector, vec, with_fresh_cone
 from oracles import min_a_and_face_by_ray_lp
 
 HUGE = (2**64 + 1, 2**200 + 3)
@@ -157,7 +156,7 @@ def test_toric_bundles_match_ray_lp(toric_fans):
 def test_errors_match_the_lp_route(monkeypatch, model, bundle, error):
     messages = []
     for warm in (False, True):
-        m = replace(model, eff_cone=ConeQ(model.eff_cone.generators, ambient_dim=model.ns_rank))
+        m = with_fresh_cone(model)
         if warm:
             m.eff_cone.facets
         rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
@@ -172,7 +171,7 @@ def test_errors_match_the_lp_route(monkeypatch, model, bundle, error):
 def test_fujita_alone_leaves_degree_one_facets_unbuilt(monkeypatch):
     # DD of the degree-1 cone takes tens of seconds; a needs none of it
     surf = del_pezzo(1)
-    m = replace(surf.variety(), eff_cone=ConeQ(surf.eff_generators, ambient_dim=surf.rank))
+    m = with_fresh_cone(surf.variety())
     runs = counting(monkeypatch, ConeQ, "_compute_facets")
     fr = fujita(m, -2 * surf.canonical + m.eff_cone.generators[0])
     assert runs == []

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from fujita import delpezzo, toric
 from fujita.cones import ConeQ
-from fujita.delpezzo import del_pezzo, quadric_surface
+from fujita.delpezzo import del_pezzo, quadric_surface, zariski_decompose
 from fujita.errors import (
     BigFailureOnY,
     IncompatibleModels,
@@ -13,8 +14,10 @@ from fujita.errors import (
     NotPseudoEffective,
     RigidityUndecidable,
 )
+from fujita.fixtures import load_catalog
 from fujita.invariants import (
     BalancedClass,
+    Raw,
     SubvarietyDatum,
     VarietyModel,
     b_invariant,
@@ -25,8 +28,9 @@ from fujita.invariants import (
     is_rigid_class,
 )
 from fujita.qlinalg import MatQ, VecQ
+from fujita.simplex import solve_lp
 from fujita.toric import Fan, ns_presentation, variety_model
-from conftest import identity, vec
+from conftest import counting, frac, identity, random_rational_vector, vec
 
 
 def rank1_model(canonical=-2, name="rank1"):
@@ -70,6 +74,105 @@ class TestModelValidation:
                 ConeQ([vec(1, 0), vec(0, 1)]),
                 intersection_form=MatQ([[1, 2], [0, -1]]),
             )
+
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: VarietyModel("bad", 2, vec(1), ConeQ([vec(1, 0)])),
+             InvalidModel, "canonical class dimension does not match rank"),
+            (lambda: VarietyModel(name="bad", ns_rank=2, canonical=vec(1, 1), eff_cone=ConeQ([vec(1)])),
+             InvalidModel, "effective cone ambient dimension does not match rank"),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0), vec(-1, 0)])),
+             InvalidModel, "effective cone must be strict (no lines)"),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), MatQ([[1]])),
+             InvalidModel, "intersection form size does not match rank"),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), MatQ([[1, 2], [0, -1]])),
+             InvalidModel, "intersection form must be symmetric"),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), identity(2)),
+             InvalidModel, "intersection form must have signature (1, rank-1)"),
+            (lambda: SubvarietyDatum("line", LINE, vec(1, 1)),
+             InvalidModel, "restricted bundle dimension does not match model"),
+            (lambda: SubvarietyDatum(name="fiber", model=del_pezzo(8).variety(), restricted_bundle=vec(1, -1)),
+             BigFailureOnY, "restricted bundle on 'fiber' is not big"),
+        ],
+    )
+    def test_construction_errors(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+class TestRecords:
+    def test_fields_cannot_be_assigned(self):
+        m = del_pezzo(6).variety()
+        res = b_invariant(m, vec(3, 0, -1, -1))
+        records = [
+            (res, "b"),
+            (res.fujita, "a"),
+            (res.face, "span_dim"),
+            (solve_lp([[1, 1]], [1], [1, 0]), "status"),
+            (zariski_decompose(del_pezzo(6), res.fujita.boundary_class), "positive"),
+            (m, "eff_cone"),
+            (m, "not_a_field"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_models_compare_and_hash_by_identity(self):
+        cone = ConeQ([vec(1)])
+        m1, m2 = (VarietyModel("rank1", 1, vec(-2), cone) for _ in range(2))
+        assert m1 == m1 and m1 != m2 and not m1 == m2
+        assert len({m1: 1, m2: 2}) == 2
+        fr = fujita(m1, vec(1))
+        assert fujita(m1, vec(1)) is fr and fujita(m2, vec(1)) is not fr
+
+    def test_raw_provenance_is_a_true_tag_and_routes_by_form(self, monkeypatch):
+        quad = quadric_surface().variety()
+        cone = [vec(1, 0), vec(0, 1)]
+        bare = VarietyModel("bare", 2, quad.canonical, ConeQ(cone))
+        formed = VarietyModel("formed", 2, quad.canonical, ConeQ(cone), quad.intersection_form, Raw())
+        for m in (bare, formed):
+            assert isinstance(m.provenance, Raw) and m.provenance
+        zariski = counting(monkeypatch, delpezzo, "zariski_for_variety")
+        polytopes = counting(monkeypatch, toric, "class_is_rigid")
+        assert is_rigid_class(formed, vec(1, 0)) is False
+        with pytest.raises(RigidityUndecidable):
+            is_rigid_class(bare, vec(1, 0))
+        with pytest.raises(NotPseudoEffective):
+            is_rigid_class(bare, vec(-1, 0))
+        assert len(zariski) == 1 and polytopes == []
+
+
+def _forms():
+    """Every model with an intersection form: the catalog's (ambient and
+    subvariety models), the del Pezzo surfaces and the quadric, and a
+    lattice surface whose form has denominators."""
+    models = [del_pezzo(d).variety() for d in range(1, 10)] + [quadric_surface().variety()]
+    for fx in load_catalog().values():
+        models.append(fx.problem.model.variety)
+        models.extend(datum.model for _, datum in fx.problem.subvarieties)
+    models.append(
+        VarietyModel(
+            "halves-thirds", 2, vec(-1, 1), ConeQ([vec(1, 0), vec(0, 1)]),
+            MatQ([[frac(1, 2), 0], [0, frac(-1, 3)]]),
+        )
+    )
+    return [m for m in models if m.intersection_form is not None]
+
+
+def test_pair_matches_the_fraction_product(rng):
+    forms = _forms()
+    assert len({m.ns_rank for m in forms}) >= 9
+    for m in forms:
+        form = m.intersection_form
+        for _ in range(10):
+            u = random_rational_vector(rng, m.ns_rank)
+            v = random_rational_vector(rng, m.ns_rank)
+            assert m.pair(u, v) == u.dot(form.apply(v))
+        for g in m.eff_cone.generators[:10]:
+            assert m.pair(g, m.canonical) == g.dot(form.apply(m.canonical))
 
 
 class TestFujita:

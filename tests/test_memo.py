@@ -3,7 +3,6 @@
 read through class rigidity agrees with the adjoint-divisor route."""
 
 import random
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -14,7 +13,7 @@ from fujita.errors import NotBig
 from fujita.invariants import b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import VecQ
 from fujita.toric import Fan, class_is_rigid, ns_presentation, variety_model
-from conftest import MEMOS, counting, vec
+from conftest import MEMOS, counting, vec, with_fresh_cone
 from oracles import toric_balanced_by_adjoint
 
 BOUND = 16
@@ -26,7 +25,7 @@ def fresh_cone(m, warm):
     tests already built the facets of the shared cone."""
     for memo in MEMOS:
         memo.cache_clear()
-    fresh = replace(m, eff_cone=ConeQ(m.eff_cone.generators, ambient_dim=m.ns_rank))
+    fresh = with_fresh_cone(m)
     if warm:
         fresh.eff_cone.facets
     return fresh
@@ -158,7 +157,7 @@ def test_repeat_calls_return_the_shared_frozen_result():
     bundle = -1 * surf.canonical
     fr = fujita(m, bundle)
     assert fujita(m, VecQ(list(bundle))) is fr
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fr.a = 0
     assert isinstance(fr.witness, tuple)
     dec = zariski_decompose(surf, fr.boundary_class)
