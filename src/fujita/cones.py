@@ -31,6 +31,16 @@ cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
 positive there, so by the same rule they cut out its minimal face.
 
+Faces are memoized per cone, keyed by the bitmask of their generators G_F,
+at most FACE_MEMO_BOUND of them; the memo is emptied when full.  One
+elimination of G_F's coordinate rows gives span_dim and the pivot rows R.
+When the face is simplicial (|F| = span_dim: G_F is independent), the
+entry also keeps d = |det G_F[R, :]| and d * G_F[R, :]^-1.  The witness of
+a point p of the face, its unique combination of G_F, is then that inverse
+times p[R] over d: one integer matrix-vector product, checked to be
+nonnegative and to recombine to p.  A non-simplicial face takes its
+witness from one LP on its generators.
+
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
 constraints.  Its one caller is `toric.divisor_polytope`, for the implicit
@@ -57,6 +67,7 @@ from . import qlinalg
 from .errors import (
     DimensionMismatch,
     Infeasible,
+    InternalError,
     NonStrictCone,
     OutsideCone,
     UnboundedBelow,
@@ -73,6 +84,12 @@ from .qlinalg import (
     span_dim,
 )
 from .simplex import LPResult, LPStatus, solve_lp
+
+# Faces kept per cone, keyed by their generator mask.  A fixed bound, not a
+# setting: the toric benchmark meets fewer than 200 distinct faces on its
+# largest cone, and the memo is emptied when full, so memory does not grow
+# with the number of queries.
+FACE_MEMO_BOUND = 256
 
 
 class Containment(Enum):
@@ -220,6 +237,7 @@ class ConeQ:
         "_facets",
         "_facets_int",
         "_facet_gen_masks",
+        "_faces",
         "_l1",
         "_packs",
         "_strict",
@@ -242,6 +260,7 @@ class ConeQ:
         self._facets = None
         self._facets_int = None
         self._facet_gen_masks = None
+        self._faces = {}
         self._packs = {}
         self._strict = None
 
@@ -410,35 +429,53 @@ class ConeQ:
         sl = self._slots(scaled_ints(v)[0])
         if min(sl) < 0:
             raise OutsideCone(f"{v!r} is outside the cone")
-        # -1, every generator, when no facet vanishes at v
-        return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), -1))
+        # every generator when no facet vanishes at v
+        every = (1 << len(self._gens_int)) - 1
+        return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), every))[0]
 
-    def _face(self, mask: int) -> FaceQ:
-        """The face whose generators are the set bits of mask.  The whole
-        cone, the face of every interior vector, spans `dim()`."""
-        gens = self._gens_int
-        inside = [j for j in range(len(gens)) if mask >> j & 1]
-        span = self.dim() if len(inside) == len(gens) else span_dim([gens[j] for j in inside])
-        return FaceQ(self, frozenset(inside), span)
+    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...] | None, int, list[list[int]] | None]:
+        """The memoized face whose generators G_F are the set bits of mask,
+        and its witness solver: when the face is simplicial (|F| = span_dim),
+        the pivot coordinate rows R of G_F, d = |det G_F[R, :]| and the
+        integer matrix d * G_F[R, :]^-1; else None, 0, None.  One
+        elimination of G_F's coordinate rows gives R and span_dim."""
+        entry = self._faces.get(mask)
+        if entry is None:
+            gens = self._gens_int
+            inside = [j for j in range(len(gens)) if mask >> j & 1]
+            coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
+            rows = pivot_columns(coords)
+            face = FaceQ(self, frozenset(inside), len(rows))
+            if len(rows) < len(inside):
+                entry = face, None, 0, None
+            else:
+                entry = (face, tuple(rows), *scaled_inverse([coords[t] for t in rows]))
+            if len(self._faces) >= FACE_MEMO_BOUND:
+                self._faces.clear()
+            self._faces[mask] = entry
+        return entry
 
     # -- ray optimization ----------------------------------------------------
 
     def min_a_with_face(
         self, base: VecQ, direction: VecQ
-    ) -> tuple[Fraction, tuple[Fraction, ...], FaceQ | None] | None:
-        """As `min_a_with_witness`, with the minimal face of the boundary
-        point; None unless direction is interior.  With the facets built, two
-        packed products give a and the face (see the module docstring) and
-        the witness is one LP on the face's generators, none when the face
-        is {0}.  Without them, `contains` and the ray LP answer and the face
-        is None, left to `minimal_face`: a alone never forces the facets.
-        Both routes raise UnboundedBelow on the whole space (no facets)."""
+    ) -> tuple[Fraction, VecQ, tuple[Fraction, ...], FaceQ | None] | None:
+        """The least a, the boundary point base + a*direction, a witness as
+        in `min_a_with_witness` and the point's minimal face; None unless
+        direction is interior.  With the facets built, two packed products
+        give a and the face (see the module docstring), and the witness is
+        read off the face's memoized inverse when the face is simplicial,
+        else one LP on its generators.  Without them, `contains` and the ray
+        LP answer and the face is None, left to `minimal_face`: a alone
+        never forces the facets.  Both routes raise UnboundedBelow on the
+        whole space (no facets)."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
             if self.contains(direction) is not Containment.INSIDE:
                 return None
-            return *self.min_a_with_witness(base, direction), None
+            a, witness = self.min_a_with_witness(base, direction)
+            return a, base + a * direction, witness, None
         if not self._facets_int:
             raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
         (vl, dl), (vk, dk) = scaled_ints(direction), scaled_ints(base)
@@ -453,18 +490,30 @@ class ConeQ:
                 num, den, mask = -k, l, m
             elif c == 0:
                 mask &= m
-        a = Fraction(num * dl, den * dk)
+        scale = den * dk
         gens = self._gens_int
-        face = self._face(mask)
+        face, rows, det, inverse = self._face(mask)
         inside = sorted(face.generators_in_face)
+        # scale*(a*direction + base), in integers
+        p = [num * l + den * k for l, k in zip(vl, vk)]
         witness = [Fraction(0)] * len(gens)
-        if inside:
-            # den*dk*(a*direction + base), in integers
-            p = [num * l + den * k for l, k in zip(vl, vk)]
+        if rows is not None:
+            # the unique combination: G_F lam = p, lam = inverse p[R] / det
+            pr = [p[t] for t in rows]
+            lam = [idot(r, pr) for r in inverse]
+            combo = [0] * len(p)
+            for j, x in zip(inside, lam):
+                combo = [c + x * g for c, g in zip(combo, gens[j])]
+            if min(lam, default=0) < 0 or combo != [det * x for x in p]:
+                raise InternalError("simplicial face witness is negative or misses the boundary point")
+            for j, x in zip(inside, lam):
+                witness[j] = Fraction(x, det * scale)
+        else:
             res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
             for j, x in zip(inside, res.x):
-                witness[j] = x / (den * dk)
-        return a, tuple(witness), face
+                witness[j] = x / scale
+        point = VecQ([Fraction(x, scale) for x in p])
+        return Fraction(num * dl, scale), point, tuple(witness), face
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

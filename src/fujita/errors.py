@@ -17,6 +17,10 @@ class InvalidModel(FujitaError, ValueError):
     """A model violates its construction invariants."""
 
 
+class InternalError(FujitaError, RuntimeError):
+    """An exact result failed the check it must pass (bug guard)."""
+
+
 # --- cones ------------------------------------------------------------
 
 class OutsideCone(FujitaError):
@@ -69,7 +73,7 @@ class NotPseudoEffective(FujitaError):
     """Class lies outside the pseudo-effective cone."""
 
 
-class InternalNonTermination(FujitaError, RuntimeError):
+class InternalNonTermination(InternalError):
     """Iterative algorithm failed its termination guarantee (bug guard)."""
 
 

@@ -9,8 +9,10 @@ adjoint boundary class; plus rigidity bookkeeping and the lexicographic
 balanced-verdict comparison against subvariety data.
 
 The chain a -> boundary class a*L + K -> minimal face -> b is written once:
-`fujita` takes a, its witness and, when the cone's facets exist, the
-minimal face from one `ConeQ.min_a_with_face` call, and `b_invariant` reads
+`fujita` takes a, the boundary class, its witness and, when the cone's
+facets exist, the minimal face from one `ConeQ.min_a_with_face` call (the
+facet route divides the integer point it already holds instead of
+recomputing a*L + K in Fractions), and `b_invariant` reads
 that face or else asks `minimal_face`; every other caller (the (a, b) pair,
 the CLI report, the fixture runner, the toric fibration cross-check) reads
 theirs.  Each stage is computed once per (model, class): `fujita`, the
@@ -197,12 +199,12 @@ def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
     found = m.eff_cone.min_a_with_face(m.canonical, bundle)
     if found is None:
         raise NotBig(f"bundle is not big on {m.name!r}")
-    a, witness, face = found
+    a, boundary, witness, face = found
     if a <= 0:
         raise KPseudoEffective(
             f"canonical class of {m.name!r} is pseudo-effective along the ray (a={a})"
         )
-    return FujitaResult(a, a * bundle + m.canonical, witness, face)
+    return FujitaResult(a, boundary, witness, face)
 
 
 def b_invariant(m: VarietyModel, bundle: DivisorClass) -> BInvariantResult:

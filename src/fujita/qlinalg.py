@@ -46,7 +46,7 @@ def as_rat(x) -> Fraction:
 class VecQ:
     """Immutable vector with exact rational entries."""
 
-    __slots__ = ("_e",)
+    __slots__ = ("_e", "_h")
 
     def __init__(self, entries: Iterable):
         # from a list: a tuple built from a generator is resized from a
@@ -78,7 +78,13 @@ class VecQ:
         return isinstance(other, VecQ) and self._e == other._e
 
     def __hash__(self):
-        return hash(self._e)
+        # memo keys hash one vector several times, and each hash of a
+        # Fraction is a modular inverse: kept in _h from the first call
+        try:
+            return self._h
+        except AttributeError:
+            self._h = hash(self._e)
+            return self._h
 
     def __repr__(self):
         return "VecQ(%s)" % ", ".join(str(x) for x in self._e)

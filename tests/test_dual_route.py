@@ -1,7 +1,9 @@
 """The facet route of `ConeQ.min_a_with_face`: bigness, a and the minimal
-face read off two packed facet products, and the witness from one LP over
-the face's generators.  The ray LP on a copy of the cone without facets is
-the oracle."""
+face read off two packed facet products, and the witness read off the
+face's memoized inverse when the face is simplicial, else one LP over the
+face's generators.  The ray LP on a copy of the cone without facets is the
+oracle for a and the face, and `solve_lp` on the face's generators for the
+witness on a simplicial face."""
 
 import random
 from fractions import Fraction
@@ -10,11 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fujita import cli
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo
-from fujita.errors import KPseudoEffective, NotBig
+from fujita.errors import InternalError, KPseudoEffective, NotBig
 from fujita.invariants import VarietyModel, fujita
 from fujita.qlinalg import VecQ
+from fujita.simplex import solve_lp
 from fujita.toric import ns_presentation, variety_model
 from conftest import counting, random_rational_vector, vec, with_fresh_cone
 from oracles import min_a_and_face_by_ray_lp
@@ -31,15 +35,19 @@ def with_facets(cone):
 
 def check_dual_route(c, base, direction):
     """`min_a_with_face` on c, whose facets exist, against the ray-LP
-    route; the witness must be nonnegative, lie on the face and recombine
-    to base + a*direction.  Returns whether the direction was interior."""
+    route; the boundary point must be base + a*direction, and the witness
+    nonnegative, on the face and recombine to it.  On a simplicial face the
+    witness is the one combination there is, so it must equal `solve_lp`'s
+    on the face's generators.  Returns whether the direction was
+    interior."""
     assert c._facets_int is not None
     got = c.min_a_with_face(base, direction)
     expected = min_a_and_face_by_ray_lp(c, base, direction)
     if expected is None:
         assert got is None, (base, direction)
         return False
-    a, witness, face = got
+    a, point, witness, face = got
+    assert point == base + a * direction
     assert (a, face.generators_in_face, face.span_dim) == expected, (base, direction)
     assert len(witness) == len(c.generators)
     assert all(w >= 0 for w in witness)
@@ -47,7 +55,16 @@ def check_dual_route(c, base, direction):
     combo = VecQ.zero(c.ambient_dim)
     for w, g in zip(witness, c.generators):
         combo = combo + w * g
-    assert combo == base + a * direction
+    assert combo == point
+    inside = sorted(face.generators_in_face)
+    if len(inside) == face.span_dim:
+        expected = [Fraction(0)] * len(c.generators)
+        if inside:
+            gens = [c.generators[j] for j in inside]
+            res = solve_lp([list(col) for col in zip(*gens)], list(point), [0] * len(inside))
+            for j, x in zip(inside, res.x):
+                expected[j] = x
+        assert witness == tuple(expected), (base, direction)
     return True
 
 
@@ -177,3 +194,26 @@ def test_fujita_alone_leaves_degree_one_facets_unbuilt(monkeypatch):
     assert runs == []
     assert fr.face is None and m.eff_cone._facets_int is None
     assert fr.a > 0
+
+
+def test_a_wrong_cached_inverse_is_caught():
+    surf = del_pezzo(7)
+    c = with_facets(surf.variety().eff_cone)
+    bundle = -2 * surf.canonical + c.generators[0] + 2 * c.generators[-1]
+    answer = c.min_a_with_face(surf.canonical, bundle)
+    face = answer[3]
+    assert len(face.generators_in_face) == face.span_dim > 0
+    mask = sum([1 << j for j in face.generators_in_face])
+    entry = c._faces[mask]
+    _, rows, det, inverse = entry
+    doubled = [[2 * x for x in r] for r in inverse]
+    negated = [[-x for x in r] for r in inverse]
+    # doubled: a nonnegative witness that misses the point; negated with its
+    # determinant: one that recombines but is negative
+    for planted in ((face, rows, det, doubled), (face, rows, -det, negated)):
+        c._faces[mask] = planted
+        with pytest.raises(InternalError) as exc:
+            c.min_a_with_face(surf.canonical, bundle)
+        assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+    c._faces[mask] = entry
+    assert c.min_a_with_face(surf.canonical, bundle) == answer

@@ -7,14 +7,14 @@ import random
 import pytest
 
 from fujita import cones, delpezzo, qlinalg, toric
-from fujita.cones import ConeQ
+from fujita.cones import FACE_MEMO_BOUND, ConeQ
 from fujita.delpezzo import del_pezzo, surface_b, surface_balanced, zariski_decompose
 from fujita.errors import NotBig
 from fujita.invariants import b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import VecQ
 from fujita.toric import Fan, class_is_rigid, ns_presentation, variety_model
 from conftest import MEMOS, counting, vec, with_fresh_cone
-from oracles import toric_balanced_by_adjoint
+from oracles import minimal_face_by_facet_loop, toric_balanced_by_adjoint
 
 BOUND = 16
 
@@ -52,10 +52,12 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         rigid = is_rigid_class(m, fr.boundary_class)
 
         if warm:
-            # the facet products decide bigness, a and the face; one LP
-            # over the face's generators gives the witness
-            assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 0, 1)
-            assert len(lps[0][2]) <= len(res.face.generators_in_face)
+            # the facet products decide bigness, a and the face; the
+            # witness is read off the face's inverse when the face is
+            # simplicial, else one LP over its generators gives it
+            simplicial = len(res.face.generators_in_face) == res.face.span_dim
+            assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 0, 0 if simplicial else 1)
+            assert all(len(lp[2]) == len(res.face.generators_in_face) for lp in lps)
         else:
             # `fujita` asks the cone once whether the bundle is big, then
             # solves the ray LP; `b_invariant` builds the facets for the face
@@ -94,15 +96,17 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             assert (len(polytopes), len(supports), len(lps)) == (0, 0, chain_lps), name
             # `toric.variety_model` builds the facets with the model, so a
             # query sees the warm state.  Warm, the facet products decide
-            # bigness, a and the face of `b_invariant`, one LP over the
-            # face's generators (none when the face is {0}) gives the
-            # witness, and rigidity asks the face once, through its memo.
+            # bigness, a and the face of `b_invariant`, the witness is read
+            # off the face's inverse when the face is simplicial ({0}
+            # included) and is one LP over its generators otherwise, and
+            # rigidity asks the face once, through its memo.
             # Cold (a cone built without facets), `fujita` asks whether the
             # bundle is big and solves the ray LP, and `b_invariant` builds
             # the facets for the face.
             if warm:
                 assert (len(memberships), len(rays), len(faces)) == (0, 0, 1), name
-                assert chain_lps == (1 if res.face.generators_in_face else 0), name
+                simplicial = len(res.face.generators_in_face) == res.face.span_dim
+                assert chain_lps == (0 if simplicial else 1), name
             else:
                 assert (len(memberships), len(rays), len(faces)) == (1, 1, 2), name
                 assert chain_lps == 2, name
@@ -139,6 +143,34 @@ def test_memos_stay_within_their_bound():
         assert info.maxsize == BOUND
         assert info.currsize <= BOUND
         assert info.misses >= 1000
+
+
+def test_face_memo_stays_within_its_bound():
+    # sums of at most three generators of the degree-2 cone meet more
+    # distinct faces than the bound; each face, asked again after the memo
+    # was emptied, is unchanged and equals the per-facet loop's.  The whole
+    # cone, the face of an interior point, has the key of every generator.
+    c = ConeQ(del_pezzo(2).variety().eff_cone.generators)
+    c.facets
+    gens = c.generators
+    every = (1 << len(gens)) - 1
+    rng = random.Random(2718)
+    points = [sum(gens[1:], gens[0])]
+    for _ in range(1000):
+        v = gens[rng.randrange(len(gens))]
+        for j in rng.sample(range(len(gens)), rng.randint(0, 2)):
+            v = v + gens[j]
+        points.append(v)
+    first = []
+    for v in points:
+        face = c.minimal_face(v)
+        assert len(c._faces) <= FACE_MEMO_BOUND
+        first.append(face)
+        assert all(0 <= key <= every for key in c._faces)
+    assert len({f.generators_in_face for f in first}) > FACE_MEMO_BOUND
+    for v, face in zip(points, first):
+        assert c.minimal_face(v) == face == minimal_face_by_facet_loop(c, v)
+        assert len(c._faces) <= FACE_MEMO_BOUND
 
 
 def test_exceptions_are_not_cached():

@@ -131,6 +131,11 @@ class TestVecQ:
         with pytest.raises(TypeError):
             scaled_ints([0.5])
 
+    def test_hash_is_kept_and_matches_the_entries(self):
+        v = VecQ([Fraction(1, 3), -2, Fraction(5, 7)])
+        assert hash(v) == hash(VecQ(list(v))) == hash(v.entries) == v._h
+        assert {v: 1}[VecQ(list(v))] == 1
+
     def test_reduced_invariants(self):
         # Fraction keeps lowest terms with positive denominator
         x = Fraction(6, -4)

@@ -452,7 +452,8 @@ def test_tight_rays_are_the_rays_off_the_face(toric_fans):
 
 def test_toric_queries_run_on_the_facet_route(monkeypatch, toric_fans):
     # the model is built with its facets, so a query runs no DD and no ray
-    # LP; on P^2 a*L + K is 0, its face is {0} and the witness needs no LP.
+    # LP; the witness needs no LP when the face is simplicial (on P^2 a*L + K
+    # is 0 and its face is {0}) and one LP over its generators otherwise.
     # The models are built anew: the memoized ones may have had their
     # facets built by earlier queries.
     models = {name: variety_model.__wrapped__(fan) for name, fan in toric_fans.items()}
@@ -461,6 +462,7 @@ def test_toric_queries_run_on_the_facet_route(monkeypatch, toric_fans):
     runs = counting(monkeypatch, ConeQ, "_compute_facets")
     rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
     lps = counting(monkeypatch, cones, "solve_lp")
+    kinds = set()
     for name, fan in toric_fans.items():
         m = models[name]
         coeffs = [1 + i % 3 for i in range(len(fan.rays))]
@@ -469,12 +471,14 @@ def test_toric_queries_run_on_the_facet_route(monkeypatch, toric_fans):
         res = b_invariant(m, bundle)
         is_rigid_class(m, res.fujita.boundary_class)
         toric_balanced_all_subvarieties(fan, coeffs)
-        assert len(lps) - before == (1 if res.face.generators_in_face else 0), name
+        simplicial = len(res.face.generators_in_face) == res.face.span_dim
+        assert len(lps) - before == (0 if simplicial else 1), name
+        kinds.add(simplicial)
         if name == "p2-toric":
             assert res.fujita.boundary_class.is_zero()
             assert res.face.generators_in_face == frozenset()
             assert set(res.fujita.witness) == {0}
-    assert "p2-toric" in toric_fans
+    assert "p2-toric" in toric_fans and kinds == {True, False}
     assert runs == [] and rays == []
 
 
