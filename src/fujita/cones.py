@@ -15,15 +15,15 @@ negative or unbounded below.  Strictness is one memoized LP: the cone is
 strict iff no nonzero nonnegative combination of the generators vanishes.
 
 Once the facets exist, membership and the minimal face read every f_j.v
-off one packed product (Kronecker substitution): x = sum_t v_t P_t + HIGH,
-P_t = sum_j f_jt 2^(w j), HIGH the top bit of every slot, holds
-f_j.v + 2^(w-1) in slot j.  The slot width w, a power of two >= 64 above
-the bit length of l1 * max|v_t| (l1 the largest absolute row sum of the
-facets), keeps |f_j.v| < 2^(w-1), so no slot borrows or carries, and
-x ^ HIGH holds every f_j.v in two's complement.  v is outside iff some
-f_j.v < 0 and on the boundary iff the least is 0 (with no facets, the
-whole space, every v is interior); its minimal face is cut out by the
-facets vanishing at v: the generators on all of them.
+off one packed product (Kronecker substitution), packed once with the
+facets: x = sum_t v_t P_t + HIGH, P_t = sum_j f_jt 2^(64 j), HIGH the top
+bit of every 64-bit slot, holds f_j.v + 2^63 in slot j.  While l1 * max|v_t|
+< 2^63 (l1 the largest absolute row sum of the facets), no slot borrows or
+carries, and x ^ HIGH holds every f_j.v in two's complement; a larger
+product, or a big-endian host, takes one integer dot per facet.  v is
+outside iff some f_j.v < 0 and on the boundary iff the least is 0 (with no
+facets, the whole space, every v is interior); its minimal face is cut out
+by the facets vanishing at v: the generators on all of them.
 
 Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
@@ -37,9 +37,11 @@ elimination of G_F's coordinate rows gives span_dim and the pivot rows R.
 When the face is simplicial (|F| = span_dim: G_F is independent), the
 entry also keeps d = |det G_F[R, :]| and d * G_F[R, :]^-1.  The witness of
 a point p of the face, its unique combination of G_F, is then that inverse
-times p[R] over d: one integer matrix-vector product, checked to be
-nonnegative and to recombine to p.  A non-simplicial face takes its
-witness from one LP on its generators.
+times p[R] over d: one integer matrix-vector product.  A non-simplicial
+face takes its witness from one LP on its generators, which must end
+optimal; its solution is scaled to integers over one denominator d.  Either
+witness, d * lam, must be nonnegative and recombine to d * p, or the call
+raises InternalError.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -234,12 +236,11 @@ class ConeQ:
         "_gens",
         "_gens_int",
         "_dim",
-        "_facets",
         "_facets_int",
         "_facet_gen_masks",
         "_faces",
         "_l1",
-        "_packs",
+        "_packing",
         "_strict",
     )
 
@@ -257,11 +258,10 @@ class ConeQ:
         self._gens_int = tuple(ints)
         self._gens = tuple(VecQ(g) for g in ints)
         self._dim = None
-        self._facets = None
         self._facets_int = None
         self._facet_gen_masks = None
         self._faces = {}
-        self._packs = {}
+        self._packing = None
         self._strict = None
 
     @property
@@ -282,14 +282,20 @@ class ConeQ:
     @property
     def facets(self) -> tuple[VecQ, ...]:
         """Irredundant facet normals (plus +/- equation pairs when the cone
-        is not full dimensional), primitive integer, lexicographic order."""
-        if self._facets is None:
+        is not full dimensional), primitive integer, lexicographic order.
+        Built anew on each call from the integer rows the cone keeps."""
+        if self._facets_int is None:
             self._compute_facets()
-        return self._facets
+        return tuple([VecQ(f) for f in self._facets_int])
+
+    @property
+    def _facets(self) -> tuple[tuple[int, ...], ...] | None:
+        # bench/tracer.py counts the facets of each DD run by this name
+        return self._facets_int
 
     def _compute_facets(self):
-        """The facets and the generators each annihilates: DD's zero sets,
-        less the equation rows, which vanish on every generator."""
+        """The facets, the generators each annihilates (DD's zero sets, less
+        the equation rows, which vanish on every generator) and the packing."""
         d = self.ambient_dim
         gens = self._gens_int
         every = (1 << len(gens)) - 1
@@ -316,31 +322,23 @@ class ConeQ:
         facets_int = tuple([f for f, _ in ordered])
         self._facet_gen_masks = tuple([z & every for _, z in ordered])
         self._l1 = max([sum(map(abs, f)) for f in facets_int], default=0)
+        if self._l1 < 1 << 63:  # else no product fits the 64-bit slots
+            high = int.from_bytes((bytes(7) + b"\x80") * len(facets_int), "little")
+            biased = [b"".join([(x + (1 << 63)).to_bytes(8, "little") for x in c]) for c in zip(*facets_int)]
+            self._packing = [int.from_bytes(b, "little") - high for b in biased], high
         self._facets_int = facets_int
-        self._facets = tuple(VecQ(f) for f in facets_int)
-
-    def _pack(self, w: int) -> tuple[list[int], int]:
-        """P_t and HIGH at slot width w (see the module docstring)."""
-        size = w // 8
-        high = int.from_bytes((bytes(size - 1) + b"\x80") * len(self._facets_int), "little")
-        half = 1 << (w - 1)
-        biased = [b"".join([(x + half).to_bytes(size, "little") for x in c]) for c in zip(*self._facets_int)]
-        return [int.from_bytes(b, "little") - high for b in biased], high
 
     def _slots(self, vi: list[int]) -> Sequence[int]:
-        """Every f_j.vi, in facet order, from one packed product (see the
-        module docstring)."""
-        self.facets
-        bits = (self._l1 * max([abs(x) for x in vi] + [1])).bit_length()
-        w = max(64, 1 << bits.bit_length())
-        if w not in self._packs:
-            self._packs[w] = self._pack(w)
-        cols, high = self._packs[w]
-        size = w // 8
-        raw = ((idot(vi, cols) + high) ^ high).to_bytes(size * len(self._facets_int), "little")
-        if w == 64 and sys.byteorder == "little":
-            return memoryview(raw).cast("q")
-        return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
+        """Every f_j.vi, in facet order, from the one packed product, or
+        one dot per facet when the product needs more than 63 bits or the
+        host is big-endian (see the module docstring)."""
+        if self._facets_int is None:
+            self._compute_facets()
+        if sys.byteorder != "little" or (self._l1 * max([abs(x) for x in vi] + [1])).bit_length() > 63:
+            return [idot(f, vi) for f in self._facets_int]
+        cols, high = self._packing
+        raw = ((idot(vi, cols) + high) ^ high).to_bytes(8 * len(self._facets_int), "little")
+        return memoryview(raw).cast("q")
 
     # -- membership --------------------------------------------------------
 
@@ -465,10 +463,10 @@ class ConeQ:
         direction is interior.  With the facets built, two packed products
         give a and the face (see the module docstring), and the witness is
         read off the face's memoized inverse when the face is simplicial,
-        else one LP on its generators.  Without them, `contains` and the ray
-        LP answer and the face is None, left to `minimal_face`: a alone
-        never forces the facets.  Both routes raise UnboundedBelow on the
-        whole space (no facets)."""
+        else one LP on its generators; either is checked in integers.
+        Without them, `contains` and the ray LP answer and the face is None,
+        left to `minimal_face`: a alone never forces the facets.  Both
+        routes raise UnboundedBelow on the whole space (no facets)."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
@@ -494,24 +492,23 @@ class ConeQ:
         gens = self._gens_int
         face, rows, det, inverse = self._face(mask)
         inside = sorted(face.generators_in_face)
-        # scale*(a*direction + base), in integers
+        # scale*(a*direction + base), in integers, and G_F by coordinate rows
         p = [num * l + den * k for l, k in zip(vl, vk)]
-        witness = [Fraction(0)] * len(gens)
+        coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
         if rows is not None:
             # the unique combination: G_F lam = p, lam = inverse p[R] / det
             pr = [p[t] for t in rows]
             lam = [idot(r, pr) for r in inverse]
-            combo = [0] * len(p)
-            for j, x in zip(inside, lam):
-                combo = [c + x * g for c, g in zip(combo, gens[j])]
-            if min(lam, default=0) < 0 or combo != [det * x for x in p]:
-                raise InternalError("simplicial face witness is negative or misses the boundary point")
-            for j, x in zip(inside, lam):
-                witness[j] = Fraction(x, det * scale)
         else:
-            res = solve_lp([[gens[j][t] for j in inside] for t in range(self.ambient_dim)], p, [0] * len(inside))
-            for j, x in zip(inside, res.x):
-                witness[j] = x / scale
+            res = solve_lp(coords, p, [0] * len(inside))
+            if res.status is not LPStatus.OPTIMAL:
+                raise InternalError(f"face witness LP is {res.status.value}")
+            lam, det = scaled_ints(res.x)
+        if min(lam, default=0) < 0 or [idot(r, lam) for r in coords] != [det * x for x in p]:
+            raise InternalError("face witness is negative or misses the boundary point")
+        witness = [Fraction(0)] * len(gens)
+        for j, x in zip(inside, lam):
+            witness[j] = Fraction(x, det * scale)
         point = VecQ([Fraction(x, scale) for x in p])
         return Fraction(num * dl, scale), point, tuple(witness), face
 

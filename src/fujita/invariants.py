@@ -222,21 +222,22 @@ def invariant_pair(m: VarietyModel, bundle: DivisorClass) -> tuple[Fraction, int
 
 
 def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
-    """Rigidity of a pseudo-effective class, dispatched by provenance.
+    """Rigidity of a pseudo-effective class, dispatched by the model's data.
 
-    Surfaces with negative-curve data use the Zariski route (rigid iff the
-    positive part vanishes); toric models use the divisor polytope (rigid
-    iff dimension zero), whose dimension is read off the minimal face of
-    the class with no LP; a raw model without an intersection form has no
-    rigidity oracle.  Each route raises NotPseudoEffective on a class
-    outside the effective cone, asking the cone itself when it must.
+    Toric models use the divisor polytope (rigid iff dimension zero), whose
+    dimension is read off the minimal face of the class with no LP; models
+    with an intersection form, every del Pezzo model among them, use the
+    Zariski route (rigid iff the positive part vanishes); a raw model
+    without one has no rigidity oracle.  Each route raises
+    NotPseudoEffective on a class outside the effective cone, asking the
+    cone itself when it must.
     """
     prov = m.provenance
     if isinstance(prov, Toric):
         from . import toric
 
         return toric.class_is_rigid(prov.fan, d)
-    if isinstance(prov, DelPezzo) or m.intersection_form is not None:
+    if m.intersection_form is not None:
         from . import delpezzo
 
         return delpezzo.zariski_for_variety(m, d).positive.is_zero()

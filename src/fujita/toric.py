@@ -59,7 +59,7 @@ from .errors import (
     OutsideCone,
     ProjectionIncompatible,
 )
-from .invariants import MEMO_BOUND, Toric, VarietyModel
+from .invariants import Toric, VarietyModel
 from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
@@ -409,12 +409,9 @@ def toric_rigid(f: Fan, coeffs) -> bool:
     return class_is_rigid(f, ns_presentation(f).divisor_class(coeffs))
 
 
-@lru_cache(maxsize=MEMO_BOUND)
 def class_is_rigid(f: Fan, cls: VecQ) -> bool:
     """Rigidity of a divisor class: its polytope is a point iff the
-    generators of its minimal face are linearly independent.  The last
-    MEMO_BOUND results are kept per (fan, class): rigidity and the toric
-    balanced verdict ask for the same adjoint boundary class."""
+    generators of its minimal face are linearly independent."""
     d = _class_dim(f, cls)
     if d < 0:
         raise NotPseudoEffective("divisor class is not pseudo-effective")
@@ -424,10 +421,11 @@ def class_is_rigid(f: Fan, cls: VecQ) -> bool:
 def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
     """Balanced against every toric subvariety iff the adjoint boundary
     class a*L + K is rigid.  Linear equivalence translates the divisor
-    polytope, so any invariant divisor of that class decides it."""
+    polytope, so any invariant divisor of that class decides it, and
+    `class_is_rigid`'s rule applies to the face that b is read from."""
     bundle = ns_presentation(f).divisor_class(bundle_coeffs)
-    fr = invariants.fujita(variety_model(f), bundle)
-    return class_is_rigid(f, fr.boundary_class)
+    face = invariants.b_invariant(variety_model(f), bundle).face
+    return len(face.generators_in_face) == face.span_dim
 
 
 # -- fibrations ------------------------------------------------------------------

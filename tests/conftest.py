@@ -7,12 +7,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fujita import delpezzo, invariants, toric
+from fujita import cones, delpezzo, invariants, toric
 from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
-from fujita.qlinalg import MatQ, VecQ
+from fujita.qlinalg import MatQ, VecQ, scaled_ints
 
-MEMOS = (invariants.fujita, delpezzo.zariski_decompose, toric.class_is_rigid)
+MEMOS = (invariants.fujita, delpezzo.zariski_decompose)
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +49,15 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def dots_taken(c, v) -> int:
+    """The idot calls of one read of every f_j.v on c, whose facets exist:
+    1 for the packed product, one per facet on the dot path."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting(mp, cones, "idot")
+        c._slots(scaled_ints(v)[0])
+    return len(calls)
 
 
 def with_fresh_cone(m):

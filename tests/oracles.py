@@ -751,7 +751,8 @@ def minimal_face_by_facet_loop(cone, v) -> FaceQ:
         raise NonStrictCone("minimal_face requires a strict cone")
     if v.is_zero():
         return FaceQ(cone, frozenset(), 0)
-    cone.facets
+    if cone._facets_int is None:
+        cone._compute_facets()
     vi, _ = scaled_ints(v)
     masks = cone._facet_gen_masks
     gmask = (1 << len(cone._gens_int)) - 1

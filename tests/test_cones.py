@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from fujita.delpezzo import del_pezzo, quadric_surface
 from fujita.errors import Infeasible, NonStrictCone, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
 from fujita.toric import variety_model
-from conftest import counting, random_rational_vector, vec
+from conftest import counting, dots_taken, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
     contains_by_facet_loop,
@@ -206,7 +207,7 @@ class TestContains:
                 got = c.contains(v)
                 assert got is contains_by_lp(c, v), (gens, v)
                 seen.setdefault(kind, set()).add(got)
-            assert c._facets is None
+            assert c._facets_int is None
         assert set(seen) == {(s, f) for s in (True, False) for f in (True, False)}
         assert set().union(*seen.values()) == set(Containment)
 
@@ -254,7 +255,7 @@ class TestFacetMemo:
         anticanonical = vec(3, -1, -1, -1, -1, -1, -1)
         assert fresh.contains(anticanonical) is Containment.INSIDE
         fresh.minimal_face(fresh.generators[0])
-        assert all(fresh.facets is first for _ in range(8))
+        assert all(fresh.facets == first for _ in range(8))
         assert runs == [fresh]
         assert len(first) == 99
 
@@ -336,26 +337,38 @@ class TestIncidenceMasks:
         assert {c.is_full_dimensional() for c in cases} == {True, False}
 
 
+def check_random_cone(c, rng):
+    """Small probes and their huge multiples on c against the per-facet
+    loops.  Small probes take the one packed product on a little-endian
+    host; probes past 2^64 take one idot per facet."""
+    c.facets
+    d = c.ambient_dim
+    probes = [VecQ.zero(d)] + list(c.generators)
+    probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(4)]
+    if c.generators:
+        weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in c.generators]
+        probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
+    small = list(probes)
+    for v in small[1:]:
+        probes += big_probes(c, v, rng)
+    seen = set()
+    for v in probes:
+        check_packed_against_loop(c, v, seen)
+    if c.facets:
+        per_facet = len(c._facets_int)
+        small_cost = 1 if cones.sys.byteorder == "little" else per_facet
+        for v in small:
+            assert dots_taken(c, v) == small_cost, v
+            if not v.is_zero():
+                for n in (2**64 + 1, 2**200 + 3):
+                    assert dots_taken(c, n * v) == per_facet, v
+
+
 class TestPackedSigns:
     @settings(max_examples=150, deadline=None)
     @given(random_cones(), st.randoms(use_true_random=False))
     def test_random_cones_match_facet_loop(self, c, rng):
-        c.facets
-        d = c.ambient_dim
-        probes = [VecQ.zero(d)] + list(c.generators)
-        probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(4)]
-        if c.generators:
-            weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in c.generators]
-            probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
-        small = list(probes)
-        for v in small[1:]:
-            probes += big_probes(c, v, rng)
-        seen = set()
-        for v in probes:
-            check_packed_against_loop(c, v, seen)
-        if c.facets and any(not v.is_zero() for v in small):
-            # the memo took a second width for the big probes
-            assert len(c._packs) >= 2
+        check_random_cone(c, rng)
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_del_pezzo_classes_match_facet_loop(self, degree):
@@ -383,10 +396,16 @@ class TestPackedSigns:
         assert seen == {*Containment, "face", OutsideCone}
 
     def test_width_boundary(self):
-        # s = +-2^63 needs 128-bit slots; one bit less carries into the
-        # next slot (or out of the last one) and flips the sign read
+        # s = +-2^63 does not fit a 64-bit slot; one bit less carries into
+        # the next slot (or out of the last one) and flips the sign read.
+        # The last cone has a facet entry past 2^63, which no slot can hold.
         seen = set()
-        for c in (ConeQ([vec(1)]), ConeQ([vec(1, 0), vec(1, 1)]), ConeQ([vec(1, 2), vec(0, 1)])):
+        for c in (
+            ConeQ([vec(1)]),
+            ConeQ([vec(1, 0), vec(1, 1)]),
+            ConeQ([vec(1, 2), vec(0, 1)]),
+            ConeQ([vec(2**64, 1), vec(0, 1)]),
+        ):
             c.facets
             for e in (62, 63, 64):
                 for x in (2**e - 1, 2**e, 2**e + 1):
@@ -414,13 +433,33 @@ class TestPackedSigns:
         assert lps == []
 
     def test_one_packing_per_width(self):
+        # one 64-bit packing serves every small probe; a probe whose
+        # product needs more than 63 bits takes one idot per facet
         c = ConeQ(del_pezzo(3).variety().eff_cone.generators, ambient_dim=7)
         v = vec(3, -1, -1, -1, -1, -1, -1)
         for _ in range(2):
             for n in (1, 2**80, 2**200):
                 assert c.contains(n * v) is Containment.INSIDE
                 assert c.minimal_face(n * v).span_dim == 7
-        assert sorted(c._packs) == [64, 128, 256]
+                assert dots_taken(c, n * v) == (1 if n == 1 else len(c._facets_int))
+
+
+class TestDotPath:
+    """The packed-sign cases again with `cones` reading the host as
+    big-endian, so that every product, small ones too, takes one idot per
+    facet."""
+
+    @pytest.fixture(autouse=True)
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(cones, "sys", SimpleNamespace(byteorder="big"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_cones(), st.randoms(use_true_random=False))
+    def test_random_cones_match_facet_loop(self, c, rng):
+        check_random_cone(c, rng)
+
+    test_del_pezzo_classes_match_facet_loop = TestPackedSigns.test_del_pezzo_classes_match_facet_loop
+    test_width_boundary = TestPackedSigns.test_width_boundary
 
 
 class TestStrictness:

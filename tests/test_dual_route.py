@@ -1,9 +1,9 @@
 """The facet route of `ConeQ.min_a_with_face`: bigness, a and the minimal
 face read off two packed facet products, and the witness read off the
 face's memoized inverse when the face is simplicial, else one LP over the
-face's generators.  The ray LP on a copy of the cone without facets is the
-oracle for a and the face, and `solve_lp` on the face's generators for the
-witness on a simplicial face."""
+face's generators, either checked in integers.  The ray LP on a copy of
+the cone without facets is the oracle for a and the face, and `solve_lp`
+on the face's generators for the witness on a simplicial face."""
 
 import random
 from fractions import Fraction
@@ -12,15 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fujita import cli
+from fujita import cli, cones
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo
 from fujita.errors import InternalError, KPseudoEffective, NotBig
 from fujita.invariants import VarietyModel, fujita
-from fujita.qlinalg import VecQ
-from fujita.simplex import solve_lp
+from fujita.qlinalg import MatQ, VecQ, nullspace
+from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
-from conftest import counting, random_rational_vector, vec, with_fresh_cone
+from conftest import counting, dots_taken, random_rational_vector, vec, with_fresh_cone
 from oracles import min_a_and_face_by_ray_lp
 
 HUGE = (2**64 + 1, 2**200 + 3)
@@ -124,7 +124,9 @@ def test_wide_slots_on_del_pezzo():
     for n in (1,) + HUGE:
         for base, direction in ((surf.canonical, n * bundle), (n * surf.canonical, bundle)):
             assert check_dual_route(c, base, direction)
-    assert sorted(c._packs) == [64, 128, 256]
+        # one packed product at n = 1; past 2^64, one idot per facet
+        for v in (n * bundle, n * surf.canonical):
+            assert dots_taken(c, v) == (1 if n == 1 else len(c._facets_int))
 
 
 @pytest.mark.parametrize("degree", range(2, 8))
@@ -216,4 +218,39 @@ def test_a_wrong_cached_inverse_is_caught():
             c.min_a_with_face(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     c._faces[mask] = entry
+    assert c.min_a_with_face(surf.canonical, bundle) == answer
+
+
+def test_a_wrong_lp_witness_is_caught(monkeypatch):
+    # a non-simplicial face: four generators spanning three dimensions, so
+    # the witness comes from the LP on them
+    surf = del_pezzo(6)
+    c = with_facets(surf.variety().eff_cone)
+    bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[4]
+    answer = c.min_a_with_face(surf.canonical, bundle)
+    face = answer[3]
+    assert len(face.generators_in_face) > face.span_dim
+    (kernel,) = nullspace(MatQ([list(col) for col in zip(*face.generator_vectors())]))
+    solve = cones.solve_lp
+
+    def infeasible(res):
+        return LPResult(LPStatus.INFEASIBLE, None, None)
+
+    def doubled(res):
+        # nonnegative, but twice the boundary point
+        return res._replace(x=tuple([2 * x for x in res.x]))
+
+    def shifted(res):
+        # plus a multiple of the face's kernel: recombines, but the kernel
+        # vector has entries of both signs on a strict cone, so one goes
+        # negative
+        n = (1 + max(res.x)) / min([abs(k) for k in kernel if k])
+        return res._replace(x=tuple([x + n * k for x, k in zip(res.x, kernel)]))
+
+    for plant in (infeasible, doubled, shifted):
+        monkeypatch.setattr(cones, "solve_lp", lambda *args: plant(solve(*args)))
+        with pytest.raises(InternalError) as exc:
+            c.min_a_with_face(surf.canonical, bundle)
+        assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+    monkeypatch.undo()
     assert c.min_a_with_face(surf.canonical, bundle) == answer
