@@ -29,19 +29,25 @@ Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
 cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
-positive there, so by the same rule they cut out its minimal face.
+positive there, so by the same rule they cut out its minimal face.  K is
+fixed per model, so the cone keeps the last base vector with its scaled
+integers and products, and a query with an equal base takes one product.
 
 Faces are memoized per cone, keyed by the bitmask of their generators G_F,
 at most FACE_MEMO_BOUND of them; the memo is emptied when full.  One
-elimination of G_F's coordinate rows gives span_dim and the pivot rows R.
-When the face is simplicial (|F| = span_dim: G_F is independent), the
-entry also keeps d = |det G_F[R, :]| and d * G_F[R, :]^-1.  The witness of
-a point p of the face, its unique combination of G_F, is then that inverse
-times p[R] over d: one integer matrix-vector product.  A non-simplicial
-face takes its witness from one LP on its generators, which must end
-optimal; its solution is scaled to integers over one denominator d.  Either
-witness, d * lam, must be nonnegative and recombine to d * p, or the call
-raises InternalError.
+elimination of G_F's coordinate rows gives span_dim and the pivot rows R,
+kept for every face.  When the face is simplicial (|F| = span_dim: G_F is
+independent), the entry also keeps d = |det G_F[R, :]| and
+d * G_F[R, :]^-1.  The witness of a point p of the face, its unique
+combination of G_F, is then that inverse times p[R] over d: one integer
+matrix-vector product.  A non-simplicial face takes its witness from one LP
+on the rows R of G_F and p (p lies in span(G_F), so the other rows follow),
+which must end optimal; its solution is scaled to integers over one
+denominator d.  Either witness, d * lam, must be nonnegative and recombine
+to d * p on every coordinate row, or the call raises InternalError.  The
+boundary point is then kept with its face in a second memo, keyed by the
+point and bounded and emptied like the first, so `minimal_face` of that
+point, which the chain asks next, runs no product.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -87,9 +93,10 @@ from .qlinalg import (
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
-# Faces kept per cone, keyed by their generator mask.  A fixed bound, not a
+# Faces kept per cone, keyed by their generator mask, and boundary points
+# kept with their faces, at most this many of each.  A fixed bound, not a
 # setting: the toric benchmark meets fewer than 200 distinct faces on its
-# largest cone, and the memo is emptied when full, so memory does not grow
+# largest cone, and each memo is emptied when full, so memory does not grow
 # with the number of queries.
 FACE_MEMO_BOUND = 256
 
@@ -239,6 +246,8 @@ class ConeQ:
         "_facets_int",
         "_facet_gen_masks",
         "_faces",
+        "_point_faces",
+        "_base",
         "_l1",
         "_packing",
         "_strict",
@@ -253,14 +262,16 @@ class ConeQ:
         for g in raw:
             if g.dim != ambient_dim:
                 raise DimensionMismatch("generator dimension mismatch")
-        ints = [primitive_int(g.entries) for g in raw if not g.is_zero()]
+        ints = [primitive_int(g) for g in raw if not g.is_zero()]
         self.ambient_dim = ambient_dim
         self._gens_int = tuple(ints)
-        self._gens = tuple(VecQ(g) for g in ints)
+        self._gens = tuple([VecQ.from_scaled(g, 1) for g in ints])
         self._dim = None
         self._facets_int = None
         self._facet_gen_masks = None
         self._faces = {}
+        self._point_faces = {}
+        self._base = None
         self._packing = None
         self._strict = None
 
@@ -286,7 +297,7 @@ class ConeQ:
         Built anew on each call from the integer rows the cone keeps."""
         if self._facets_int is None:
             self._compute_facets()
-        return tuple([VecQ(f) for f in self._facets_int])
+        return tuple([VecQ.from_scaled(f, 1) for f in self._facets_int])
 
     @property
     def _facets(self) -> tuple[tuple[int, ...], ...] | None:
@@ -414,14 +425,19 @@ class ConeQ:
 
         One packed product both rejects v (a negative slot) and marks the
         facets vanishing at v (its zero slots); a generator is in the face
-        iff it vanishes on all of them.  On a non-strict cone an outside v
-        still raises OutsideCone before NonStrictCone."""
+        iff it vanishes on all of them.  A boundary point that
+        `min_a_with_face` returned is read from its memo instead.  On a
+        non-strict cone an outside v still raises OutsideCone before
+        NonStrictCone."""
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
         if not self.is_strict():
             if self.contains(v) is Containment.OUTSIDE:
                 raise OutsideCone(f"{v!r} is outside the cone")
             raise NonStrictCone("minimal_face requires a strict cone")
+        face = self._point_faces.get(v)
+        if face is not None:
+            return face
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
         sl = self._slots(scaled_ints(v)[0])
@@ -431,23 +447,23 @@ class ConeQ:
         every = (1 << len(self._gens_int)) - 1
         return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), every))[0]
 
-    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...] | None, int, list[list[int]] | None]:
+    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], int, list[list[int]] | None]:
         """The memoized face whose generators G_F are the set bits of mask,
-        and its witness solver: when the face is simplicial (|F| = span_dim),
-        the pivot coordinate rows R of G_F, d = |det G_F[R, :]| and the
-        integer matrix d * G_F[R, :]^-1; else None, 0, None.  One
-        elimination of G_F's coordinate rows gives R and span_dim."""
+        the pivot coordinate rows R of G_F and, when the face is simplicial
+        (|F| = span_dim), d = |det G_F[R, :]| and the integer matrix
+        d * G_F[R, :]^-1; else 0 and None.  One elimination of G_F's
+        coordinate rows gives R and span_dim."""
         entry = self._faces.get(mask)
         if entry is None:
             gens = self._gens_int
             inside = [j for j in range(len(gens)) if mask >> j & 1]
             coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
-            rows = pivot_columns(coords)
+            rows = tuple(pivot_columns(coords))
             face = FaceQ(self, frozenset(inside), len(rows))
             if len(rows) < len(inside):
-                entry = face, None, 0, None
+                entry = face, rows, 0, None
             else:
-                entry = (face, tuple(rows), *scaled_inverse([coords[t] for t in rows]))
+                entry = (face, rows, *scaled_inverse([coords[t] for t in rows]))
             if len(self._faces) >= FACE_MEMO_BOUND:
                 self._faces.clear()
             self._faces[mask] = entry
@@ -463,7 +479,9 @@ class ConeQ:
         direction is interior.  With the facets built, two packed products
         give a and the face (see the module docstring), and the witness is
         read off the face's memoized inverse when the face is simplicial,
-        else one LP on its generators; either is checked in integers.
+        else one LP on its generators' pivot rows; either is checked in
+        integers.  K's products are kept for the next call with an equal
+        base, and the point's face for `minimal_face`.
         Without them, `contains` and the ray LP answer and the face is None,
         left to `minimal_face`: a alone never forces the facets.  Both
         routes raise UnboundedBelow on the whole space (no facets)."""
@@ -476,11 +494,14 @@ class ConeQ:
             return a, base + a * direction, witness, None
         if not self._facets_int:
             raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
-        (vl, dl), (vk, dk) = scaled_ints(direction), scaled_ints(base)
+        vl, dl = scaled_ints(direction)
         sl = self._slots(vl)
         if min(sl) <= 0:
             return None
-        sk = self._slots(vk)
+        if self._base is None or self._base[0] != base:
+            vk, dk = scaled_ints(base)
+            self._base = base, vk, dk, self._slots(vk)
+        _, vk, dk, sk = self._base
         num, den, mask = -sk[0], sl[0], self._facet_gen_masks[0]
         for k, l, m in zip(sk, sl, self._facet_gen_masks):
             c = -k * den - num * l  # -k/l against num/den; l, den > 0
@@ -495,12 +516,13 @@ class ConeQ:
         # scale*(a*direction + base), in integers, and G_F by coordinate rows
         p = [num * l + den * k for l, k in zip(vl, vk)]
         coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
-        if rows is not None:
+        pr = [p[t] for t in rows]
+        if inverse is not None:
             # the unique combination: G_F lam = p, lam = inverse p[R] / det
-            pr = [p[t] for t in rows]
             lam = [idot(r, pr) for r in inverse]
         else:
-            res = solve_lp(coords, p, [0] * len(inside))
+            # p lies in span(G_F), so the rows R imply the others
+            res = solve_lp([coords[t] for t in rows], pr, [0] * len(inside))
             if res.status is not LPStatus.OPTIMAL:
                 raise InternalError(f"face witness LP is {res.status.value}")
             lam, det = scaled_ints(res.x)
@@ -509,7 +531,10 @@ class ConeQ:
         witness = [Fraction(0)] * len(gens)
         for j, x in zip(inside, lam):
             witness[j] = Fraction(x, det * scale)
-        point = VecQ([Fraction(x, scale) for x in p])
+        point = VecQ.from_scaled(p, scale)
+        if len(self._point_faces) >= FACE_MEMO_BOUND:
+            self._point_faces.clear()
+        self._point_faces[point] = face
         return Fraction(num * dl, scale), point, tuple(witness), face
 
     def min_a_with_witness(

@@ -253,7 +253,7 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
             residual = [r - y * c for r, c in zip(residual, ints[i])]
     scale = det * den
     return ZariskiDecomposition(
-        positive=VecQ([Fraction(r, scale) for r in residual]),
+        positive=VecQ.from_scaled(residual, scale),
         negative_support=tuple([(sc.curves[i], Fraction(y, scale)) for i, y in zip(support, ys)]),
     )
 

@@ -5,6 +5,14 @@ reduced and carry a positive denominator; there is no floating-point
 representation anywhere in the package.  Vectors and matrices are immutable
 values, so everything here is safe to share between threads.
 
+A `VecQ` holds one integer tuple n over one denominator q > 0 in lowest
+terms (gcd(n..., q) = 1), so equal vectors have equal (n, q), and equality
+and the hash read those.  Its arithmetic runs on the integers, and
+`scaled_ints` of a `VecQ` is a copy of n with q, no denominator clearing.
+`VecQ.from_scaled` builds a vector from integers a kernel already holds.
+The `Fraction` entries are built on the first read of `entries`, an index
+or an iteration, and kept.
+
 Elimination is fraction-free in the Bareiss style: rows are cleared to
 integers and updated by the exact two-by-two determinant recurrence, which
 keeps intermediate entries polynomially bounded (naive rational elimination
@@ -25,6 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DimensionMismatch
 
 Rat = Fraction
+_INT = frozenset([int])
 
 
 def as_rat(x) -> Fraction:
@@ -44,100 +53,131 @@ def as_rat(x) -> Fraction:
 
 
 class VecQ:
-    """Immutable vector with exact rational entries."""
+    """Immutable vector with exact rational entries, kept as integers over
+    one denominator in lowest terms (see the module docstring)."""
 
-    __slots__ = ("_e", "_h")
+    __slots__ = ("_n", "_q", "_e", "_h")
 
     def __init__(self, entries: Iterable):
-        # from a list: a tuple built from a generator is resized from a
-        # length hint and parks blocks in the freelists of other sizes
-        self._e = tuple([as_rat(x) for x in entries])
+        # scaled by the lcm of the denominators, which leaves gcd 1
+        n, self._q = scaled_ints(entries)
+        self._n = tuple(n)
+
+    @classmethod
+    def from_scaled(cls, ints: Sequence[int], den: int) -> "VecQ":
+        """The vector ints / den, for integers ints and den > 0; their
+        common factor is divided out."""
+        v = cls.__new__(cls)
+        g = gcd(den, *ints) if den != 1 else 1
+        if g > 1:
+            v._n, v._q = tuple([x // g for x in ints]), den // g
+        else:
+            v._n, v._q = tuple(ints), den
+        return v
 
     @staticmethod
     def zero(dim: int) -> "VecQ":
-        return VecQ([0] * dim)
+        return VecQ.from_scaled([0] * dim, 1)
 
     @property
     def dim(self) -> int:
-        return len(self._e)
+        return len(self._n)
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        return self._e
+        """The entries as Fractions, built on the first read and kept."""
+        try:
+            return self._e
+        except AttributeError:
+            q = self._q
+            self._e = tuple([Fraction(x, q) for x in self._n])
+            return self._e
 
     def __len__(self):
-        return len(self._e)
+        return len(self._n)
 
     def __iter__(self):
-        return iter(self._e)
+        return iter(self.entries)
 
     def __getitem__(self, i):
-        return self._e[i]
+        return self.entries[i]
 
     def __eq__(self, other):
-        return isinstance(other, VecQ) and self._e == other._e
+        return isinstance(other, VecQ) and self._q == other._q and self._n == other._n
 
     def __hash__(self):
-        # memo keys hash one vector several times, and each hash of a
-        # Fraction is a modular inverse: kept in _h from the first call
+        # memo keys hash one vector several times: kept in _h from the
+        # first call
         try:
             return self._h
         except AttributeError:
-            self._h = hash(self._e)
+            self._h = hash((self._n, self._q))
             return self._h
 
     def __repr__(self):
-        return "VecQ(%s)" % ", ".join(str(x) for x in self._e)
+        return "VecQ(%s)" % ", ".join(str(x) for x in self.entries)
 
     def _check(self, other: "VecQ"):
         if not isinstance(other, VecQ):
             raise TypeError(f"expected VecQ, got {type(other).__name__}")
-        if len(other._e) != len(self._e):
-            raise DimensionMismatch(f"{len(self._e)} vs {len(other._e)}")
+        if len(other._n) != len(self._n):
+            raise DimensionMismatch(f"{len(self._n)} vs {len(other._n)}")
+
+    def _common(self, other: "VecQ") -> tuple[int, int, int]:
+        """The factors that bring self and other to their common
+        denominator m, and m."""
+        self._check(other)
+        m = lcm(self._q, other._q)
+        return m // self._q, m // other._q, m
 
     def __add__(self, other: "VecQ") -> "VecQ":
-        self._check(other)
-        return VecQ(a + b for a, b in zip(self._e, other._e))
+        s, t, m = self._common(other)
+        return VecQ.from_scaled([s * a + t * b for a, b in zip(self._n, other._n)], m)
 
     def __sub__(self, other: "VecQ") -> "VecQ":
-        self._check(other)
-        return VecQ(a - b for a, b in zip(self._e, other._e))
+        s, t, m = self._common(other)
+        return VecQ.from_scaled([s * a - t * b for a, b in zip(self._n, other._n)], m)
 
     def __neg__(self) -> "VecQ":
-        return VecQ(-a for a in self._e)
+        return VecQ.from_scaled([-a for a in self._n], self._q)
 
     def __mul__(self, scalar) -> "VecQ":
         s = as_rat(scalar)
-        return VecQ(s * a for a in self._e)
+        return VecQ.from_scaled([s.numerator * a for a in self._n], s.denominator * self._q)
 
     __rmul__ = __mul__
 
     def dot(self, other: "VecQ") -> Fraction:
         self._check(other)
-        return sum((a * b for a, b in zip(self._e, other._e)), Fraction(0))
+        return Fraction(idot(self._n, other._n), self._q * other._q)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self._e)
+        return not any(self._n)
 
     def primitive(self) -> "VecQ":
         """Primitive integer vector on the same ray (zero stays zero)."""
-        return VecQ(primitive_int(self._e))
+        return VecQ.from_scaled(primitive_int(self), 1)
 
 
 def scaled_ints(values: Iterable) -> tuple[list[int], int]:
     """The integers den*values and den, the lcm of the denominators.
 
-    This is the one place that clears denominators.  Sequences are built as
-    lists on purpose: tuples built from generators are resized from a
-    length hint and leave blocks in the tuple freelists.
+    This is the one place that clears denominators.  A VecQ already holds
+    them, so it is read, not cleared, and a row of ints is returned as it
+    is.  Sequences are built as lists on purpose: tuples built from
+    generators are resized from a length hint and leave blocks in the tuple
+    freelists.
     """
-    exact = []
+    if type(values) is VecQ:
+        return list(values._n), values._q
+    exact = list(values)
+    if _INT.issuperset(map(type, exact)):
+        return exact, 1
     den = 1
-    for v in values:
+    for i, v in enumerate(exact):
         if type(v) is not int:
-            v = as_rat(v)
+            exact[i] = v = as_rat(v)
             den = lcm(den, v.denominator)
-        exact.append(v)
     if den == 1:
         return [int(v) for v in exact], 1
     return [v * den if type(v) is int else v.numerator * (den // v.denominator) for v in exact], den
@@ -146,12 +186,8 @@ def scaled_ints(values: Iterable) -> tuple[list[int], int]:
 def primitive_int(entries: Iterable) -> tuple[int, ...]:
     """Clear denominators and divide by the gcd, preserving direction."""
     ints, _ = scaled_ints(entries)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple([v // g for v in ints] if g > 1 else ints)
 
 
 def sign_normalized(entries: Sequence[int]) -> tuple[int, ...]:
@@ -196,16 +232,17 @@ class MatQ:
         Computed on the first call and shared by every later one, so
         callers must not modify the rows."""
         if self._scaled is None:
-            flat, den = scaled_ints([x for row in self._rows for x in row])
-            w = self.cols
-            self._scaled = [flat[i * w:(i + 1) * w] for i in range(self.rows)], den
+            den = lcm(*[r._q for r in self._rows])
+            self._scaled = [[x * (den // r._q) for x in r._n] for r in self._rows], den
         return self._scaled
 
     def apply(self, v: VecQ) -> VecQ:
         """Matrix-vector product."""
         if v.dim != self.cols:
             raise DimensionMismatch(f"{self.cols} columns vs vector of dim {v.dim}")
-        return VecQ(r.dot(v) for r in self._rows)
+        rows, den = self.scaled_rows()
+        vi, dv = scaled_ints(v)
+        return VecQ.from_scaled([idot(r, vi) for r in rows], den * dv)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -350,24 +387,27 @@ def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:
     if rhs.dim != m.rows:
         raise DimensionMismatch(f"{m.rows} rows vs rhs of dim {rhs.dim}")
     n = m.cols
-    aug = [scaled_ints(list(r.entries) + [b])[0] for r, b in zip(m.row_list(), rhs)]
+    rows, den = m.scaled_rows()
+    bi, db = scaled_ints(rhs)
+    # the system times den * db
+    aug = [[db * x for x in r] + [den * b] for r, b in zip(rows, bi)]
     aug, pivots, d = _jordan(aug, n)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     # pivot row k reads d * x[pivots[k]] + sum over free f of row[f] * x[f] = row[n]
-    particular = [Fraction(0)] * n
+    particular = [0] * n
     for k, c in enumerate(pivots):
-        particular[c] = Fraction(aug[k][n], d)
+        particular[c] = aug[k][n]
     kernel = []
     for f in range(n):
         if f in pivots:
             continue
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
+        x = [0] * n
+        x[f] = d
         for k, c in enumerate(pivots):
-            x[c] = Fraction(-aug[k][f], d)
-        kernel.append(VecQ(x))
-    return LinearSolution(VecQ(particular), tuple(kernel))
+            x[c] = -aug[k][f]
+        kernel.append(VecQ.from_scaled(x, d))
+    return LinearSolution(VecQ.from_scaled(particular, d), tuple(kernel))
 
 
 def nullspace(m: MatQ) -> tuple[VecQ, ...]:
@@ -388,9 +428,7 @@ def inertia(m: MatQ) -> tuple[int, int, int]:
     """
     if not m.is_symmetric():
         raise DimensionMismatch("matrix is not symmetric")
-    n = m.rows
-    flat, _ = scaled_ints([x for row in m.row_list() for x in row])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    a = [list(r) for r in m.scaled_rows()[0]]  # a copy: the rows are shared
     d = 1
     pos = neg = zero = 0
     while a:

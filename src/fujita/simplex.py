@@ -5,8 +5,8 @@ exact `fractions.Fraction` values, but the tableau holds Python integers in
 the style of lrs (Avis 2000):
 
 * Each constraint row, with its right-hand side, is scaled once to integers
-  by the lcm of its denominators (`qlinalg.scaled_ints`); the phase-2
-  objective is scaled by its own.
+  by the lcm of its denominators (`qlinalg.scaled_ints`, which takes a row
+  of ints as it is); the phase-2 objective is scaled by its own.
 * Every row, the reduced-cost row included, shares one denominator D > 0,
   the absolute value of the current basis determinant: the true tableau is
   T / D.  The artificial start basis is the identity, so D starts at 1.

@@ -282,11 +282,9 @@ class NSPresentation(NamedTuple):
             raise InvalidModel("coefficient count does not match ray count")
         pivot = [ints[i] for i in self.pivot_rays]
         det = self.pivot_det
-        return VecQ(
-            [
-                Fraction(det * ints[i] - idot(row, pivot), det * den)
-                for i, row in zip(self.basis_rays, self.basis_rows)
-            ]
+        return VecQ.from_scaled(
+            [det * ints[i] - idot(row, pivot) for i, row in zip(self.basis_rays, self.basis_rows)],
+            det * den,
         )
 
     def canonical_class(self) -> VecQ:

@@ -254,3 +254,13 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     monkeypatch.undo()
     assert c.min_a_with_face(surf.canonical, bundle) == answer
+    # the LP sees only the face's pivot rows R; with one of them dropped
+    # from the memo its solution misses a row, which the check of every
+    # coordinate row catches
+    mask = sum([1 << j for j in face.generators_in_face])
+    entry = c._faces[mask]
+    c._faces[mask] = (entry[0], entry[1][:-1], *entry[2:])
+    with pytest.raises(InternalError):
+        c.min_a_with_face(surf.canonical, bundle)
+    c._faces[mask] = entry
+    assert c.min_a_with_face(surf.canonical, bundle) == answer

@@ -173,6 +173,54 @@ def test_face_memo_stays_within_its_bound():
         assert len(c._faces) <= FACE_MEMO_BOUND
 
 
+def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
+    # on a warm cone, K's facet products are kept after the first query, so
+    # each later `fujita` query takes one packed product (of L); the
+    # boundary point is kept with its face, so `minimal_face` and toric
+    # rigidity on that point, or on an equal vector built anew, take none
+    for name, fan in toric_fans.items():
+        m = fresh_cone(variety_model(fan), warm=True)
+        monkeypatch.setattr(toric, "variety_model", lambda f: m)
+        c = m.eff_cone
+        bundle = ns_presentation(fan).divisor_class([1 + i % 3 for i in range(len(fan.rays))])
+        fujita(m, bundle)
+        for k in (2, 3, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                slots = counting(mp, ConeQ, "_slots")
+                fr = fujita(m, k * bundle)
+                assert len(slots) == 1, name
+                for point in (fr.boundary_class, VecQ(list(fr.boundary_class))):
+                    face = c.minimal_face(point)
+                    assert face is fr.face and face == minimal_face_by_facet_loop(c, point), name
+                    rigid = toric.class_is_rigid(fan, point)
+                    assert rigid == (len(face.generators_in_face) == face.span_dim), name
+                assert len(slots) == 1, name
+        monkeypatch.undo()
+
+
+def test_point_face_memo_stays_within_its_bound():
+    # more distinct boundary points of the degree-2 cone than the bound: the
+    # memo never exceeds it, and each point's face, asked again after the
+    # memo was emptied, equals the per-facet loop's
+    surf = del_pezzo(2)
+    c = ConeQ(surf.variety().eff_cone.generators)
+    c.facets
+    gens = c.generators
+    rng = random.Random(1618)
+    answers = []
+    for i in range(2 * FACE_MEMO_BOUND + 50):
+        bundle = -1 * surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            bundle = bundle + rng.randint(1, 4) * gens[j]
+        a, point, _, face = c.min_a_with_face(surf.canonical, bundle)
+        assert len(c._point_faces) <= FACE_MEMO_BOUND
+        assert c._point_faces[point] is face
+        answers.append((point, face))
+    assert len({p for p, _ in answers}) > FACE_MEMO_BOUND
+    for point, face in answers[::7]:
+        assert c.minimal_face(point) == face == minimal_face_by_facet_loop(c, point)
+
+
 def test_exceptions_are_not_cached():
     m = del_pezzo(8).variety()
     not_big = vec(0, 1)  # the exceptional curve: boundary, not interior

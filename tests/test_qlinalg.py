@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -131,10 +132,28 @@ class TestVecQ:
         with pytest.raises(TypeError):
             scaled_ints([0.5])
 
-    def test_hash_is_kept_and_matches_the_entries(self):
+    def test_hash_is_kept_and_equal_across_routes(self):
         v = VecQ([Fraction(1, 3), -2, Fraction(5, 7)])
-        assert hash(v) == hash(VecQ(list(v))) == hash(v.entries) == v._h
-        assert {v: 1}[VecQ(list(v))] == 1
+        h = hash(v)
+        assert v._h == h and hash(v) == h
+        # Fractions over another denominator, 'p/q' strings, the entries,
+        # from_scaled with a common factor and arithmetic on ints give one
+        # (n, q) and one hash
+        routes = [
+            VecQ([Fraction(7, 21), Fraction(-42, 21), Fraction(15, 21)]),
+            VecQ(["1/3", "-2", "10/14"]),
+            VecQ(list(v)),
+            VecQ.from_scaled([6 * 7, 6 * -42, 6 * 15], 6 * 21),
+            VecQ([2, -12, 3]) * Fraction(1, 6) + VecQ([0, 0, Fraction(5, 7) - Fraction(1, 2)]),
+        ]
+        for w in routes:
+            assert w == v and hash(w) == h
+            assert (w._n, w._q) == ((7, -42, 15), 21)
+        assert {v: 1}[routes[-1]] == 1
+        ints = VecQ([3, -6])
+        for w in (VecQ([Fraction(6, 2), "-6"]), VecQ.from_scaled([9, -18], 3)):
+            assert w == ints and hash(w) == hash(ints) and (w._n, w._q) == ((3, -6), 1)
+        assert VecQ([1, 2]) != VecQ([1, 2, 0]) and VecQ([1]) != (Fraction(1),)
 
     def test_reduced_invariants(self):
         # Fraction keeps lowest terms with positive denominator
@@ -261,6 +280,69 @@ RATIONALS = st.one_of(
     st.integers(-4, 4),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
 )
+
+
+def lowest_terms(v: VecQ) -> bool:
+    return v._q > 0 and gcd(v._q, *v._n) == 1 and all(type(x) is int for x in v._n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda d: st.tuples(
+            st.lists(RATIONALS, min_size=d, max_size=d),
+            st.lists(RATIONALS, min_size=d, max_size=d),
+        )
+    ),
+    RATIONALS,
+    st.integers(1, 12),
+)
+def test_vecq_against_fraction_tuples(pair, scalar, factor):
+    xs, ys = [tuple(Fraction(x) for x in t) for t in pair]
+    u, v = VecQ(xs), VecQ(ys)
+    # ints, Fractions and 'p/q' strings, and from_scaled of any multiple,
+    # build the same vector
+    ints, den = scaled_ints(xs)
+    for w in (VecQ([str(x) for x in xs]), VecQ([int(x) if x.denominator == 1 else x for x in xs]),
+              VecQ.from_scaled([factor * x for x in ints], factor * den)):
+        assert w == u and hash(w) == hash(u) and w.entries == xs and lowest_terms(w)
+    assert (u == v) == (xs == ys)
+    if xs == ys:
+        assert hash(u) == hash(v)
+    assert u.entries == xs and tuple(u) == xs and list(u) == list(xs) and len(u) == u.dim == len(xs)
+    assert all(u[i] == xs[i] for i in range(len(xs)))
+    assert scaled_ints(u) == scaled_ints(list(xs))
+    results = {
+        "+": (u + v, [a + b for a, b in zip(xs, ys)]),
+        "-": (u - v, [a - b for a, b in zip(xs, ys)]),
+        "neg": (-u, [-a for a in xs]),
+        "*": (u * scalar, [scalar * a for a in xs]),
+        "r*": (scalar * u, [scalar * a for a in xs]),
+        "primitive": (u.primitive(), list(primitive_int(xs))),
+    }
+    for op, (got, want) in results.items():
+        assert got.entries == tuple(want), op
+        assert lowest_terms(got), op
+        assert got == VecQ(want) and hash(got) == hash(VecQ(want)), op
+    assert u.dot(v) == sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+    assert type(u.dot(v)) is Fraction
+    assert u.is_zero() == all(a == 0 for a in xs)
+    assert lowest_terms(u) and lowest_terms(v)
+    assert repr(u) == "VecQ(%s)" % ", ".join(str(a) for a in xs)
+
+
+def test_vecq_rejects_floats_and_bools():
+    for bad in ([0.5], [1, True], [False], [1, 2.0]):
+        with pytest.raises(TypeError):
+            VecQ(bad)
+    with pytest.raises(TypeError):
+        VecQ([1, 2]) * 0.5
+    with pytest.raises(TypeError):
+        VecQ([1, 2]) * True
+    with pytest.raises(TypeError):
+        VecQ([1, 2]) + (1, 2)
+    with pytest.raises(DimensionMismatch):
+        VecQ([1, 2]).dot(VecQ([1]))
 
 
 @st.composite
