@@ -45,9 +45,8 @@ on the rows R of G_F and p (p lies in span(G_F), so the other rows follow),
 which must end optimal; its solution is scaled to integers over one
 denominator d.  Either witness, d * lam, must be nonnegative and recombine
 to d * p on every coordinate row, or the call raises InternalError.  The
-boundary point is then kept with its face in a second memo, keyed by the
-point and bounded and emptied like the first, so `minimal_face` of that
-point, which the chain asks next, runs no product.
+boundary point is then kept with its face in one slot, like K, so
+`minimal_face` of that point, which the chain asks next, runs no product.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -93,11 +92,10 @@ from .qlinalg import (
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
-# Faces kept per cone, keyed by their generator mask, and boundary points
-# kept with their faces, at most this many of each.  A fixed bound, not a
-# setting: the toric benchmark meets fewer than 200 distinct faces on its
-# largest cone, and each memo is emptied when full, so memory does not grow
-# with the number of queries.
+# Faces kept per cone, keyed by their generator mask, at most this many.  A
+# fixed bound, not a setting: the toric benchmark meets fewer than 200
+# distinct faces on its largest cone, and the memo is emptied when full, so
+# memory does not grow with the number of queries.
 FACE_MEMO_BOUND = 256
 
 
@@ -246,7 +244,7 @@ class ConeQ:
         "_facets_int",
         "_facet_gen_masks",
         "_faces",
-        "_point_faces",
+        "_point",
         "_base",
         "_l1",
         "_packing",
@@ -270,7 +268,7 @@ class ConeQ:
         self._facets_int = None
         self._facet_gen_masks = None
         self._faces = {}
-        self._point_faces = {}
+        self._point = None
         self._base = None
         self._packing = None
         self._strict = None
@@ -425,8 +423,8 @@ class ConeQ:
 
         One packed product both rejects v (a negative slot) and marks the
         facets vanishing at v (its zero slots); a generator is in the face
-        iff it vanishes on all of them.  A boundary point that
-        `min_a_with_face` returned is read from its memo instead.  On a
+        iff it vanishes on all of them.  The last boundary point that
+        `min_a_with_face` returned is read from its slot instead.  On a
         non-strict cone an outside v still raises OutsideCone before
         NonStrictCone."""
         if v.dim != self.ambient_dim:
@@ -435,9 +433,8 @@ class ConeQ:
             if self.contains(v) is Containment.OUTSIDE:
                 raise OutsideCone(f"{v!r} is outside the cone")
             raise NonStrictCone("minimal_face requires a strict cone")
-        face = self._point_faces.get(v)
-        if face is not None:
-            return face
+        if self._point is not None and self._point[0] == v:
+            return self._point[1]
         if v.is_zero():
             return FaceQ(self, frozenset(), 0)
         sl = self._slots(scaled_ints(v)[0])
@@ -532,9 +529,7 @@ class ConeQ:
         for j, x in zip(inside, lam):
             witness[j] = Fraction(x, det * scale)
         point = VecQ.from_scaled(p, scale)
-        if len(self._point_faces) >= FACE_MEMO_BOUND:
-            self._point_faces.clear()
-        self._point_faces[point] = face
+        self._point = point, face
         return Fraction(num * dl, scale), point, tuple(witness), face
 
     def min_a_with_witness(

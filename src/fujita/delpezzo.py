@@ -12,16 +12,17 @@ supported face) and through the Zariski decomposition case split implemented
 here; the test suite drives both on random big bundles and demands exact
 agreement.
 
-The Zariski decomposition runs in integers (`_zariski`): the class is scaled
-once by the lcm of its denominators, each curve's image under the form is
-precomputed, and the Gram system of the support is solved by one
-fraction-free inverse.  Where the (-1)-curves generate the effective cone
-(degrees 1-7) the kernel runs before any membership test, because a run that
+The Zariski decomposition (`zariski_for_variety`, the one entry) reads the
+negative generators of the asked model's own effective cone and its own
+form, built into integers once per model (`_surface_curves`); the kernel
+(`_zariski`) solves each support's Gram system by one fraction-free
+inverse.  On a del Pezzo model whose generators are all (-1)-curves
+(degrees 1-7) it runs before any membership test, because a run that
 succeeds proves the class pseudo-effective: P meets every generator
 non-negatively, so P is nef; a nef class is pseudo-effective (the nef cone
 is the dual of the effective cone and lies inside it); and N is a
-nonnegative combination of curves.  Only a failing run asks the cone whether
-the class was outside it.
+nonnegative combination of curves.  A failing run always asks the cone
+whether the class was outside it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import invariants
 from .cones import ConeQ, Containment
@@ -43,7 +44,7 @@ from .errors import (
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, idot, primitive_int, scaled_ints, scaled_inverse
+from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse
 
 
 @lru_cache(maxsize=None)
@@ -130,9 +131,6 @@ class DelPezzoModel:
                 self.negative_curves = enumerate_negative_curves(degree)
                 self.eff_generators = self.negative_curves
             self.name = f"del-pezzo-degree-{degree}"
-        # on degrees 1-7 the negative curves are the effective-cone generators
-        self.curves_generate_cone = self.eff_generators is self.negative_curves
-        self.zariski_curves = SurfaceCurves(self.negative_curves, self.intersection_form)
         self._variety: VarietyModel | None = None
 
     def pair(self, u: VecQ, v: VecQ) -> Fraction:
@@ -176,9 +174,9 @@ class ZariskiDecomposition(NamedTuple):
         return n
 
 
-class SurfaceCurves:
-    """A fixed list of negative curves with the intersection form, in
-    integers, for the Zariski kernel.
+class SurfaceCurves(NamedTuple):
+    """The negative generators of a model's effective cone with its
+    intersection form, in integers, for the Zariski kernel.
 
     `form` is the form times the lcm of its denominators.  A positive
     multiple of the form leaves every sign, the supports and the Gram
@@ -186,19 +184,30 @@ class SurfaceCurves:
     alike), so the kernel never divides by it.  `images[i]` is form times
     curve i, so a class pairs with a curve in one integer dot product."""
 
-    __slots__ = ("curves", "form", "ints", "images")
+    curves: tuple[VecQ, ...]
+    form: list[list[int]]
+    ints: tuple[list[int], ...]
+    images: tuple[list[int], ...]
 
-    def __init__(self, curves: Sequence[VecQ], form: MatQ):
-        self.curves = tuple(curves)
-        self.form = form.scaled_rows()[0]
-        # cone generators and enumerated curves are integer vectors
-        assert all(x.denominator == 1 for c in self.curves for x in c)
-        self.ints = [[x.numerator for x in c] for c in self.curves]
-        self.images = [self.image(c) for c in self.ints]
 
-    def image(self, v: Sequence[int]) -> list[int]:
-        """form times the integer vector v."""
-        return [idot(row, v) for row in self.form]
+@lru_cache(maxsize=MEMO_BOUND)
+def _surface_curves(m: VarietyModel) -> SurfaceCurves:
+    """The curves of m for the kernel, built once per model: each generator
+    of m's cone (a primitive integer vector) is paired with itself once,
+    through its image under the scaled form, and kept iff negative."""
+    if m.intersection_form is None:
+        raise InvalidModel(
+            f"model {m.name!r} has no intersection form; Zariski decomposition unavailable"
+        )
+    form = m.intersection_form.scaled_rows()[0]
+    kept = []
+    for g in m.eff_cone.generators:
+        v = scaled_ints(g)[0]
+        image = [idot(row, v) for row in form]
+        if idot(v, image) < 0:
+            kept.append((g, v, image))
+    curves, ints, images = zip(*kept) if kept else ((), (), ())
+    return SurfaceCurves(curves, form, ints, images)
 
 
 def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
@@ -264,44 +273,34 @@ def _require_pseudo_effective(cone: ConeQ, d: VecQ) -> None:
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def zariski_decompose(m: DelPezzoModel, d: VecQ) -> ZariskiDecomposition:
-    """Zariski decomposition d = P + N on a del Pezzo model.  The last
-    MEMO_BOUND results are kept per (model, class): the surface case split
-    and the rigidity of the same boundary class share one decomposition.
+def zariski_for_variety(m: VarietyModel, d: VecQ) -> ZariskiDecomposition:
+    """Zariski decomposition d = P + N on any model with an intersection
+    form, against the negative generators of its own effective cone.  The
+    last MEMO_BOUND results are kept per (model, class): the surface case
+    split and the rigidity of the same boundary class share one
+    decomposition.
 
-    Where the negative curves generate the effective cone (degrees 1-7),
+    On a del Pezzo model whose generators are all negative (degrees 1-7),
     membership is tested only when the kernel fails (see the module
-    docstring); elsewhere it is tested first."""
-    cone = m.variety().eff_cone
-    if m.curves_generate_cone:
-        try:
-            return _zariski(m.zariski_curves, d)
-        except InternalNonTermination:
-            _require_pseudo_effective(cone, d)
-            raise
-    _require_pseudo_effective(cone, d)
-    return _zariski(m.zariski_curves, d)
+    docstring); elsewhere it is tested first, and again on a failure."""
+    sc = _surface_curves(m)
+    if not (isinstance(m.provenance, DelPezzo) and len(sc.curves) == len(m.eff_cone.generators)):
+        _require_pseudo_effective(m.eff_cone, d)
+    try:
+        return _zariski(sc, d)
+    except InternalNonTermination:
+        _require_pseudo_effective(m.eff_cone, d)
+        raise
+
+
+def zariski_decompose(m: DelPezzoModel, d: VecQ) -> ZariskiDecomposition:
+    """Zariski decomposition on a del Pezzo model: its variety's entry."""
+    return zariski_for_variety(m.variety(), d)
 
 
 def negative_classes(m: VarietyModel) -> tuple[VecQ, ...]:
     """Effective-cone generators of negative self-intersection."""
-    return tuple(g for g in m.eff_cone.generators if m.pair(g, g) < 0)
-
-
-def zariski_for_variety(m: VarietyModel, d: VecQ) -> ZariskiDecomposition:
-    """Zariski decomposition on any surface-like variety model: a del Pezzo
-    provenance uses its enumerated negative curves, a raw model with an
-    intersection form uses its negative generators."""
-    prov = m.provenance
-    if isinstance(prov, DelPezzo):
-        surf = quadric_surface() if prov.quadric else del_pezzo(prov.degree)
-        return zariski_decompose(surf, d)
-    if m.intersection_form is not None:
-        _require_pseudo_effective(m.eff_cone, d)
-        return _zariski(SurfaceCurves(negative_classes(m), m.intersection_form), d)
-    raise InvalidModel(
-        f"model {m.name!r} has no intersection form; Zariski decomposition unavailable"
-    )
+    return _surface_curves(m).curves
 
 
 class SurfaceCase(Enum):
@@ -330,8 +329,7 @@ def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, 
     n = len(dec.negative_support)
     if dec.positive.is_zero():
         return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), dec.positive
-    p = primitive_int(dec.positive)
-    if idot(p, m.zariski_curves.image(p)) != 0:
+    if m.pair(dec.positive, dec.positive) != 0:
         raise InternalNonTermination(
             "positive part of a boundary class must have square zero"
         )

@@ -15,10 +15,12 @@ facet route divides the integer point it already holds instead of
 recomputing a*L + K in Fractions), and `b_invariant` reads
 that face or else asks `minimal_face`; every other caller (the (a, b) pair,
 the CLI report, the fixture runner, the toric fibration cross-check) reads
-theirs.  Each stage is computed once per (model, class): `fujita`, the
-Zariski decomposition and toric class rigidity keep small memos of their
-last results, immutable NamedTuples shared between callers, never
-exceptions, with a fixed bound.
+theirs.  Each stage is computed once per (model, class): `fujita` and the
+Zariski decomposition keep small memos of their last results, immutable
+NamedTuples shared between callers, never exceptions, with a fixed bound,
+and toric rigidity reads the face the cone keeps for the boundary point.
+Rigidity reads the asked model's own cone and form; the provenance tag
+only picks the oracle.
 
 Membership in the effective cone is asked once, by the stage that needs
 it: `fujita` (is the bundle big, read off the facet product of a once the
@@ -222,21 +224,20 @@ def invariant_pair(m: VarietyModel, bundle: DivisorClass) -> tuple[Fraction, int
 
 
 def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
-    """Rigidity of a pseudo-effective class, dispatched by the model's data.
+    """Rigidity of a pseudo-effective class, read off m's own cone and form.
 
     Toric models use the divisor polytope (rigid iff dimension zero), whose
-    dimension is read off the minimal face of the class with no LP; models
-    with an intersection form, every del Pezzo model among them, use the
-    Zariski route (rigid iff the positive part vanishes); a raw model
-    without one has no rigidity oracle.  Each route raises
+    dimension is read off the minimal face of the class in m's cone with no
+    LP; models with an intersection form, every del Pezzo model among them,
+    use the Zariski route (rigid iff the positive part vanishes); a raw
+    model without one has no rigidity oracle.  Each route raises
     NotPseudoEffective on a class outside the effective cone, asking the
     cone itself when it must.
     """
-    prov = m.provenance
-    if isinstance(prov, Toric):
+    if isinstance(m.provenance, Toric):
         from . import toric
 
-        return toric.class_is_rigid(prov.fan, d)
+        return toric._rigid(m.eff_cone, d)
     if m.intersection_form is not None:
         from . import delpezzo
 

@@ -16,7 +16,8 @@ nonnegative coefficient vectors of the class in the exact sequence
 2011, 4.1): the rays off F are tight on all of it, a relative-interior
 point is positive on every ray in F, so the polytope spans the fibre of
 the class map restricted to the coordinates in F, and its dimension is
-|F| - span_dim(F).  It is empty iff the class is outside the cone.
+|F| - span_dim(F).  It is empty iff the class is outside the cone.  The
+rule reads the cone it is given: `is_rigid_class` that of its own model.
 `divisor_polytope` stays the LP answer, and the tests' oracle for that
 rule: one exact LP per polytope gives its emptiness, its implicit
 equalities (hence its dimension) and a relative-interior point.
@@ -382,21 +383,30 @@ def divisor_polytope(f: Fan, coeffs) -> DivisorPolytope:
     return DivisorPolytope(dim, VecQ([x[t] - x[n + t] for t in range(n)]), tight)
 
 
-def _class_dim(f: Fan, cls: VecQ) -> int:
+def _class_dim(cone: ConeQ, cls: VecQ) -> int:
     """Dimension of the polytope of any invariant divisor of the class,
     -1 iff empty: |F| - span_dim(F), F the generators of the minimal face
-    containing the class (see the module docstring)."""
+    of the class in the effective cone (see the module docstring)."""
     try:
-        face = variety_model(f).eff_cone.minimal_face(cls)
+        face = cone.minimal_face(cls)
     except OutsideCone:
         return -1
     return len(face.generators_in_face) - face.span_dim
 
 
+def _rigid(cone: ConeQ, cls: VecQ) -> bool:
+    """Rigidity of a divisor class: its polytope is a point iff the
+    generators of its minimal face in the cone are linearly independent."""
+    d = _class_dim(cone, cls)
+    if d < 0:
+        raise NotPseudoEffective("divisor class is not pseudo-effective")
+    return d == 0
+
+
 def polytope_dim(f: Fan, coeffs) -> int:
     """Dimension of the divisor polytope; -1 iff empty.  Read off the
     minimal face; `divisor_polytope(f, coeffs).dim` is the LP answer."""
-    return _class_dim(f, ns_presentation(f).divisor_class(coeffs))
+    return _class_dim(effective_cone(f), ns_presentation(f).divisor_class(coeffs))
 
 
 def toric_rigid(f: Fan, coeffs) -> bool:
@@ -408,12 +418,8 @@ def toric_rigid(f: Fan, coeffs) -> bool:
 
 
 def class_is_rigid(f: Fan, cls: VecQ) -> bool:
-    """Rigidity of a divisor class: its polytope is a point iff the
-    generators of its minimal face are linearly independent."""
-    d = _class_dim(f, cls)
-    if d < 0:
-        raise NotPseudoEffective("divisor class is not pseudo-effective")
-    return d == 0
+    """Rigidity of a divisor class on the fan's model (see `_rigid`)."""
+    return _rigid(effective_cone(f), cls)
 
 
 def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:

@@ -12,7 +12,7 @@ from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
 from fujita.qlinalg import MatQ, VecQ, scaled_ints
 
-MEMOS = (invariants.fujita, delpezzo.zariski_decompose)
+MEMOS = (invariants.fujita, delpezzo.zariski_for_variety)
 
 
 @pytest.fixture(autouse=True)

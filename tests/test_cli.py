@@ -292,6 +292,28 @@ class TestFixturesCommand:
         reports = json.loads(out)
         assert reports[0]["passed"] is True
 
+    def test_catalog_run_adds_little_peak_memory(self):
+        # the whole catalog run in a fresh interpreter adds under 1 MB of
+        # peak RSS to the import of the CLI on CPython 3.11 (x86-64 Linux);
+        # the degree-1 del Pezzo facets (19 440 of them) would add about 12 MB.
+        # A small interpreter starts the probe: Linux carries the peak RSS of
+        # the process that starts a program into the program's ru_maxrss, and
+        # this test process is far larger than the probe.
+        probe = (
+            "import os, resource, sys, fujita.cli\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "code = fujita.cli.main(['fixtures', 'run', '--json'])\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, peak() - before)\n"
+        )
+        launcher = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {probe!r}], check=True)"
+        code, grown = map(int, fresh_python(launcher).split())
+        kib = grown // 1024 if sys.platform == "darwin" else grown  # bytes there
+        assert code == 0
+        assert kib <= 2048, f"fixtures run --json added {kib} KiB of peak RSS"
+
     def test_unknown_id(self, capsys):
         code, _ = run_cli(capsys, "fixtures", "run", "missing-fixture")
         assert code == 2

@@ -136,7 +136,7 @@ class TestRecords:
         for m in (bare, formed):
             assert isinstance(m.provenance, Raw) and m.provenance
         zariski = counting(monkeypatch, delpezzo, "zariski_for_variety")
-        polytopes = counting(monkeypatch, toric, "class_is_rigid")
+        polytopes = counting(monkeypatch, toric, "_rigid")
         assert is_rigid_class(formed, vec(1, 0)) is False
         with pytest.raises(RigidityUndecidable):
             is_rigid_class(bare, vec(1, 0))

@@ -1,5 +1,6 @@
 """Each stage of the a -> boundary class -> face -> b chain runs once per
-(model, class), the memos stay within their fixed bound, and toric balance
+(model, class), the memos stay within their fixed bound, rigidity and the
+Zariski decomposition read the model they are asked about, and toric balance
 read through class rigidity agrees with the adjoint-divisor route."""
 
 import random
@@ -8,9 +9,17 @@ import pytest
 
 from fujita import cones, delpezzo, qlinalg, toric
 from fujita.cones import FACE_MEMO_BOUND, ConeQ
-from fujita.delpezzo import del_pezzo, surface_b, surface_balanced, zariski_decompose
-from fujita.errors import NotBig
-from fujita.invariants import b_invariant, fujita, is_rigid_class
+from fujita.delpezzo import (
+    del_pezzo,
+    negative_classes,
+    quadric_surface,
+    surface_b,
+    surface_balanced,
+    zariski_decompose,
+    zariski_for_variety,
+)
+from fujita.errors import NotBig, NotPseudoEffective
+from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import VecQ
 from fujita.toric import ns_presentation, variety_model
 from conftest import MEMOS, counting, vec, with_fresh_cone
@@ -116,6 +125,68 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             monkeypatch.undo()
 
 
+def test_rigidity_reads_the_cone_of_the_model_it_is_asked_about(monkeypatch, toric_fans):
+    # a model built anew over the generators of a cached one, as the README
+    # says to build a changed model: every membership and face question of
+    # `is_rigid_class` goes to its own cone, and no model is rebuilt from
+    # its provenance tag.  An outside class makes the del Pezzo kernel fail
+    # (degrees 2-7) or the membership test run first (degree 8, the quadric),
+    # so the cone is asked on every route.
+    cases = []
+    for fan in toric_fans.values():
+        m = with_fresh_cone(variety_model(fan))
+        bundle = ns_presentation(fan).divisor_class([1 + i % 3 for i in range(len(fan.rays))])
+        cases.append((m, variety_model(fan), bundle))
+    for surf in [del_pezzo(d) for d in (2, 5, 7, 8)] + [quadric_surface()]:
+        cases.append((with_fresh_cone(surf.variety()), surf.variety(), -1 * surf.canonical))
+    outside_seen = 0
+    for m, cached, bundle in cases:
+        boundary = fujita(m, bundle).boundary_class
+        for d, outside in ((boundary, False), (-1 * bundle, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                memberships = counting(mp, ConeQ, "contains")
+                faces = counting(mp, ConeQ, "minimal_face")
+                rebuilt = [
+                    counting(mp, toric, "variety_model"),
+                    counting(mp, delpezzo, "del_pezzo"),
+                    counting(mp, delpezzo, "quadric_surface"),
+                ]
+                if outside:
+                    with pytest.raises(NotPseudoEffective):
+                        is_rigid_class(m, d)
+                    outside_seen += 1
+                    assert memberships or faces, m.name
+                else:
+                    rigid = is_rigid_class(m, d)
+                asked = memberships + faces
+                assert all(args[0] is m.eff_cone for args in asked), m.name
+                assert rebuilt == [[], [], []], m.name
+        assert rigid == is_rigid_class(cached, boundary), m.name
+    assert outside_seen == len(cases)
+
+
+def test_lattice_surface_zariski_is_one_memo_entry_per_model(monkeypatch):
+    # a lattice surface with the degree-7 form and generators: a second
+    # decomposition of an equal class is a memo hit, and the curves are
+    # built once per model (each generator paired once) for every
+    # decomposition and every `negative_classes` call
+    surf = del_pezzo(7)
+    dp = surf.variety()
+    gens = dp.eff_cone.generators
+    m = VarietyModel("raw-dp7", 3, dp.canonical, ConeQ(gens), dp.intersection_form)
+    builds = counting(monkeypatch, delpezzo, "SurfaceCurves")
+    pairs = counting(monkeypatch, VarietyModel, "pair")
+    kernels = counting(monkeypatch, delpezzo, "_zariski")
+    d = -1 * surf.canonical + gens[0]
+    dec = zariski_for_variety(m, d)
+    assert zariski_for_variety(m, VecQ(list(d))) is dec
+    assert zariski_for_variety.cache_info().hits == 1
+    zariski_for_variety(m, 2 * gens[1] + gens[2])
+    assert negative_classes(m) == negative_classes(m) == gens
+    assert (len(builds), len(pairs), len(kernels)) == (1, 0, 2)
+    assert dec == zariski_decompose(surf, d)
+
+
 def test_one_lp_per_divisor_polytope(monkeypatch, toric_fans):
     # emptiness, the implicit equalities and the sample point come from one
     # support LP, whether the polytope is empty, a point or full-dimensional
@@ -199,26 +270,33 @@ def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
 
 
 def test_point_face_memo_stays_within_its_bound():
-    # more distinct boundary points of the degree-2 cone than the bound: the
-    # memo never exceeds it, and each point's face, asked again after the
-    # memo was emptied, equals the per-facet loop's
+    # the cone keeps one boundary point with its face, the last one
+    # `min_a_with_face` returned: `minimal_face` of it runs no product, and
+    # an older point is computed again, equal to the per-facet loop's
     surf = del_pezzo(2)
     c = ConeQ(surf.variety().eff_cone.generators)
     c.facets
     gens = c.generators
     rng = random.Random(1618)
     answers = []
-    for i in range(2 * FACE_MEMO_BOUND + 50):
+    for i in range(60):
         bundle = -1 * surf.canonical
         for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
             bundle = bundle + rng.randint(1, 4) * gens[j]
         a, point, _, face = c.min_a_with_face(surf.canonical, bundle)
-        assert len(c._point_faces) <= FACE_MEMO_BOUND
-        assert c._point_faces[point] is face
+        assert c._point == (point, face)
         answers.append((point, face))
-    assert len({p for p, _ in answers}) > FACE_MEMO_BOUND
-    for point, face in answers[::7]:
-        assert c.minimal_face(point) == face == minimal_face_by_facet_loop(c, point)
+    last, last_face = answers[-1]
+    older = [(p, f) for p, f in answers[:-1:3] if p != last]
+    assert len(older) > 10
+    with pytest.MonkeyPatch.context() as mp:
+        slots = counting(mp, ConeQ, "_slots")
+        assert c.minimal_face(VecQ(list(last))) is last_face
+        assert slots == []
+        for point, face in older:
+            assert c.minimal_face(point) == face == minimal_face_by_facet_loop(c, point)
+        assert len(slots) == len(older)
+    assert c._point == (last, last_face)
 
 
 def test_exceptions_are_not_cached():

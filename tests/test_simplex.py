@@ -206,7 +206,7 @@ def _block_growth(fn, reps=300) -> int:
 def _query_path_sites():
     """One call per site on the query path that builds a tuple."""
     from fujita.cones import ConeQ
-    from fujita.delpezzo import _zariski, del_pezzo
+    from fujita.delpezzo import _surface_curves, _zariski, del_pezzo
     from fujita.qlinalg import MatQ, VecQ, scaled_ints, solve
     from fujita.toric import Fan, divisor_polytope
 
@@ -216,7 +216,7 @@ def _query_path_sites():
     lp_cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])  # never dualized
     face = cone.minimal_face(VecQ([1, 1, 0]))
     p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    surf = del_pezzo(8)
+    curves = _surface_curves(del_pezzo(8).variety())
     return {
         "VecQ": lambda: VecQ([F(1, 2), 3, -1]),
         "scaled_ints": lambda: (scaled_ints(rational), scaled_ints(integral)),
@@ -224,7 +224,7 @@ def _query_path_sites():
         "ConeQ.contains (ray LP)": lambda: lp_cone.contains(rational),
         "solve (kernel)": lambda: solve(MatQ([[1, 1, 1]]), VecQ([1])),
         "divisor_polytope": lambda: divisor_polytope(p2, [1, 1, 1]),
-        "_zariski (support)": lambda: _zariski(surf.zariski_curves, VecQ([1, 1])),
+        "_zariski (support)": lambda: _zariski(curves, VecQ([1, 1])),
     }
 
 
