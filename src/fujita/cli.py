@@ -76,7 +76,7 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
         "paths": ["polyhedral"],
     }
     if problem.model.kind == "del_pezzo":
-        case = delpezzo.surface_b(problem.model.surface, problem.bundle_class)
+        case = delpezzo.surface_b(m, problem.bundle_class)
         if case.b != res.b:
             raise AssertionError(
                 f"surface case analysis b={case.b} disagrees with polyhedral b={res.b}"

@@ -5,7 +5,10 @@ general points (general position throughout: no (-2)-curves), with
 intersection form diag(1, -1, ..., -1) and canonical class -3H + sum E_i.
 The plane itself, the blow-up in one point, and the quadric surface get
 explicit one/two-ray cones; for 1 <= degree <= 7 the effective cone is
-generated by the enumerated negative curves.
+generated by the enumerated negative curves.  A surface is its
+`VarietyModel` (`DelPezzoModel`), built once per degree by `del_pezzo` and
+`quadric_surface`; the surface functions below take any model with a form
+and read only the model they are given.
 
 The degree-b computation runs twice in this package: polyhedrally (minimal
 supported face) and through the Zariski decomposition case split implemented
@@ -94,62 +97,45 @@ def enumerate_negative_curves(degree: int) -> tuple[VecQ, ...]:
     return tuple(VecQ(f) for f in found)
 
 
-class DelPezzoModel:
-    """A del Pezzo surface presented on its Neron-Severi lattice."""
+class DelPezzoModel(VarietyModel):
+    """A del Pezzo surface is its `VarietyModel`: the fields are built once
+    from the degree, and `provenance` keeps the degree and the quadric flag.
+    `variety()` returns the model itself."""
 
-    def __init__(self, degree: int, quadric: bool = False):
+    __slots__ = ()
+
+    def __new__(cls, degree: int, quadric: bool = False):
         if quadric:
             if degree != 8:
                 raise DegreeOutOfRange("the quadric surface has degree 8")
-            self.degree = 8
-            self.quadric = True
-            self.rank = 2
-            self.intersection_form = MatQ([[0, 1], [1, 0]])
-            self.canonical = VecQ([-2, -2])
-            self.negative_curves: tuple[VecQ, ...] = ()
-            self.eff_generators = (VecQ([1, 0]), VecQ([0, 1]))
-            self.name = "quadric-surface"
+            form = MatQ([[0, 1], [1, 0]])
+            canonical = VecQ([-2, -2])
+            gens = (VecQ([1, 0]), VecQ([0, 1]))
+            name = "quadric-surface"
         else:
             if not 1 <= degree <= 9:
                 raise DegreeOutOfRange(f"degree must be 1..9, got {degree}")
-            self.degree = degree
-            self.quadric = False
             r = 9 - degree
-            self.rank = r + 1
-            self.intersection_form = MatQ(
+            form = MatQ(
                 [[(1 if i == 0 else -1) if i == j else 0 for j in range(r + 1)]
                  for i in range(r + 1)]
             )
-            self.canonical = VecQ([-3] + [1] * r)
+            canonical = VecQ([-3] + [1] * r)
             if degree == 9:
-                self.negative_curves = ()
-                self.eff_generators = (VecQ([1]),)
+                gens = (VecQ([1]),)
             elif degree == 8:
-                self.negative_curves = (VecQ([0, 1]),)
-                self.eff_generators = (VecQ([0, 1]), VecQ([1, -1]))
+                gens = (VecQ([0, 1]), VecQ([1, -1]))
             else:
-                self.negative_curves = enumerate_negative_curves(degree)
-                self.eff_generators = self.negative_curves
-            self.name = f"del-pezzo-degree-{degree}"
-        self._variety: VarietyModel | None = None
-
-    def pair(self, u: VecQ, v: VecQ) -> Fraction:
-        return self.variety().pair(u, v)
+                gens = enumerate_negative_curves(degree)
+            name = f"del-pezzo-degree-{degree}"
+        rank = canonical.dim
+        return super().__new__(
+            cls, name, rank, canonical, ConeQ(gens, ambient_dim=rank), form,
+            DelPezzo(degree, quadric),
+        )
 
     def variety(self) -> VarietyModel:
-        if self._variety is None:
-            self._variety = VarietyModel(
-                name=self.name,
-                ns_rank=self.rank,
-                canonical=self.canonical,
-                eff_cone=ConeQ(self.eff_generators, ambient_dim=self.rank),
-                intersection_form=self.intersection_form,
-                provenance=DelPezzo(self.degree, self.quadric),
-            )
-        return self._variety
-
-    def __repr__(self):
-        return f"DelPezzoModel({self.name})"
+        return self
 
 
 @lru_cache(maxsize=None)
@@ -293,9 +279,9 @@ def zariski_for_variety(m: VarietyModel, d: VecQ) -> ZariskiDecomposition:
         raise
 
 
-def zariski_decompose(m: DelPezzoModel, d: VecQ) -> ZariskiDecomposition:
-    """Zariski decomposition on a del Pezzo model: its variety's entry."""
-    return zariski_for_variety(m.variety(), d)
+def zariski_decompose(m: VarietyModel, d: VecQ) -> ZariskiDecomposition:
+    """Zariski decomposition on a surface model: the memoized entry."""
+    return zariski_for_variety(m, d)
 
 
 def negative_classes(m: VarietyModel) -> tuple[VecQ, ...]:
@@ -320,15 +306,16 @@ class SurfaceBalance(NamedTuple):
     fiber_class: VecQ | None     # primitive fiber class witness when unbalanced in the fibration case
 
 
-def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, VecQ]:
-    """Decompose the boundary class a*L + K and split on its positive part:
-    zero gives b = rank - #support, a nonzero (necessarily square-zero nef)
-    class gives b = 1.  Returns the analysis and the positive part."""
-    fr = invariants.fujita(m.variety(), bundle)
+def _surface_case(m: VarietyModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, VecQ]:
+    """Decompose the boundary class a*L + K on m, any model with a form,
+    and split on its positive part: zero gives b = rank - #support, a
+    nonzero (necessarily square-zero nef) class gives b = 1.  Returns the
+    analysis and the positive part."""
+    fr = invariants.fujita(m, bundle)
     dec = zariski_decompose(m, fr.boundary_class)
     n = len(dec.negative_support)
     if dec.positive.is_zero():
-        return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.rank - n, n), dec.positive
+        return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.ns_rank - n, n), dec.positive
     if m.pair(dec.positive, dec.positive) != 0:
         raise InternalNonTermination(
             "positive part of a boundary class must have square zero"
@@ -336,13 +323,13 @@ def _surface_case(m: DelPezzoModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, 
     return SurfaceCaseAnalysis(SurfaceCase.BASE_CURVE, 1, n), dec.positive
 
 
-def surface_b(m: DelPezzoModel, bundle: VecQ) -> SurfaceCaseAnalysis:
+def surface_b(m: VarietyModel, bundle: VecQ) -> SurfaceCaseAnalysis:
     """The case split for b on a surface: decompose a*L + K; a vanishing
     positive part gives b = rank - #support, a nonzero one gives b = 1."""
     return _surface_case(m, bundle)[0]
 
 
-def surface_balanced(m: DelPezzoModel, bundle: VecQ) -> SurfaceBalance:
+def surface_balanced(m: VarietyModel, bundle: VecQ) -> SurfaceBalance:
     """Balanced iff the adjoint boundary class is rigid (positive part
     zero).  In the fibration case the general fiber realizes the same pair
     (a, 1), and its primitive class is returned as the witness."""
@@ -360,7 +347,7 @@ def curve_fujita(deg_on_curve) -> Fraction:
     return Fraction(2) / deg
 
 
-def weak_balance_curve_check(m: DelPezzoModel, bundle: VecQ, curve: VecQ) -> bool:
+def weak_balance_curve_check(m: VarietyModel, bundle: VecQ, curve: VecQ) -> bool:
     """Check a(C, L|_C) <= a(X, L) for an irreducible rational curve class
     outside the excluded locus.
 
@@ -369,13 +356,13 @@ def weak_balance_curve_check(m: DelPezzoModel, bundle: VecQ, curve: VecQ) -> boo
     degree 1 the singular rational members of the anticanonical pencil are
     not separate classes, so excluding them is the caller's responsibility.
     """
-    if curve in m.negative_curves:
+    if curve in negative_classes(m):
         raise CurveInExcludedLocus("exceptional curve classes are excluded")
     k_deg = m.pair(-1 * m.canonical, curve)
     if k_deg < 2:
         raise CurveInExcludedLocus(
             f"anticanonical degree {k_deg} < 2 puts the class in the excluded locus"
         )
-    a_x = invariants.fujita(m.variety(), bundle).a
+    a_x = invariants.fujita(m, bundle).a
     a_c = curve_fujita(m.pair(bundle, curve))
     return a_c <= a_x

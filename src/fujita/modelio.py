@@ -145,9 +145,11 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
             raise SchemaError("'quadric' must be a boolean", f"{path}.quadric")
         try:
             surf = delpezzo.quadric_surface() if quadric else delpezzo.del_pezzo(degree)
+            if surf.provenance.degree != degree:
+                delpezzo.DelPezzoModel(degree, quadric)  # another degree: the constructor raises
         except DegreeOutOfRange as e:
             raise SchemaError(str(e), f"{path}.degree") from None
-        return LoadedModel("del_pezzo", surf.variety(), surface=surf)
+        return LoadedModel("del_pezzo", surf, surface=surf)
     if kind == "toric":
         _reject_unknown(node, {"kind", "rays", "max_cones", "smooth"}, path)
         rays = [
@@ -270,7 +272,7 @@ def vector_to_str_list(v: VecQ) -> list[str]:
 
 def problem_to_dict(problem: LoadedProblem) -> dict:
     """Re-serialize a loaded problem to the model file format."""
-    model = _model_to_dict(problem.model)
+    model = _model_to_dict(problem.model.variety)
     if problem.bundle_toric_coeffs is not None:
         bundle = {"toric_coeffs": list(problem.bundle_toric_coeffs)}
     else:
@@ -280,7 +282,7 @@ def problem_to_dict(problem: LoadedProblem) -> dict:
         out["subvarieties"] = [
             {
                 "name": name,
-                "model": _model_to_dict(_loaded_from_variety(datum.model)),
+                "model": _model_to_dict(datum.model),
                 "restricted_bundle": vector_to_json(datum.restricted_bundle),
             }
             for name, datum in problem.subvarieties
@@ -292,30 +294,20 @@ def problem_to_dict(problem: LoadedProblem) -> dict:
     return out
 
 
-def _loaded_from_variety(variety: VarietyModel) -> LoadedModel:
-    prov = variety.provenance
+def _model_to_dict(v: VarietyModel) -> dict:
+    prov = v.provenance
     if isinstance(prov, DelPezzo):
-        surf = delpezzo.quadric_surface() if prov.quadric else delpezzo.del_pezzo(prov.degree)
-        return LoadedModel("del_pezzo", variety, surface=surf)
-    if isinstance(prov, Toric):
-        return LoadedModel("toric", variety, fan=prov.fan)
-    return LoadedModel("lattice", variety)
-
-
-def _model_to_dict(model: LoadedModel) -> dict:
-    if model.kind == "del_pezzo":
-        out = {"kind": "del_pezzo", "degree": model.surface.degree}
-        if model.surface.quadric:
+        out = {"kind": "del_pezzo", "degree": prov.degree}
+        if prov.quadric:
             out["quadric"] = True
         return out
-    if model.kind == "toric":
+    if isinstance(prov, Toric):
         return {
             "kind": "toric",
-            "rays": [list(r) for r in model.fan.rays],
-            "max_cones": [list(c) for c in model.fan.max_cones],
-            "smooth": model.fan.smooth_checked,
+            "rays": [list(r) for r in prov.fan.rays],
+            "max_cones": [list(c) for c in prov.fan.max_cones],
+            "smooth": prov.fan.smooth_checked,
         }
-    v = model.variety
     out = {
         "kind": "lattice",
         "rank": v.ns_rank,

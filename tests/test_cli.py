@@ -140,6 +140,16 @@ class TestInvariantsCommand:
         assert error["code"] == "schema_error"
         assert error["message"].startswith(path + ": ")
 
+    @pytest.mark.parametrize("degree", [3, 9])
+    def test_exit_2_on_a_quadric_of_another_degree(self, capsys, tmp_path, degree):
+        # the quadric surface has degree 8; any other degree is a schema error
+        doc = {"model": {"kind": "del_pezzo", "degree": degree, "quadric": True}, "line_bundle": [1, 1]}
+        code, out = run_cli(capsys, "invariants", write(tmp_path, doc), "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "schema_error"
+        assert error["message"] == "$.model.degree: the quadric surface has degree 8"
+
     def test_exit_2_on_bad_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")

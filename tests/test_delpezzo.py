@@ -59,7 +59,7 @@ class TestEnumeration:
     def test_numerical_identities(self):
         for d in (6, 3, 1):
             m = del_pezzo(d)
-            for c in m.negative_curves:
+            for c in negative_classes(m):
                 assert m.pair(c, c) == -1
                 assert m.pair(-1 * m.canonical, c) == 1
 
@@ -68,11 +68,19 @@ class TestEnumeration:
             enumerate_negative_curves(8)
         with pytest.raises(DegreeOutOfRange):
             DelPezzoModel(0)
+        with pytest.raises(DegreeOutOfRange):
+            DelPezzoModel(3, quadric=True)
+
+    def test_a_surface_is_its_model(self):
+        for m in [del_pezzo(d) for d in range(1, 10)] + [quadric_surface()]:
+            assert isinstance(m, VarietyModel)
+            assert m.variety() is m
+        assert quadric_surface().provenance == (8, True)
 
     def test_pair_rejects_a_class_of_the_wrong_length(self):
         # the pairing is the variety's form, which checks dimensions
         for m in (del_pezzo(6), del_pezzo(9), quadric_surface()):
-            short, long = VecQ([1] * (m.rank - 1)), VecQ([1] * (m.rank + 1))
+            short, long = VecQ([1] * (m.ns_rank - 1)), VecQ([1] * (m.ns_rank + 1))
             for u, v in ((short, m.canonical), (m.canonical, long), (long, long)):
                 with pytest.raises(DimensionMismatch):
                     m.pair(u, v)
@@ -117,13 +125,13 @@ class TestZariski:
             cone = m.variety().eff_cone
             checked = 0
             while checked < 25:
-                d = VecQ([rng.randint(-3, 8) for _ in range(m.rank)])
+                d = VecQ([rng.randint(-3, 8) for _ in range(m.ns_rank)])
                 if cone.contains(d) is Containment.OUTSIDE:
                     continue
                 checked += 1
                 z = zariski_decompose(m, d)
                 assert z.positive + z.negative == d
-                for c in m.negative_curves:
+                for c in negative_classes(m):
                     assert m.pair(z.positive, c) >= 0
                 support = [c for c, _ in z.negative_support]
                 for c, mult in z.negative_support:
@@ -147,7 +155,7 @@ def _raw_surfaces():
             intersection_form=MatQ([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]),
         ),
         VarietyModel(
-            "raw-dp6", 4, dp6.canonical, ConeQ(dp6.negative_curves),
+            "raw-dp6", 4, dp6.canonical, ConeQ(negative_classes(dp6)),
             intersection_form=MatQ(
                 [[Fraction(2, 3) * x for x in row] for row in dp6.intersection_form.row_list()]
             ),
@@ -166,7 +174,7 @@ def _zariski_cases():
     for surf in [del_pezzo(d) for d in range(1, 10)] + [quadric_surface()]:
         cases.append(
             (surf.name, surf.variety(), lambda d, s=surf: zariski_decompose(s, d),
-             surf.negative_curves, surf.pair)
+             negative_classes(surf), surf.pair)
         )
     for m in _raw_surfaces():
         cases.append(
@@ -214,7 +222,7 @@ class TestSurfaceB:
             res = surface_b(m, -1 * m.canonical)
             assert res.case is SurfaceCase.BASE_POINT
             assert res.n_components == 0
-            assert res.b == m.rank
+            assert res.b == m.ns_rank
 
     def test_bl1p2_fibration_case(self):
         res = surface_b(del_pezzo(8), vec(2, -1))

@@ -413,7 +413,7 @@ class TestRigidImpliesBalancedAgainstCurves:
         for degree, curves in self.CURVE_LISTS.items():
             m = del_pezzo(degree)
             model = m.variety()
-            bundle = -1 * m.canonical + VecQ([0, 1] + [0] * (m.rank - 2))
+            bundle = -1 * m.canonical + VecQ([0, 1] + [0] * (m.ns_rank - 2))
             assert is_rigid_class(model, fujita(model, bundle).boundary_class)
             for curve in curves:
                 assert weak_balance_curve_check(m, bundle, curve)

@@ -15,6 +15,7 @@ from fujita.delpezzo import (
     quadric_surface,
     surface_b,
     surface_balanced,
+    weak_balance_curve_check,
     zariski_decompose,
     zariski_for_variety,
 )
@@ -44,8 +45,7 @@ def fresh_cone(m, warm):
 def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
     surf = del_pezzo(degree)
     for warm in (False, True):
-        m = fresh_cone(surf.variety(), warm)
-        monkeypatch.setattr(surf, "_variety", m)
+        m = fresh_cone(surf, warm)
         bundle = -2 * surf.canonical + m.eff_cone.generators[0] + 2 * m.eff_cone.generators[-1]
         rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
         decompositions = counting(monkeypatch, delpezzo, "_zariski")
@@ -56,8 +56,8 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
 
         fr = fujita(m, bundle)
         res = b_invariant(m, bundle)
-        case = surface_b(surf, bundle)
-        balance = surface_balanced(surf, bundle)
+        case = surface_b(m, bundle)
+        balance = surface_balanced(m, bundle)
         rigid = is_rigid_class(m, fr.boundary_class)
 
         if warm:
@@ -163,6 +163,36 @@ def test_rigidity_reads_the_cone_of_the_model_it_is_asked_about(monkeypatch, tor
                 assert rebuilt == [[], [], []], m.name
         assert rigid == is_rigid_class(cached, boundary), m.name
     assert outside_seen == len(cases)
+
+
+@pytest.mark.parametrize("surf", [del_pezzo(2), del_pezzo(5), del_pezzo(8), quadric_surface()])
+def test_surface_functions_read_the_cone_of_the_model_they_are_given(monkeypatch, surf):
+    # a model built anew over a surface's generators: every attribute read
+    # on a ConeQ during the case split, the balanced verdict, the Zariski
+    # decomposition (inside and outside the cone) and the curve check is
+    # made on the new model's own cone
+    m = with_fresh_cone(surf)
+    bundle = -1 * m.canonical + m.eff_cone.generators[0]
+    curve = VecQ([1] + [0] * (m.ns_rank - 1))  # H, or a ruling of the quadric
+    seen = []
+    read = ConeQ.__getattribute__
+
+    def spy(cone, name):
+        seen.append(cone)
+        return read(cone, name)
+
+    monkeypatch.setattr(ConeQ, "__getattribute__", spy)
+    case = surface_b(m, bundle)
+    balance = surface_balanced(m, bundle)
+    boundary = fujita(m, bundle).boundary_class
+    zariski_decompose(m, boundary)
+    with pytest.raises(NotPseudoEffective):
+        zariski_decompose(m, -1 * bundle)
+    weak_balance_curve_check(m, bundle, curve)
+    monkeypatch.undo()
+    assert seen and all(cone is m.eff_cone for cone in seen), m.name
+    assert case.b == b_invariant(surf, bundle).b
+    assert balance.balanced == is_rigid_class(surf, boundary)
 
 
 def test_lattice_surface_zariski_is_one_memo_entry_per_model(monkeypatch):

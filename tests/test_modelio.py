@@ -96,6 +96,21 @@ def test_del_pezzo_round_trip():
     assert out["model"] == {"kind": "del_pezzo", "degree": 8, "quadric": True}
 
 
+def test_quadric_of_another_degree_is_a_schema_error_at_its_degree():
+    quadric = {"kind": "del_pezzo", "degree": 3, "quadric": True}
+    with pytest.raises(SchemaError) as top:
+        modelio.parse_problem({"model": quadric, "line_bundle": [1, 1]})
+    assert top.value.path == "$.model.degree"
+    doc = {
+        "model": {"kind": "del_pezzo", "degree": 8, "quadric": True},
+        "line_bundle": [1, 1],
+        "subvarieties": [{"name": "q", "model": quadric, "restricted_bundle": [1, 1]}],
+    }
+    with pytest.raises(SchemaError) as sub:
+        modelio.parse_problem(doc)
+    assert sub.value.path == "$.subvarieties[0].model.degree"
+
+
 def test_load_problem_reports_json_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "model": }\n', encoding="utf-8")
