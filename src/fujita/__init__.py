@@ -32,7 +32,7 @@ from .invariants import (
     invariant_pair,
     is_rigid_class,
 )
-from .qlinalg import MatQ, Rat, VecQ, rank, solve, span_dim
+from .qlinalg import MatQ, VecQ, rank, solve, span_dim
 from .toric import (
     Fan,
     effective_cone,

@@ -7,7 +7,8 @@
 
 Flags: --json (machine output, byte-for-byte deterministic), --jobs N >= 1
 (parallel batch over files or fixture ids, at most one worker per task and
-per CPU), --strict-fan (exact fan completeness and terminality checks).
+per CPU), --strict-fan (terminality of each singular cone; every fan is
+checked for exact completeness whatever the flag).
 FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
 
 Exit codes: 0 ok, 1 fixture failure or stdout closed early (as in
@@ -27,6 +28,7 @@ from functools import partial
 from . import delpezzo, fixtures, invariants, modelio
 from .errors import (
     FujitaError,
+    InternalError,
     KPseudoEffective,
     NotBig,
     NotPseudoEffective,
@@ -78,7 +80,7 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
     if problem.model.kind == "del_pezzo":
         case = delpezzo.surface_b(m, problem.bundle_class)
         if case.b != res.b:
-            raise AssertionError(
+            raise InternalError(
                 f"surface case analysis b={case.b} disagrees with polyhedral b={res.b}"
             )
         report["paths"].append("surface_case")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict-fan",
             action="store_true",
-            help="exact fan completeness and terminality checks",
+            help="also check that each singular fan cone is terminal",
         )
 
     for name, doc in [

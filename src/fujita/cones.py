@@ -138,7 +138,8 @@ def positive_support(
     res = solve_lp(rows, list(b) + [1] * k, c)
     if res.status is LPStatus.INFEASIBLE:
         return None
-    assert res.status is LPStatus.OPTIMAL
+    if res.status is not LPStatus.OPTIMAL:
+        raise InternalError(f"positive-support LP is {res.status.value}")
     y = list(res.x[:n])
     for p, i in enumerate(measured):
         y[i] += res.x[n + p]
@@ -168,7 +169,8 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> tuple[list[tuple[i
     # the columns of |det B| B^-1, B the basis rows: positive multiples of
     # the rays of the starting simplicial cone
     det, inverse = scaled_inverse([cons[i] for i in chosen])
-    assert det > 0
+    if det <= 0:
+        raise InternalError(f"independent constraints give |det| = {det}")
     rays: list[tuple[int, ...]] = [primitive_int(col) for col in zip(*inverse)]
     full = sum([1 << i for i in chosen])
     masks = [full ^ (1 << i) for i in chosen]

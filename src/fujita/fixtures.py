@@ -60,11 +60,10 @@ def _iter_fixture_files(directory):
             yield json.loads(entry.read_text(encoding="utf-8"))
 
 
-def load_catalog(directory=None, strict_fan: bool = False) -> dict[str, Fixture]:
+def load_catalog(strict_fan: bool = False) -> dict[str, Fixture]:
     """Load and parse every fixture file, keyed by id."""
-    directory = _fixture_dir() if directory is None else pathlib.Path(directory)
     catalog: dict[str, Fixture] = {}
-    for doc in _iter_fixture_files(directory):
+    for doc in _iter_fixture_files(_fixture_dir()):
         fid = doc.get("id")
         if not isinstance(fid, str):
             raise SchemaError("fixture file without string 'id'")

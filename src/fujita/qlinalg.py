@@ -30,9 +30,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 
-Rat = Fraction
 _INT = frozenset([int])
 
 
@@ -217,9 +216,6 @@ class MatQ:
     @property
     def cols(self) -> int:
         return len(self._rows[0]) if self._rows else 0
-
-    def row(self, i: int) -> VecQ:
-        return self._rows[i]
 
     def row_list(self) -> tuple[VecQ, ...]:
         return self._rows
@@ -413,7 +409,8 @@ def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:
 def nullspace(m: MatQ) -> tuple[VecQ, ...]:
     """Basis of {x : m x = 0}, deterministic order."""
     sol = solve(m, VecQ.zero(m.rows))
-    assert sol is not None
+    if sol is None:
+        raise InternalError("a homogeneous system has no solution")
     return sol.kernel
 
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
+from .errors import InternalError
 from .qlinalg import pivot, scaled_ints
 
 
@@ -118,7 +119,7 @@ def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
 
     feasible, d = _run_phase(tableau, basis, n, m, 1)
     if not feasible:
-        raise AssertionError("phase 1 cannot be unbounded")
+        raise InternalError("phase 1 cannot be unbounded")
     if tableau[m][n] < 0:
         return LPResult(LPStatus.INFEASIBLE, None, None)
 

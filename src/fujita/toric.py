@@ -22,22 +22,21 @@ rule reads the cone it is given: `is_rigid_class` that of its own model.
 rule: one exact LP per polytope gives its emptiness, its implicit
 equalities (hence its dimension) and a relative-interior point.
 
-Completeness is checked by ridge pairing (every codimension-one wall lies in
-exactly two maximal cones) plus 27 seeded generic sample directions each
-covered exactly once.  That check runs in integers: one fraction-free
-Gauss-Jordan elimination per maximal cone gives |det| (degenerate and
-smoothness checks) and |det| times the inverse of the ray matrix, and the
-cone coordinates of a direction, scaled to integers, are then signed by one
-integer matrix-vector product per cone.  Strict mode upgrades this to an
-exact degree argument (opposite-side orientation at every wall makes the
-covering number locally constant, so the sampled directions fix it at one
-everywhere; a fan winding twice round the origin passes the walls and fails
-the samples) and checks terminality of each singular cone on the |det|
-lattice points of its fundamental parallelepiped.  Both strict checks read
-the same per-cone inverse: a row of it is the wall normal, its columns are
-the steps between the lattice points.  Toric
-contractions and flips are not implemented; every criterion in scope
-reduces to polytope dimensions and spans.
+Completeness is checked exactly: every codimension-one wall lies in exactly
+two maximal cones, on opposite sides of it, and one seeded generic direction
+lies in exactly one maximal cone.  Opposite sides at every wall make the
+covering number of a generic direction locally constant, so the one
+direction fixes it at one everywhere (a fan winding twice round the origin
+passes the walls and fails the direction).  The check runs in integers: one
+fraction-free Gauss-Jordan elimination per maximal cone gives |det|
+(degenerate and smoothness checks) and |det| times the inverse of the ray
+matrix.  A row of that inverse is the normal of the wall opposite a ray,
+and the cone coordinates of a direction, scaled to integers, are signed by
+one integer matrix-vector product per cone.  Strict mode adds terminality
+of each singular cone, walked on the |det| lattice points of its
+fundamental parallelepiped, whose steps are the columns of the same
+inverse.  Toric contractions and flips are not implemented; every criterion
+in scope reduces to polytope dimensions and spans.
 """
 
 from __future__ import annotations
@@ -113,17 +112,9 @@ class Fan:
             inverses.append(inverse)
         self.smooth_checked = smooth
         self._hash = hash((n, rays, cones))
-        self._check_complete(strict, inverses)
+        self._check_complete(inverses)
         if strict and not smooth:
             self._check_terminal(dets, inverses)
-
-    @classmethod
-    def smooth(cls, rays, max_cones, strict=False) -> "Fan":
-        return cls(rays, max_cones, require_smooth=True, strict=strict)
-
-    @classmethod
-    def simplicial(cls, rays, max_cones, strict=False) -> "Fan":
-        return cls(rays, max_cones, require_smooth=False, strict=strict)
 
     def __eq__(self, other):
         return (
@@ -144,12 +135,13 @@ class Fan:
 
     # -- validation ---------------------------------------------------------
 
-    def _check_complete(self, strict: bool, inverses):
-        """Every wall lies in exactly two maximal cones; in strict mode the
-        two lie on opposite sides of it.  Row j of |det M| M^-1, M the ray
-        matrix of an owner and j the position of its ray off the wall,
-        vanishes on the wall and is positive on that ray, so the wall is
-        oriented correctly iff it is negative on the other owner's ray."""
+    def _check_complete(self, inverses):
+        """Every wall lies in exactly two maximal cones, on opposite sides
+        of it, and one generic direction lies in exactly one maximal cone.
+        Row j of |det M| M^-1, M the ray matrix of an owner and j the
+        position of its ray off the wall, vanishes on the wall and is
+        positive on that ray, so the wall is oriented correctly iff it is
+        negative on the other owner's ray."""
         n = self.lattice_dim
         ridges: dict[tuple[int, ...], list[int]] = {}
         for ci, c in enumerate(self.max_cones):
@@ -161,17 +153,15 @@ class Fan:
                 raise IncompleteFan(
                     f"wall {ridge} lies in {len(owners)} maximal cones, expected 2"
                 )
-        if strict:
-            for ridge, (first, other) in ridges.items():
-                c = self.max_cones[first]
-                j = next(p for p, i in enumerate(c) if i not in ridge)
-                extra = next(i for i in self.max_cones[other] if i not in ridge)
-                if idot(inverses[first][j], self.rays[extra]) >= 0:
-                    raise IncompleteFan(
-                        f"maximal cones on wall {ridge} do not cover both sides"
-                    )
-        # sampled coverage: 27 generic directions, each in exactly one cone
-        covering_cones(n, inverses)
+        for ridge, (first, other) in ridges.items():
+            c = self.max_cones[first]
+            j = next(p for p, i in enumerate(c) if i not in ridge)
+            extra = next(i for i in self.max_cones[other] if i not in ridge)
+            if idot(inverses[first][j], self.rays[extra]) >= 0:
+                raise IncompleteFan(
+                    f"maximal cones on wall {ridge} do not cover both sides"
+                )
+        covering_cone(n, inverses)
 
     def _check_terminal(self, dets, inverses):
         """conv(0, rays of a singular cone) may contain no lattice point
@@ -204,41 +194,29 @@ class Fan:
                     frontier.append(nxt)
 
 
-def covering_cones(n: int, inverses) -> list[int]:
-    """Sampled coverage: the maximal cone holding each of 27 seeded generic
-    directions, which must be exactly one.
+def covering_cone(n: int, inverses) -> int:
+    """The maximal cone holding one seeded generic direction, which must be
+    exactly one.
 
     `inverses[c]` is |det M_c| * M_c^-1, M_c the matrix whose columns are
     the rays of cone c, so the cone coordinates of a direction u have the
     signs of `inverses[c]` times u scaled to integers by the lcm of its
     denominators.  A draw with a zero coordinate on some cone is not generic
-    and is skipped."""
+    and is redrawn."""
     rng = random.Random(271828 + 101 * n)
-    found: list[int] = []
-    attempts = 0
-    while len(found) < 27:
-        attempts += 1
-        if attempts > 2000:
-            raise IncompleteFan("could not sample generic directions")
+    for _ in range(2000):
         u = [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
         w, _ = scaled_ints(u)
-        generic = True
-        hits = []
-        for c, inverse in enumerate(inverses):
-            lam = [idot(row, w) for row in inverse]
-            if 0 in lam:
-                generic = False
-                break
-            if all(x > 0 for x in lam):
-                hits.append(c)
-        if not generic:
+        signs = [[idot(row, w) for row in inverse] for inverse in inverses]
+        if any(0 in lam for lam in signs):
             continue
+        hits = [c for c, lam in enumerate(signs) if all(x > 0 for x in lam)]
         if len(hits) != 1:
             raise IncompleteFan(
                 f"generic direction {tuple(u)} lies in {len(hits)} maximal cones"
             )
-        found.append(hits[0])
-    return found
+        return hits[0]
+    raise IncompleteFan("could not sample generic directions")
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:

@@ -344,10 +344,10 @@ def minus_one_curves_by_multisets(degree, search_bound) -> set:
 
 
 def fan_coverage_by_solve(rays, max_cones) -> list:
-    """The cone holding each of the 27 seeded generic directions of the fan
-    check, found by solving M_c x = u in rationals for every maximal cone c
-    (M_c has the cone's rays as columns); raises IncompleteFan as the fan
-    check does."""
+    """The cone holding each of 27 seeded generic directions, the first of
+    which is the fan check's one direction, found by solving M_c x = u in
+    rationals for every maximal cone c (M_c has the cone's rays as columns);
+    raises IncompleteFan as the fan check does."""
     n = len(rays[0])
     rng = random.Random(271828 + 101 * n)
     matrices = [MatQ(list(zip(*[rays[i] for i in c]))) for c in max_cones]

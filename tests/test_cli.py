@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -6,7 +7,8 @@ import sys
 
 import pytest
 
-from fujita import cli, fixtures
+import fujita
+from fujita import cli, delpezzo, fixtures
 from fujita.fixtures import _fixture_dir
 
 
@@ -149,6 +151,30 @@ class TestInvariantsCommand:
         error = json.loads(out)["error"]
         assert error["code"] == "schema_error"
         assert error["message"] == "$.model.degree: the quadric surface has degree 8"
+
+    @pytest.mark.parametrize("flags", [(), ("--strict-fan",)])
+    def test_exit_2_on_overlapping_fan(self, capsys, tmp_path, flags):
+        # two cones on the same side of the wall through (0, 1)
+        model = {
+            "kind": "toric",
+            "rays": [[1, 0], [0, 1], [1, 1000], [-1, 0], [0, -1]],
+            "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+        }
+        path = write(tmp_path, {"model": model, "line_bundle": {"toric_coeffs": [1, 0, 0, 1, 1]}})
+        code, out = run_cli(capsys, "invariants", path, "--json", *flags)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "schema_error"
+        assert error["message"] == "$.model: maximal cones on wall (1,) do not cover both sides"
+
+    def test_exit_5_when_the_surface_case_disagrees(self, capsys, monkeypatch):
+        real = delpezzo.surface_b
+        monkeypatch.setattr(delpezzo, "surface_b", lambda m, d: real(m, d)._replace(b=8))
+        code, out = run_cli(capsys, "invariants", fixture_path("dp3-anticanonical"), "--json")
+        assert code == 5
+        error = json.loads(out)["error"]
+        assert error["code"] == "internal_error"
+        assert error["message"] == "surface case analysis b=8 disagrees with polyhedral b=7"
 
     def test_exit_2_on_bad_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
@@ -514,3 +540,15 @@ class TestStrictFan:
             capsys, "invariants", fixture_path("pgl2-p3"), "--json", "--strict-fan"
         )
         assert code == 0
+
+
+def test_bug_guards_survive_optimization():
+    # python -O strips assert statements; every bug guard raises InternalError
+    found = []
+    for path in sorted(pathlib.Path(fujita.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

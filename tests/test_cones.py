@@ -16,8 +16,9 @@ from fujita.cones import (
     positive_support,
 )
 from fujita.delpezzo import del_pezzo, quadric_surface
-from fujita.errors import Infeasible, NonStrictCone, OutsideCone, UnboundedBelow
+from fujita.errors import Infeasible, InternalError, NonStrictCone, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
+from fujita.simplex import LPResult, LPStatus
 from fujita.toric import variety_model
 from conftest import counting, dots_taken, random_rational_vector, vec
 from oracles import (
@@ -703,6 +704,13 @@ class TestPositiveSupport:
 
     def test_infeasible(self):
         assert positive_support([[1, 1]], [-1], [0, 1]) is None
+
+    def test_unbounded_lp_is_an_internal_error(self, monkeypatch):
+        # the LP is bounded by construction: any other status is a bug
+        unbounded = LPResult(LPStatus.UNBOUNDED, None, None)
+        monkeypatch.setattr(cones, "solve_lp", lambda *args: unbounded)
+        with pytest.raises(InternalError, match="positive-support LP is unbounded"):
+            positive_support([[1, 0], [0, 1]], [5, 0], [0, 1])
 
     def test_non_strict_lineality_support(self):
         # the line through (1, 0, 0) plus two rays off it: the generators in

@@ -277,7 +277,7 @@ class TestRigidity:
         # each route decides membership itself; the exception type is the
         # same whichever route raises it
         if route == "toric":
-            p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+            p2 = Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], require_smooth=True)
             m = variety_model(p2)
             outside = ns_presentation(p2).divisor_class([-1, 0, 0])
         elif route.startswith("dp"):

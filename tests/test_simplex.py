@@ -215,7 +215,7 @@ def _query_path_sites():
     cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
     lp_cone = ConeQ([[1, 0, 0], [0, 1, 0], [1, 1, 1]])  # never dualized
     face = cone.minimal_face(VecQ([1, 1, 0]))
-    p2 = Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    p2 = Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], require_smooth=True)
     curves = _surface_curves(del_pezzo(8).variety())
     return {
         "VecQ": lambda: VecQ([F(1, 2), 3, -1]),

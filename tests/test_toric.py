@@ -22,7 +22,7 @@ from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.toric import (
     Fan,
     class_is_rigid,
-    covering_cones,
+    covering_cone,
     divisor_polytope,
     effective_cone,
     fan_product,
@@ -44,36 +44,40 @@ from oracles import (
 
 
 def p2_fan():
-    return Fan.smooth([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    return Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], require_smooth=True)
 
 
 def p1_fan():
-    return Fan.smooth([(1,), (-1,)], [(0,), (1,)])
+    return Fan([(1,), (-1,)], [(0,), (1,)], require_smooth=True)
 
 
 def p1xp1_fan():
-    return Fan.smooth(
-        [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (2, 1), (1, 3), (3, 0)]
+    return Fan(
+        [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (2, 1), (1, 3), (3, 0)],
+        require_smooth=True,
     )
 
 
 def bl1p2_fan():
-    return Fan.smooth(
-        [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 3), (3, 1), (1, 2), (2, 0)]
+    return Fan(
+        [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 3), (3, 1), (1, 2), (2, 0)],
+        require_smooth=True,
     )
 
 
 def hexagon_fan():
-    return Fan.smooth(
+    return Fan(
         [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)],
         [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)],
+        require_smooth=True,
     )
 
 
 def bl_line_p3_fan():
-    return Fan.smooth(
+    return Fan(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 0)],
         [(0, 2, 3), (1, 2, 3), (0, 4, 2), (1, 4, 2), (0, 4, 3), (1, 4, 3)],
+        require_smooth=True,
     )
 
 
@@ -100,18 +104,16 @@ class TestFanValidation:
 
     def test_smooth_constructor_rejects_singular(self):
         with pytest.raises(NonSmoothCone):
-            Fan.smooth([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+            Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)], require_smooth=True)
 
     def test_simplicial_constructor_accepts_singular(self):
-        f = Fan.simplicial([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+        f = Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
         assert not f.smooth_checked
 
     def test_strict_terminality_box_test(self):
         # the 1/2(1,1) surface quotient point is not terminal
         with pytest.raises(NonTerminalCone):
-            Fan.simplicial(
-                [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)], strict=True
-            )
+            Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)], strict=True)
 
     def test_strict_mode_passes_complete_fans(self):
         # the walls of the P^1 fan are the empty cone
@@ -128,14 +130,14 @@ class TestFanValidation:
         assert qlinalg.scaled_inverse([list(r) for r in zip(rays[0], rays[1])])[0] == 2
         solves = counting(monkeypatch, qlinalg, "solve")
         with pytest.raises(NonTerminalCone, match=str((big + 1, 1))):
-            Fan.simplicial(rays, cones, strict=True)
+            Fan(rays, cones, strict=True)
         assert solves == []
 
     def test_strict_mode_passes_singular_terminal_fan(self):
         # P(1,1,1,2): one singular cone, of type 1/2(1,1,1), which is terminal
         rays = [(-1, -1, -2), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        f = Fan.simplicial(rays, cones, strict=True)
+        f = Fan(rays, cones, strict=True)
         assert not f.smooth_checked
 
 
@@ -147,14 +149,15 @@ def _cone_inverses(fan):
 
 
 def test_coverage_matches_solve_route(toric_fans):
+    # the oracle samples 27 directions; the fan check needs the first
     for name, fan in toric_fans.items():
         expected = fan_coverage_by_solve(fan.rays, fan.max_cones)
-        assert covering_cones(fan.lattice_dim, _cone_inverses(fan)) == expected, name
+        assert covering_cone(fan.lattice_dim, _cone_inverses(fan)) == expected[0], name
 
 
 # rays at about 0, 117, 243, 405, 540 and 675 degrees: every cone is strictly
 # convex and every ray lies in exactly two cones, but the cones go twice
-# round the origin, so only the sampled coverage can reject the fan
+# round the origin, so only the generic direction can reject the fan
 WINDING_RAYS = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -1)]
 WINDING_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
@@ -166,6 +169,22 @@ def test_fan_winding_twice_is_incomplete(strict):
     with pytest.raises(IncompleteFan) as got:
         Fan(WINDING_RAYS, WINDING_CONES, strict=strict)
     assert "lies in 2 maximal cones" in str(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+# rays at 0, 90, about 89.94, 180 and 270 degrees: cones (0, 1) and (1, 2)
+# lie on the same side of the ray (0, 1), so three cones overlap in a thin
+# sliver that a sampled direction almost never meets
+OVERLAP_RAYS = [(1, 0), (0, 1), (1, 1000), (-1, 0), (0, -1)]
+OVERLAP_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_overlapping_fan_is_incomplete(strict):
+    with pytest.raises(IncompleteFan) as expected:
+        strict_fan_checks_by_solve(OVERLAP_RAYS, OVERLAP_CONES)
+    with pytest.raises(IncompleteFan, match="do not cover both sides") as got:
+        Fan(OVERLAP_RAYS, OVERLAP_CONES, strict=strict)
     assert str(got.value) == str(expected.value)
 
 
@@ -310,7 +329,11 @@ class TestEffectiveCone:
         assert c.dim() == 2
 
     def test_f2_fiber_and_negative_section(self):
-        f2 = Fan.smooth([(1, 0), (0, 1), (-1, 2), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        f2 = Fan(
+            [(1, 0), (0, 1), (-1, 2), (0, -1)],
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+            require_smooth=True,
+        )
         c = effective_cone(f2)
         pres = ns_presentation(f2)
         # the negative section D_{(0,-1)} and a fiber D_{(1,0)} generate
@@ -510,7 +533,7 @@ class TestBalanced:
         rays = [f.rays[i] for i in perm]
         inverse = {old: new for new, old in enumerate(perm)}
         cones = [tuple(sorted(inverse[i] for i in c)) for c in f.max_cones]
-        g = Fan.smooth(rays, cones)
+        g = Fan(rays, cones, require_smooth=True)
         for coeffs in ([1, 0, 1, 0], [1, 1, 1, 1]):
             permuted = [0] * 4
             for new, old in enumerate(perm):
