@@ -72,7 +72,7 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
     report = {
         "a": str(res.fujita.a),
         "b": res.b,
-        "face_generators": [vector_to_str_list(g) for g in res.face_generators],
+        "face_generators": [vector_to_str_list(g) for g in res.face.generator_vectors()],
         "model": problem.name,
         "ns_rank": m.ns_rank,
         "paths": ["polyhedral"],

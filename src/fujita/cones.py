@@ -45,8 +45,9 @@ on the rows R of G_F and p (p lies in span(G_F), so the other rows follow),
 which must end optimal; its solution is scaled to integers over one
 denominator d.  Either witness, d * lam, must be nonnegative and recombine
 to d * p on every coordinate row, or the call raises InternalError.  The
-boundary point is then kept with its face in one slot, like K, so
-`minimal_face` of that point, which the chain asks next, runs no product.
+boundary point is then kept with its face in one slot, like K.  Only
+`minimal_face` hands out faces, on either route: it reads that point's face
+with no product, and builds the facets for a nonzero point of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -426,7 +427,7 @@ class ConeQ:
         One packed product both rejects v (a negative slot) and marks the
         facets vanishing at v (its zero slots); a generator is in the face
         iff it vanishes on all of them.  The last boundary point that
-        `min_a_with_face` returned is read from its slot instead.  On a
+        `min_a_with_point` returned is read from its slot instead.  On a
         non-strict cone an outside v still raises OutsideCone before
         NonStrictCone."""
         if v.dim != self.ambient_dim:
@@ -470,27 +471,26 @@ class ConeQ:
 
     # -- ray optimization ----------------------------------------------------
 
-    def min_a_with_face(
+    def min_a_with_point(
         self, base: VecQ, direction: VecQ
-    ) -> tuple[Fraction, VecQ, tuple[Fraction, ...], FaceQ | None] | None:
-        """The least a, the boundary point base + a*direction, a witness as
-        in `min_a_with_witness` and the point's minimal face; None unless
-        direction is interior.  With the facets built, two packed products
-        give a and the face (see the module docstring), and the witness is
-        read off the face's memoized inverse when the face is simplicial,
-        else one LP on its generators' pivot rows; either is checked in
-        integers.  K's products are kept for the next call with an equal
-        base, and the point's face for `minimal_face`.
-        Without them, `contains` and the ray LP answer and the face is None,
-        left to `minimal_face`: a alone never forces the facets.  Both
-        routes raise UnboundedBelow on the whole space (no facets)."""
+    ) -> tuple[Fraction, VecQ, tuple[Fraction, ...]] | None:
+        """The least a, the boundary point base + a*direction and a witness
+        as in `min_a_with_witness`; None unless direction is interior.  With
+        the facets built, two packed products give a and the point's face
+        (see the module docstring), and the witness is read off the face's
+        memoized inverse when the face is simplicial, else one LP on its
+        generators' pivot rows; either is checked in integers.  K's products
+        are kept for the next call with an equal base, and the point with
+        its face for `minimal_face`.  Without the facets, `contains` and the
+        ray LP answer: a alone never forces them.  Both routes raise
+        UnboundedBelow on the whole space (no facets)."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
             if self.contains(direction) is not Containment.INSIDE:
                 return None
             a, witness = self.min_a_with_witness(base, direction)
-            return a, base + a * direction, witness, None
+            return a, base + a * direction, witness
         if not self._facets_int:
             raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
         vl, dl = scaled_ints(direction)
@@ -532,7 +532,7 @@ class ConeQ:
             witness[j] = Fraction(x, det * scale)
         point = VecQ.from_scaled(p, scale)
         self._point = point, face
-        return Fraction(num * dl, scale), point, tuple(witness), face
+        return Fraction(num * dl, scale), point, tuple(witness)
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

@@ -9,7 +9,6 @@ catalog directory.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from importlib import resources
@@ -57,14 +56,14 @@ def _fixture_dir():
 def _iter_fixture_files(directory):
     for entry in sorted(directory.iterdir(), key=lambda p: p.name):
         if entry.name.endswith(".json"):
-            yield json.loads(entry.read_text(encoding="utf-8"))
+            yield modelio.decode_json(entry.read_bytes(), str(entry))
 
 
 def load_catalog(strict_fan: bool = False) -> dict[str, Fixture]:
     """Load and parse every fixture file, keyed by id."""
     catalog: dict[str, Fixture] = {}
     for doc in _iter_fixture_files(_fixture_dir()):
-        fid = doc.get("id")
+        fid = doc.get("id") if isinstance(doc, dict) else None
         if not isinstance(fid, str):
             raise SchemaError("fixture file without string 'id'")
         if fid in catalog:

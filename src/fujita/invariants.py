@@ -9,18 +9,18 @@ adjoint boundary class; plus rigidity bookkeeping and the lexicographic
 balanced-verdict comparison against subvariety data.
 
 The chain a -> boundary class a*L + K -> minimal face -> b is written once:
-`fujita` takes a, the boundary class, its witness and, when the cone's
-facets exist, the minimal face from one `ConeQ.min_a_with_face` call (the
-facet route divides the integer point it already holds instead of
-recomputing a*L + K in Fractions), and `b_invariant` reads
-that face or else asks `minimal_face`; every other caller (the (a, b) pair,
-the CLI report, the fixture runner, the toric fibration cross-check) reads
+`fujita` takes a, the boundary class and its witness from one
+`ConeQ.min_a_with_point` call (the facet route divides the integer point it
+already holds instead of recomputing a*L + K in Fractions), and
+`b_invariant` asks the cone's `minimal_face` for the face of that class,
+whichever route the cone took; every other caller (the (a, b) pair, the
+CLI report, the fixture runner, the toric fibration cross-check) reads
 theirs.  Each stage is computed once per (model, class): `fujita` and the
 Zariski decomposition keep small memos of their last results, immutable
 NamedTuples shared between callers, never exceptions, with a fixed bound,
-and toric rigidity reads the face the cone keeps for the boundary point.
-Rigidity reads the asked model's own cone and form; the provenance tag
-only picks the oracle.
+and the face of the boundary point is kept by the cone, so `b_invariant`
+and toric rigidity read it with no product.  Rigidity reads the asked
+model's own cone and form; the provenance tag only picks the oracle.
 
 Membership in the effective cone is asked once, by the stage that needs
 it: `fujita` (is the bundle big, read off the facet product of a once the
@@ -142,13 +142,11 @@ class FujitaResult(NamedTuple):
     a: Fraction
     boundary_class: DivisorClass          # a*L + K, on the cone boundary
     witness: tuple[Fraction, ...]         # nonnegative combination in the generators
-    face: FaceQ | None = None             # its minimal face, when the cone's facets existed
 
 
 class BInvariantResult(NamedTuple):
     b: int
-    face: FaceQ
-    face_generators: tuple[DivisorClass, ...]
+    face: FaceQ                           # the minimal face of the boundary class
     fujita: FujitaResult                  # the a and boundary class b was read from
 
 
@@ -198,23 +196,23 @@ def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
     uniruled setting.  The last MEMO_BOUND results are kept per (model,
     bundle).
     """
-    found = m.eff_cone.min_a_with_face(m.canonical, bundle)
+    found = m.eff_cone.min_a_with_point(m.canonical, bundle)
     if found is None:
         raise NotBig(f"bundle is not big on {m.name!r}")
-    a, boundary, witness, face = found
+    a, boundary, witness = found
     if a <= 0:
         raise KPseudoEffective(
             f"canonical class of {m.name!r} is pseudo-effective along the ray (a={a})"
         )
-    return FujitaResult(a, boundary, witness, face)
+    return FujitaResult(a, boundary, witness)
 
 
 def b_invariant(m: VarietyModel, bundle: DivisorClass) -> BInvariantResult:
     """The chain a -> boundary class -> minimal face -> b: the codimension
     of the minimal supported face containing a*L + K."""
     fr = fujita(m, bundle)
-    face = fr.face if fr.face is not None else m.eff_cone.minimal_face(fr.boundary_class)
-    return BInvariantResult(m.ns_rank - face.span_dim, face, face.generator_vectors(), fr)
+    face = m.eff_cone.minimal_face(fr.boundary_class)
+    return BInvariantResult(m.ns_rank - face.span_dim, face, fr)
 
 
 def invariant_pair(m: VarietyModel, bundle: DivisorClass) -> tuple[Fraction, int]:

@@ -13,11 +13,11 @@ A model file is a JSON document:
       "fibration": {"projection": [[int, ...], ...]}            (optional)
     }
 
-Rationals are integers or "p/q" strings; floats are rejected everywhere.
-Parse errors carry line/column positions from the JSON decoder; schema
-errors carry the JSON path of the offending value.  Fixture files are the
-same format plus "id", "description", "source", and "expected" blocks, so
-every fixture is directly consumable by the CLI.
+Rationals are integers or strings -?[0-9]+(/[0-9]+)?, never "1e3", "1_000",
+"1.5" or " 1", and floats are rejected everywhere.  Schema errors carry the
+JSON path of the offending value.  Fixture files are the same format plus
+"id", "description", "source", and "expected" blocks, so every fixture is
+directly consumable by the CLI.
 """
 
 from __future__ import annotations
@@ -30,25 +30,31 @@ from . import delpezzo, toric
 from .cones import ConeQ
 from .errors import BigFailureOnY, DegreeOutOfRange, InvalidModel, SchemaError
 from .invariants import DelPezzo, SubvarietyDatum, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ
+from .qlinalg import MatQ, VecQ, as_rat
 
 _FIXTURE_KEYS = {"id", "description", "source", "expected", "name"}
 _TOP_KEYS = {"model", "line_bundle", "subvarieties", "fibration"} | _FIXTURE_KEYS
 
 
+def decode_json(data: bytes, source: str):
+    """The JSON value of a model or catalog file.  A file that fails to
+    decode (not UTF-8, not JSON at some line and column, an integer past
+    Python's 4300-digit limit, too deep) is a SchemaError naming the file."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise SchemaError(f"invalid JSON in {source}: {e}") from None
+
+
 def parse_rational(x, path: str) -> Fraction:
-    if isinstance(x, bool):
-        raise SchemaError("expected a rational, got a boolean", path)
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         raise SchemaError("floating-point values are forbidden; use 'p/q' strings", path)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"not a rational: {x!r}", path) from None
-    raise SchemaError(f"expected a rational, got {type(x).__name__}", path)
+    try:
+        return as_rat(x)
+    except TypeError:
+        raise SchemaError(f"expected a rational, got {type(x).__name__}", path) from None
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"not a rational: {x!r}", path) from None
 
 
 def parse_int(x, path: str) -> int:
@@ -246,13 +252,8 @@ def parse_problem(doc: dict, strict_fan: bool = False) -> LoadedProblem:
 
 
 def load_problem(path: str, strict_fan: bool = False) -> LoadedProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return parse_problem(doc, strict_fan)
+    with open(path, "rb") as fh:
+        return parse_problem(decode_json(fh.read(), path), strict_fan)
 
 
 # -- serialization ----------------------------------------------------------

@@ -25,6 +25,7 @@ positive, so stored signs are true signs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -36,7 +37,7 @@ _INT = frozenset([int])
 
 
 def as_rat(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
+    """Coerce an int, Fraction, or -?[0-9]+(/[0-9]+)? string to a Fraction.
 
     Floats are rejected on purpose.
     """
@@ -44,9 +45,9 @@ def as_rat(x) -> Fraction:
         return x
     if isinstance(x, bool):
         raise TypeError("booleans are not rational scalars")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
+        raise ValueError(f"not an integer or 'p/q' literal: {x!r}")
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

@@ -404,10 +404,10 @@ def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
     """Balanced against every toric subvariety iff the adjoint boundary
     class a*L + K is rigid.  Linear equivalence translates the divisor
     polytope, so any invariant divisor of that class decides it, and
-    `class_is_rigid`'s rule applies to the face that b is read from."""
-    bundle = ns_presentation(f).divisor_class(bundle_coeffs)
-    face = invariants.b_invariant(variety_model(f), bundle).face
-    return len(face.generators_in_face) == face.span_dim
+    `_rigid` reads the face that b is read from."""
+    m = variety_model(f)
+    fr = invariants.fujita(m, ns_presentation(f).divisor_class(bundle_coeffs))
+    return _rigid(m.eff_cone, fr.boundary_class)
 
 
 # -- fibrations ------------------------------------------------------------------

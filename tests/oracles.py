@@ -781,10 +781,11 @@ def facet_generator_masks_by_dot(cone) -> tuple[int, ...]:
 
 
 def min_a_and_face_by_ray_lp(cone, base, direction):
-    """a, the face generators and the face's span dimension of
-    `ConeQ.min_a_with_face`, or None when direction is not interior: by
-    membership and the ray LP on a copy of the cone without facets, and the
-    face by the per-facet loop at base + a*direction."""
+    """a, and the face generators and span dimension of the boundary
+    point, as `ConeQ.min_a_with_point` and `minimal_face` give them, or
+    None when direction is not interior: by membership and the ray LP on a
+    copy of the cone without facets, and the face by the per-facet loop at
+    base + a*direction."""
     fresh = ConeQ(cone.generators, ambient_dim=cone.ambient_dim)
     if fresh.contains(direction) is not Containment.INSIDE:
         return None

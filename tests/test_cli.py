@@ -105,6 +105,44 @@ class TestInvariantsCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "place, literal, path",
+        [
+            ("canonical", "-1e0", "$.model.canonical[0]"),
+            ("generator", "1_0", "$.model.effective_generators[0][0]"),
+            ("bundle", "1e1", "$.line_bundle[0]"),
+            ("bundle", "-1.5", "$.line_bundle[0]"),
+            ("bundle", " -1 ", "$.line_bundle[0]"),
+            ("bundle", "1e1000000", "$.line_bundle[0]"),
+        ],
+    )
+    def test_exit_2_on_a_literal_outside_the_grammar(self, capsys, tmp_path, place, literal, path):
+        # each alone loaded before, and "1e1" made a = 1/10 with exit 0
+        values = {"canonical": "-1", "generator": "1", "bundle": "1", place: literal}
+        model = {
+            "kind": "lattice",
+            "rank": 1,
+            "canonical": [values["canonical"]],
+            "effective_generators": [[values["generator"]]],
+        }
+        code, out = run_cli(
+            capsys, "invariants", write(tmp_path, {"model": model, "line_bundle": [values["bundle"]]}), "--json"
+        )
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (2, "schema_error")
+        assert error["message"] == f"{path}: not a rational: {literal!r}"
+
+    def test_exit_2_on_an_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # the JSON decoder's ValueError was an internal error (exit 5)
+        model = {"kind": "lattice", "rank": 1, "canonical": [-1], "effective_generators": [[1]]}
+        p = tmp_path / "long.json"
+        text = json.dumps({"model": model, "line_bundle": [1]})
+        p.write_text(text.replace("[-1]", "[-" + "1" * 5001 + "]"), encoding="utf-8")
+        code, out = run_cli(capsys, "invariants", str(p), "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (2, "schema_error")
+        assert "4300 digits" in error["message"]
+
+    @pytest.mark.parametrize(
         "case, path",
         [
             ("generator", "$.model.effective_generators[1]"),
@@ -353,6 +391,18 @@ class TestFixturesCommand:
     def test_unknown_id(self, capsys):
         code, _ = run_cli(capsys, "fixtures", "run", "missing-fixture")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"id": "x", "model": ', "[1]"])
+    def test_exit_2_on_a_malformed_catalog_file(self, capsys, tmp_path, monkeypatch, text):
+        # the truncated file was a JSONDecodeError traceback with exit 1, the
+        # fixture-failure code, and the array an AttributeError
+        (tmp_path / "x.json").write_text(text, encoding="utf-8")
+        monkeypatch.setenv("FUJITA_FIXTURE_DIR", str(tmp_path))
+        code, out = run_cli(capsys, "fixtures", "list", "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (2, "schema_error")
+        if text.startswith("{"):
+            assert f"invalid JSON in {tmp_path / 'x.json'}: Expecting value: line 1" in error["message"]
 
     def test_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         doc = {

@@ -632,7 +632,7 @@ class TestMinAOnRay:
             if warm:
                 assert c.facets == ()
             with pytest.raises(UnboundedBelow):
-                c.min_a_with_face(VecQ(base), VecQ(direction))
+                c.min_a_with_point(VecQ(base), VecQ(direction))
 
     def test_boundary_probe_property(self):
         eps = Fraction(1, 1000)

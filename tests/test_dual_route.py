@@ -1,9 +1,11 @@
-"""The facet route of `ConeQ.min_a_with_face`: bigness, a and the minimal
-face read off two packed facet products, and the witness read off the
-face's memoized inverse when the face is simplicial, else one LP over the
-face's generators, either checked in integers.  The ray LP on a copy of
-the cone without facets is the oracle for a and the face, and `solve_lp`
-on the face's generators for the witness on a simplicial face."""
+"""The facet route of `ConeQ.min_a_with_point`: bigness, a and the
+boundary point's minimal face read off two packed facet products, the face
+kept for `minimal_face`, and the witness read off the face's memoized
+inverse when the face is simplicial, else one LP over the face's
+generators, either checked in integers.  The ray LP on a copy of the cone
+without facets is the oracle for a and the face, and `solve_lp` on the
+face's generators for the witness on a simplicial face.  `b_invariant`
+gives the same answer on a cone whichever route it took."""
 
 import random
 from fractions import Fraction
@@ -16,7 +18,8 @@ from fujita import cli, cones
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo
 from fujita.errors import InternalError, KPseudoEffective, NotBig
-from fujita.invariants import VarietyModel, fujita
+from fujita.fixtures import load_catalog
+from fujita.invariants import VarietyModel, b_invariant, fujita
 from fujita.qlinalg import MatQ, VecQ, nullspace
 from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
@@ -34,19 +37,20 @@ def with_facets(cone):
 
 
 def check_dual_route(c, base, direction):
-    """`min_a_with_face` on c, whose facets exist, against the ray-LP
-    route; the boundary point must be base + a*direction, and the witness
-    nonnegative, on the face and recombine to it.  On a simplicial face the
-    witness is the one combination there is, so it must equal `solve_lp`'s
-    on the face's generators.  Returns whether the direction was
-    interior."""
+    """`min_a_with_point` on c, whose facets exist, and `minimal_face` of
+    its point against the ray-LP route; the boundary point must be
+    base + a*direction, and the witness nonnegative, on the face and
+    recombine to it.  On a simplicial face the witness is the one
+    combination there is, so it must equal `solve_lp`'s on the face's
+    generators.  Returns whether the direction was interior."""
     assert c._facets_int is not None
-    got = c.min_a_with_face(base, direction)
+    got = c.min_a_with_point(base, direction)
     expected = min_a_and_face_by_ray_lp(c, base, direction)
     if expected is None:
         assert got is None, (base, direction)
         return False
-    a, point, witness, face = got
+    a, point, witness = got
+    face = c.minimal_face(point)
     assert point == base + a * direction
     assert (a, face.generators_in_face, face.span_dim) == expected, (base, direction)
     assert len(witness) == len(c.generators)
@@ -187,23 +191,71 @@ def test_errors_match_the_lp_route(monkeypatch, model, bundle, error):
     assert messages[0] == messages[1]
 
 
+def b_on_both_routes(m, bundle):
+    """`b_invariant` on a cold copy of m (a by the ray LP, the face by
+    `minimal_face` after it builds the facets) and on a warm one (a by the
+    facet products, the face read from the cone's point slot): a, the
+    boundary class, b and the face generators must be equal."""
+    answers = []
+    for warm in (False, True):
+        c = with_fresh_cone(m)
+        if warm:
+            c.eff_cone.facets
+        res = b_invariant(c, bundle)
+        assert (c.eff_cone._point is not None) == warm, m.name
+        answers.append((res.fujita.a, res.fujita.boundary_class, res.b, res.face.generator_vectors()))
+    assert answers[0] == answers[1], m.name
+    return answers[0]
+
+
+def test_b_is_the_same_on_both_routes_over_the_catalog():
+    # every catalog model with its bundle, subvarieties included, but the
+    # degree-1 surface: DD of its cone, which the warm copy needs, takes
+    # tens of seconds (its L = -K is checked cold in the next test)
+    cases = []
+    for fid, fx in sorted(load_catalog().items()):
+        if fid != "dp1-anticanonical":
+            cases.append((fx.problem.model.variety, fx.problem.bundle_class))
+            cases += [(y.model, y.restricted_bundle) for _, y in fx.problem.subvarieties]
+    assert len(cases) == 26
+    for m, bundle in cases:
+        b_on_both_routes(m, bundle)
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_b_is_the_same_on_both_routes_on_del_pezzo_bundles(degree):
+    # seeded big bundles, c*(-K) with c > 0 plus a few (-1)-curves
+    surf = del_pezzo(degree)
+    gens = surf.eff_cone.generators
+    rng = random.Random(0xB0B + degree)
+    nonzero = 0
+    for _ in range(6):
+        v = rng.randint(1, 2) * -surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            v = v + rng.randint(1, 3) * gens[j]
+        nonzero += not b_on_both_routes(surf, v)[1].is_zero()
+    assert nonzero > 0
+
+
 def test_fujita_alone_leaves_degree_one_facets_unbuilt(monkeypatch):
-    # DD of the degree-1 cone takes tens of seconds; a needs none of it
+    # DD of the degree-1 cone takes tens of seconds; a needs none of it,
+    # and neither does b of L = -K, whose boundary class a*L + K is 0
     surf = del_pezzo(1)
     m = with_fresh_cone(surf.variety())
     runs = counting(monkeypatch, ConeQ, "_compute_facets")
     fr = fujita(m, -2 * surf.canonical + m.eff_cone.generators[0])
-    assert runs == []
-    assert fr.face is None and m.eff_cone._facets_int is None
     assert fr.a > 0
+    res = b_invariant(m, -1 * surf.canonical)
+    assert (res.fujita.a, res.b, res.face.generators_in_face) == (1, m.ns_rank, frozenset())
+    assert runs == [] and m.eff_cone._facets_int is None
 
 
 def test_a_wrong_cached_inverse_is_caught():
     surf = del_pezzo(7)
     c = with_facets(surf.variety().eff_cone)
     bundle = -2 * surf.canonical + c.generators[0] + 2 * c.generators[-1]
-    answer = c.min_a_with_face(surf.canonical, bundle)
-    face = answer[3]
+    answer = c.min_a_with_point(surf.canonical, bundle)
+    face = c.minimal_face(answer[1])
     assert len(face.generators_in_face) == face.span_dim > 0
     mask = sum([1 << j for j in face.generators_in_face])
     entry = c._faces[mask]
@@ -215,10 +267,10 @@ def test_a_wrong_cached_inverse_is_caught():
     for planted in ((face, rows, det, doubled), (face, rows, -det, negated)):
         c._faces[mask] = planted
         with pytest.raises(InternalError) as exc:
-            c.min_a_with_face(surf.canonical, bundle)
+            c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     c._faces[mask] = entry
-    assert c.min_a_with_face(surf.canonical, bundle) == answer
+    assert c.min_a_with_point(surf.canonical, bundle) == answer
 
 
 def test_a_wrong_lp_witness_is_caught(monkeypatch):
@@ -227,8 +279,8 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
     surf = del_pezzo(6)
     c = with_facets(surf.variety().eff_cone)
     bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[4]
-    answer = c.min_a_with_face(surf.canonical, bundle)
-    face = answer[3]
+    answer = c.min_a_with_point(surf.canonical, bundle)
+    face = c.minimal_face(answer[1])
     assert len(face.generators_in_face) > face.span_dim
     (kernel,) = nullspace(MatQ([list(col) for col in zip(*face.generator_vectors())]))
     solve = cones.solve_lp
@@ -250,10 +302,10 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
     for plant in (infeasible, doubled, shifted):
         monkeypatch.setattr(cones, "solve_lp", lambda *args: plant(solve(*args)))
         with pytest.raises(InternalError) as exc:
-            c.min_a_with_face(surf.canonical, bundle)
+            c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     monkeypatch.undo()
-    assert c.min_a_with_face(surf.canonical, bundle) == answer
+    assert c.min_a_with_point(surf.canonical, bundle) == answer
     # the LP sees only the face's pivot rows R; with one of them dropped
     # from the memo its solution misses a row, which the check of every
     # coordinate row catches
@@ -261,6 +313,6 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
     entry = c._faces[mask]
     c._faces[mask] = (entry[0], entry[1][:-1], *entry[2:])
     with pytest.raises(InternalError):
-        c.min_a_with_face(surf.canonical, bundle)
+        c.min_a_with_point(surf.canonical, bundle)
     c._faces[mask] = entry
-    assert c.min_a_with_face(surf.canonical, bundle) == answer
+    assert c.min_a_with_point(surf.canonical, bundle) == answer

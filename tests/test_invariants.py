@@ -17,6 +17,8 @@ from fujita.errors import (
 from fujita.fixtures import load_catalog
 from fujita.invariants import (
     BalancedClass,
+    BInvariantResult,
+    FujitaResult,
     Raw,
     SubvarietyDatum,
     VarietyModel,
@@ -104,6 +106,13 @@ class TestModelValidation:
 
 
 class TestRecords:
+    def test_the_face_is_held_by_the_cone_alone(self):
+        # no result carries a copy of the boundary face, so none depends on
+        # the route the cone took; `b_invariant` asks `minimal_face`
+        assert FujitaResult._fields == ("a", "boundary_class", "witness")
+        assert BInvariantResult._fields == ("b", "face", "fujita")
+        assert not hasattr(ConeQ, "min_a_with_face")
+
     def test_fields_cannot_be_assigned(self):
         m = del_pezzo(6).variety()
         res = b_invariant(m, vec(3, 0, -1, -1))
@@ -231,7 +240,7 @@ class TestBInvariant:
             m = del_pezzo(d).variety()
             res = b_invariant(m, -1 * m.canonical)
             assert res.b == m.ns_rank
-            assert res.face_generators == ()
+            assert res.face.generator_vectors() == ()
 
     def test_cubic_threefold(self):
         assert b_invariant(CUBIC_3FOLD, vec(1)).b == 1
@@ -239,7 +248,7 @@ class TestBInvariant:
     def test_bl1p2(self):
         res = b_invariant(del_pezzo(8).variety(), vec(2, -1))
         assert res.b == 1
-        assert res.face_generators == (vec(1, -1),)
+        assert res.face.generator_vectors() == (vec(1, -1),)
 
     def test_range_invariant(self):
         for d in (6, 5):

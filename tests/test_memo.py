@@ -53,24 +53,31 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         faces = counting(monkeypatch, ConeQ, "minimal_face")
         lps = counting(monkeypatch, cones, "solve_lp")
         solves = counting(monkeypatch, qlinalg, "solve")
+        slots = counting(monkeypatch, ConeQ, "_slots")
 
         fr = fujita(m, bundle)
+        chain_products = len(slots)
         res = b_invariant(m, bundle)
+        face_products = len(slots) - chain_products
         case = surface_b(m, bundle)
         balance = surface_balanced(m, bundle)
         rigid = is_rigid_class(m, fr.boundary_class)
 
         if warm:
-            # the facet products decide bigness, a and the face; the
-            # witness is read off the face's inverse when the face is
-            # simplicial, else one LP over its generators gives it
+            # the facet products of L and K decide bigness, a and the face;
+            # the witness is read off the face's inverse when the face is
+            # simplicial, else one LP over its generators gives it, and
+            # `b_invariant` reads the face kept with the point, no product
             simplicial = len(res.face.generators_in_face) == res.face.span_dim
-            assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 0, 0 if simplicial else 1)
+            assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 1, 0 if simplicial else 1)
             assert all(len(lp[2]) == len(res.face.generators_in_face) for lp in lps)
+            assert (chain_products, face_products) == (2, 0)
         else:
             # `fujita` asks the cone once whether the bundle is big, then
-            # solves the ray LP; `b_invariant` builds the facets for the face
+            # solves the ray LP; `b_invariant` builds the facets for the
+            # face and takes one product
             assert (len(rays), len(memberships), len(faces), len(lps)) == (1, 1, 1, 2)
+            assert (chain_products, face_products) == (0, 1)
         # the face pass and the Zariski kernel prove membership of the
         # boundary class themselves, and `is_rigid_class` leaves the
         # question to its route
@@ -95,6 +102,7 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
             faces = counting(monkeypatch, ConeQ, "minimal_face")
             lps = counting(monkeypatch, cones, "solve_lp")
+            slots = counting(monkeypatch, ConeQ, "_slots")
             res = b_invariant(m, bundle)
             fr = res.fujita
             chain_lps = len(lps)
@@ -104,22 +112,24 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             # face of the boundary class: no polytope, no LP
             assert (len(polytopes), len(supports), len(lps)) == (0, 0, chain_lps), name
             # `toric.variety_model` builds the facets with the model, so a
-            # query sees the warm state.  Warm, the facet products decide
-            # bigness, a and the face of `b_invariant`, the witness is read
-            # off the face's inverse when the face is simplicial ({0}
-            # included) and is one LP over its generators otherwise,
-            # rigidity asks the face once, through its memo, and the
-            # balanced verdict reads the face `fujita` returned.
+            # query sees the warm state.  Warm, the facet products of L and
+            # K decide bigness, a and the face, the witness is read off the
+            # face's inverse when the face is simplicial ({0} included) and
+            # is one LP over its generators otherwise, and `b_invariant`,
+            # rigidity and the balanced verdict each ask `minimal_face`,
+            # which reads the face kept with the point and takes no product.
             # Cold (a cone built without facets), `fujita` asks whether the
-            # bundle is big and solves the ray LP, and `b_invariant`,
-            # rigidity and the balanced verdict's `b_invariant` each ask
-            # `minimal_face`; the first builds the facets.
+            # bundle is big and solves the ray LP, which keeps no face, so
+            # each of the three `minimal_face` calls takes one product, the
+            # first after building the facets, unless the boundary class is
+            # 0, whose face {0} needs neither.
             if warm:
-                assert (len(memberships), len(rays), len(faces)) == (0, 0, 1), name
+                assert (len(memberships), len(rays), len(faces), len(slots)) == (0, 0, 3, 2), name
                 simplicial = len(res.face.generators_in_face) == res.face.span_dim
                 assert chain_lps == (0 if simplicial else 1), name
             else:
-                assert (len(memberships), len(rays), len(faces)) == (1, 1, 3), name
+                products = 0 if fr.boundary_class.is_zero() else 3
+                assert (len(memberships), len(rays), len(faces), len(slots)) == (1, 1, 3, products), name
                 assert chain_lps == 2, name
             assert balanced == rigid, name
             monkeypatch.undo()
@@ -292,7 +302,7 @@ def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
                 assert len(slots) == 1, name
                 for point in (fr.boundary_class, VecQ(list(fr.boundary_class))):
                     face = c.minimal_face(point)
-                    assert face is fr.face and face == minimal_face_by_facet_loop(c, point), name
+                    assert face is c._point[1] and face == minimal_face_by_facet_loop(c, point), name
                     rigid = toric.class_is_rigid(fan, point)
                     assert rigid == (len(face.generators_in_face) == face.span_dim), name
                 assert len(slots) == 1, name
@@ -301,7 +311,7 @@ def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
 
 def test_point_face_memo_stays_within_its_bound():
     # the cone keeps one boundary point with its face, the last one
-    # `min_a_with_face` returned: `minimal_face` of it runs no product, and
+    # `min_a_with_point` returned: `minimal_face` of it runs no product, and
     # an older point is computed again, equal to the per-facet loop's
     surf = del_pezzo(2)
     c = ConeQ(surf.variety().eff_cone.generators)
@@ -313,8 +323,9 @@ def test_point_face_memo_stays_within_its_bound():
         bundle = -1 * surf.canonical
         for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
             bundle = bundle + rng.randint(1, 4) * gens[j]
-        a, point, _, face = c.min_a_with_face(surf.canonical, bundle)
-        assert c._point == (point, face)
+        a, point, _ = c.min_a_with_point(surf.canonical, bundle)
+        face = c._point[1]
+        assert c._point[0] == point and face == minimal_face_by_facet_loop(c, point)
         answers.append((point, face))
     last, last_face = answers[-1]
     older = [(p, f) for p, f in answers[:-1:3] if p != last]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ def test_parse_basic_lattice():
 
 def test_rational_string_forms():
     assert modelio.parse_rational("7/3", "$") == Fraction(7, 3)
+    assert modelio.parse_rational("3/6", "$") == Fraction(1, 2)
     assert modelio.parse_rational(-4, "$") == -4
     with pytest.raises(SchemaError):
         modelio.parse_rational(True, "$")
@@ -35,6 +37,15 @@ def test_rational_string_forms():
         modelio.parse_rational(0.25, "$")
     with pytest.raises(SchemaError):
         modelio.parse_rational("3/0", "$")
+    # one grammar, -?[0-9]+(/[0-9]+)?: no exponent, underscore, decimal
+    # point or space; "1e1000000" is rejected before 10**1000000 is built,
+    # which alone takes a quarter of a second
+    for literal in ("1e3", "1_000", "1.5", " 1", "1e1000000"):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as exc:
+            modelio.parse_rational(literal, "$.line_bundle[1]")
+        assert time.perf_counter() - start < 0.05, literal
+        assert exc.value.path == "$.line_bundle[1]", literal
 
 
 def test_unknown_top_level_key():
@@ -116,3 +127,18 @@ def test_load_problem_reports_json_position(tmp_path):
     bad.write_text('{\n  "model": }\n', encoding="utf-8")
     with pytest.raises(SchemaError, match="line 2"):
         modelio.load_problem(str(bad))
+
+
+def test_load_problem_maps_every_decode_failure(tmp_path):
+    # an integer past Python's 4300-digit limit, bytes that are not UTF-8
+    # and nesting past the recursion limit fail in the decoder itself
+    too_long = json.dumps(BASE).replace('"-3"', "-" + "1" * 5001)
+    for name, data in (
+        ("long.json", too_long.encode()),
+        ("latin1.json", '{"name": "caf\xe9"}'.encode("latin-1")),
+        ("deep.json", b"[" * 100000 + b"]" * 100000),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=f"invalid JSON in .*{name}"):
+            modelio.load_problem(str(path))
