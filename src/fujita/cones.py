@@ -36,18 +36,28 @@ integers and products, and a query with an equal base takes one product.
 Faces are memoized per cone, keyed by the bitmask of their generators G_F,
 at most FACE_MEMO_BOUND of them; the memo is emptied when full.  One
 elimination of G_F's coordinate rows gives span_dim and the pivot rows R,
-kept for every face.  When the face is simplicial (|F| = span_dim: G_F is
-independent), the entry also keeps d = |det G_F[R, :]| and
-d * G_F[R, :]^-1.  The witness of a point p of the face, its unique
-combination of G_F, is then that inverse times p[R] over d: one integer
-matrix-vector product.  A non-simplicial face takes its witness from one LP
-on the rows R of G_F and p (p lies in span(G_F), so the other rows follow),
-which must end optimal; its solution is scaled to integers over one
-denominator d.  Either witness, d * lam, must be nonnegative and recombine
-to d * p on every coordinate row, or the call raises InternalError.  The
-boundary point is then kept with its face in one slot, like K.  Only
-`minimal_face` hands out faces, on either route: it reads that point's face
-with no product, and builds the facets for a nonzero point of the ray LP.
+kept for every face.  R maps span(G_F) isomorphically onto Q^R, so for any
+basis B of that span drawn from G_F the matrix G_B[R, :] is invertible.
+Each face keeps a short list of such bases, its cells, each with d =
+|det G_B[R, :]| and d * G_B[R, :]^-1, most recently used first.  The
+witness of a point p of the face is then, by Caratheodory's theorem, a
+nonnegative combination of some cell's generators: lam = inverse times p[R]
+over d, one integer matrix-vector product, for the first cell that gives
+lam >= 0 (it moves to the front).  A simplicial face (|F| = span_dim: G_F
+is independent) has one cell, B = F, built with the face, and no LP.  Any
+other face starts with none; when every cell misses, the witness comes
+from one LP on the rows R of G_F and p (p lies in span(G_F), so the other
+rows follow), which must end optimal, and its solution is scaled to
+integers over one denominator.  The LP's final basis becomes a new cell,
+whose inverse is built the first time the cell is tried; a face keeps at
+most |F| cells and drops the least recently used.  So on a revisited face
+the witness may come from an earlier query's basis.  Every witness, d *
+lam, must be nonnegative and recombine to d * p on every coordinate row,
+or the call raises InternalError; a simplicial face on which lam is
+negative raises it too.  The boundary point is then kept with its face in
+one slot, like K.  Only `minimal_face` hands out faces, on either route:
+it reads that point's face with no product, and builds the facets for a
+nonzero point of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -98,6 +108,9 @@ from .simplex import LPResult, LPStatus, solve_lp
 # distinct faces on its largest cone, and the memo is emptied when full, so
 # memory does not grow with the number of queries.
 FACE_MEMO_BOUND = 256
+
+# a cell of a face, (B, d, d * G_B[R, :]^-1); see `ConeQ._face`
+Cell = tuple[tuple[int, ...], int, list[list[int]] | None]
 
 
 class Containment(Enum):
@@ -447,23 +460,25 @@ class ConeQ:
         every = (1 << len(self._gens_int)) - 1
         return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), every))[0]
 
-    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], int, list[list[int]] | None]:
+    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], list[Cell]]:
         """The memoized face whose generators G_F are the set bits of mask,
-        the pivot coordinate rows R of G_F and, when the face is simplicial
-        (|F| = span_dim), d = |det G_F[R, :]| and the integer matrix
-        d * G_F[R, :]^-1; else 0 and None.  One elimination of G_F's
-        coordinate rows gives R and span_dim."""
+        the pivot coordinate rows R of G_F, and the face's cells, most
+        recently used first.  A cell is a basis B of span(G_F) drawn from
+        G_F, kept as (B, d, d * G_B[R, :]^-1) with d = |det G_B[R, :]|, or
+        as (B, 0, None) until its inverse is first needed.  A simplicial
+        face (|F| = span_dim) gets its one cell here; any other face starts
+        with none.  One elimination of G_F's coordinate rows gives R and
+        span_dim."""
         entry = self._faces.get(mask)
         if entry is None:
             gens = self._gens_int
             inside = [j for j in range(len(gens)) if mask >> j & 1]
             coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
             rows = tuple(pivot_columns(coords))
-            face = FaceQ(self, frozenset(inside), len(rows))
-            if len(rows) < len(inside):
-                entry = face, rows, 0, None
-            else:
-                entry = (face, rows, *scaled_inverse([coords[t] for t in rows]))
+            cells = []
+            if len(rows) == len(inside):
+                cells.append((tuple(inside), *scaled_inverse([coords[t] for t in rows])))
+            entry = FaceQ(self, frozenset(inside), len(rows)), rows, cells
             if len(self._faces) >= FACE_MEMO_BOUND:
                 self._faces.clear()
             self._faces[mask] = entry
@@ -477,13 +492,14 @@ class ConeQ:
         """The least a, the boundary point base + a*direction and a witness
         as in `min_a_with_witness`; None unless direction is interior.  With
         the facets built, two packed products give a and the point's face
-        (see the module docstring), and the witness is read off the face's
-        memoized inverse when the face is simplicial, else one LP on its
-        generators' pivot rows; either is checked in integers.  K's products
-        are kept for the next call with an equal base, and the point with
-        its face for `minimal_face`.  Without the facets, `contains` and the
-        ray LP answer: a alone never forces them.  Both routes raise
-        UnboundedBelow on the whole space (no facets)."""
+        (see the module docstring), and the witness is read off the first
+        of the face's cells that holds the point, else one LP on its
+        generators' pivot rows, whose basis becomes a cell; either is
+        checked in integers.  K's products are kept for the next call with
+        an equal base, and the point with its face for `minimal_face`.
+        Without the facets, `contains` and the ray LP answer: a alone never
+        forces them.  Both routes raise UnboundedBelow on the whole space
+        (no facets)."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
@@ -510,25 +526,43 @@ class ConeQ:
                 mask &= m
         scale = den * dk
         gens = self._gens_int
-        face, rows, det, inverse = self._face(mask)
-        inside = sorted(face.generators_in_face)
-        # scale*(a*direction + base), in integers, and G_F by coordinate rows
+        face, rows, cells = self._face(mask)
+        # scale*(a*direction + base) in integers, and its pivot rows R
         p = [num * l + den * k for l, k in zip(vl, vk)]
-        coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
         pr = [p[t] for t in rows]
-        if inverse is not None:
-            # the unique combination: G_F lam = p, lam = inverse p[R] / det
+        new_cell = None
+        for i, (basis, det, inverse) in enumerate(cells):
+            if inverse is None:
+                det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
+                if inverse is None:
+                    raise InternalError("a stored basis of the face is singular")
+                cells[i] = basis, det, inverse
+            # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
             lam = [idot(r, pr) for r in inverse]
+            if min(lam, default=0) >= 0:
+                cells.insert(0, cells.pop(i))
+                break
         else:
+            basis = sorted(face.generators_in_face)
+            if len(basis) == face.span_dim:
+                raise InternalError("face witness is negative on a simplicial face")
             # p lies in span(G_F), so the rows R imply the others
-            res = solve_lp([coords[t] for t in rows], pr, [0] * len(inside))
+            res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
             if res.status is not LPStatus.OPTIMAL:
                 raise InternalError(f"face witness LP is {res.status.value}")
             lam, det = scaled_ints(res.x)
-        if min(lam, default=0) < 0 or [idot(r, lam) for r in coords] != [det * x for x in p]:
+            new_cell = tuple([basis[j] for j in sorted(res.basis)]), 0, None
+        if min(lam, default=0) < 0 or [
+            idot([gens[j][t] for j in basis], lam) for t in range(self.ambient_dim)
+        ] != [det * x for x in p]:
             raise InternalError("face witness is negative or misses the boundary point")
+        if new_cell is not None:
+            # at most |F| cells; the least recently used one goes
+            if len(cells) >= len(basis):
+                cells.pop()
+            cells.insert(0, new_cell)
         witness = [Fraction(0)] * len(gens)
-        for j, x in zip(inside, lam):
+        for j, x in zip(basis, lam):
             witness[j] = Fraction(x, det * scale)
         point = VecQ.from_scaled(p, scale)
         self._point = point, face

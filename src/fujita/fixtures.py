@@ -54,21 +54,30 @@ def _fixture_dir():
 
 
 def _iter_fixture_files(directory):
-    for entry in sorted(directory.iterdir(), key=lambda p: p.name):
+    """Each catalog file's path, with its JSON value."""
+    try:
+        entries = sorted(directory.iterdir(), key=lambda p: p.name)
+    except OSError as e:
+        raise SchemaError(f"cannot read the catalog directory {directory}: {e.strerror or e}") from None
+    for entry in entries:
         if entry.name.endswith(".json"):
-            yield modelio.decode_json(entry.read_bytes(), str(entry))
+            yield entry, modelio.decode_json(modelio.read_file(entry), str(entry))
 
 
 def load_catalog(strict_fan: bool = False) -> dict[str, Fixture]:
-    """Load and parse every fixture file, keyed by id."""
+    """Load and parse every fixture file, keyed by id.  A SchemaError in a
+    file names the file before its JSON path."""
     catalog: dict[str, Fixture] = {}
-    for doc in _iter_fixture_files(_fixture_dir()):
-        fid = doc.get("id") if isinstance(doc, dict) else None
-        if not isinstance(fid, str):
-            raise SchemaError("fixture file without string 'id'")
-        if fid in catalog:
-            raise SchemaError(f"duplicate fixture id {fid!r}")
-        problem = modelio.parse_problem(doc, strict_fan=strict_fan)
+    for entry, doc in _iter_fixture_files(_fixture_dir()):
+        try:
+            fid = doc.get("id") if isinstance(doc, dict) else None
+            if not isinstance(fid, str):
+                raise SchemaError("fixture file without string 'id'")
+            if fid in catalog:
+                raise SchemaError(f"duplicate fixture id {fid!r}")
+            problem = modelio.parse_problem(doc, strict_fan=strict_fan)
+        except SchemaError as e:
+            raise SchemaError(e.message, f"{entry}: {e.path}") from None
         sub_expected = {}
         for sub in doc.get("subvarieties", []):
             if "expected" in sub:

@@ -251,9 +251,19 @@ def parse_problem(doc: dict, strict_fan: bool = False) -> LoadedProblem:
     )
 
 
+def read_file(path) -> bytes:
+    """The bytes of a model or catalog file; one that cannot be read
+    (missing, a directory, no permission) is a SchemaError naming it and
+    the reason."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e.strerror or e}") from None
+
+
 def load_problem(path: str, strict_fan: bool = False) -> LoadedProblem:
-    with open(path, "rb") as fh:
-        return parse_problem(decode_json(fh.read(), path), strict_fan)
+    return parse_problem(decode_json(read_file(path), path), strict_fan)
 
 
 # -- serialization ----------------------------------------------------------

@@ -46,9 +46,15 @@ class LPStatus(Enum):
 
 
 class LPResult(NamedTuple):
+    """The status, and on OPTIMAL the optimum, an optimal vertex x and its
+    basis: the basic column of each constraint row the solver kept (a
+    redundant row is dropped), in row order.  The basis columns are
+    independent and x is zero off them."""
+
     status: LPStatus
     objective: Fraction | None
     x: tuple[Fraction, ...] | None
+    basis: tuple[int, ...] | None = None
 
 
 def _run_phase(tableau, basis, n, m, d) -> tuple[bool, int]:
@@ -103,7 +109,7 @@ def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     if m == 0:
         if any(v < 0 for v in c_int):
             return LPResult(LPStatus.UNBOUNDED, None, None)
-        return LPResult(LPStatus.OPTIMAL, Fraction(0), tuple([Fraction(0)] * n))
+        return LPResult(LPStatus.OPTIMAL, Fraction(0), tuple([Fraction(0)] * n), ())
 
     # phase 1: artificial basis; artificial i costs lcm / scale_i, so the
     # reduced costs are a positive multiple of those of the unscaled system
@@ -162,4 +168,4 @@ def solve_lp(a_rows: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
         if v:
             x[basis[i]] = Fraction(v, d)
             total += c_int[basis[i]] * v
-    return LPResult(LPStatus.OPTIMAL, Fraction(total, d * c_den), tuple(x))
+    return LPResult(LPStatus.OPTIMAL, Fraction(total, d * c_den), tuple(x), tuple(basis))

@@ -221,6 +221,15 @@ class TestInvariantsCommand:
         assert code == 2
         assert "line 1" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"), ("", "Is a directory")])
+    def test_exit_2_on_an_unreadable_path(self, capsys, tmp_path, name, reason):
+        # the OSError of `open` was an internal error, exit 5
+        path = str(tmp_path / name)
+        code, out = run_cli(capsys, "invariants", path, "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (2, "schema_error")
+        assert error["message"] == f"$: cannot read {path}: {reason}"
+
     def test_exit_3_not_big(self, capsys, tmp_path):
         path = write(
             tmp_path,
@@ -403,6 +412,37 @@ class TestFixturesCommand:
         assert (code, error["code"]) == (2, "schema_error")
         if text.startswith("{"):
             assert f"invalid JSON in {tmp_path / 'x.json'}: Expecting value: line 1" in error["message"]
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ([1], "$: fixture file without string 'id'"),
+            (
+                {"id": "x", "model": {"kind": "del_pezzo", "degree": 3, "rank": 7}, "line_bundle": [3] + [-1] * 6},
+                "$.model: unknown keys ['rank']",
+            ),
+        ],
+    )
+    def test_a_catalog_schema_error_names_the_file(self, capsys, tmp_path, monkeypatch, doc, where):
+        (tmp_path / "x.json").write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setenv("FUJITA_FIXTURE_DIR", str(tmp_path))
+        code, out = run_cli(capsys, "fixtures", "list", "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (2, "schema_error")
+        assert error["message"] == f"{tmp_path / 'x.json'}: {where}"
+
+    def test_exit_2_on_an_unreadable_catalog(self, capsys, tmp_path, monkeypatch):
+        # a missing catalog directory, and a directory named like a catalog
+        # file, were OSError tracebacks with exit 1
+        for directory, message in (
+            (tmp_path / "missing", f"cannot read the catalog directory {tmp_path / 'missing'}: No such file or directory"),
+            (tmp_path, f"cannot read {tmp_path / 'x.json'}: Is a directory"),
+        ):
+            (tmp_path / "x.json").mkdir(exist_ok=True)
+            monkeypatch.setenv("FUJITA_FIXTURE_DIR", str(directory))
+            code, out = run_cli(capsys, "fixtures", "list", "--json")
+            error = json.loads(out)["error"]
+            assert (code, error["code"], error["message"]) == (2, "schema_error", f"$: {message}")
 
     def test_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         doc = {

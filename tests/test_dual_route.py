@@ -259,13 +259,13 @@ def test_a_wrong_cached_inverse_is_caught():
     assert len(face.generators_in_face) == face.span_dim > 0
     mask = sum([1 << j for j in face.generators_in_face])
     entry = c._faces[mask]
-    _, rows, det, inverse = entry
+    _, rows, [(basis, det, inverse)] = entry
     doubled = [[2 * x for x in r] for r in inverse]
     negated = [[-x for x in r] for r in inverse]
     # doubled: a nonnegative witness that misses the point; negated with its
     # determinant: one that recombines but is negative
-    for planted in ((face, rows, det, doubled), (face, rows, -det, negated)):
-        c._faces[mask] = planted
+    for cell in ((basis, det, doubled), (basis, -det, negated)):
+        c._faces[mask] = face, rows, [cell]
         with pytest.raises(InternalError) as exc:
             c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
@@ -275,10 +275,16 @@ def test_a_wrong_cached_inverse_is_caught():
 
 def test_a_wrong_lp_witness_is_caught(monkeypatch):
     # a non-simplicial face: four generators spanning three dimensions, so
-    # the witness comes from the LP on them
+    # the witness of its first point comes from the LP on them.  Each plant
+    # meets the face on a new copy of the cone, with no cells yet.
     surf = del_pezzo(6)
-    c = with_facets(surf.variety().eff_cone)
-    bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[4]
+    cone = surf.variety().eff_cone
+    bundle = -1 * surf.canonical + cone.generators[0] + 2 * cone.generators[4]
+
+    def fresh():
+        return with_facets(cone)
+
+    c = fresh()
     answer = c.min_a_with_point(surf.canonical, bundle)
     face = c.minimal_face(answer[1])
     assert len(face.generators_in_face) > face.span_dim
@@ -302,17 +308,41 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
     for plant in (infeasible, doubled, shifted):
         monkeypatch.setattr(cones, "solve_lp", lambda *args: plant(solve(*args)))
         with pytest.raises(InternalError) as exc:
-            c.min_a_with_point(surf.canonical, bundle)
+            fresh().min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     monkeypatch.undo()
-    assert c.min_a_with_point(surf.canonical, bundle) == answer
+    assert fresh().min_a_with_point(surf.canonical, bundle) == answer
     # the LP sees only the face's pivot rows R; with one of them dropped
     # from the memo its solution misses a row, which the check of every
     # coordinate row catches
+    c = fresh()
+    c.min_a_with_point(surf.canonical, bundle)
     mask = sum([1 << j for j in face.generators_in_face])
     entry = c._faces[mask]
-    c._faces[mask] = (entry[0], entry[1][:-1], *entry[2:])
+    c._faces[mask] = entry[0], entry[1][:-1], []
     with pytest.raises(InternalError):
         c.min_a_with_point(surf.canonical, bundle)
+    c._faces[mask] = entry
+    assert c.min_a_with_point(surf.canonical, bundle) == answer
+
+
+def test_a_wrong_cell_inverse_is_caught():
+    # a cell kept from the face LP on a non-simplicial face, its inverse
+    # built on reuse and then doubled: the witness it gives is nonnegative
+    # but misses the point, and that is an internal error, not a miss
+    surf = del_pezzo(6)
+    c = with_facets(surf.variety().eff_cone)
+    bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[4]
+    answer = c.min_a_with_point(surf.canonical, bundle)
+    assert c.min_a_with_point(surf.canonical, bundle) == answer
+    face = c.minimal_face(answer[1])
+    assert len(face.generators_in_face) > face.span_dim
+    mask = sum([1 << j for j in face.generators_in_face])
+    entry = c._faces[mask]
+    _, rows, [(basis, det, inverse)] = entry
+    c._faces[mask] = face, rows, [(basis, det, [[2 * x for x in r] for r in inverse])]
+    with pytest.raises(InternalError) as exc:
+        c.min_a_with_point(surf.canonical, bundle)
+    assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     c._faces[mask] = entry
     assert c.min_a_with_point(surf.canonical, bundle) == answer

@@ -21,10 +21,10 @@ from fujita.delpezzo import (
 )
 from fujita.errors import NotBig, NotPseudoEffective
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
-from fujita.qlinalg import VecQ
+from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import ns_presentation, variety_model
 from conftest import MEMOS, counting, vec, with_fresh_cone
-from oracles import minimal_face_by_facet_loop, toric_balanced_by_adjoint
+from oracles import minimal_face_by_facet_loop, rank_by_bareiss, toric_balanced_by_adjoint
 
 BOUND = 16
 
@@ -338,6 +338,91 @@ def test_point_face_memo_stays_within_its_bound():
             assert c.minimal_face(point) == face == minimal_face_by_facet_loop(c, point)
         assert len(slots) == len(older)
     assert c._point == (last, last_face)
+
+
+def test_a_point_in_a_stored_cell_runs_no_face_lp(monkeypatch):
+    # the first visit to a non-simplicial face runs the face LP and keeps
+    # its final basis B as a cell, with the inverse left to its first reuse.
+    # L + g, g in B, keeps a and the face and moves the boundary point by
+    # a*g inside cone(B): the cell holds it, and no LP runs.
+    surf = del_pezzo(6)
+    c = ConeQ(surf.variety().eff_cone.generators)
+    c.facets
+    gens = c.generators
+    bundle = -1 * surf.canonical + gens[0] + 2 * gens[4]
+    lps = counting(monkeypatch, cones, "solve_lp")
+    a, point, witness = c.min_a_with_point(surf.canonical, bundle)
+    face = c._point[1]
+    assert len(face.generators_in_face) > face.span_dim and len(lps) == 1
+    mask = sum([1 << j for j in face.generators_in_face])
+    [(basis, det, inverse)] = c._faces[mask][2]
+    assert (len(basis), det, inverse) == (face.span_dim, 0, None)
+    assert {j for j, w in enumerate(witness) if w} <= set(basis) <= face.generators_in_face
+    g = gens[basis[0]]
+    assert c.min_a_with_point(surf.canonical, bundle + g)[:2] == (a, point + a * g)
+    assert c._point[1] is face and len(lps) == 1
+    [(again, det, inverse)] = c._faces[mask][2]
+    assert again == basis and det > 0 and len(inverse) == face.span_dim
+
+
+def _cell_queries(cases, count, lps):
+    """count seeded queries round robin over (cone, K, bundle sampler):
+    every witness is nonnegative and recombines to its point, and one that
+    no LP gave, read off a cell, has an independent support.  Returns the
+    cell witnesses on non-simplicial faces."""
+    hits = 0
+    for i in range(count):
+        c, canonical, sample = cases[i % len(cases)]
+        before = len(lps)
+        a, point, witness = c.min_a_with_point(canonical, sample())
+        face = c._point[1]
+        support = [j for j, w in enumerate(witness) if w]
+        assert min(witness) >= 0 and set(support) <= face.generators_in_face
+        assert sum([witness[j] * c.generators[j] for j in support], VecQ.zero(c.ambient_dim)) == point
+        if len(lps) == before and support:
+            vectors = MatQ([list(c.generators[j]) for j in support])
+            assert rank_by_bareiss(vectors) == len(support)
+            hits += len(face.generators_in_face) > face.span_dim
+    return hits
+
+
+def test_a_face_keeps_at_most_its_generator_count_of_cells(monkeypatch, toric_fans):
+    # 2000 seeded queries on del Pezzo degrees 2-6 and 2000 over the toric
+    # catalog: a simplicial face keeps its one cell ({0} too), any other at
+    # most |F|, and on the non-simplicial faces cells answer many queries
+    rng = random.Random(5772)
+    lps = counting(monkeypatch, cones, "solve_lp")
+    dp, tor = [], []
+    for d in (2, 3, 4, 5, 6):
+        surf = del_pezzo(d)
+        c = ConeQ(surf.variety().eff_cone.generators)
+        c.facets
+        gens = c.generators
+
+        def sample(gens=gens, anti=-1 * surf.canonical):
+            bundle = anti
+            for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+                bundle = bundle + rng.randint(1, 4) * gens[j]
+            return bundle
+
+        dp.append((c, surf.canonical, sample))
+    for fan in toric_fans.values():
+        m = variety_model(fan)
+        c = ConeQ(m.eff_cone.generators, ambient_dim=m.ns_rank)
+        c.facets
+        pres = ns_presentation(fan)
+
+        def sample(pres=pres, k=len(fan.rays)):
+            return pres.divisor_class([rng.randint(1, 3) for _ in range(k)])
+
+        tor.append((c, m.canonical, sample))
+    hits = [_cell_queries(cases, 2000, lps) for cases in (dp, tor)]
+    assert min(hits) > 100, hits
+    for c, _, _ in dp + tor:
+        for face, rows, cells in c._faces.values():
+            size = len(face.generators_in_face)
+            assert len(cells) == 1 if size == face.span_dim else 0 < len(cells) <= size
+            assert all(len(basis) == len(rows) == face.span_dim for basis, _, _ in cells)
 
 
 def test_exceptions_are_not_cached():

@@ -1,4 +1,5 @@
 import gc
+import random
 import sys
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fujita import qlinalg, simplex
+from fujita.qlinalg import MatQ
 from fujita.simplex import LPStatus, solve_lp
 from conftest import counting
-from oracles import lp_by_basis_enumeration
+from oracles import lp_by_basis_enumeration, rank_by_bareiss
 
 F = Fraction
 BEALE = (
@@ -65,7 +67,7 @@ def test_redundant_rows_dropped():
 def test_zero_rows():
     res = solve_lp([], [], [1, 1])
     assert res.status is LPStatus.OPTIMAL
-    assert res.x == (0, 0)
+    assert res.x == (0, 0) and res.basis == ()
 
 
 def test_feasibility_problem():
@@ -170,6 +172,37 @@ def _agrees_with_oracle(a, b, c):
 @given(small_lps())
 def test_matches_basis_enumeration(lp):
     _agrees_with_oracle(*lp)
+
+
+def test_basis_of_an_optimal_result():
+    # seeded small LPs, a third with a scaled duplicate row: the basis has
+    # one independent column per kept row, rank(A) of them, x vanishes off
+    # it, and the optimum is the basis enumeration's
+    rng = random.Random(2207)
+    entries = [-2, -1, 0, 0, 1, 2, 3, F(1, 2), F(-2, 3)]
+    optimal = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice(entries) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            a[-1] = [2 * v for v in a[0]]
+            b[-1] = 2 * b[0]
+        c = [rng.choice(entries) for _ in range(n)]
+        status, optimum, _ = lp_by_basis_enumeration(a, b, c)
+        res = solve_lp(a, b, c)
+        assert res.status is status
+        if status is not LPStatus.OPTIMAL:
+            assert res.basis is None
+            continue
+        optimal += 1
+        basis = res.basis
+        assert res.objective == optimum
+        assert len(set(basis)) == len(basis) and all(0 <= j < n for j in basis)
+        assert rank_by_bareiss(MatQ([[row[j] for j in basis] for row in a])) == len(basis)
+        assert len(basis) == rank_by_bareiss(MatQ(a))
+        assert all(x == 0 for j, x in enumerate(res.x) if j not in basis)
+    assert optimal >= 100
 
 
 @settings(max_examples=60, deadline=None)
