@@ -15,15 +15,11 @@ negative or unbounded below.  Strictness is one memoized LP: the cone is
 strict iff no nonzero nonnegative combination of the generators vanishes.
 
 Once the facets exist, membership and the minimal face read every f_j.v
-off one packed product (Kronecker substitution), packed once with the
-facets: x = sum_t v_t P_t + HIGH, P_t = sum_j f_jt 2^(64 j), HIGH the top
-bit of every 64-bit slot, holds f_j.v + 2^63 in slot j.  While l1 * max|v_t|
-< 2^63 (l1 the largest absolute row sum of the facets), no slot borrows or
-carries, and x ^ HIGH holds every f_j.v in two's complement; a larger
-product, or a big-endian host, takes one integer dot per facet.  v is
-outside iff some f_j.v < 0 and on the boundary iff the least is 0 (with no
-facets, the whole space, every v is interior); its minimal face is cut out
-by the facets vanishing at v: the generators on all of them.
+off one packed product (`qlinalg.PackedRows`, built once with the
+facets).  v is outside iff some f_j.v < 0 and on the boundary iff the
+least is 0 (with no facets, the whole space, every v is interior); its
+minimal face is cut out by the facets vanishing at v: the generators on
+all of them.
 
 Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
@@ -32,6 +28,13 @@ facets reaching it are exactly those vanishing at K + aL, all others being
 positive there, so by the same rule they cut out its minimal face.  K is
 fixed per model, so the cone keeps the last base vector with its scaled
 integers and products, and a query with an equal base takes one product.
+With the base it keeps the facets grouped by their value of f_j.K.  Within
+a group the ratio -f_j.K / f_j.L is largest at the least f_j.L when
+f_j.K < 0, at the greatest when f_j.K > 0, and is 0 throughout when
+f_j.K = 0.  So L's product is read one group at a time by C-level min and
+max: L is interior iff every group's least f_j.L is positive, the group
+winners are compared exactly, and the masks ANDed for the face are those
+of the winning groups' facets that reach a (all of a group with f_j.K = 0).
 
 Faces are memoized per cone, keyed by the bitmask of their generators G_F,
 at most FACE_MEMO_BOUND of them; the memo is emptied when full.  One
@@ -72,13 +75,12 @@ the distinction drawn for general closed cones is vacuous in this module.
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd
-from operator import and_, not_
+from operator import and_, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import qlinalg
@@ -92,6 +94,7 @@ from .errors import (
 )
 from .qlinalg import (
     MatQ,
+    PackedRows,
     VecQ,
     idot,
     pivot_columns,
@@ -262,8 +265,7 @@ class ConeQ:
         "_faces",
         "_point",
         "_base",
-        "_l1",
-        "_packing",
+        "_packed",
         "_strict",
     )
 
@@ -286,7 +288,7 @@ class ConeQ:
         self._faces = {}
         self._point = None
         self._base = None
-        self._packing = None
+        self._packed = None
         self._strict = None
 
     @property
@@ -320,7 +322,8 @@ class ConeQ:
 
     def _compute_facets(self):
         """The facets, the generators each annihilates (DD's zero sets, less
-        the equation rows, which vanish on every generator) and the packing."""
+        the equation rows, which vanish on every generator) and their packed
+        products."""
         d = self.ambient_dim
         gens = self._gens_int
         every = (1 << len(gens)) - 1
@@ -346,24 +349,14 @@ class ConeQ:
         ordered = sorted(zip(normals, zero_sets))
         facets_int = tuple([f for f, _ in ordered])
         self._facet_gen_masks = tuple([z & every for _, z in ordered])
-        self._l1 = max([sum(map(abs, f)) for f in facets_int], default=0)
-        if self._l1 < 1 << 63:  # else no product fits the 64-bit slots
-            high = int.from_bytes((bytes(7) + b"\x80") * len(facets_int), "little")
-            biased = [b"".join([(x + (1 << 63)).to_bytes(8, "little") for x in c]) for c in zip(*facets_int)]
-            self._packing = [int.from_bytes(b, "little") - high for b in biased], high
+        self._packed = PackedRows(facets_int)
         self._facets_int = facets_int
 
     def _slots(self, vi: list[int]) -> Sequence[int]:
-        """Every f_j.vi, in facet order, from the one packed product, or
-        one dot per facet when the product needs more than 63 bits or the
-        host is big-endian (see the module docstring)."""
+        """Every f_j.vi, in facet order (`qlinalg.PackedRows.products`)."""
         if self._facets_int is None:
             self._compute_facets()
-        if sys.byteorder != "little" or (self._l1 * max([abs(x) for x in vi] + [1])).bit_length() > 63:
-            return [idot(f, vi) for f in self._facets_int]
-        cols, high = self._packing
-        raw = ((idot(vi, cols) + high) ^ high).to_bytes(8 * len(self._facets_int), "little")
-        return memoryview(raw).cast("q")
+        return self._packed.products(vi)
 
     # -- membership --------------------------------------------------------
 
@@ -510,20 +503,37 @@ class ConeQ:
         if not self._facets_int:
             raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
         vl, dl = scaled_ints(direction)
-        sl = self._slots(vl)
-        if min(sl) <= 0:
-            return None
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
-            self._base = base, vk, dk, self._slots(vk)
-        _, vk, dk, sk = self._base
-        num, den, mask = -sk[0], sl[0], self._facet_gen_masks[0]
-        for k, l, m in zip(sk, sl, self._facet_gen_masks):
-            c = -k * den - num * l  # -k/l against num/den; l, den > 0
-            if c > 0:
-                num, den, mask = -k, l, m
-            elif c == 0:
-                mask &= m
+            self._base = base, vk, dk, self._groups(self._slots(vk))
+        _, vk, dk, groups = self._base
+        sl = self._slots(vl)
+        # per group: -f.K, the f.L of its best facet, and the group's f.L
+        # and masks (see the module docstring); L is interior iff the least
+        # f.L of every group is positive
+        tops = []
+        for n, get, masks in groups:
+            ls = get(sl)
+            least = min(ls)
+            if least <= 0:
+                return None
+            tops.append((n, least if n >= 0 else max(ls), ls, masks))
+        num, den = tops[0][:2]
+        for n, l, _, _ in tops:
+            if n * den > num * l:  # l, den > 0
+                num, den = n, l
+        # the facets reaching a: a whole group with f.K = 0, else the
+        # facets of a group with its best f.L
+        mask = (1 << len(self._gens_int)) - 1
+        for n, l, ls, masks in tops:
+            if n * den == num * l:
+                if not n:
+                    mask = reduce(and_, masks, mask)
+                    continue
+                i = -1
+                for _ in range(ls.count(l)):
+                    i = ls.index(l, i + 1)
+                    mask &= masks[i]
         scale = den * dk
         gens = self._gens_int
         face, rows, cells = self._face(mask)
@@ -567,6 +577,21 @@ class ConeQ:
         point = VecQ.from_scaled(p, scale)
         self._point = point, face
         return Fraction(num * dl, scale), point, tuple(witness)
+
+    def _groups(self, sk: Sequence[int]) -> list[tuple[int, itemgetter, tuple[int, ...]]]:
+        """The facets grouped by their value of f.K, given every f.K: per
+        group -f.K, a getter of the group's slots from any product, and the
+        group's generator masks."""
+        by_k: dict[int, list[int]] = {}
+        for j, k in enumerate(sk):
+            by_k.setdefault(k, []).append(j)
+        groups = []
+        for k, js in by_k.items():
+            # the first index twice, so that a one-facet group also gets a
+            # tuple; it changes no min, max or AND
+            get = itemgetter(*js, js[0])
+            groups.append((-k, get, get(self._facet_gen_masks)))
+        return groups
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

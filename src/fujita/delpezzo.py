@@ -33,6 +33,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from . import invariants
@@ -47,7 +48,7 @@ from .errors import (
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse
+from .qlinalg import MatQ, PackedRows, VecQ, as_rat, idot, scaled_ints, scaled_inverse
 
 
 @lru_cache(maxsize=None)
@@ -167,13 +168,14 @@ class SurfaceCurves(NamedTuple):
     `form` is the form times the lcm of its denominators.  A positive
     multiple of the form leaves every sign, the supports and the Gram
     solutions unchanged (the Gram matrix and the right-hand side scale
-    alike), so the kernel never divides by it.  `images[i]` is form times
-    curve i, so a class pairs with a curve in one integer dot product."""
+    alike), so the kernel never divides by it.  `images.rows[i]` is form
+    times curve i, so `images.products` pairs a class with every curve in
+    one packed product."""
 
     curves: tuple[VecQ, ...]
     form: list[list[int]]
     ints: tuple[list[int], ...]
-    images: tuple[list[int], ...]
+    images: PackedRows
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -193,7 +195,7 @@ def _surface_curves(m: VarietyModel) -> SurfaceCurves:
         if idot(v, image) < 0:
             kept.append((g, v, image))
     curves, ints, images = zip(*kept) if kept else ((), (), ())
-    return SurfaceCurves(curves, form, ints, images)
+    return SurfaceCurves(curves, form, ints, PackedRows(images))
 
 
 def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
@@ -202,50 +204,51 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
 
     Maintain a support set; each round adds every curve the current residual
     meets negatively and re-solves the Gram system so the residual is
-    orthogonal to the support.  The support grows strictly, bounded by the
-    curve count, so termination is structural; a non-unique or non-positive
-    Gram solution would contradict negative definiteness and trips the
-    internal guard.
+    orthogonal to the support.  A non-unique or non-positive Gram solution
+    would contradict negative definiteness and trips the internal guard.
 
     d is scaled once to D = den * d by the lcm of its denominators.  With
     det * G^-1 from `qlinalg.scaled_inverse` of the support's Gram matrix G,
     the multiplicities are y / (det * den) for the integer y = det * G^-1
     (D . F c_i), and the residual is carried as the integer vector
-    det * den * (d - N) = det * D - sum y_i c_i.  Fractions are built only
-    for the result.  The caller decides pseudo-effectivity.
+    det * den * (d - N) = det * D - sum y_i c_i.  Each round's scan pairs
+    the residual with every curve in one packed product
+    (`qlinalg.PackedRows`; one dot per curve once the products may pass 63
+    bits), and the first scan, of D, holds every right-hand side D . F c_i.
+    The residual meets each support curve in exactly 0, as det * rhs -
+    G y = 0, so a new curve is never in the support, which therefore grows
+    strictly, bounded by the curve count; a nonzero product on a support
+    curve means a broken solve and trips the guard.  Fractions are built
+    only for the result.  The caller decides pseudo-effectivity.
     """
     if d.dim != len(sc.form):
         raise DimensionMismatch("vector dimension mismatch")
     big_d, den = scaled_ints(d)
-    ints, images = sc.ints, sc.images
-    k = len(ints)
-    in_support = [False] * k
+    ints, images = sc.ints, sc.images.rows
     support: list[int] = []
     ys: list[int] = []
     det = 1
     residual = big_d
-    rounds = 0
+    first = meets = sc.images.products(big_d)
     while True:
-        new = [i for i in range(k) if not in_support[i] and idot(residual, images[i]) < 0]
-        if not new:
+        if any([meets[i] for i in support]):
+            raise InternalNonTermination("the residual meets a support curve")
+        if min(meets, default=0) >= 0:
             break
-        rounds += 1
-        if rounds > k + 1:
-            raise InternalNonTermination("support exceeded the curve count")
-        support.extend(new)
-        for i in new:
-            in_support[i] = True
+        # the curves with residual . F c_i < 0
+        support.extend(compress(range(len(ints)), map((0).__gt__, meets)))
         gram = [[idot(ints[i], images[j]) for j in support] for i in support]
         det, inverse = scaled_inverse(gram)
         if det == 0:
             raise InternalNonTermination("support Gram system is degenerate")
-        rhs = [idot(big_d, images[i]) for i in support]
+        rhs = [first[i] for i in support]
         ys = [idot(row, rhs) for row in inverse]
         if any(y <= 0 for y in ys):
             raise InternalNonTermination("nonpositive multiplicity in support")
         residual = [det * x for x in big_d]
         for y, i in zip(ys, support):
             residual = [r - y * c for r, c in zip(residual, ints[i])]
+        meets = sc.images.products(residual)
     scale = det * den
     return ZariskiDecomposition(
         positive=VecQ.from_scaled(residual, scale),

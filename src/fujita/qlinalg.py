@@ -21,11 +21,17 @@ is the one row update in the package: the simplex tableau, the echelon
 forms behind rank, pivot columns, inverses and solves, and the symmetric
 reduction of `inertia` all run on it.  Rows share one denominator, kept
 positive, so stored signs are true signs.
+
+`PackedRows` is the one home of the packed product: every row.v of a
+fixed set of integer rows from one big-integer product, with its width
+and byte-order guards.  The cone's facet products and the Zariski curve
+scan both read it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -261,6 +267,41 @@ class MatQ:
 def idot(a: Sequence[int], b: Sequence[int]) -> int:
     """Dot product of two integer sequences."""
     return sum(map(mul, a, b))
+
+
+class PackedRows:
+    """A fixed tuple of integer rows whose products row.v with any integer
+    vector v are read off one big-integer product (Kronecker
+    substitution; SIMD within a register, Lamport 1975).
+
+    The packing is built once: x = sum_t v_t P_t + HIGH, P_t = sum_j
+    r_jt 2^(64 j), HIGH the top bit of every 64-bit slot, holds r_j.v +
+    2^63 in slot j.  While l1 * max|v_t| < 2^63 (l1 the largest absolute
+    row sum), no slot borrows or carries, and x ^ HIGH holds every r_j.v
+    in two's complement, read as one `memoryview` cast to signed 64-bit
+    slots.  A larger product, rows with l1 >= 2^63, or a big-endian host
+    take one `idot` per row instead."""
+
+    __slots__ = ("rows", "_l1", "_packing")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = tuple(rows)
+        self._l1 = max([sum(map(abs, r)) for r in self.rows], default=0)
+        self._packing = None
+        if self._l1 < 1 << 63:  # else no product fits the 64-bit slots
+            high = int.from_bytes((bytes(7) + b"\x80") * len(self.rows), "little")
+            biased = [b"".join([(x + (1 << 63)).to_bytes(8, "little") for x in c]) for c in zip(*self.rows)]
+            self._packing = [int.from_bytes(b, "little") - high for b in biased], high
+
+    def products(self, v: Sequence[int]) -> Sequence[int]:
+        """Every row.v, in row order: one packed product, or one `idot`
+        per row when the product needs more than 63 bits or the host is
+        big-endian."""
+        if sys.byteorder != "little" or (self._l1 * max([abs(x) for x in v] + [1])).bit_length() > 63:
+            return [idot(r, v) for r in self.rows]
+        cols, high = self._packing
+        raw = ((idot(v, cols) + high) ^ high).to_bytes(8 * len(self.rows), "little")
+        return memoryview(raw).cast("q")
 
 
 def pivot(rows: list[list[int]], r: int, c: int, d: int, first: int = 0) -> int:

@@ -23,8 +23,10 @@ kernel on `qlinalg.pivot`, the annihilator of the tight rays checks
 the span-dimension test of a fibration projection, one integer dot
 per facet checks the packed facet signs of membership and minimal faces,
 one integer dot per (facet, generator) pair checks the incidence masks
-read off DD, and the ray LP on a copy of the cone without facets checks
-the facet route for a and its minimal face.
+read off DD, the ray LP on a copy of the cone without facets checks
+the facet route for a and its minimal face, and the per-facet arg-max loop
+with one integer dot per facet checks the grouped arg-max of
+`ConeQ.min_a_with_point`.
 """
 
 from fractions import Fraction
@@ -792,3 +794,28 @@ def min_a_and_face_by_ray_lp(cone, base, direction):
     a, _ = fresh.min_a_with_witness(base, direction)
     face = minimal_face_by_facet_loop(cone, base + a * direction)
     return a, face.generators_in_face, face.span_dim
+
+
+def min_a_and_face_by_facet_loop(cone, base, direction):
+    """a and the generators of the boundary point's minimal face, as
+    `ConeQ.min_a_with_point` and `minimal_face` give them, or None when
+    direction is not interior: one integer dot per facet for f.L and f.K,
+    and the per-facet arg-max loop of the ratios -f.K / f.L, ANDing the
+    generator masks of the facets that reach a."""
+    if cone._facets_int is None:
+        cone._compute_facets()
+    vl, dl = scaled_ints(direction)
+    vk, dk = scaled_ints(base)
+    sl = [idot(f, vl) for f in cone._facets_int]
+    sk = [idot(f, vk) for f in cone._facets_int]
+    if min(sl) <= 0:
+        return None
+    num, den, mask = -sk[0], sl[0], cone._facet_gen_masks[0]
+    for k, l, m in zip(sk, sl, cone._facet_gen_masks):
+        c = -k * den - num * l  # -k/l against num/den; l, den > 0
+        if c > 0:
+            num, den, mask = -k, l, m
+        elif c == 0:
+            mask &= m
+    a = Fraction(num * dl, den * dk)
+    return a, frozenset(j for j in range(len(cone._gens_int)) if mask >> j & 1)

@@ -357,7 +357,7 @@ def check_random_cone(c, rng):
         check_packed_against_loop(c, v, seen)
     if c.facets:
         per_facet = len(c._facets_int)
-        small_cost = 1 if cones.sys.byteorder == "little" else per_facet
+        small_cost = 1 if qlinalg.sys.byteorder == "little" else per_facet
         for v in small:
             assert dots_taken(c, v) == small_cost, v
             if not v.is_zero():
@@ -446,13 +446,13 @@ class TestPackedSigns:
 
 
 class TestDotPath:
-    """The packed-sign cases again with `cones` reading the host as
+    """The packed-sign cases again with `qlinalg` reading the host as
     big-endian, so that every product, small ones too, takes one idot per
     facet."""
 
     @pytest.fixture(autouse=True)
     def big_endian(self, monkeypatch):
-        monkeypatch.setattr(cones, "sys", SimpleNamespace(byteorder="big"))
+        monkeypatch.setattr(qlinalg, "sys", SimpleNamespace(byteorder="big"))
 
     @settings(max_examples=150, deadline=None)
     @given(random_cones(), st.randoms(use_true_random=False))

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fujita import delpezzo, qlinalg
 from fujita.cones import ConeQ, Containment
 from fujita.delpezzo import (
     DelPezzoModel,
     SurfaceCase,
+    _surface_curves,
+    _zariski,
     curve_fujita,
     del_pezzo,
     enumerate_negative_curves,
@@ -21,12 +25,13 @@ from fujita.errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
     DimensionMismatch,
+    InternalNonTermination,
     NonPositiveDegree,
     NotPseudoEffective,
 )
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, inertia
-from conftest import random_rational_vector, sample_big_classes, vec
+from conftest import counting, random_rational_vector, sample_big_classes, vec
 from oracles import minus_one_curves_by_multisets, zariski_by_fractions
 
 CURVE_COUNTS = {7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
@@ -213,6 +218,107 @@ class TestZariskiKernelOracle:
                 with pytest.raises(NotPseudoEffective) as got:
                     route(d)
                 assert str(got.value) == str(expected.value), (name, d)
+
+
+def boundary_classes(surf, count, seed):
+    """a L + K for seeded big L = c*(-K) plus a few (-1)-curves, c > 0."""
+    rng = random.Random(seed)
+    gens = surf.eff_cone.generators
+    out = []
+    for _ in range(count):
+        bundle = rng.randint(1, 2) * -surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            bundle = bundle + rng.randint(1, 3) * gens[j]
+        out.append(fujita(surf, bundle).boundary_class)
+    return out
+
+
+class TestPackedCurveScan:
+    """The kernel's curve scan, one packed product per round (one dot per
+    curve past 63 bits), against the Fraction loop."""
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_boundary_classes_match_fraction_loop(self, monkeypatch, degree):
+        surf = del_pezzo(degree)
+        sc = _surface_curves(surf)
+        assert len(sc.curves) == CURVE_COUNTS[degree]
+        nonzero = 0
+        for d in boundary_classes(surf, 5 if degree == 1 else 15, 0x5CA7 + degree):
+            expected = zariski_by_fractions(sc.curves, surf.pair, surf.eff_cone, d)
+            assert _zariski(sc, d) == expected, d
+            nonzero += bool(expected.negative_support)
+            if d.is_zero():
+                continue
+            # D past 2^64: every scan takes one idot per curve
+            for n in (2**64 + 1, 2**200 + 3):
+                with monkeypatch.context() as mp:
+                    dots = counting(mp, qlinalg, "idot")
+                    got = _zariski(sc, n * d)
+                assert len(dots) >= len(sc.curves)
+                assert got == zariski_by_fractions(sc.curves, surf.pair, surf.eff_cone, n * d), d
+        assert nonzero > 0
+
+    def test_one_product_per_round_on_degree_two(self, monkeypatch):
+        # each round scans the curves with one packed product, and the last
+        # one finds none; every other idot is a Gram entry or a row of the
+        # Gram solve, so none runs per curve
+        surf = del_pezzo(2)
+        sc = _surface_curves(surf)
+        products = counting(monkeypatch, qlinalg.PackedRows, "products")
+        inverses = counting(monkeypatch, delpezzo, "scaled_inverse")
+        dots = [counting(monkeypatch, owner, "idot") for owner in (qlinalg, delpezzo)]
+        rounds_seen = set()
+        for d in boundary_classes(surf, 40, 0x2D07):
+            for calls in [products, inverses, *dots]:
+                calls.clear()
+            res = _zariski(sc, d)
+            sizes = [len(gram) for (gram,) in inverses]
+            assert len(products) == len(sizes) + 1
+            assert sum(map(len, dots)) == len(products) + sum(n * n + n for n in sizes)
+            assert sum(sizes[-1:]) == len(res.negative_support)
+            rounds_seen.add(len(sizes))
+        assert {0, 1} <= rounds_seen
+
+    def test_support_grown_over_two_rounds(self, monkeypatch):
+        # curves C1, C2 with C1^2 = -1, C2^2 = -2, C1.C2 = 1: D = 3 C1 + C2
+        # meets only C1 negatively, and D - 2 C1 then meets C2 negatively,
+        # so the Gram right-hand sides of round two are D's, not the
+        # residual's.  No del Pezzo class needs a second round.
+        m = VarietyModel(
+            "raw-chain", 3, vec(-3, 1, 1), ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]),
+            intersection_form=MatQ([[1, 0, 0], [0, -1, 1], [0, 1, -2]]),
+        )
+        sc = _surface_curves(m)
+        inverses = counting(monkeypatch, delpezzo, "scaled_inverse")
+        rng = random.Random(0xC4A1)
+        classes = [vec(0, 3, 1), vec(1, 3, 1), vec(2, 5, 2)]
+        classes += [vec(rng.randint(0, 4), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(30)]
+        two_rounds = 0
+        for d in classes:
+            for n in (1, 2**64 + 1):
+                inverses.clear()
+                assert _zariski(sc, n * d) == zariski_by_fractions(sc.curves, m.pair, m.eff_cone, n * d), d
+                two_rounds += len(inverses) == 2
+        assert two_rounds >= 6
+
+    def test_a_wrong_inverse_is_caught(self, monkeypatch):
+        # a planted determinant twice the true one leaves the residual
+        # negative on the support curves, a doubled inverse positive: both
+        # mean a broken solve, never a new curve
+        surf = del_pezzo(3)
+        sc = _surface_curves(surf)
+        d = next(d for d in boundary_classes(surf, 20, 0xBAD) if _zariski(sc, d).negative_support)
+        solve = delpezzo.scaled_inverse
+        plants = (
+            lambda det, inv: (2 * det, inv),
+            lambda det, inv: (det, [[2 * x for x in r] for r in inv]),
+        )
+        for plant in plants:
+            monkeypatch.setattr(delpezzo, "scaled_inverse", lambda rows: plant(*solve(rows)))
+            with pytest.raises(InternalNonTermination, match="meets a support curve"):
+                _zariski(sc, d)
+        monkeypatch.undo()
+        assert _zariski(sc, d) == zariski_by_fractions(sc.curves, surf.pair, surf.eff_cone, d)
 
 
 class TestSurfaceB:

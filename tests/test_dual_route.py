@@ -24,7 +24,7 @@ from fujita.qlinalg import MatQ, VecQ, nullspace
 from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
 from conftest import counting, dots_taken, random_rational_vector, vec, with_fresh_cone
-from oracles import min_a_and_face_by_ray_lp
+from oracles import min_a_and_face_by_facet_loop, min_a_and_face_by_ray_lp
 
 HUGE = (2**64 + 1, 2**200 + 3)
 
@@ -42,17 +42,20 @@ def check_dual_route(c, base, direction):
     base + a*direction, and the witness nonnegative, on the face and
     recombine to it.  On a simplicial face the witness is the one
     combination there is, so it must equal `solve_lp`'s on the face's
-    generators.  Returns whether the direction was interior."""
+    generators.  a and the face must also equal the per-facet arg-max
+    loop's.  Returns whether the direction was interior."""
     assert c._facets_int is not None
     got = c.min_a_with_point(base, direction)
     expected = min_a_and_face_by_ray_lp(c, base, direction)
+    by_loop = min_a_and_face_by_facet_loop(c, base, direction)
     if expected is None:
-        assert got is None, (base, direction)
+        assert got is None and by_loop is None, (base, direction)
         return False
     a, point, witness = got
     face = c.minimal_face(point)
     assert point == base + a * direction
     assert (a, face.generators_in_face, face.span_dim) == expected, (base, direction)
+    assert (a, face.generators_in_face) == by_loop, (base, direction)
     assert len(witness) == len(c.generators)
     assert all(w >= 0 for w in witness)
     assert {j for j, w in enumerate(witness) if w} <= face.generators_in_face
@@ -162,6 +165,64 @@ def test_toric_bundles_match_ray_lp(toric_fans):
             coeffs = [rng.randint(lo, 3) for _ in fan.rays]
             big += check_dual_route(c, m.canonical, pres.divisor_class(coeffs))
         assert big >= 15, name
+
+
+def tie_groups(c, base, a, direction):
+    """The distinct f.K over the facets that reach a: those vanishing at
+    base + a*direction."""
+    point = base + a * direction
+    return {f.dot(base) for f in c.facets if f.dot(point) == 0}
+
+
+def test_grouped_arg_max_on_every_sign_of_fk():
+    # the orthant, its facets x, y, z >= 0: groups of f.K < 0 (min of the
+    # f.L), f.K = 0 (every ratio 0) and f.K > 0 (max of the f.L)
+    c = with_facets(ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]))
+    cases = [
+        # base, direction, a, the generators of the point's face
+        ((-1, 0, 1), (1, 1, 1), 1, {1, 2}),
+        ((-1, 0, 1), (3, 1, 2), Fraction(1, 3), {1, 2}),
+        ((0, 0, 1), (1, 2, 1), 0, {2}),
+        ((0, 2, 1), (1, 2, 1), 0, {1, 2}),
+        ((1, 2, 3), (1, 1, 1), -1, {1, 2}),
+        ((1, 2, 3), (2, 1, 5), Fraction(-1, 2), {1, 2}),
+        # a reached in two groups (f.K = -1 and -2), and in three
+        ((-1, -2, 1), (1, 2, 1), 1, {2}),
+        ((1, 2, 3), (1, 2, 3), -1, set()),
+        ((-2, 0, -1), (2, 5, 1), 1, {1}),
+    ]
+    signs, ties = set(), 0
+    for base, direction, a, face in cases:
+        base, direction = vec(*base), vec(*direction)
+        assert check_dual_route(c, base, direction)
+        assert c.min_a_with_point(base, direction)[0] == a
+        assert c.minimal_face(base + a * direction).generators_in_face == face
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
+        ties += len(tie_groups(c, base, a, direction)) > 1
+    assert signs == {-1, 0, 1} and ties == 3
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_grouped_arg_max_on_del_pezzo_cones_with_mixed_bases(degree):
+    # bases of every sign against the del Pezzo facets (not K, whose f.K
+    # is -2 or -3 on every facet): many groups, ties across groups included
+    surf = del_pezzo(degree)
+    c = with_facets(surf.variety().eff_cone)
+    rng = random.Random(0x6A0 + degree)
+    gens = list(c.generators)
+    signs, ties = set(), 0
+    for i in range(150):
+        base = vec(*[rng.randint(-3, 3) for _ in range(c.ambient_dim)])
+        if i % 3 == 0:
+            base = surf.canonical + rng.choice(gens)
+        direction = -1 * surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(0, 2)):
+            direction = direction + rng.randint(1, 2) * gens[j]
+        assert check_dual_route(c, base, direction)
+        a = c.min_a_with_point(base, direction)[0]
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
+        ties += len(tie_groups(c, base, a, direction)) > 1
+    assert signs == {-1, 0, 1} and ties > 10
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fujita import qlinalg
 from fujita.errors import DimensionMismatch
 from fujita.qlinalg import (
     MatQ,
@@ -19,7 +21,7 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
-from conftest import identity, transpose, unit
+from conftest import counting, identity, transpose, unit
 from oracles import (
     add_fractions_bigint,
     det_by_permutations,
@@ -448,3 +450,76 @@ class TestInertia:
                 ]
             )
             assert inertia(prod) == expected
+
+
+def products_by_loop(rows, v):
+    return [sum(a * b for a, b in zip(r, v)) for r in rows]
+
+
+def dots_in(monkeypatch, packed, v):
+    """products(v) and the number of idot calls it took."""
+    with monkeypatch.context() as mp:
+        calls = counting(mp, qlinalg, "idot")
+        got = list(packed.products(v))
+    return got, len(calls)
+
+
+class TestPackedRows:
+    """Every row.v from one packed product while l1 * max|v| < 2^63 (l1
+    the largest absolute row sum), one idot per row past that, and the same
+    numbers either way."""
+
+    # l1 = 1, 2, 3 and a row entry past 2^63, which no slot can hold
+    ROWS = ([(1,)], [(1, 0), (1, 1)], [(1, 2), (0, 1)], [(2**64, 1), (0, 1)])
+
+    def test_width_boundary(self, monkeypatch):
+        # s = +-2^63 does not fit a 64-bit slot; one bit less carries into
+        # the next slot (or out of the last one) and flips the sign read
+        paths = set()
+        for rows in self.ROWS:
+            packed = qlinalg.PackedRows(rows)
+            l1 = max(sum(map(abs, r)) for r in rows)
+            for e in (62, 63, 64):
+                for x in (2**e - 1, 2**e, 2**e + 1):
+                    for v in ((x,), (x, 0), (x, x), (x, -x), (0, x), (x, 1)):
+                        if len(v) != len(rows[0]):
+                            continue
+                        for w in (v, tuple(-t for t in v)):
+                            got, dots = dots_in(monkeypatch, packed, w)
+                            assert got == products_by_loop(rows, w), (rows, w)
+                            fits = l1 * max(map(abs, w)) < 2**63
+                            assert dots == (1 if fits else len(rows)), (rows, w)
+                            paths.add(fits)
+        assert paths == {True, False}
+
+    def test_slot_edges(self, monkeypatch):
+        # with l1 = 1, products of +-(2^63 - 1) are the widest a slot
+        # holds, next to each other in both orders; 2^63 takes the dots
+        packed = qlinalg.PackedRows([(1, 0), (0, -1), (1, 0)])
+        edge = 2**63 - 1
+        for v in ((edge, 0), (0, edge), (-edge, edge), (edge, -edge), (-edge, 1)):
+            got, dots = dots_in(monkeypatch, packed, v)
+            assert got == products_by_loop(packed.rows, v) and dots == 1, v
+        for v in ((edge + 1, 0), (0, -edge - 1)):
+            got, dots = dots_in(monkeypatch, packed, v)
+            assert got == products_by_loop(packed.rows, v) and dots == 3, v
+
+    def test_random_rows(self, monkeypatch, rng):
+        for _ in range(200):
+            d = rng.randint(1, 6)
+            rows = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(rng.randint(1, 40))]
+            packed = qlinalg.PackedRows(rows)
+            for bits in (3, 20, 58, 64, 200):
+                v = [rng.randint(-(2**bits), 2**bits) for _ in range(d)]
+                assert dots_in(monkeypatch, packed, v)[0] == products_by_loop(rows, v)
+
+    def test_no_rows(self):
+        assert list(qlinalg.PackedRows(()).products([1, 2])) == []
+
+    def test_big_endian_takes_one_dot_per_row(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "sys", SimpleNamespace(byteorder="big"))
+        for rows in self.ROWS:
+            packed = qlinalg.PackedRows(rows)
+            for v in ((1,), (3, -2), (2**62, 1)):
+                if len(v) == len(rows[0]):
+                    assert dots_in(monkeypatch, packed, v) == (products_by_loop(rows, v), len(rows))
