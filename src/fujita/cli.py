@@ -115,7 +115,7 @@ def _report_balanced(path: str, strict_fan: bool) -> list:
 def _report_zariski(path: str, strict_fan: bool) -> dict:
     problem = modelio.load_problem(path, strict_fan)
     m = problem.model.variety
-    if problem.model.kind == "toric" or m.intersection_form is None:
+    if m.intersection_form is None:
         raise SchemaError(
             "zariski needs a model with an intersection form (del_pezzo or lattice surface)",
             "$.model",

@@ -1,25 +1,24 @@
 """Finitely generated rational polyhedral cones.
 
-A `ConeQ` is stored by its generators (primitive integer vectors); the facet
+A `ConeQ` is an effective cone: full-dimensional and strict.  It is stored
+by its generators (primitive integer vectors), and the constructor checks
+once that they span Q^ambient_dim (one elimination) and that the cone
+contains no line (one LP: no nonzero nonnegative combination of the
+generators vanishes), raising InvalidModel otherwise.  The facet
 description is computed lazily by the double description method with
-lexicographic insertion order and memoized on the cone.  A cone that
-spans a proper subspace is dualized by the same one run, on its generators
-together with the annihilator of its span as +/- equation pairs; those
-pairs are then listed among the facets.
+lexicographic insertion order and memoized on the cone.
 
 Until the facets exist, membership and the least a with base +
 a*direction in the cone solve one LP, the ray LP; membership takes v along
-the generator sum, which lies in relint(cone(G)): v is outside iff that
-least a is positive or none exists, and in the relative interior iff it is
-negative or unbounded below.  Strictness is one memoized LP: the cone is
-strict iff no nonzero nonnegative combination of the generators vanishes.
+the generator sum, which is interior, so the least a exists: v is outside
+iff it is positive, on the boundary iff it is 0, and interior iff it is
+negative.
 
 Once the facets exist, membership and the minimal face read every f_j.v
 off one packed product (`qlinalg.PackedRows`, built once with the
 facets).  v is outside iff some f_j.v < 0 and on the boundary iff the
-least is 0 (with no facets, the whole space, every v is interior); its
-minimal face is cut out by the facets vanishing at v: the generators on
-all of them.
+least is 0; its minimal face is cut out by the facets vanishing at v:
+the generators on all of them.
 
 Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
@@ -83,17 +82,15 @@ from math import gcd
 from operator import and_, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
-from . import qlinalg
 from .errors import (
     DimensionMismatch,
     Infeasible,
     InternalError,
-    NonStrictCone,
+    InvalidModel,
     OutsideCone,
     UnboundedBelow,
 )
 from .qlinalg import (
-    MatQ,
     PackedRows,
     VecQ,
     idot,
@@ -101,8 +98,6 @@ from .qlinalg import (
     primitive_int,
     scaled_ints,
     scaled_inverse,
-    sign_normalized,
-    span_dim,
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
@@ -252,29 +247,25 @@ class FaceQ(NamedTuple):
 
 
 class ConeQ:
-    """Rational polyhedral cone given by generators, with a lazy dual
-    (facet) description."""
+    """Full-dimensional strict rational polyhedral cone given by
+    generators, with a lazy dual (facet) description."""
 
     __slots__ = (
         "ambient_dim",
         "_gens",
         "_gens_int",
-        "_dim",
         "_facets_int",
         "_facet_gen_masks",
         "_faces",
         "_point",
         "_base",
         "_packed",
-        "_strict",
     )
 
     def __init__(self, generators: Iterable, ambient_dim: int | None = None):
         raw = [g if isinstance(g, VecQ) else VecQ(g) for g in generators]
         if ambient_dim is None:
-            if not raw:
-                raise ValueError("ambient_dim required for a cone with no generators")
-            ambient_dim = raw[0].dim
+            ambient_dim = raw[0].dim if raw else 0
         for g in raw:
             if g.dim != ambient_dim:
                 raise DimensionMismatch("generator dimension mismatch")
@@ -282,35 +273,35 @@ class ConeQ:
         self.ambient_dim = ambient_dim
         self._gens_int = tuple(ints)
         self._gens = tuple([VecQ.from_scaled(g, 1) for g in ints])
-        self._dim = None
         self._facets_int = None
         self._facet_gen_masks = None
         self._faces = {}
         self._point = None
         self._base = None
         self._packed = None
-        self._strict = None
+        if not ints:
+            raise InvalidModel("effective cone needs a nonzero generator")
+        # the rank by one elimination of the ambient_dim coordinate rows
+        if len(pivot_columns(ints)) < ambient_dim:
+            raise InvalidModel(f"effective cone generators must span Q^{ambient_dim}")
+        if not self.is_strict():
+            raise InvalidModel("effective cone must be strict (no lines)")
 
     @property
     def generators(self) -> tuple[VecQ, ...]:
         return self._gens
 
     def dim(self) -> int:
-        """Dimension of the linear span of the cone."""
-        if self._dim is None:
-            self._dim = span_dim(self._gens_int)
-        return self._dim
-
-    def is_full_dimensional(self) -> bool:
-        return self.dim() == self.ambient_dim
+        """Dimension of the cone, which spans its ambient space."""
+        return self.ambient_dim
 
     # -- dual description -------------------------------------------------
 
     @property
     def facets(self) -> tuple[VecQ, ...]:
-        """Irredundant facet normals (plus +/- equation pairs when the cone
-        is not full dimensional), primitive integer, lexicographic order.
-        Built anew on each call from the integer rows the cone keeps."""
+        """Irredundant facet normals, primitive integer, lexicographic
+        order.  Built anew on each call from the integer rows the cone
+        keeps."""
         if self._facets_int is None:
             self._compute_facets()
         return tuple([VecQ.from_scaled(f, 1) for f in self._facets_int])
@@ -321,34 +312,11 @@ class ConeQ:
         return self._facets_int
 
     def _compute_facets(self):
-        """The facets, the generators each annihilates (DD's zero sets, less
-        the equation rows, which vanish on every generator) and their packed
-        products."""
-        d = self.ambient_dim
-        gens = self._gens_int
-        every = (1 << len(gens)) - 1
-        if not gens:
-            normals = []
-            for i in range(d):
-                e = tuple(1 if j == i else 0 for j in range(d))
-                normals += [e, tuple(-x for x in e)]
-            zero_sets = [0] * len(normals)
-        elif self.dim() == d:
-            normals, zero_sets = _dd_extremal_rays(list(gens), d)
-        else:
-            # the facet normals of a lower-dimensional cone are taken in its
-            # span: the annihilator joins the DD input as +/- equations
-            eqs = [
-                sign_normalized(primitive_int(v))
-                for v in qlinalg.nullspace(MatQ(gens))
-            ]
-            eqs += [tuple([-x for x in e]) for e in eqs]
-            normals, zero_sets = _dd_extremal_rays(list(gens) + eqs, d)
-            normals += eqs
-            zero_sets += [every] * len(eqs)
-        ordered = sorted(zip(normals, zero_sets))
+        """The facets, the generators each annihilates (DD's zero sets) and
+        their packed products."""
+        ordered = sorted(zip(*_dd_extremal_rays(list(self._gens_int), self.ambient_dim)))
         facets_int = tuple([f for f, _ in ordered])
-        self._facet_gen_masks = tuple([z & every for _, z in ordered])
+        self._facet_gen_masks = tuple([z for _, z in ordered])
         self._packed = PackedRows(facets_int)
         self._facets_int = facets_int
 
@@ -367,28 +335,23 @@ class ConeQ:
         description exists, and by an equivalent exact LP before that."""
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
-        if not self._gens_int:
-            return Containment.BOUNDARY if v.is_zero() else Containment.OUTSIDE
-        if v.is_zero() and self._strict:
+        if v.is_zero():
             return Containment.BOUNDARY
         if self._facets_int is not None:
-            # no facets: the cone is the whole space
-            least = min(self._slots(scaled_ints(v)[0]), default=1)
+            least = min(self._slots(scaled_ints(v)[0]))
             if least < 0:
                 return Containment.OUTSIDE
             return Containment.BOUNDARY if least == 0 else Containment.INSIDE
-        # the a with v + a*total in the cone form [a*, oo), all of Q, or
-        # nothing when v is off the span (see the module docstring)
+        # the a with v + a*total in the cone form [a*, oo): total is
+        # interior and -total is not in the cone (see the module docstring)
         res = self._ray_lp(v, [sum(col) for col in zip(*self._gens_int)])
-        if res.status is LPStatus.INFEASIBLE:
-            return Containment.OUTSIDE
+        if res.status is not LPStatus.OPTIMAL:
+            raise InternalError(f"membership ray LP is {res.status.value}")
         k = len(self._gens_int)
-        a = -1 if res.status is LPStatus.UNBOUNDED else res.x[k] - res.x[k + 1]
+        a = res.x[k] - res.x[k + 1]
         if a > 0:
             return Containment.OUTSIDE
-        if a < 0 and self.is_full_dimensional():
-            return Containment.INSIDE
-        return Containment.BOUNDARY
+        return Containment.INSIDE if a < 0 else Containment.BOUNDARY
 
     def express_nonneg(self, v: VecQ) -> tuple[Fraction, ...] | None:
         """A nonnegative combination of the generators equal to v, or None.
@@ -399,8 +362,6 @@ class ConeQ:
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
         gens = self._gens_int
-        if not gens:
-            return () if v.is_zero() else None
         a_rows = [[g[t] for g in gens] for t in range(self.ambient_dim)]
         res = solve_lp(a_rows, list(v.entries), [0] * len(gens))
         if res.status is LPStatus.INFEASIBLE:
@@ -411,17 +372,13 @@ class ConeQ:
 
     def is_strict(self) -> bool:
         """True iff the cone contains no line, that is, no nonzero
-        nonnegative combination of the generators vanishes (one LP,
-        memoized)."""
-        if self._strict is None:
-            gens = self._gens_int
-            d = self.ambient_dim
-            k = len(gens)
-            a_rows = [[g[t] for g in gens] for t in range(d)] + [[1] * k]
-            self._strict = not gens or (
-                solve_lp(a_rows, [0] * d + [1], [0] * k).status is LPStatus.INFEASIBLE
-            )
-        return self._strict
+        nonnegative combination of the generators vanishes: one LP, the
+        check the constructor runs."""
+        gens = self._gens_int
+        d = self.ambient_dim
+        k = len(gens)
+        a_rows = [[g[t] for g in gens] for t in range(d)] + [[1] * k]
+        return solve_lp(a_rows, [0] * d + [1], [0] * k).status is LPStatus.INFEASIBLE
 
     # -- faces ---------------------------------------------------------------
 
@@ -433,15 +390,9 @@ class ConeQ:
         One packed product both rejects v (a negative slot) and marks the
         facets vanishing at v (its zero slots); a generator is in the face
         iff it vanishes on all of them.  The last boundary point that
-        `min_a_with_point` returned is read from its slot instead.  On a
-        non-strict cone an outside v still raises OutsideCone before
-        NonStrictCone."""
+        `min_a_with_point` returned is read from its slot instead."""
         if v.dim != self.ambient_dim:
             raise DimensionMismatch("vector dimension mismatch")
-        if not self.is_strict():
-            if self.contains(v) is Containment.OUTSIDE:
-                raise OutsideCone(f"{v!r} is outside the cone")
-            raise NonStrictCone("minimal_face requires a strict cone")
         if self._point is not None and self._point[0] == v:
             return self._point[1]
         if v.is_zero():
@@ -491,8 +442,7 @@ class ConeQ:
         checked in integers.  K's products are kept for the next call with
         an equal base, and the point with its face for `minimal_face`.
         Without the facets, `contains` and the ray LP answer: a alone never
-        forces them.  Both routes raise UnboundedBelow on the whole space
-        (no facets)."""
+        forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets_int is None:
@@ -500,8 +450,6 @@ class ConeQ:
                 return None
             a, witness = self.min_a_with_witness(base, direction)
             return a, base + a * direction, witness
-        if not self._facets_int:
-            raise UnboundedBelow("no finite minimum along the ray; the cone is the whole space")
         vl, dl = scaled_ints(direction)
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
@@ -605,10 +553,7 @@ class ConeQ:
         if res.status is LPStatus.INFEASIBLE:
             raise Infeasible("ray never meets the cone")
         if res.status is LPStatus.UNBOUNDED:
-            raise UnboundedBelow(
-                "no finite minimum along the ray; direction is not big "
-                "or the cone is not strict"
-            )
+            raise UnboundedBelow("no finite minimum along the ray; direction is not big")
         a = res.x[k] - res.x[k + 1]
         return a, res.x[:k]
 
@@ -633,7 +578,7 @@ class ConeQ:
 
 def dualize(c: ConeQ) -> list[VecQ]:
     """Irredundant facet normals of the cone, deterministic (lexicographic)
-    order; degenerate cones yield inequality normals plus +/- equations."""
+    order."""
     return list(c.facets)
 
 

@@ -27,17 +27,12 @@ class OutsideCone(FujitaError):
     """A vector required to lie in a cone does not."""
 
 
-class NonStrictCone(FujitaError):
-    """Operation requires a cone with trivial lineality space."""
-
-
 class Infeasible(FujitaError):
     """The ray never meets the cone."""
 
 
 class UnboundedBelow(FujitaError):
-    """The ray optimization has no finite minimum (direction not big,
-    or the cone is not strict)."""
+    """The ray optimization has no finite minimum (direction not big)."""
 
 
 # --- invariants -------------------------------------------------------

@@ -76,6 +76,12 @@ def load_catalog(strict_fan: bool = False) -> dict[str, Fixture]:
             if fid in catalog:
                 raise SchemaError(f"duplicate fixture id {fid!r}")
             problem = modelio.parse_problem(doc, strict_fan=strict_fan)
+            expected = modelio._expect_dict(doc.get("expected", {}), "$.expected")
+            for key in ("balanced_toric", "fibration_b"):
+                if key in expected and problem.bundle_toric_coeffs is None:
+                    raise SchemaError("needs a toric model and a toric_coeffs bundle", f"$.expected.{key}")
+            if "fibration_b" in expected and problem.fibration is None:
+                raise SchemaError("needs a fibration block", "$.expected.fibration_b")
         except SchemaError as e:
             raise SchemaError(e.message, f"{entry}: {e.path}") from None
         sub_expected = {}
@@ -87,7 +93,7 @@ def load_catalog(strict_fan: bool = False) -> dict[str, Fixture]:
             description=str(doc.get("description", "")),
             source=str(doc.get("source", "")),
             problem=problem,
-            expected=doc.get("expected", {}),
+            expected=expected,
             sub_expected=sub_expected,
         )
     return catalog

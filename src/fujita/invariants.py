@@ -109,8 +109,6 @@ class VarietyModel(_ModelFields):
             raise InvalidModel("canonical class dimension does not match rank")
         if self.eff_cone.ambient_dim != self.ns_rank:
             raise InvalidModel("effective cone ambient dimension does not match rank")
-        if not self.eff_cone.is_strict():
-            raise InvalidModel("effective cone must be strict (no lines)")
         form = self.intersection_form
         if form is not None:
             if form.rows != self.ns_rank or form.cols != self.ns_rank:

@@ -149,10 +149,10 @@ def _parse_model(node, path: str, strict_fan: bool = False) -> LoadedModel:
         quadric = node.get("quadric", False)
         if not isinstance(quadric, bool):
             raise SchemaError("'quadric' must be a boolean", f"{path}.quadric")
+        if quadric and degree != 8:
+            raise SchemaError("the quadric surface has degree 8", f"{path}.degree")
         try:
             surf = delpezzo.quadric_surface() if quadric else delpezzo.del_pezzo(degree)
-            if surf.provenance.degree != degree:
-                delpezzo.DelPezzoModel(degree, quadric)  # another degree: the constructor raises
         except DegreeOutOfRange as e:
             raise SchemaError(str(e), f"{path}.degree") from None
         return LoadedModel("del_pezzo", surf, surface=surf)

@@ -196,14 +196,6 @@ def primitive_int(entries: Iterable) -> tuple[int, ...]:
     return tuple([v // g for v in ints] if g > 1 else ints)
 
 
-def sign_normalized(entries: Sequence[int]) -> tuple[int, ...]:
-    """Flip sign so the first nonzero entry is positive (for equations)."""
-    for v in entries:
-        if v != 0:
-            return tuple(entries) if v > 0 else tuple(-x for x in entries)
-    return tuple(entries)
-
-
 class MatQ:
     """Immutable dense matrix of exact rationals (row major)."""
 

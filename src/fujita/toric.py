@@ -59,7 +59,7 @@ from .errors import (
     OutsideCone,
     ProjectionIncompatible,
 )
-from .invariants import Toric, VarietyModel
+from .invariants import MEMO_BOUND, Toric, VarietyModel
 from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
@@ -278,10 +278,11 @@ class NSPresentation(NamedTuple):
         return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def ns_presentation(f: Fan) -> NSPresentation:
     """Deterministic class-group presentation: pivot rays are the first
-    lattice_dim rays that are linearly independent, in ray order."""
+    lattice_dim rays that are linearly independent, in ray order.  The
+    last MEMO_BOUND fans' presentations are kept."""
     pivots = qlinalg.pivot_columns(f.rays)
     if len(pivots) < f.lattice_dim:
         raise IncompleteFan("rays do not span the lattice")
@@ -302,10 +303,11 @@ def effective_cone(f: Fan) -> ConeQ:
     return variety_model(f).eff_cone
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def variety_model(f: Fan) -> VarietyModel:
     """The model of the fan, its cone's facets built: every toric query
-    reads them, and DD on these cones is cheap."""
+    reads them, and DD on these cones is cheap.  The last MEMO_BOUND
+    fans' models are kept, with their facets and faces."""
     pres = ns_presentation(f)
     cone = ConeQ(pres.ray_classes, ambient_dim=pres.rank)
     cone.facets

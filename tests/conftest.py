@@ -4,13 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fujita import cones, delpezzo, invariants, qlinalg, toric
 from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
-from fujita.qlinalg import MatQ, VecQ, scaled_ints
+from fujita.qlinalg import MatQ, VecQ, scaled_ints, span_dim
 
 MEMOS = (invariants.fujita, delpezzo.zariski_for_variety)
 
@@ -59,6 +60,21 @@ def dots_taken(c, v) -> int:
         calls = [counting(mp, owner, "idot") for owner in (cones, qlinalg)]
         c._slots(scaled_ints(v)[0])
     return sum(map(len, calls))
+
+
+@st.composite
+def random_cones(draw):
+    """Cones in dimensions 1-5, each full-dimensional and strict, as every
+    ConeQ is: d to d + 3 nonnegative combinations of a random basis B of
+    Q^d whose coefficient vectors span Q^d, so the cone spans Q^d and lies
+    in the simplicial cone of B.  Zero and repeated generators occur."""
+    d = draw(st.integers(1, 5))
+    rows = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    basis = draw(st.lists(rows, min_size=d, max_size=d).filter(lambda b: span_dim(b) == d))
+    coefs = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    combos = draw(st.lists(coefs, min_size=d, max_size=d + 3).filter(lambda cs: span_dim(cs) == d))
+    gens = [[sum(k * b[t] for k, b in zip(cs, basis)) for t in range(d)] for cs in combos]
+    return ConeQ(gens, ambient_dim=d)
 
 
 def with_fresh_cone(m):

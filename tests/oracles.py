@@ -13,8 +13,7 @@ the pruned (-1)-curve recursion, one rational solve per cone and
 direction checks the integer fan-coverage test, the Fraction loop checks
 the integer Zariski kernel, one rational solve on the pivot rays checks
 the integer toric class map, the support LP of the divisor polytope checks
-toric rigidity read off the minimal face, reduction to the span with a Gram lift checks
-the one-DD dual of lower-dimensional cones, a nullspace wall normal
+toric rigidity read off the minimal face, a nullspace wall normal
 with a Fraction lattice walk checks the strict fan checks, an LP of
 another shape (v minus a bounded multiple of the generator sum) checks
 membership by the ray LP, the forward Bareiss echelon with Fraction
@@ -36,13 +35,12 @@ from math import gcd, prod
 from typing import Sequence
 
 from fujita import qlinalg
-from fujita.cones import ConeQ, Containment, FaceQ, _dd_extremal_rays
+from fujita.cones import ConeQ, Containment, FaceQ
 from fujita.delpezzo import ZariskiDecomposition
 from fujita.errors import (
     DimensionMismatch,
     IncompleteFan,
     InternalNonTermination,
-    NonStrictCone,
     NonTerminalCone,
     NotPseudoEffective,
     OutsideCone,
@@ -54,10 +52,7 @@ from fujita.qlinalg import (
     VecQ,
     as_rat,
     idot,
-    pivot_columns,
-    primitive_int,
     scaled_ints,
-    sign_normalized,
     solve,
     span_dim,
 )
@@ -163,7 +158,7 @@ def minimal_face_generators_lp(cone, v) -> frozenset:
 def contains_by_lp(cone, v) -> Containment:
     """Membership before facets exist, by the LP max t <= 1 with v - t*total
     a nonnegative combination of the generators, total their sum: v is in
-    the cone iff t = 0 is feasible, and in its relative interior iff t* > 0."""
+    the cone iff t = 0 is feasible, and in its interior iff t* > 0."""
     gens = cone._gens_int
     d = cone.ambient_dim
     k = len(gens)
@@ -180,9 +175,7 @@ def contains_by_lp(cone, v) -> Containment:
         return Containment.OUTSIDE
     assert res.status is LPStatus.OPTIMAL
     t_star = res.x[k]
-    if t_star > 0 and cone.is_full_dimensional():
-        return Containment.INSIDE
-    return Containment.BOUNDARY
+    return Containment.INSIDE if t_star > 0 else Containment.BOUNDARY
 
 
 def add_fractions_bigint(an, ad, bn, bd):
@@ -438,45 +431,6 @@ def divisor_class_by_solve(pres, coeffs) -> VecQ:
     return VecQ([xs[i] - mv.dot(VecQ(f.rays[i])) for i in pres.basis_rays])
 
 
-def facets_of_degenerate_by_reduction(cone) -> list:
-    """Facets of a cone spanning a proper subspace: reduce to the span,
-    dualize there, lift back, and add the +/- annihilator equations.
-    Sorted, as `ConeQ.facets` lists them."""
-    gens = cone._gens_int
-    d = cone.ambient_dim
-    kernel = [
-        sign_normalized(primitive_int(v.entries))
-        for v in qlinalg.nullspace(MatQ(gens))
-    ]
-    # independent generator subset spanning the cone, in lex order
-    sorted_gens = sorted(set(gens))
-    span_basis = [sorted_gens[p] for p in pivot_columns(sorted_gens)]
-    r = cone.dim()
-    bmat = MatQ(zip(*span_basis))  # columns are the basis vectors
-    reduced = []
-    for g in gens:
-        sol = qlinalg.solve(bmat, VecQ(g))
-        assert sol is not None
-        reduced.append(primitive_int(sol.particular))
-    inner, _ = _dd_extremal_rays(list(set(reduced)), r)
-    gram = MatQ(
-        [[idot(a, b) for b in span_basis] for a in span_basis]
-    )
-    lifted = []
-    for f in inner:
-        alpha = qlinalg.solve(gram, VecQ(f))
-        assert alpha is not None
-        vec = VecQ.zero(d)
-        for coef, bas in zip(alpha.particular, span_basis):
-            vec = vec + coef * VecQ(bas)
-        lifted.append(primitive_int(vec.entries))
-    out = lifted
-    for k in kernel:
-        out.append(k)
-        out.append(tuple(-x for x in k))
-    return sorted(out)
-
-
 def strict_fan_checks_by_solve(rays, max_cones) -> None:
     """The strict fan checks in rationals, raising what `Fan(..., strict=True)`
     raises on a fan whose cones are simplicial and nondegenerate: wall
@@ -724,9 +678,7 @@ def contains_by_facet_loop(cone, v) -> Containment:
     per facet: the facet route of `contains` before the packed product."""
     if v.dim != cone.ambient_dim:
         raise DimensionMismatch("vector dimension mismatch")
-    if not cone._gens_int:
-        return Containment.BOUNDARY if v.is_zero() else Containment.OUTSIDE
-    if v.is_zero() and cone._strict:
+    if v.is_zero():
         return Containment.BOUNDARY
     assert cone._facets_int is not None
     # positive rescaling preserves all signs; integer dots are far
@@ -747,10 +699,6 @@ def minimal_face_by_facet_loop(cone, v) -> FaceQ:
     generator masks of the facets vanishing at v."""
     if v.dim != cone.ambient_dim:
         raise DimensionMismatch("vector dimension mismatch")
-    if not cone.is_strict():
-        if contains_by_facet_loop(cone, v) is Containment.OUTSIDE:
-            raise OutsideCone(f"{v!r} is outside the cone")
-        raise NonStrictCone("minimal_face requires a strict cone")
     if v.is_zero():
         return FaceQ(cone, frozenset(), 0)
     if cone._facets_int is None:

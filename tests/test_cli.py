@@ -32,6 +32,9 @@ def fresh_python(probe):
     return run.stdout.strip()
 
 
+P2_FAN = {"kind": "toric", "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+
+
 def write(tmp_path, doc, name="model.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -229,6 +232,36 @@ class TestInvariantsCommand:
         error = json.loads(out)["error"]
         assert (code, error["code"]) == (2, "schema_error")
         assert error["message"] == f"$: cannot read {path}: {reason}"
+
+    @pytest.mark.parametrize("command", ["invariants", "balanced", "zariski"])
+    @pytest.mark.parametrize(
+        "model, bundle, message",
+        [
+            (
+                {"rank": 2, "canonical": [-1, 1], "effective_generators": [[0, 1]],
+                 "intersection_form": [[1, 0], [0, -1]]},
+                [1, 1],
+                "effective cone generators must span Q^2",
+            ),
+            ({"rank": 0, "canonical": [], "effective_generators": []}, [], "effective cone needs a nonzero generator"),
+            (
+                {"rank": 2, "canonical": [-1, -1], "effective_generators": [[1, 0], [-1, 0], [0, 1]],
+                 "intersection_form": [[1, 0], [0, -1]]},
+                [1, 1],
+                "effective cone must be strict (no lines)",
+            ),
+        ],
+        ids=["proper-subspace", "rank-0", "non-strict"],
+    )
+    def test_exit_2_on_a_cone_that_is_not_full_dimensional_and_strict(
+        self, capsys, tmp_path, command, model, bundle, message
+    ):
+        # the first two answered not_big (exit 3), an empty balanced list or
+        # a Zariski decomposition (exit 0) before the cone checked its span
+        doc = {"model": {"kind": "lattice", **model}, "line_bundle": bundle, "subvarieties": []}
+        code, out = run_cli(capsys, command, write(tmp_path, doc), "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"], error["message"]) == (2, "schema_error", f"$.model: {message}")
 
     def test_exit_3_not_big(self, capsys, tmp_path):
         path = write(
@@ -457,6 +490,36 @@ class TestFixturesCommand:
         code, out = run_cli(capsys, "fixtures", "run")
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize(
+        "model, bundle, expected, where",
+        [
+            (
+                {"kind": "del_pezzo", "degree": 3},
+                [3, -1, -1, -1, -1, -1, -1],
+                {"balanced_toric": True},
+                "$.expected.balanced_toric: needs a toric model and a toric_coeffs bundle",
+            ),
+            (P2_FAN, {"toric_coeffs": [1, 1, 1]}, {"fibration_b": [1, 2]}, "$.expected.fibration_b: needs a fibration block"),
+            (P2_FAN, [3], {"balanced_toric": True}, "$.expected.balanced_toric: needs a toric model and a toric_coeffs bundle"),
+            (P2_FAN, [3], {"fibration_b": [1, 2]}, "$.expected.fibration_b: needs a toric model and a toric_coeffs bundle"),
+            (P2_FAN, [3], 5, "$.expected: expected an object, got int"),
+        ],
+        ids=["balanced-toric-on-del-pezzo", "fibration-b-without-fibration", "balanced-toric-on-a-vector",
+             "fibration-b-on-a-vector", "not-an-object"],
+    )
+    def test_exit_2_on_an_expectation_the_fixture_cannot_check(
+        self, capsys, tmp_path, monkeypatch, model, bundle, expected, where
+    ):
+        # each was a traceback with exit 1 from `fixtures run`: an
+        # AttributeError on the missing fan or projection, a TypeError on
+        # the missing toric coefficients
+        doc = {"id": "x", "model": model, "line_bundle": bundle, "expected": expected}
+        (tmp_path / "x.json").write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setenv("FUJITA_FIXTURE_DIR", str(tmp_path))
+        code, out = run_cli(capsys, "fixtures", "run", "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["code"], error["message"]) == (2, "schema_error", f"{tmp_path / 'x.json'}: {where}")
 
 
 class TestBatchMode:

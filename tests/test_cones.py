@@ -16,17 +16,16 @@ from fujita.cones import (
     positive_support,
 )
 from fujita.delpezzo import del_pezzo, quadric_surface
-from fujita.errors import Infeasible, InternalError, NonStrictCone, OutsideCone, UnboundedBelow
+from fujita.errors import Infeasible, InternalError, InvalidModel, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, span_dim
 from fujita.simplex import LPResult, LPStatus
 from fujita.toric import variety_model
-from conftest import counting, dots_taken, random_rational_vector, vec
+from conftest import counting, dots_taken, random_cones, random_rational_vector, vec
 from oracles import (
     brute_force_facets,
     contains_by_facet_loop,
     contains_by_lp,
     facet_generator_masks_by_dot,
-    facets_of_degenerate_by_reduction,
     fm_facets,
     minimal_face_by_facet_loop,
     minimal_face_generators_lp,
@@ -96,42 +95,10 @@ class TestDualize:
         gens = [tuple(int(x) for x in g) for g in c.generators]
         assert set(map(tuple, int_facets(c))) == fm_facets(gens, c.ambient_dim)
 
-    def test_degenerate_cone_equations(self):
-        c = ConeQ([vec(1, 0), vec(-1, 0)])
-        assert int_facets(c) == [(0, -1), (0, 1)]
-
     def test_single_ray_in_plane(self):
-        c = ConeQ([vec(2, 4)])
-        facets = int_facets(c)
-        # one inequality along the ray plus the +/- equation pair
-        assert len(facets) == 3
-        for f in facets:
-            assert sum(a * b for a, b in zip(f, (1, 2))) >= 0
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_lower_dimensional_matches_reduction_route(self, strict):
-        # a random basis of an r-dimensional subspace of Q^d; the generators
-        # are combinations of it, and a non-strict cone also gets the
-        # negative of its first generator
-        rng = random.Random(4909 + strict)
-        checked = 0
-        while checked < 60:
-            d = rng.randint(2, 5)
-            r = rng.randint(1, d - 1)
-            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
-            lo = 0 if strict else -2
-            gens = []
-            for _ in range(rng.randint(1, 6)):
-                coefs = [rng.randint(lo, 3) for _ in range(r)]
-                gens.append([sum(c * b[t] for c, b in zip(coefs, basis)) for t in range(d)])
-            if not strict:
-                gens.append([-x for x in gens[0]])
-            c = ConeQ(gens, ambient_dim=d)
-            if not c.generators or c.dim() != r or c.is_strict() != strict:
-                continue
-            checked += 1
-            expected = facets_of_degenerate_by_reduction(c)
-            assert [tuple(int(x) for x in f) for f in c.facets] == expected, gens
+        # spans a line only: rejected when built, so it is never dualized
+        with pytest.raises(InvalidModel, match=r"must span Q\^2"):
+            ConeQ([vec(2, 4)])
 
     def test_duality_round_trip(self):
         # up to rank 8 / 56 generators
@@ -181,24 +148,21 @@ class TestContains:
                 assert lazy.contains(v) is eager.contains(v), name
 
     def test_ray_lp_matches_bounded_lp_oracle(self):
-        # strict and non-strict, full and lower-dimensional cones in
-        # dimensions 1-4, asked before their facets exist; the vectors are
-        # random points, generators, positive combinations and zero
+        # cones in dimensions 1-4, nonnegative combinations of a random
+        # basis, asked before their facets exist; the vectors are random
+        # points, generators, positive combinations and zero
         rng = random.Random(1307)
-        seen = {}
-        for _ in range(400):
+        seen = set()
+        checked = 0
+        while checked < 400:
             d = rng.randint(1, 4)
-            r = rng.randint(1, d)
-            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
-            lo = rng.choice([0, -1])
-            gens = []
-            for _ in range(rng.randint(1, 5)):
-                coefs = [rng.randint(lo, 3) for _ in range(r)]
-                gens.append([sum(c * b[t] for c, b in zip(coefs, basis)) for t in range(d)])
-            c = ConeQ(gens, ambient_dim=d)
-            if not c.generators:
+            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            combos = [[rng.randint(0, 3) for _ in range(d)] for _ in range(rng.randint(d, d + 3))]
+            if span_dim(basis) < d or span_dim(combos) < d:
                 continue
-            kind = (c.is_strict(), c.is_full_dimensional())
+            checked += 1
+            gens = [[sum(k * b[t] for k, b in zip(cs, basis)) for t in range(d)] for cs in combos]
+            c = ConeQ(gens, ambient_dim=d)
             probes = [VecQ.zero(d), c.generators[0]]
             probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(3)]
             for _ in range(3):
@@ -207,36 +171,24 @@ class TestContains:
             for v in probes:
                 got = c.contains(v)
                 assert got is contains_by_lp(c, v), (gens, v)
-                seen.setdefault(kind, set()).add(got)
+                seen.add(got)
             assert c._facets_int is None
-        assert set(seen) == {(s, f) for s in (True, False) for f in (True, False)}
-        assert set().union(*seen.values()) == set(Containment)
+        assert seen == set(Containment)
 
     def test_zero_vector(self):
         c = FIXTURE_CONES["orthant2"]
         assert c.contains(VecQ.zero(2)) is Containment.BOUNDARY
 
-    def test_halfplane_interior(self):
-        c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
-        assert c.contains(vec(3, 1)) is Containment.INSIDE
-        assert c.contains(vec(3, 0)) is Containment.BOUNDARY
-        assert c.contains(vec(0, -1)) is Containment.OUTSIDE
-
-    @pytest.mark.parametrize(
-        "gens",
-        [[(1,), (-1,)], [(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (0, 1), (-1, -1)]],
-        ids=["line", "plus-minus-axes", "three-rays"],
-    )
-    def test_whole_space_is_interior(self, gens):
-        # no facet bounds the whole space, so every point is interior: by
-        # the ray LP, and again once the (empty) facet list exists
-        c = ConeQ([VecQ(g) for g in gens])
-        probes = [VecQ.zero(c.ambient_dim), VecQ([3, -2][: c.ambient_dim])]
-        for v in probes:
-            assert c.contains(v) is Containment.INSIDE
-        assert c.facets == ()
-        for v in probes:
-            assert c.contains(v) is Containment.INSIDE
+    @pytest.mark.parametrize("status", [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED])
+    def test_a_membership_ray_lp_not_optimal_is_an_internal_error(self, monkeypatch, status):
+        # the generator sum is interior and the cone strict, so the ray LP
+        # of membership has an optimum; anything else is a bug.  The zero
+        # vector needs no LP.
+        c = ConeQ([vec(1, 0), vec(1, 1)])
+        monkeypatch.setattr(cones, "solve_lp", lambda *args: LPResult(status, None, None))
+        assert c.contains(VecQ.zero(2)) is Containment.BOUNDARY
+        with pytest.raises(InternalError, match=f"membership ray LP is {status.value}"):
+            c.contains(vec(1, 2))
 
 
 class TestFacetMemo:
@@ -265,7 +217,7 @@ def face_outcome(face_of, c, v):
     """The minimal face of v, or the class of the error it raises."""
     try:
         return face_of(c, v)
-    except (OutsideCone, NonStrictCone) as exc:
+    except OutsideCone as exc:
         return type(exc)
 
 
@@ -287,29 +239,12 @@ def big_probes(c, v, rng):
     for n in (2**64 + 1, 2**200 + 3):
         out.append(n * v)
         out.append(n * v + random_rational_vector(rng, c.ambient_dim, (-2, 2), (1, 2)))
-    if c.facets:
-        f = max(c._facets_int, key=lambda f: sum(map(abs, f)))
-        l1 = sum(map(abs, f))
-        for m in (-(-(2**63) // l1), 2**63 // l1):
-            edge = VecQ([m * ((x > 0) - (x < 0)) for x in f])
-            out += [edge, -edge]
+    f = max(c._facets_int, key=lambda f: sum(map(abs, f)))
+    l1 = sum(map(abs, f))
+    for m in (-(-(2**63) // l1), 2**63 // l1):
+        edge = VecQ([m * ((x > 0) - (x < 0)) for x in f])
+        out += [edge, -edge]
     return out
-
-
-@st.composite
-def random_cones(draw):
-    """Cones in dimensions 1-5 spanned by combinations of r <= d basis
-    vectors: full-dimensional or lower-dimensional (facets with +/-
-    equation pairs), strict or not."""
-    d = draw(st.integers(1, 5))
-    r = draw(st.integers(1, d))
-    ints = st.integers(-3, 3)
-    basis = [draw(st.lists(ints, min_size=d, max_size=d)) for _ in range(r)]
-    coefs = st.lists(st.integers(draw(st.sampled_from([0, 0, -1])), 3), min_size=r, max_size=r)
-    gens = []
-    for cs in draw(st.lists(coefs, min_size=1, max_size=6)):
-        gens.append([sum(k * b[t] for k, b in zip(cs, basis)) for t in range(d)])
-    return ConeQ(gens, ambient_dim=d)
 
 
 class TestIncidenceMasks:
@@ -322,20 +257,12 @@ class TestIncidenceMasks:
         c.facets
         assert c._facet_gen_masks == facet_generator_masks_by_dot(c)
 
-    def test_del_pezzo_toric_and_lower_dimensional_cones(self, toric_fans):
+    def test_del_pezzo_and_toric_cones(self, toric_fans):
         cases = [del_pezzo(d).variety().eff_cone for d in range(2, 8)]
         cases += [variety_model(f).eff_cone for f in toric_fans.values()]
-        # the +/- equation rows of a lower-dimensional cone vanish on every
-        # generator
-        cases += [
-            ConeQ([vec(2, -1)]),
-            ConeQ([vec(1, 0, 0), vec(1, 1, 0), vec(2, 1, 0)]),
-            ConeQ([vec(1, 2, 3, 0), vec(0, 1, 1, 0), vec(1, 3, 4, 0), vec(1, 0, 1, 1)]),
-        ]
         for c in cases:
             c.facets
             assert c._facet_gen_masks == facet_generator_masks_by_dot(c), c
-        assert {c.is_full_dimensional() for c in cases} == {True, False}
 
 
 def check_random_cone(c, rng):
@@ -346,23 +273,21 @@ def check_random_cone(c, rng):
     d = c.ambient_dim
     probes = [VecQ.zero(d)] + list(c.generators)
     probes += [random_rational_vector(rng, d, (-4, 4), (1, 3)) for _ in range(4)]
-    if c.generators:
-        weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in c.generators]
-        probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
+    weights = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in c.generators]
+    probes.append(sum((w * g for w, g in zip(weights, c.generators)), VecQ.zero(d)))
     small = list(probes)
     for v in small[1:]:
         probes += big_probes(c, v, rng)
     seen = set()
     for v in probes:
         check_packed_against_loop(c, v, seen)
-    if c.facets:
-        per_facet = len(c._facets_int)
-        small_cost = 1 if qlinalg.sys.byteorder == "little" else per_facet
-        for v in small:
-            assert dots_taken(c, v) == small_cost, v
-            if not v.is_zero():
-                for n in (2**64 + 1, 2**200 + 3):
-                    assert dots_taken(c, n * v) == per_facet, v
+    per_facet = len(c._facets_int)
+    small_cost = 1 if qlinalg.sys.byteorder == "little" else per_facet
+    for v in small:
+        assert dots_taken(c, v) == small_cost, v
+        if not v.is_zero():
+            for n in (2**64 + 1, 2**200 + 3):
+                assert dots_taken(c, n * v) == per_facet, v
 
 
 class TestPackedSigns:
@@ -420,7 +345,6 @@ class TestPackedSigns:
         eff = del_pezzo(2).variety().eff_cone
         c = ConeQ(eff.generators, ambient_dim=eff.ambient_dim)
         assert len(c.facets) == 702
-        c.is_strict()  # the one memoized strictness LP of minimal_face
         boundary = c.generators[0] + c.generators[1]
         inside = vec(3, -1, -1, -1, -1, -1, -1, -1)
         dots = [counting(monkeypatch, owner, "idot") for owner in (qlinalg, cones)]
@@ -463,28 +387,54 @@ class TestDotPath:
     test_width_boundary = TestPackedSigns.test_width_boundary
 
 
+NOT_STRICT = r"effective cone must be strict \(no lines\)"
+
+
 class TestStrictness:
+    """Every ConeQ is full-dimensional and strict: the constructor checks
+    both and rejects any other cone."""
+
     def test_orthant_strict(self):
         assert is_strict(FIXTURE_CONES["orthant2"])
 
     def test_line_not_strict(self):
-        c = ConeQ([vec(1, 0), vec(-1, 0)])
-        assert not is_strict(c)
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ([vec(1), vec(-1)])
 
     def test_whole_plane(self):
-        c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)])
-        assert not c.is_strict()
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)])
 
     def test_halfplane_lineality(self):
-        c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
-        assert not c.is_strict()
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
 
-    def test_strictness_is_one_memoized_lp(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "gens, ambient_dim, message",
+        [
+            ([vec(1, 2, 0), vec(0, 1, 1), vec(1, 3, 1)], None, "effective cone generators must span Q^3"),
+            ([vec(1, 0), vec(-1, 0)], None, "effective cone generators must span Q^2"),
+            ([vec(1, 0), vec(0, 1), vec(-1, -1)], None, "effective cone must be strict (no lines)"),
+            ([], 2, "effective cone needs a nonzero generator"),
+            ([vec(0, 0)], None, "effective cone needs a nonzero generator"),
+            ([], 0, "effective cone needs a nonzero generator"),
+            ([VecQ([])], None, "effective cone needs a nonzero generator"),
+        ],
+        ids=["plane-in-space", "line-in-plane", "whole-plane", "no-generators",
+             "zero-generator", "ambient-0", "zero-vector-in-q0"],
+    )
+    def test_only_full_dimensional_strict_cones_are_built(self, gens, ambient_dim, message):
+        with pytest.raises(InvalidModel) as exc:
+            ConeQ(gens, ambient_dim=ambient_dim)
+        assert str(exc.value) == message
+
+    def test_strictness_is_one_lp_when_built(self, monkeypatch):
         calls = counting(monkeypatch, cones, "solve_lp")
-        for gens, strict in (([vec(1, 0), vec(1, 1)], True), ([vec(1, 0), vec(-1, 0)], False)):
-            c = ConeQ(gens)
-            assert [c.is_strict() for _ in range(3)] == [strict] * 3
+        c = ConeQ([vec(1, 0), vec(1, 1)])
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
         assert len(calls) == 2
+        assert c.is_strict() and len(calls) == 3
 
     def test_del_pezzo_cones_strict(self):
         for d in range(1, 10):
@@ -517,12 +467,10 @@ class TestMinimalFace:
         assert f.span_dim == c.dim()
 
     def test_interior_face_spans_the_cone_dimension(self, toric_fans):
-        # the whole-cone face takes its span from `dim()`; Bareiss on the
-        # generators is the reference, and the plane in Q^3 keeps dim()
-        # apart from the ambient dimension
+        # the whole-cone face spans the ambient space; Bareiss on the
+        # generators is the reference
         cones_ = [del_pezzo(d).variety().eff_cone for d in range(2, 8)]
         cones_ += [variety_model(fan).eff_cone for fan in toric_fans.values()]
-        cones_.append(ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]))
         for c in cones_:
             total = VecQ.zero(c.ambient_dim)
             for g in c.generators:
@@ -536,8 +484,10 @@ class TestMinimalFace:
             minimal_face(FIXTURE_CONES["orthant2"], vec(-1, 0))
 
     def test_non_strict_rejected(self):
-        with pytest.raises(NonStrictCone):
-            minimal_face(ConeQ([vec(1, 0), vec(-1, 0)]), vec(1, 0))
+        # a cone with a line has no minimal faces to ask for: it is
+        # rejected when built
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
 
     def test_face_contains_vector(self):
         # span of the face generators contains v
@@ -614,25 +564,10 @@ class TestMinAOnRay:
             min_a_on_ray(FIXTURE_CONES["orthant2"], vec(0, -1), vec(-1, 0))
 
     def test_unbounded(self):
-        # direction inside a non-strict cone going both ways
-        c = ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])
+        # -direction lies in the cone, so base + a*direction stays in it as
+        # a goes to -oo
         with pytest.raises(UnboundedBelow):
-            min_a_on_ray(c, vec(0, 1), vec(1, 0))
-
-    @pytest.mark.parametrize(
-        "gens, base, direction",
-        [([(1,), (-1,)], (-1,), (1,)), ([(1, 0), (0, 1), (-1, -1)], (2, -5), (0, 1))],
-        ids=["line", "three-rays"],
-    )
-    def test_whole_space_unbounded_on_both_routes(self, gens, base, direction):
-        # no finite least a in the whole space: by the ray LP, and again
-        # once the (empty) facet list exists
-        for warm in (False, True):
-            c = ConeQ([VecQ(g) for g in gens])
-            if warm:
-                assert c.facets == ()
-            with pytest.raises(UnboundedBelow):
-                c.min_a_with_point(VecQ(base), VecQ(direction))
+            min_a_on_ray(FIXTURE_CONES["orthant2"], vec(0, 1), vec(-1, 0))
 
     def test_boundary_probe_property(self):
         eps = Fraction(1, 1000)
@@ -716,7 +651,8 @@ class TestPositiveSupport:
         # the line through (1, 0, 0) plus two rays off it: the generators in
         # some vanishing nonnegative combination span the lineality space
         gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 1)]
-        assert not ConeQ(gens).is_strict()
+        with pytest.raises(InvalidModel, match=NOT_STRICT):
+            ConeQ(gens)
         a_rows = [[g[t] for g in gens] for t in range(3)]
         support, _ = positive_support(a_rows, [0, 0, 0], range(4))
         assert support == {0, 1}

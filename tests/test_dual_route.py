@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fujita import cli, cones
@@ -23,7 +23,7 @@ from fujita.invariants import VarietyModel, b_invariant, fujita
 from fujita.qlinalg import MatQ, VecQ, nullspace
 from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
-from conftest import counting, dots_taken, random_rational_vector, vec, with_fresh_cone
+from conftest import counting, dots_taken, random_cones, random_rational_vector, vec, with_fresh_cone
 from oracles import min_a_and_face_by_facet_loop, min_a_and_face_by_ray_lp
 
 HUGE = (2**64 + 1, 2**200 + 3)
@@ -75,25 +75,8 @@ def check_dual_route(c, base, direction):
     return True
 
 
-@st.composite
-def strict_cones(draw):
-    """Strict cones in dimensions 2-5: nonnegative combinations of r <= d
-    random vectors, so full-dimensional or not."""
-    d = draw(st.integers(2, 5))
-    r = draw(st.integers(1, d))
-    ints = st.integers(-3, 3)
-    basis = [draw(st.lists(ints, min_size=d, max_size=d)) for _ in range(r)]
-    coefs = st.lists(st.integers(0, 3), min_size=r, max_size=r)
-    gens = []
-    for cs in draw(st.lists(coefs, min_size=1, max_size=8)):
-        gens.append([sum(k * b[t] for k, b in zip(cs, basis)) for t in range(d)])
-    c = ConeQ(gens, ambient_dim=d)
-    assume(c.generators and c.is_strict())
-    return c
-
-
 @settings(max_examples=150, deadline=None)
-@given(strict_cones(), st.randoms(use_true_random=False))
+@given(random_cones(), st.randoms(use_true_random=False))
 def test_random_strict_cones_match_ray_lp(c, rng):
     c.facets
     d = c.ambient_dim
@@ -367,11 +350,12 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
         return res._replace(x=tuple([x + n * k for x, k in zip(res.x, kernel)]))
 
     for plant in (infeasible, doubled, shifted):
+        c = fresh()  # built first: its constructor's strictness LP is not planted
         monkeypatch.setattr(cones, "solve_lp", lambda *args: plant(solve(*args)))
         with pytest.raises(InternalError) as exc:
-            fresh().min_a_with_point(surf.canonical, bundle)
+            c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
-    monkeypatch.undo()
+        monkeypatch.undo()
     assert fresh().min_a_with_point(surf.canonical, bundle) == answer
     # the LP sees only the face's pivot rows R; with one of them dropped
     # from the memo its solution misses a row, which the check of every

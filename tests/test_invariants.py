@@ -46,16 +46,18 @@ def rank1_model(canonical=-2, name="rank1"):
 
 CUBIC_3FOLD = rank1_model(-2, "cubic-threefold")
 LINE = rank1_model(-2, "line")
+ORTHANT2 = ConeQ([vec(1, 0), vec(0, 1)])
 
 
 class TestModelValidation:
     def test_dimension_checks(self):
         with pytest.raises(InvalidModel):
-            VarietyModel("bad", 2, vec(1), ConeQ([vec(1, 0)]))
+            VarietyModel("bad", 2, vec(1), ORTHANT2)
 
     def test_strictness_required(self):
-        with pytest.raises(InvalidModel):
-            VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0), vec(-1, 0)]))
+        # the cone rejects itself when built, before any model holds it
+        with pytest.raises(InvalidModel, match="strict"):
+            VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)]))
 
     def test_signature_check(self):
         with pytest.raises(InvalidModel):
@@ -81,17 +83,17 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         "build, error, message",
         [
-            (lambda: VarietyModel("bad", 2, vec(1), ConeQ([vec(1, 0)])),
+            (lambda: VarietyModel("bad", 2, vec(1), ORTHANT2),
              InvalidModel, "canonical class dimension does not match rank"),
             (lambda: VarietyModel(name="bad", ns_rank=2, canonical=vec(1, 1), eff_cone=ConeQ([vec(1)])),
              InvalidModel, "effective cone ambient dimension does not match rank"),
-            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0), vec(-1, 0)])),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0), vec(-1, 0), vec(0, 1)])),
              InvalidModel, "effective cone must be strict (no lines)"),
-            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), MatQ([[1]])),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ORTHANT2, MatQ([[1]])),
              InvalidModel, "intersection form size does not match rank"),
-            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), MatQ([[1, 2], [0, -1]])),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ORTHANT2, MatQ([[1, 2], [0, -1]])),
              InvalidModel, "intersection form must be symmetric"),
-            (lambda: VarietyModel("bad", 2, vec(1, 1), ConeQ([vec(1, 0)]), identity(2)),
+            (lambda: VarietyModel("bad", 2, vec(1, 1), ORTHANT2, identity(2)),
              InvalidModel, "intersection form must have signature (1, rank-1)"),
             (lambda: SubvarietyDatum("line", LINE, vec(1, 1)),
              InvalidModel, "restricted bundle dimension does not match model"),

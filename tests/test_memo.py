@@ -256,6 +256,23 @@ def test_memos_stay_within_their_bound():
         assert info.misses >= 1000
 
 
+def test_fan_caches_stay_within_their_bound():
+    # 20 Hirzebruch fans overflow both fan-keyed caches; asked again, after
+    # the first of them were evicted, every fan gives the same answer
+    def answer(n):
+        fan = toric.Fan([(1, 0), (0, 1), (-1, n), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        m = variety_model(fan)
+        res = b_invariant(m, -m.canonical)
+        return m.canonical, m.eff_cone.facets, res.fujita.a, res.b
+
+    first = [answer(n) for n in range(20)]
+    for cache in (ns_presentation, variety_model):
+        info = cache.cache_info()
+        assert info.maxsize == BOUND
+        assert info.currsize <= BOUND
+    assert [answer(n) for n in range(20)] == first
+
+
 def test_face_memo_stays_within_its_bound():
     # sums of at most three generators of the degree-2 cone meet more
     # distinct faces than the bound; each face, asked again after the memo
