@@ -7,8 +7,8 @@
 
 Flags: --json (machine output, byte-for-byte deterministic), --jobs N >= 1
 (parallel batch over files or fixture ids, at most one worker per task and
-per CPU), --strict-fan (terminality of each singular cone; every fan is
-checked for exact completeness whatever the flag).
+per CPU), --strict-fan (terminality of each singular cone, |det| at most
+2^16; every fan is checked for exact completeness whatever the flag).
 FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
 
 Exit codes: 0 ok, 1 fixture failure or stdout closed early (as in

@@ -22,26 +22,22 @@ rule reads the cone it is given: `is_rigid_class` that of its own model.
 rule: one exact LP per polytope gives its emptiness, its implicit
 equalities (hence its dimension) and a relative-interior point.
 
-Completeness is checked exactly: every codimension-one wall lies in exactly
-two maximal cones, on opposite sides of it, and one seeded generic direction
-lies in exactly one maximal cone.  Opposite sides at every wall make the
-covering number of a generic direction locally constant, so the one
-direction fixes it at one everywhere (a fan winding twice round the origin
-passes the walls and fails the direction).  The check runs in integers: one
-fraction-free Gauss-Jordan elimination per maximal cone gives |det|
-(degenerate and smoothness checks) and |det| times the inverse of the ray
-matrix.  A row of that inverse is the normal of the wall opposite a ray,
-and the cone coordinates of a direction, scaled to integers, are signed by
-one integer matrix-vector product per cone.  Strict mode adds terminality
-of each singular cone, walked on the |det| lattice points of its
-fundamental parallelepiped, whose steps are the columns of the same
-inverse.  Toric contractions and flips are not implemented; every criterion
-in scope reduces to polytope dimensions and spans.
+Completeness is checked exactly, in integers: every codimension-one wall
+lies in exactly two maximal cones, on opposite sides of it, and no maximal
+cone but the first holds w, the sum of the first cone's rays (see
+`Fan._check_complete` for why that suffices).  One fraction-free
+Gauss-Jordan elimination per maximal cone gives |det| (degenerate and
+smoothness checks) and |det| times the inverse of the ray matrix, whose
+rows are the normals of the cone's walls and sign w by one integer
+matrix-vector product.  Strict mode adds terminality of each singular cone
+of |det| at most TERMINAL_WALK_BOUND, walked on the |det| lattice points
+of its fundamental parallelepiped, whose steps are the columns of the same
+inverse.  Toric contractions and flips are not implemented; every
+criterion in scope reduces to polytope dimensions and spans.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -62,6 +58,10 @@ from .errors import (
 from .invariants import MEMO_BOUND, Toric, VarietyModel
 from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
+
+# Largest |det| of a singular cone whose terminality strict mode walks,
+# about 5 us a point; a larger one raises InvalidModel.  Not a setting.
+TERMINAL_WALK_BOUND = 2**16
 
 
 class Fan:
@@ -137,11 +137,18 @@ class Fan:
 
     def _check_complete(self, inverses):
         """Every wall lies in exactly two maximal cones, on opposite sides
-        of it, and one generic direction lies in exactly one maximal cone.
-        Row j of |det M| M^-1, M the ray matrix of an owner and j the
+        of it: row j of |det M| M^-1, M the ray matrix of an owner and j the
         position of its ray off the wall, vanishes on the wall and is
-        positive on that ray, so the wall is oriented correctly iff it is
-        negative on the other owner's ray."""
+        positive on that ray, so it must be negative on the other owner's
+        ray.  Then every point off the walls lies in the same number of
+        maximal cones.  w, the sum of the first cone's rays, is interior to
+        that cone (its coordinates there are all 1).  If no other closed
+        cone holds w, a neighbourhood of w lies in the first cone alone and
+        the number is 1; if another does, that cone meets the interior of
+        the first and the number is at least 2.  A closed cone holds w iff
+        no row of its scaled inverse is negative on w."""
+        if not self.max_cones:
+            raise IncompleteFan("fan has no maximal cone")
         n = self.lattice_dim
         ridges: dict[tuple[int, ...], list[int]] = {}
         for ci, c in enumerate(self.max_cones):
@@ -161,7 +168,10 @@ class Fan:
                 raise IncompleteFan(
                     f"maximal cones on wall {ridge} do not cover both sides"
                 )
-        covering_cone(n, inverses)
+        w = tuple([sum(x) for x in zip(*[self.rays[i] for i in self.max_cones[0]])])
+        hits = sum(all(idot(row, w) >= 0 for row in inverse) for inverse in inverses)
+        if hits != 1:
+            raise IncompleteFan(f"point {w} lies in {hits} maximal cones")
 
     def _check_terminal(self, dets, inverses):
         """conv(0, rays of a singular cone) may contain no lattice point
@@ -174,6 +184,8 @@ class Fan:
         for c, d, inverse in zip(self.max_cones, dets, inverses):
             if d == 1:
                 continue
+            if d > TERMINAL_WALK_BOUND:
+                raise InvalidModel(f"cone {c} has |det| {d}, over the walk bound {TERMINAL_WALK_BOUND}")
             steps = list(zip(*inverse))
             zero = (0,) * len(c)
             seen = {zero}
@@ -192,31 +204,6 @@ class Fan:
                         )
                     seen.add(nxt)
                     frontier.append(nxt)
-
-
-def covering_cone(n: int, inverses) -> int:
-    """The maximal cone holding one seeded generic direction, which must be
-    exactly one.
-
-    `inverses[c]` is |det M_c| * M_c^-1, M_c the matrix whose columns are
-    the rays of cone c, so the cone coordinates of a direction u have the
-    signs of `inverses[c]` times u scaled to integers by the lcm of its
-    denominators.  A draw with a zero coordinate on some cone is not generic
-    and is redrawn."""
-    rng = random.Random(271828 + 101 * n)
-    for _ in range(2000):
-        u = [Fraction(rng.randint(-997, 997), rng.randint(1, 499)) for _ in range(n)]
-        w, _ = scaled_ints(u)
-        signs = [[idot(row, w) for row in inverse] for inverse in inverses]
-        if any(0 in lam for lam in signs):
-            continue
-        hits = [c for c, lam in enumerate(signs) if all(x > 0 for x in lam)]
-        if len(hits) != 1:
-            raise IncompleteFan(
-                f"generic direction {tuple(u)} lies in {len(hits)} maximal cones"
-            )
-        return hits[0]
-    raise IncompleteFan("could not sample generic directions")
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:

@@ -9,8 +9,9 @@ the simplex, the Leibniz expansion checks determinants without
 elimination, the adjoint-divisor route checks toric balance without the
 class lift, one LP per ray checks the implicit equalities of divisor
 polytopes without the single support LP, a flat multiset search checks
-the pruned (-1)-curve recursion, one rational solve per cone and
-direction checks the integer fan-coverage test, the Fraction loop checks
+the pruned (-1)-curve recursion, one rational solve per cone and point
+checks the integer fan-coverage test, and 27 sampled directions check
+that one point decides coverage, the Fraction loop checks
 the integer Zariski kernel, one rational solve on the pivot rays checks
 the integer toric class map, the support LP of the divisor polytope checks
 toric rigidity read off the minimal face, a nullspace wall normal
@@ -338,11 +339,23 @@ def minus_one_curves_by_multisets(degree, search_bound) -> set:
     return found
 
 
+def cones_holding_by_solve(rays, max_cones, u) -> list:
+    """The maximal cones c holding u, found by solving M_c x = u in
+    rationals (M_c has the cone's rays as columns) and testing x >= 0."""
+    found = []
+    for c, cone in enumerate(max_cones):
+        lam = solve(MatQ(list(zip(*[rays[i] for i in cone]))), VecQ(u)).particular
+        if all(x >= 0 for x in lam):
+            found.append(c)
+    return found
+
+
 def fan_coverage_by_solve(rays, max_cones) -> list:
-    """The cone holding each of 27 seeded generic directions, the first of
-    which is the fan check's one direction, found by solving M_c x = u in
-    rationals for every maximal cone c (M_c has the cone's rays as columns);
-    raises IncompleteFan as the fan check does."""
+    """The cone holding each of 27 seeded generic directions, found by
+    solving M_c x = u in rationals for every maximal cone c (M_c has the
+    cone's rays as columns); raises IncompleteFan when a direction lies in
+    other than one cone.  A fan whose walls pass is complete iff this
+    passes, so it checks the fan check's one-point rule without it."""
     n = len(rays[0])
     rng = random.Random(271828 + 101 * n)
     matrices = [MatQ(list(zip(*[rays[i] for i in c]))) for c in max_cones]
@@ -434,11 +447,14 @@ def divisor_class_by_solve(pres, coeffs) -> VecQ:
 def strict_fan_checks_by_solve(rays, max_cones) -> None:
     """The strict fan checks in rationals, raising what `Fan(..., strict=True)`
     raises on a fan whose cones are simplicial and nondegenerate: wall
-    counts, wall orientation by a nullspace normal, the sampled coverage
-    (`fan_coverage_by_solve`), then terminality by a Fraction walk over
-    the columns of M^-1 mod 1, M solved one unit vector at a time."""
+    counts, wall orientation by a nullspace normal, the cones holding w,
+    the sum of the first cone's rays (`cones_holding_by_solve`), then
+    terminality by a Fraction walk over the columns of M^-1 mod 1, M
+    solved one unit vector at a time.  The walk has no |det| bound."""
     n = len(rays[0])
     cones = [tuple(sorted(set(c))) for c in max_cones]
+    if not cones:
+        raise IncompleteFan("fan has no maximal cone")
     ridges = {}
     for c in cones:
         for drop in range(n):
@@ -462,7 +478,10 @@ def strict_fan_checks_by_solve(rays, max_cones) -> None:
             raise IncompleteFan(
                 f"maximal cones on wall {ridge} do not cover both sides"
             )
-    fan_coverage_by_solve(rays, cones)
+    w = tuple([sum(rays[i][k] for i in cones[0]) for k in range(n)])
+    hits = cones_holding_by_solve(rays, cones, w)
+    if len(hits) != 1:
+        raise IncompleteFan(f"point {w} lies in {len(hits)} maximal cones")
     for c in cones:
         mat = MatQ(list(zip(*[rays[i] for i in c])))
         if abs(det_by_permutations([list(r.entries) for r in mat.row_list()])) == 1:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import fujita
-from fujita import cli, delpezzo, fixtures
+from fujita import cli, delpezzo, fixtures, toric
 from fujita.fixtures import _fixture_dir
 
 
@@ -207,6 +207,22 @@ class TestInvariantsCommand:
         error = json.loads(out)["error"]
         assert error["code"] == "schema_error"
         assert error["message"] == "$.model: maximal cones on wall (1,) do not cover both sides"
+
+    def test_exit_2_on_a_strict_fan_cone_over_the_walk_bound(self, capsys, tmp_path):
+        # four cones of |det| q: they load, but strict mode walks none of them
+        q = toric.TERMINAL_WALK_BOUND + 1
+        model = {
+            "kind": "toric",
+            "rays": [[1, 0, 0], [0, 0, 1], [1, q, 1], [-2, -q, -2]],
+            "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        }
+        path = write(tmp_path, {"model": model, "line_bundle": {"toric_coeffs": [1, 1, 1, 1]}})
+        assert run_cli(capsys, "invariants", path, "--json")[0] == 0
+        code, out = run_cli(capsys, "invariants", path, "--json", "--strict-fan")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "schema_error"
+        assert error["message"] == f"$.model: cone (0, 1, 2) has |det| {q}, over the walk bound 65536"
 
     def test_exit_5_when_the_surface_case_disagrees(self, capsys, monkeypatch):
         real = delpezzo.surface_b

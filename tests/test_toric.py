@@ -20,9 +20,9 @@ from fujita.errors import (
 from fujita.invariants import b_invariant, fujita, invariant_pair, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ, solve, span_dim
 from fujita.toric import (
+    TERMINAL_WALK_BOUND,
     Fan,
     class_is_rigid,
-    covering_cone,
     divisor_polytope,
     effective_cone,
     fan_product,
@@ -36,6 +36,7 @@ from fujita.toric import (
 from conftest import counting, identity, transpose, vec
 from oracles import (
     check_fibration_hull_by_nullspace,
+    cones_holding_by_solve,
     divisor_class_by_solve,
     fan_coverage_by_solve,
     implicit_equalities_per_ray,
@@ -101,6 +102,8 @@ class TestFanValidation:
     def test_incomplete_missing_cone(self):
         with pytest.raises(IncompleteFan):
             Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+        with pytest.raises(IncompleteFan, match="no maximal cone"):
+            Fan([(1, 0), (0, 1), (-1, -1)], [])
 
     def test_smooth_constructor_rejects_singular(self):
         with pytest.raises(NonSmoothCone):
@@ -141,35 +144,37 @@ class TestFanValidation:
         assert not f.smooth_checked
 
 
-def _cone_inverses(fan):
-    return [
-        qlinalg.scaled_inverse(list(zip(*[fan.rays[i] for i in c])))[1]
-        for c in fan.max_cones
-    ]
-
-
 def test_coverage_matches_solve_route(toric_fans):
-    # the oracle samples 27 directions; the fan check needs the first
+    # the fan check accepted these fans: the oracle finds w in cone 0 alone
     for name, fan in toric_fans.items():
-        expected = fan_coverage_by_solve(fan.rays, fan.max_cones)
-        assert covering_cone(fan.lattice_dim, _cone_inverses(fan)) == expected[0], name
+        w = [sum(x) for x in zip(*[fan.rays[i] for i in fan.max_cones[0]])]
+        assert cones_holding_by_solve(fan.rays, fan.max_cones, w) == [0], name
 
 
 # rays at about 0, 117, 243, 405, 540 and 675 degrees: every cone is strictly
 # convex and every ray lies in exactly two cones, but the cones go twice
-# round the origin, so only the generic direction can reject the fan
+# round the origin, so only the point w can reject the fan
 WINDING_RAYS = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -1)]
 WINDING_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+# the same in 3-D: the plane rays at z = 0 and the poles +-e3, each plane
+# cone joined to each pole (12 cones)
+WINDING_3D = (
+    [r + (0,) for r in WINDING_RAYS] + [(0, 0, 1), (0, 0, -1)],
+    [c + (pole,) for c in WINDING_CONES for pole in (6, 7)],
+)
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_fan_winding_twice_is_incomplete(strict):
-    with pytest.raises(IncompleteFan) as expected:
-        fan_coverage_by_solve(WINDING_RAYS, WINDING_CONES)
-    with pytest.raises(IncompleteFan) as got:
-        Fan(WINDING_RAYS, WINDING_CONES, strict=strict)
-    assert "lies in 2 maximal cones" in str(expected.value)
-    assert str(got.value) == str(expected.value)
+    for rays, cones in ((WINDING_RAYS, WINDING_CONES), WINDING_3D):
+        with pytest.raises(IncompleteFan) as expected:
+            strict_fan_checks_by_solve(rays, cones)
+        with pytest.raises(IncompleteFan) as got:
+            Fan(rays, cones, strict=strict)
+        assert "lies in 2 maximal cones" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(IncompleteFan, match="lies in 2 maximal cones"):
+            fan_coverage_by_solve(rays, cones)
 
 
 # rays at 0, 90, about 89.94, 180 and 270 degrees: cones (0, 1) and (1, 2)
@@ -195,11 +200,17 @@ HALF_11 = ([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
 
 
 def test_fan_checks_make_no_rational_solve(monkeypatch, toric_fans):
+    # nor draw a random number: coverage is decided at one exact point
+    def refuse(*args):
+        raise AssertionError("a fan check drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
     calls = counting(monkeypatch, qlinalg, "solve")
     for strict in (False, True):
         for fan in toric_fans.values():
             Fan(fan.rays, fan.max_cones, require_smooth=fan.smooth_checked, strict=strict)
         fan_product(toric_fans["dp6-toric"], toric_fans["dp6-toric"])
+        fan_product(toric_fans["toric-no-control"], toric_fans["p2-toric"])
         Fan(*P1112, strict=strict)
         if strict:
             with pytest.raises(NonTerminalCone):
@@ -235,23 +246,64 @@ def _random_plane_fan(rng):
     return ordered, [(i, (i + 1) % k) for i in range(k)]
 
 
-def test_strict_checks_match_fraction_route(toric_fans):
+def _fan_cases(toric_fans):
+    """150 fans: the catalog and product fans, P1112, HALF_11, both winding
+    fans, and seeded random plane fans."""
     cases = [(fan.rays, fan.max_cones) for fan in toric_fans.values()]
-    cases += [P1112, HALF_11, (WINDING_RAYS, WINDING_CONES)]
+    cases += [P1112, HALF_11, (WINDING_RAYS, WINDING_CONES), WINDING_3D]
     rng = random.Random(6151)
     while len(cases) < 150:
         drawn = _random_plane_fan(rng)
         if drawn is not None:
             cases.append(drawn)
+    return cases
+
+
+def test_strict_checks_match_fraction_route(toric_fans):
     outcomes = set()
-    for rays, cones in cases:
+    for rays, cones in _fan_cases(toric_fans):
         expected = _strict_outcome(strict_fan_checks_by_solve, rays, cones)
         got = _strict_outcome(lambda r, c: Fan(r, c, strict=True), rays, cones)
         assert got == expected, rays
         outcomes.add(None if expected is None else expected[1].split()[-1])
     # every strict outcome is reached: accepted, a misoriented wall, a point
-    # of conv(0, rays), and (walls passed) a direction in two cones
+    # of conv(0, rays), and (walls passed) w in two cones
     assert outcomes == {None, "sides", "rays)", "cones"}, outcomes
+
+
+def _accepts(check, rays, cones):
+    try:
+        check(rays, cones)
+    except IncompleteFan:
+        return False
+    return True
+
+
+def test_one_point_rule_matches_sampled_coverage(toric_fans):
+    # the oracle's 27 sampled directions check the rule at the one point w:
+    # a fan is accepted iff every direction lies in exactly one maximal cone
+    for rays, cones in _fan_cases(toric_fans):
+        assert _accepts(Fan, rays, cones) == _accepts(fan_coverage_by_solve, rays, cones), rays
+
+
+def _walk_fan(q):
+    """Four cones of |det| q round rays summing to zero."""
+    rays = [(1, 0, 0), (0, 0, 1), (1, q, 1), (-2, -q, -2)]
+    return rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def test_strict_terminality_walk_is_bounded():
+    rays, cones = _walk_fan(10001)
+    with pytest.raises(NonTerminalCone) as walked:
+        Fan(rays, cones, strict=True)
+    assert str(walked.value) == "cone (0, 1, 3) contains the lattice point (-1, -6000, -1) of conv(0, rays)"
+    q = TERMINAL_WALK_BOUND + 1
+    rays, cones = _walk_fan(q)
+    assert not Fan(rays, cones).smooth_checked
+    with pytest.raises(InvalidModel) as over:
+        Fan(rays, cones, strict=True)
+    assert type(over.value) is InvalidModel
+    assert str(over.value) == f"cone (0, 1, 2) has |det| {q}, over the walk bound {TERMINAL_WALK_BOUND}"
 
 
 def test_divisor_class_matches_solve_route(toric_fans):
