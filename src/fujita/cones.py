@@ -12,7 +12,8 @@ Until the facets exist, membership and the least a with base +
 a*direction in the cone solve one LP, the ray LP; membership takes v along
 the generator sum, which is interior, so the least a exists: v is outside
 iff it is positive, on the boundary iff it is 0, and interior iff it is
-negative.
+negative.  The ray LP's witness of base + a*direction is checked in
+integers as the facet route's is (below).
 
 Once the facets exist, membership and the minimal face read every f_j.v
 off one packed product (`qlinalg.PackedRows`, built once with the
@@ -510,10 +511,7 @@ class ConeQ:
                 raise InternalError(f"face witness LP is {res.status.value}")
             lam, det = scaled_ints(res.x)
             new_cell = tuple([basis[j] for j in sorted(res.basis)]), 0, None
-        if min(lam, default=0) < 0 or [
-            idot([gens[j][t] for j in basis], lam) for t in range(self.ambient_dim)
-        ] != [det * x for x in p]:
-            raise InternalError("face witness is negative or misses the boundary point")
+        self._check_witness(basis, lam, det, p)
         if new_cell is not None:
             # at most |F| cells; the least recently used one goes
             if len(cells) >= len(basis):
@@ -545,7 +543,8 @@ class ConeQ:
         self, base: VecQ, direction: VecQ
     ) -> tuple[Fraction, tuple[Fraction, ...]]:
         """The least a with base + a*direction in the cone, by the ray LP,
-        and a nonnegative generator combination equal to that point."""
+        and a nonnegative generator combination equal to that point,
+        checked in integers as on the facet route."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         k = len(self._gens_int)
@@ -555,7 +554,19 @@ class ConeQ:
         if res.status is LPStatus.UNBOUNDED:
             raise UnboundedBelow("no finite minimum along the ray; direction is not big")
         a = res.x[k] - res.x[k + 1]
+        lam, det = scaled_ints(res.x[:k])
+        p, scale = scaled_ints(base + a * direction)
+        self._check_witness(range(k), [scale * x for x in lam], det, p)
         return a, res.x[:k]
+
+    def _check_witness(self, support: Sequence[int], lam: list[int], det: int, p: list[int]):
+        """Raise InternalError unless lam >= 0 and the generators in support,
+        weighted by lam, sum to det * p: lam / det is a witness of p."""
+        gens = self._gens_int
+        if min(lam, default=0) < 0 or [
+            idot([gens[j][t] for j in support], lam) for t in range(self.ambient_dim)
+        ] != [det * x for x in p]:
+            raise InternalError("witness is negative or misses the boundary point")
 
     def _ray_lp(self, base: VecQ, direction: Sequence) -> LPResult:
         """The LP min a s.t. base + a*direction is a nonnegative combination

@@ -105,10 +105,6 @@ class ProjectionIncompatible(FujitaError):
 
 # --- fixtures / io ----------------------------------------------------
 
-class UnknownFixture(FujitaError, KeyError):
-    """Fixture id not present in the catalog."""
-
-
 class SchemaError(FujitaError, ValueError):
     """Model file violates the input schema."""
 

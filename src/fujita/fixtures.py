@@ -1,10 +1,10 @@
-"""Versioned catalog of worked-example models with expected outputs.
+"""Catalog of worked-example models with expected outputs.
 
 Each fixture is a JSON file in the model-file format the CLI accepts, plus
 an `expected` block of exact values; running a fixture recomputes every
-declared invariant and compares exactly.  The catalog is append-only within
-a major version and ids are stable.  `FUJITA_FIXTURE_DIR` overrides the
-catalog directory.
+declared invariant and compares exactly.  The catalog is append-only and
+fixture ids are stable.  `FUJITA_FIXTURE_DIR` overrides the catalog
+directory.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import invariants, modelio, toric
-from .errors import RigidityUndecidable, SchemaError, UnknownFixture
+from .errors import RigidityUndecidable, SchemaError
 from .modelio import LoadedProblem, parse_rational
-
-CATALOG_VERSION = "1"
 
 
 class Fixture(NamedTuple):
@@ -104,13 +102,8 @@ def fixture_ids(catalog=None) -> list[str]:
     return sorted(catalog)
 
 
-def run_fixture(fixture, catalog=None) -> FixtureReport:
+def run_fixture(fixture: Fixture) -> FixtureReport:
     """Recompute every expected invariant of a fixture and compare exactly."""
-    if isinstance(fixture, str):
-        catalog = catalog if catalog is not None else load_catalog()
-        if fixture not in catalog:
-            raise UnknownFixture(fixture)
-        fixture = catalog[fixture]
     p = fixture.problem
     exp = fixture.expected
     m = p.model.variety

@@ -1,4 +1,4 @@
-"""Model file parsing and serialization.
+"""Model file parsing.
 
 A model file is a JSON document:
 
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import delpezzo, toric
 from .cones import ConeQ
 from .errors import BigFailureOnY, DegreeOutOfRange, InvalidModel, SchemaError
-from .invariants import DelPezzo, SubvarietyDatum, Toric, VarietyModel
+from .invariants import SubvarietyDatum, VarietyModel
 from .qlinalg import MatQ, VecQ, as_rat
 
 _FIXTURE_KEYS = {"id", "description", "source", "expected", "name"}
@@ -266,67 +266,5 @@ def load_problem(path: str, strict_fan: bool = False) -> LoadedProblem:
     return parse_problem(decode_json(read_file(path), path), strict_fan)
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def rational_to_json(q: Fraction):
-    return int(q) if q.denominator == 1 else str(q)
-
-
-def vector_to_json(v: VecQ) -> list:
-    return [rational_to_json(x) for x in v]
-
-
 def vector_to_str_list(v: VecQ) -> list[str]:
     return [str(x) for x in v]
-
-
-def problem_to_dict(problem: LoadedProblem) -> dict:
-    """Re-serialize a loaded problem to the model file format."""
-    model = _model_to_dict(problem.model.variety)
-    if problem.bundle_toric_coeffs is not None:
-        bundle = {"toric_coeffs": list(problem.bundle_toric_coeffs)}
-    else:
-        bundle = vector_to_json(problem.bundle_class)
-    out = {"model": model, "line_bundle": bundle, "name": problem.name}
-    if problem.subvarieties:
-        out["subvarieties"] = [
-            {
-                "name": name,
-                "model": _model_to_dict(datum.model),
-                "restricted_bundle": vector_to_json(datum.restricted_bundle),
-            }
-            for name, datum in problem.subvarieties
-        ]
-    if problem.fibration is not None:
-        out["fibration"] = {
-            "projection": [[int(x) for x in row] for row in problem.fibration.row_list()]
-        }
-    return out
-
-
-def _model_to_dict(v: VarietyModel) -> dict:
-    prov = v.provenance
-    if isinstance(prov, DelPezzo):
-        out = {"kind": "del_pezzo", "degree": prov.degree}
-        if prov.quadric:
-            out["quadric"] = True
-        return out
-    if isinstance(prov, Toric):
-        return {
-            "kind": "toric",
-            "rays": [list(r) for r in prov.fan.rays],
-            "max_cones": [list(c) for c in prov.fan.max_cones],
-            "smooth": prov.fan.smooth_checked,
-        }
-    out = {
-        "kind": "lattice",
-        "rank": v.ns_rank,
-        "canonical": vector_to_json(v.canonical),
-        "effective_generators": [vector_to_json(g) for g in v.eff_cone.generators],
-    }
-    if v.intersection_form is not None:
-        out["intersection_form"] = [
-            vector_to_json(r) for r in v.intersection_form.row_list()
-        ]
-    return out

@@ -38,7 +38,6 @@ criterion in scope reduces to polytope dimensions and spans.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -256,33 +255,26 @@ class NSPresentation(NamedTuple):
     def canonical_class(self) -> VecQ:
         return self.divisor_class([-1] * len(self.fan.rays))
 
-    def lift_class(self, cls: VecQ) -> tuple[Fraction, ...]:
-        """An invariant divisor with the given class: coefficients placed on
-        the basis rays, zero on the pivot rays."""
-        coeffs = [Fraction(0)] * len(self.fan.rays)
-        for pos, ray in enumerate(self.basis_rays):
-            coeffs[ray] = cls[pos]
-        return tuple(coeffs)
-
 
 @lru_cache(maxsize=MEMO_BOUND)
 def ns_presentation(f: Fan) -> NSPresentation:
     """Deterministic class-group presentation: pivot rays are the first
-    lattice_dim rays that are linearly independent, in ray order.  The
-    last MEMO_BOUND fans' presentations are kept."""
-    pivots = qlinalg.pivot_columns(f.rays)
-    if len(pivots) < f.lattice_dim:
-        raise IncompleteFan("rays do not span the lattice")
+    lattice_dim rays that are linearly independent, in ray order (a
+    complete fan's rays span the lattice).  The last MEMO_BOUND fans'
+    presentations are kept."""
+    pivots = tuple(qlinalg.pivot_columns(f.rays))
     basis = tuple(i for i in range(len(f.rays)) if i not in pivots)
     det, inverse = scaled_inverse([f.rays[i] for i in pivots])
     columns = list(zip(*inverse))
     rows = tuple([tuple([idot(f.rays[i], col) for col in columns]) for i in basis])
-    pres = NSPresentation(f, len(basis), tuple(pivots), basis, det, rows, ())
-    classes = tuple(
-        pres.divisor_class([1 if j == i else 0 for j in range(len(f.rays))])
-        for i in range(len(f.rays))
-    )
-    return NSPresentation(f, len(basis), tuple(pivots), basis, det, rows, classes)
+    # D_ray's class: e_k on the k-th basis ray; on the j-th pivot ray,
+    # a_pivot = e_j, so coordinate i is -basis_rows[i][j] / det
+    classes = [None] * len(f.rays)
+    for k, i in enumerate(basis):
+        classes[i] = VecQ.from_scaled([int(t == k) for t in range(len(basis))], 1)
+    for j, i in enumerate(pivots):
+        classes[i] = VecQ.from_scaled([-row[j] for row in rows], det)
+    return NSPresentation(f, len(basis), pivots, basis, det, rows, tuple(classes))
 
 
 def effective_cone(f: Fan) -> ConeQ:

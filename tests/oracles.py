@@ -26,7 +26,8 @@ one integer dot per (facet, generator) pair checks the incidence masks
 read off DD, the ray LP on a copy of the cone without facets checks
 the facet route for a and its minimal face, and the per-facet arg-max loop
 with one integer dot per facet checks the grouped arg-max of
-`ConeQ.min_a_with_point`.
+`ConeQ.min_a_with_point`.  `lift_class` is no oracle: it lifts a class to
+the coefficients that `divisor_polytope` takes.
 """
 
 from fractions import Fraction
@@ -442,6 +443,16 @@ def divisor_class_by_solve(pres, coeffs) -> VecQ:
     assert m is not None and m.unique
     mv = m.particular
     return VecQ([xs[i] - mv.dot(VecQ(f.rays[i])) for i in pres.basis_rays])
+
+
+def lift_class(pres, cls: VecQ) -> tuple[Fraction, ...]:
+    """An invariant divisor with the given class, as `divisor_polytope`
+    takes it: coefficients placed on the basis rays, zero on the pivot
+    rays."""
+    coeffs = [Fraction(0)] * len(pres.fan.rays)
+    for pos, ray in enumerate(pres.basis_rays):
+        coeffs[ray] = cls[pos]
+    return tuple(coeffs)
 
 
 def strict_fan_checks_by_solve(rays, max_cones) -> None:

@@ -39,7 +39,7 @@ def report(num, ok, detail, budget, elapsed):
 
 
 def fixture_values(fid, catalog):
-    rep = fixtures.run_fixture(fid, catalog)
+    rep = fixtures.run_fixture(catalog[fid])
     assert rep.passed, [c for c in rep.checks if not c.ok]
     return {c.name: c.actual for c in rep.checks}
 

@@ -391,3 +391,28 @@ def test_a_wrong_cell_inverse_is_caught():
     assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     c._faces[mask] = entry
     assert c.min_a_with_point(surf.canonical, bundle) == answer
+
+
+def test_a_wrong_ray_lp_witness_is_caught(monkeypatch):
+    # the cold route: with no facets, a and the witness are the ray LP's x,
+    # checked in integers as the facet route's witness is.  One more on the
+    # first generator's weight leaves a as it is but no longer recombines
+    # to a*L + K.
+    surf = del_pezzo(3)
+    m = with_fresh_cone(surf)
+    bundle = -1 * surf.canonical
+    ray_lp = ConeQ._ray_lp
+
+    def planted(self, base, direction):
+        res = ray_lp(self, base, direction)
+        return res._replace(x=(res.x[0] + 1,) + tuple(res.x[1:]))
+
+    monkeypatch.setattr(ConeQ, "_ray_lp", planted)
+    with pytest.raises(InternalError) as exc:
+        fujita(m, bundle)
+    assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+    with pytest.raises(InternalError):
+        cones.min_a_on_ray(m.eff_cone, m.canonical, bundle)
+    assert m.eff_cone._facets_int is None
+    monkeypatch.undo()
+    assert fujita(m, bundle).a == 1

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from fujita import fixtures, modelio
-from fujita.errors import UnknownFixture
+from fujita import fixtures
 
 EXPECTED_IDS = {
     "cubic-threefold",
@@ -32,20 +31,15 @@ def test_catalog_ids_stable(catalog):
 
 def test_every_fixture_passes(catalog):
     for fid in sorted(catalog):
-        report = fixtures.run_fixture(fid, catalog)
+        report = fixtures.run_fixture(catalog[fid])
         bad = [c for c in report.checks if not c.ok]
         assert not bad, (fid, bad)
         assert report.checks, fid
 
 
-def test_unknown_fixture(catalog):
-    with pytest.raises(UnknownFixture):
-        fixtures.run_fixture("no-such-model", catalog)
-
-
 def test_headline_values(catalog):
     def values(fid):
-        return {c.name: c.actual for c in fixtures.run_fixture(fid, catalog).checks}
+        return {c.name: c.actual for c in fixtures.run_fixture(catalog[fid]).checks}
 
     cubic = values("cubic-threefold")
     assert cubic["a"] == "2" and cubic["b"] == 1
@@ -74,26 +68,6 @@ def test_headline_values(catalog):
     assert x22["b"] == x22["line.b"] == 1
 
 
-def test_round_trip_reproduces_reports(catalog, tmp_path):
-    # export every fixture back to the model-file format, reload, recompute
-    for fid in sorted(catalog):
-        fx = catalog[fid]
-        doc = modelio.problem_to_dict(fx.problem)
-        text = json.dumps(doc, sort_keys=True)
-        reloaded = modelio.parse_problem(json.loads(text))
-        clone = fixtures.Fixture(
-            id=fx.id,
-            description=fx.description,
-            source=fx.source,
-            problem=reloaded,
-            expected=fx.expected,
-            sub_expected=fx.sub_expected,
-        )
-        original = fixtures.run_fixture(fx)
-        again = fixtures.run_fixture(clone)
-        assert original.checks == again.checks, fid
-
-
 def test_fixture_dir_override(tmp_path, monkeypatch, catalog):
     src = catalog["cubic-threefold"]
     doc = json.loads(
@@ -103,5 +77,5 @@ def test_fixture_dir_override(tmp_path, monkeypatch, catalog):
     monkeypatch.setenv("FUJITA_FIXTURE_DIR", str(tmp_path))
     small = fixtures.load_catalog()
     assert set(small) == {"cubic-threefold"}
-    assert fixtures.run_fixture("cubic-threefold", small).passed
+    assert fixtures.run_fixture(small["cubic-threefold"]).passed
     assert small["cubic-threefold"].description == src.description

@@ -91,22 +91,6 @@ def test_subvariety_not_big_is_schema_error():
         modelio.parse_problem(doc)
 
 
-def test_serialization_canonical_rationals():
-    p = modelio.parse_problem(BASE)
-    doc = modelio.problem_to_dict(p)
-    assert doc["model"]["canonical"] == [-3, 1]  # integers collapse
-    text1 = json.dumps(doc, sort_keys=True)
-    text2 = json.dumps(modelio.problem_to_dict(modelio.parse_problem(json.loads(text1))), sort_keys=True)
-    assert text1 == text2
-
-
-def test_del_pezzo_round_trip():
-    doc = {"model": {"kind": "del_pezzo", "degree": 8, "quadric": True}, "line_bundle": [2, 2]}
-    p = modelio.parse_problem(doc)
-    out = modelio.problem_to_dict(p)
-    assert out["model"] == {"kind": "del_pezzo", "degree": 8, "quadric": True}
-
-
 def test_quadric_of_another_degree_is_a_schema_error_at_its_degree():
     quadric = {"kind": "del_pezzo", "degree": 3, "quadric": True}
     with pytest.raises(SchemaError) as top:

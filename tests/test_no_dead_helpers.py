@@ -1,0 +1,62 @@
+"""Every helper in `src/fujita` is read by something.
+
+The audit lists every non-dunder function, class, method and module-level
+constant defined in `src/fujita/*.py`, and counts its whole-word uses: a
+name must occur at least twice in `src/fujita` (its definition and one
+use), or at least once in `bench/`, which drives the program from outside.
+A name that only tests read belongs in the tests.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fujita"
+BENCH = ROOT / "bench"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def word_counts(paths) -> Counter:
+    counts = Counter()
+    for path in paths:
+        counts.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return counts
+
+
+def unread_names(src: Path = SRC) -> list[str]:
+    sources = sorted(src.glob("*.py"))
+    names = set()
+    for path in sources:
+        names |= defined_names(ast.parse(path.read_text(encoding="utf-8")))
+    in_src = word_counts(sources)
+    in_bench = word_counts(sorted(BENCH.glob("*.py")))
+    return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
+
+
+def test_every_helper_is_read():
+    assert unread_names() == []
+
+
+def test_audit_sees_a_helper_nothing_reads(tmp_path):
+    # a copy of the package with a planted function and constant: the audit
+    # names both
+    src = tmp_path / "src" / "fujita"
+    src.mkdir(parents=True)
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with (src / "modelio.py").open("a", encoding="utf-8") as fh:
+        fh.write("\n\ndef vector_to_json(v):\n    return list(v)\n\nUNREAD_VERSION = '1'\n")
+    assert unread_names(src) == ["UNREAD_VERSION", "vector_to_json"]
