@@ -416,3 +416,55 @@ def test_a_wrong_ray_lp_witness_is_caught(monkeypatch):
     assert m.eff_cone._facets_int is None
     monkeypatch.undo()
     assert fujita(m, bundle).a == 1
+
+
+def test_a_negative_ray_lp_witness_is_caught(monkeypatch):
+    # the cold route again: the ray LP's x plus a multiple of a kernel vector
+    # of the generators still recombines to a*L + K with a unchanged, but the
+    # kernel vector has entries of both signs on a strict cone, so one
+    # weight goes negative
+    surf = del_pezzo(3)
+    m = with_fresh_cone(surf)
+    bundle = -1 * surf.canonical
+    gens = m.eff_cone.generators
+    kernel = nullspace(MatQ([list(col) for col in zip(*gens)]))[0]
+    k = len(gens)
+    ray_lp = ConeQ._ray_lp
+
+    def planted(self, base, direction):
+        res = ray_lp(self, base, direction)
+        n = (1 + max(res.x[:k])) / min([abs(v) for v in kernel if v])
+        lam = tuple([x + n * v for x, v in zip(res.x[:k], kernel)])
+        return res._replace(x=lam + tuple(res.x[k:]))
+
+    monkeypatch.setattr(ConeQ, "_ray_lp", planted)
+    with pytest.raises(InternalError) as exc:
+        fujita(m, bundle)
+    assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+    with pytest.raises(InternalError):
+        cones.min_a_on_ray(m.eff_cone, m.canonical, bundle)
+    assert m.eff_cone._facets_int is None
+    monkeypatch.undo()
+    assert fujita(m, bundle).a == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cones(), st.randoms(use_true_random=False))
+def test_ray_lp_witness_recombines_on_random_cones(c, rng):
+    # the cold route's checked witness: nonnegative, recombining to the
+    # boundary point, with the a of the facet route on a copy with facets
+    d = c.ambient_dim
+    interior = VecQ.zero(d)
+    for g in c.generators:
+        interior = interior + Fraction(rng.randint(1, 3), rng.randint(1, 2)) * g
+    warm = with_facets(c)
+    for _ in range(3):
+        base = random_rational_vector(rng, d, (-6, 6), (1, 3))
+        a, witness = c.min_a_with_witness(base, interior)
+        assert len(witness) == len(c.generators)
+        assert all(w >= 0 for w in witness)
+        combo = VecQ.zero(d)
+        for w, g in zip(witness, c.generators):
+            combo = combo + w * g
+        assert combo == base + a * interior
+        assert warm.min_a_with_point(base, interior)[0] == a
