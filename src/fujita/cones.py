@@ -255,7 +255,7 @@ class ConeQ:
         "ambient_dim",
         "_gens",
         "_gens_int",
-        "_facets_int",
+        "_facets",
         "_facet_gen_masks",
         "_faces",
         "_point",
@@ -274,7 +274,7 @@ class ConeQ:
         self.ambient_dim = ambient_dim
         self._gens_int = tuple(ints)
         self._gens = tuple([VecQ.from_scaled(g, 1) for g in ints])
-        self._facets_int = None
+        self._facets = None
         self._facet_gen_masks = None
         self._faces = {}
         self._point = None
@@ -303,14 +303,9 @@ class ConeQ:
         """Irredundant facet normals, primitive integer, lexicographic
         order.  Built anew on each call from the integer rows the cone
         keeps."""
-        if self._facets_int is None:
+        if self._facets is None:
             self._compute_facets()
-        return tuple([VecQ.from_scaled(f, 1) for f in self._facets_int])
-
-    @property
-    def _facets(self) -> tuple[tuple[int, ...], ...] | None:
-        # bench/tracer.py counts the facets of each DD run by this name
-        return self._facets_int
+        return tuple([VecQ.from_scaled(f, 1) for f in self._facets])
 
     def _compute_facets(self):
         """The facets, the generators each annihilates (DD's zero sets) and
@@ -319,11 +314,11 @@ class ConeQ:
         facets_int = tuple([f for f, _ in ordered])
         self._facet_gen_masks = tuple([z for _, z in ordered])
         self._packed = PackedRows(facets_int)
-        self._facets_int = facets_int
+        self._facets = facets_int
 
     def _slots(self, vi: list[int]) -> Sequence[int]:
         """Every f_j.vi, in facet order (`qlinalg.PackedRows.products`)."""
-        if self._facets_int is None:
+        if self._facets is None:
             self._compute_facets()
         return self._packed.products(vi)
 
@@ -338,7 +333,7 @@ class ConeQ:
             raise DimensionMismatch("vector dimension mismatch")
         if v.is_zero():
             return Containment.BOUNDARY
-        if self._facets_int is not None:
+        if self._facets is not None:
             least = min(self._slots(scaled_ints(v)[0]))
             if least < 0:
                 return Containment.OUTSIDE
@@ -446,7 +441,7 @@ class ConeQ:
         forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
-        if self._facets_int is None:
+        if self._facets is None:
             if self.contains(direction) is not Containment.INSIDE:
                 return None
             a, witness = self.min_a_with_witness(base, direction)

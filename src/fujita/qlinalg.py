@@ -231,12 +231,12 @@ class MatQ:
             self._scaled = [[x * (den // r._q) for x in r._n] for r in self._rows], den
         return self._scaled
 
-    def apply(self, v: VecQ) -> VecQ:
-        """Matrix-vector product."""
-        if v.dim != self.cols:
-            raise DimensionMismatch(f"{self.cols} columns vs vector of dim {v.dim}")
-        rows, den = self.scaled_rows()
+    def apply(self, v) -> VecQ:
+        """Matrix-vector product with a VecQ or any rational sequence."""
         vi, dv = scaled_ints(v)
+        if len(vi) != self.cols:
+            raise DimensionMismatch(f"{self.cols} columns vs vector of dim {len(vi)}")
+        rows, den = self.scaled_rows()
         return VecQ.from_scaled([idot(r, vi) for r in rows], den * dv)
 
     def is_symmetric(self) -> bool:
@@ -401,10 +401,6 @@ class LinearSolution(NamedTuple):
 
     particular: VecQ
     kernel: tuple[VecQ, ...]
-
-    @property
-    def unique(self) -> bool:
-        return not self.kernel
 
 
 def solve(m: MatQ, rhs: VecQ) -> LinearSolution | None:

@@ -2,12 +2,12 @@
 
 A `Fan` is a complete simplicial fan given by primitive integer rays and
 maximal cones (as ray-index sets).  The divisor class group presentation
-NS = Z^rays / image(M) gives the class map, the effective cone is spanned by
-the boundary divisor classes (generator j is the class of ray j; none is
-zero on a complete fan), and its facets are built with the model.  An
-invariant divisor is rigid iff its polytope {m : <m, v_ray> >= -a_ray} is
-a point, which is the executable h^0 oracle used by the balancedness
-criterion.
+NS = Z^rays / image(M) gives the class map, a kernel basis of the ray
+matrix; the effective cone is spanned by the boundary divisor classes
+(generator j is the class of ray j; none is zero on a complete fan), and
+its facets are built with the model.  An invariant divisor is rigid iff
+its polytope {m : <m, v_ray> >= -a_ray} is a point, which is the
+executable h^0 oracle used by the balancedness criterion.
 
 That dimension is read off the minimal face F of the effective cone
 containing the class, with no LP.  The polytope is the set of
@@ -42,9 +42,10 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from . import invariants, qlinalg
+from . import invariants
 from .cones import ConeQ, positive_support
 from .errors import (
+    DimensionMismatch,
     IncompleteFan,
     InvalidModel,
     NonSimplicialCone,
@@ -55,7 +56,7 @@ from .errors import (
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
+from .qlinalg import MatQ, VecQ, as_rat, idot, nullspace, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 # Largest |det| of a singular cone whose terminality strict mode walks,
@@ -222,35 +223,25 @@ def fan_product(f1: Fan, f2: Fan) -> Fan:
 
 
 class NSPresentation(NamedTuple):
-    """NS = Z^rays / image(M), in the basis of the non-pivot boundary rays.
-
-    The class of sum a_ray D_ray has coordinate a_ray - <m, v_ray> on each
-    basis ray, m the character with <m, v> = a on the pivot rays: m =
-    P^-1 a_pivot, P the matrix whose rows are the pivot rays.  With
-    det = |det P| and the integer matrix det * P^-1 from one
-    `qlinalg.scaled_inverse`, <m, v_ray> = basis_rows[i] . a_pivot / det,
-    where basis_rows[i] is v_ray times det * P^-1 for the i-th basis ray."""
+    """NS = Z^rays / image(M) as a class map: its rows are a basis of the
+    kernel of the ray matrix R, whose columns are the rays.  A row y kills
+    every principal divisor (<m, v_ray>)_ray iff R y = 0, so the class of
+    sum a_ray D_ray is `class_map` times a (Gale duality), and
+    `ray_classes` are the class map's columns."""
 
     fan: Fan
     rank: int
-    pivot_rays: tuple[int, ...]
-    basis_rays: tuple[int, ...]
-    pivot_det: int
-    basis_rows: tuple[tuple[int, ...], ...]
+    class_map: MatQ
     ray_classes: tuple[VecQ, ...]
 
     def divisor_class(self, coeffs) -> VecQ:
-        """Class of sum a_ray D_ray in the chosen NS basis, in integers:
-        the coefficients are scaled once by the lcm of their denominators."""
-        ints, den = scaled_ints(coeffs)
-        if len(ints) != len(self.fan.rays):
-            raise InvalidModel("coefficient count does not match ray count")
-        pivot = [ints[i] for i in self.pivot_rays]
-        det = self.pivot_det
-        return VecQ.from_scaled(
-            [det * ints[i] - idot(row, pivot) for i, row in zip(self.basis_rays, self.basis_rows)],
-            det * den,
-        )
+        """Class of sum a_ray D_ray: one integer product of the class map's
+        scaled rows with the coefficients, scaled once by the lcm of their
+        denominators."""
+        try:
+            return self.class_map.apply(coeffs)
+        except DimensionMismatch:
+            raise InvalidModel("coefficient count does not match ray count") from None
 
     def canonical_class(self) -> VecQ:
         return self.divisor_class([-1] * len(self.fan.rays))
@@ -258,23 +249,16 @@ class NSPresentation(NamedTuple):
 
 @lru_cache(maxsize=MEMO_BOUND)
 def ns_presentation(f: Fan) -> NSPresentation:
-    """Deterministic class-group presentation: pivot rays are the first
-    lattice_dim rays that are linearly independent, in ray order (a
-    complete fan's rays span the lattice).  The last MEMO_BOUND fans'
-    presentations are kept."""
-    pivots = tuple(qlinalg.pivot_columns(f.rays))
-    basis = tuple(i for i in range(len(f.rays)) if i not in pivots)
-    det, inverse = scaled_inverse([f.rays[i] for i in pivots])
-    columns = list(zip(*inverse))
-    rows = tuple([tuple([idot(f.rays[i], col) for col in columns]) for i in basis])
-    # D_ray's class: e_k on the k-th basis ray; on the j-th pivot ray,
-    # a_pivot = e_j, so coordinate i is -basis_rows[i][j] / det
-    classes = [None] * len(f.rays)
-    for k, i in enumerate(basis):
-        classes[i] = VecQ.from_scaled([int(t == k) for t in range(len(basis))], 1)
-    for j, i in enumerate(pivots):
-        classes[i] = VecQ.from_scaled([-row[j] for row in rows], det)
-    return NSPresentation(f, len(basis), pivots, basis, det, rows, tuple(classes))
+    """Deterministic class-group presentation by one `qlinalg.nullspace`
+    of the ray matrix.  The pivot rays are the first lattice_dim linearly
+    independent rays in ray order (a complete fan's rays span the
+    lattice); each other ray has one class coordinate, and its class is
+    the unit vector on it.  The last MEMO_BOUND fans' presentations are
+    kept."""
+    class_map = MatQ(nullspace(MatQ(zip(*f.rays))))
+    rows, den = class_map.scaled_rows()
+    classes = tuple([VecQ.from_scaled(col, den) for col in zip(*rows)])
+    return NSPresentation(f, class_map.rows, class_map, classes)
 
 
 def effective_cone(f: Fan) -> ConeQ:
@@ -407,7 +391,7 @@ def fibration_data(f: Fan, projection: MatQ) -> FibrationData:
     if projection.cols != f.lattice_dim:
         raise ProjectionIncompatible("projection width does not match the lattice")
     vertical = frozenset(
-        i for i, r in enumerate(f.rays) if not projection.apply(VecQ(r)).is_zero()
+        i for i, r in enumerate(f.rays) if not projection.apply(r).is_zero()
     )
     ns_pi = span_dim([pres.ray_classes[i] for i in sorted(vertical)])
     return FibrationData(projection, vertical, ns_pi)
@@ -433,7 +417,7 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
     # the projection kills every tight ray and the dimensions add up
     tight = [r for i, r in enumerate(f.rays) if i not in res.face.generators_in_face]
     if not (
-        all(projection.apply(VecQ(r)).is_zero() for r in tight)
+        all(projection.apply(r).is_zero() for r in tight)
         and span_dim(tight) + span_dim(projection.row_list()) == f.lattice_dim
     ):
         raise ProjectionIncompatible(

@@ -12,9 +12,9 @@ polytopes without the single support LP, a flat multiset search checks
 the pruned (-1)-curve recursion, one rational solve per cone and point
 checks the integer fan-coverage test, and 27 sampled directions check
 that one point decides coverage, the Fraction loop checks
-the integer Zariski kernel, one rational solve on the pivot rays checks
-the integer toric class map, the support LP of the divisor polytope checks
-toric rigidity read off the minimal face, a nullspace wall normal
+the integer Zariski kernel, one rational back-substitution on the pivot
+rays checks the toric class map, the support LP of the divisor polytope
+checks toric rigidity read off the minimal face, a nullspace wall normal
 with a Fraction lattice walk checks the strict fan checks, an LP of
 another shape (v minus a bounded multiple of the generator sum) checks
 membership by the ray LP, the forward Bareiss echelon with Fraction
@@ -215,7 +215,7 @@ def _basic_solutions(a_rows, b, n):
     for size in range(1, min(m, n) + 1):
         for cols in combinations(range(n), size):
             sol = solve(MatQ([[row[j] for j in cols] for row in a_rows]), VecQ(b))
-            if sol is None or not sol.unique:
+            if sol is None or sol.kernel:
                 continue
             x = [Fraction(0)] * n
             for j, v in zip(cols, sol.particular):
@@ -418,7 +418,7 @@ def zariski_by_fractions(curves, pair, eff_cone, d) -> ZariskiDecomposition:
         gram = MatQ([[pair(ci, cj) for cj in support] for ci in support])
         rhs = VecQ([pair(d, ci) for ci in support])
         sol = solve(gram, rhs)
-        if sol is None or not sol.unique:
+        if sol is None or sol.kernel:
             raise InternalNonTermination("support Gram system is degenerate")
         mults = list(sol.particular)
         if any(x <= 0 for x in mults):
@@ -432,25 +432,32 @@ def zariski_by_fractions(curves, pair, eff_cone, d) -> ZariskiDecomposition:
     )
 
 
-def divisor_class_by_solve(pres, coeffs) -> VecQ:
-    """Class of sum a_ray D_ray in the presentation's basis: solve for the
-    character m with <m, v> = a on the pivot rays in rationals, then
-    subtract <m, v> from a on each basis ray."""
-    f = pres.fan
+def pivot_split(fan) -> tuple[list[int], list[int]]:
+    """The first lattice_dim linearly independent rays in ray order, by the
+    oracle's Bareiss echelon, and the other rays: the class coordinates."""
+    pivots = pivot_columns_by_bareiss(fan.rays)
+    return pivots, [i for i in range(len(fan.rays)) if i not in pivots]
+
+
+def divisor_class_by_solve(fan, coeffs) -> VecQ:
+    """Class of sum a_ray D_ray, one coordinate per non-pivot ray: solve
+    for the character m with <m, v> = a on the pivot rays in rationals by
+    back-substitution, then subtract <m, v> from a on each non-pivot ray."""
+    pivots, basis = pivot_split(fan)
     xs = [as_rat(a) for a in coeffs]
-    pivot_matrix = MatQ([f.rays[i] for i in pres.pivot_rays])
-    m = solve(pivot_matrix, VecQ([xs[i] for i in pres.pivot_rays]))
-    assert m is not None and m.unique
+    pivot_matrix = MatQ([fan.rays[i] for i in pivots])
+    m = solve_by_back_substitution(pivot_matrix, VecQ([xs[i] for i in pivots]))
+    assert m is not None and not m.kernel
     mv = m.particular
-    return VecQ([xs[i] - mv.dot(VecQ(f.rays[i])) for i in pres.basis_rays])
+    return VecQ([xs[i] - mv.dot(VecQ(fan.rays[i])) for i in basis])
 
 
-def lift_class(pres, cls: VecQ) -> tuple[Fraction, ...]:
+def lift_class(fan, cls: VecQ) -> tuple[Fraction, ...]:
     """An invariant divisor with the given class, as `divisor_polytope`
-    takes it: coefficients placed on the basis rays, zero on the pivot
+    takes it: coefficients placed on the non-pivot rays, zero on the pivot
     rays."""
-    coeffs = [Fraction(0)] * len(pres.fan.rays)
-    for pos, ray in enumerate(pres.basis_rays):
+    coeffs = [Fraction(0)] * len(fan.rays)
+    for pos, ray in enumerate(pivot_split(fan)[1]):
         coeffs[ray] = cls[pos]
     return tuple(coeffs)
 
@@ -710,12 +717,12 @@ def contains_by_facet_loop(cone, v) -> Containment:
         raise DimensionMismatch("vector dimension mismatch")
     if v.is_zero():
         return Containment.BOUNDARY
-    assert cone._facets_int is not None
+    assert cone._facets is not None
     # positive rescaling preserves all signs; integer dots are far
     # cheaper than Fraction arithmetic on big facet lists
     vi, _ = scaled_ints(v)
     boundary = False
-    for f in cone._facets_int:
+    for f in cone._facets:
         s = idot(f, vi)
         if s < 0:
             return Containment.OUTSIDE
@@ -731,12 +738,12 @@ def minimal_face_by_facet_loop(cone, v) -> FaceQ:
         raise DimensionMismatch("vector dimension mismatch")
     if v.is_zero():
         return FaceQ(cone, frozenset(), 0)
-    if cone._facets_int is None:
+    if cone._facets is None:
         cone._compute_facets()
     vi, _ = scaled_ints(v)
     masks = cone._facet_gen_masks
     gmask = (1 << len(cone._gens_int)) - 1
-    for f, m in zip(cone._facets_int, masks):
+    for f, m in zip(cone._facets, masks):
         s = idot(f, vi)
         if s < 0:
             raise OutsideCone(f"{v!r} is outside the cone")
@@ -751,7 +758,7 @@ def facet_generator_masks_by_dot(cone) -> tuple[int, ...]:
     """Per facet, the bitmask of the generators it annihilates, by one
     integer dot per (facet, generator) pair."""
     masks = []
-    for f in cone._facets_int:
+    for f in cone._facets:
         m = 0
         for j, g in enumerate(cone._gens_int):
             if idot(f, g) == 0:
@@ -780,12 +787,12 @@ def min_a_and_face_by_facet_loop(cone, base, direction):
     direction is not interior: one integer dot per facet for f.L and f.K,
     and the per-facet arg-max loop of the ratios -f.K / f.L, ANDing the
     generator masks of the facets that reach a."""
-    if cone._facets_int is None:
+    if cone._facets is None:
         cone._compute_facets()
     vl, dl = scaled_ints(direction)
     vk, dk = scaled_ints(base)
-    sl = [idot(f, vl) for f in cone._facets_int]
-    sk = [idot(f, vk) for f in cone._facets_int]
+    sl = [idot(f, vl) for f in cone._facets]
+    sk = [idot(f, vk) for f in cone._facets]
     if min(sl) <= 0:
         return None
     num, den, mask = -sk[0], sl[0], cone._facet_gen_masks[0]

@@ -407,6 +407,63 @@ class TestZariskiCommand:
         )
 
 
+CHECKS_OK = [
+    "check decomposition_exact: ok",
+    "check positive_nonnegative_on_negative_curves: ok",
+    "check positive_orthogonal_to_support: ok",
+    "check support_gram_negative_definite: ok",
+]
+
+# stdout after the "== path" line of each command on a catalog file
+HUMAN_OUTPUT = {
+    ("invariants", "bl1p2-ruling-fibration"): [
+        "a = 2",
+        "b = 1",
+        "adjoint class rigid: False",
+        "minimal face generators:",
+        "  ['1', '-1']",
+        "  ['1', '-1']",
+        "paths: polyhedral, divisor_polytope",
+    ],
+    ("balanced", "cubic-threefold"): [
+        "line: X ('2', 1) vs Y ('2', 1) -> weakly_balanced_not_balanced",
+    ],
+    ("balanced", "pgl2-p3"): ["plane-section: X ('1', 2) vs Y ('1', 1) -> balanced"],
+    ("balanced", "bt-cubic-fibration"): [
+        "smooth-cubic-fiber: X ('1', 2) vs Y ('1', 7) -> not_weakly_balanced",
+    ],
+    ("zariski", "dp3-anticanonical"): [
+        "positive part: ['3', '-1', '-1', '-1', '-1', '-1', '-1']",
+        "negative part: zero",
+        *CHECKS_OK,
+    ],
+}
+
+
+class TestHumanOutput:
+    @pytest.mark.parametrize("command, fid", sorted(HUMAN_OUTPUT))
+    def test_catalog_file(self, capsys, command, fid):
+        path = fixture_path(fid)
+        code, out = run_cli(capsys, command, path)
+        assert code == 0
+        assert out == "".join(f"{line}\n" for line in [f"== {path}", *HUMAN_OUTPUT[command, fid]])
+
+    def test_zariski_negative_part(self, capsys, tmp_path):
+        path = write(
+            tmp_path,
+            {"model": {"kind": "del_pezzo", "degree": 6}, "line_bundle": [3, 1, -1, -1]},
+        )
+        code, out = run_cli(capsys, "zariski", path)
+        assert code == 0
+        lines = [
+            f"== {path}",
+            "positive part: ['3', '0', '-1', '-1']",
+            "negative: 1 x ['0', '1', '0', '0']",
+            *CHECKS_OK,
+        ]
+        assert out == "".join(f"{line}\n" for line in lines)
+
+
 class TestFixturesCommand:
     def test_list(self, capsys):
         code, out = run_cli(capsys, "fixtures", "list")

@@ -172,7 +172,7 @@ class TestContains:
                 got = c.contains(v)
                 assert got is contains_by_lp(c, v), (gens, v)
                 seen.add(got)
-            assert c._facets_int is None
+            assert c._facets is None
         assert seen == set(Containment)
 
     def test_zero_vector(self):
@@ -239,7 +239,7 @@ def big_probes(c, v, rng):
     for n in (2**64 + 1, 2**200 + 3):
         out.append(n * v)
         out.append(n * v + random_rational_vector(rng, c.ambient_dim, (-2, 2), (1, 2)))
-    f = max(c._facets_int, key=lambda f: sum(map(abs, f)))
+    f = max(c._facets, key=lambda f: sum(map(abs, f)))
     l1 = sum(map(abs, f))
     for m in (-(-(2**63) // l1), 2**63 // l1):
         edge = VecQ([m * ((x > 0) - (x < 0)) for x in f])
@@ -281,7 +281,7 @@ def check_random_cone(c, rng):
     seen = set()
     for v in probes:
         check_packed_against_loop(c, v, seen)
-    per_facet = len(c._facets_int)
+    per_facet = len(c._facets)
     small_cost = 1 if qlinalg.sys.byteorder == "little" else per_facet
     for v in small:
         assert dots_taken(c, v) == small_cost, v
@@ -366,7 +366,7 @@ class TestPackedSigns:
             for n in (1, 2**80, 2**200):
                 assert c.contains(n * v) is Containment.INSIDE
                 assert c.minimal_face(n * v).span_dim == 7
-                assert dots_taken(c, n * v) == (1 if n == 1 else len(c._facets_int))
+                assert dots_taken(c, n * v) == (1 if n == 1 else len(c._facets))
 
 
 class TestDotPath:

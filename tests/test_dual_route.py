@@ -44,7 +44,7 @@ def check_dual_route(c, base, direction):
     combination there is, so it must equal `solve_lp`'s on the face's
     generators.  a and the face must also equal the per-facet arg-max
     loop's.  Returns whether the direction was interior."""
-    assert c._facets_int is not None
+    assert c._facets is not None
     got = c.min_a_with_point(base, direction)
     expected = min_a_and_face_by_ray_lp(c, base, direction)
     by_loop = min_a_and_face_by_facet_loop(c, base, direction)
@@ -116,7 +116,7 @@ def test_wide_slots_on_del_pezzo():
             assert check_dual_route(c, base, direction)
         # one packed product at n = 1; past 2^64, one idot per facet
         for v in (n * bundle, n * surf.canonical):
-            assert dots_taken(c, v) == (1 if n == 1 else len(c._facets_int))
+            assert dots_taken(c, v) == (1 if n == 1 else len(c._facets))
 
 
 @pytest.mark.parametrize("degree", range(2, 8))
@@ -291,7 +291,7 @@ def test_fujita_alone_leaves_degree_one_facets_unbuilt(monkeypatch):
     assert fr.a > 0
     res = b_invariant(m, -1 * surf.canonical)
     assert (res.fujita.a, res.b, res.face.generators_in_face) == (1, m.ns_rank, frozenset())
-    assert runs == [] and m.eff_cone._facets_int is None
+    assert runs == [] and m.eff_cone._facets is None
 
 
 def test_a_wrong_cached_inverse_is_caught():
@@ -413,7 +413,7 @@ def test_a_wrong_ray_lp_witness_is_caught(monkeypatch):
     assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     with pytest.raises(InternalError):
         cones.min_a_on_ray(m.eff_cone, m.canonical, bundle)
-    assert m.eff_cone._facets_int is None
+    assert m.eff_cone._facets is None
     monkeypatch.undo()
     assert fujita(m, bundle).a == 1
 
@@ -443,7 +443,7 @@ def test_a_negative_ray_lp_witness_is_caught(monkeypatch):
     assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
     with pytest.raises(InternalError):
         cones.min_a_on_ray(m.eff_cone, m.canonical, bundle)
-    assert m.eff_cone._facets_int is None
+    assert m.eff_cone._facets is None
     monkeypatch.undo()
     assert fujita(m, bundle).a == 1
 

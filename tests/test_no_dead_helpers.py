@@ -1,14 +1,17 @@
 """Every helper in `src/fujita` is read by something.
 
 The audit lists every non-dunder function, class, method and module-level
-constant defined in `src/fujita/*.py`, and counts its whole-word uses: a
-name must occur at least twice in `src/fujita` (its definition and one
-use), or at least once in `bench/`, which drives the program from outside.
-A name that only tests read belongs in the tests.
+constant defined in `src/fujita/*.py`, and counts its uses: a name must
+occur as a code token at least twice in `src/fujita` (its definition and
+one use), so a docstring or a comment that mentions it is no use, or as
+a whole word at least once in `bench/`, which drives the program from
+outside and names its tracer targets in strings.  A name that only tests
+read belongs in the tests.
 """
 
 import ast
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +32,14 @@ def defined_names(tree: ast.Module) -> set[str]:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
+def name_counts(paths) -> Counter:
+    counts = Counter()
+    for path in paths:
+        with path.open("rb") as fh:
+            counts.update(t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME)
+    return counts
+
+
 def word_counts(paths) -> Counter:
     counts = Counter()
     for path in paths:
@@ -41,7 +52,7 @@ def unread_names(src: Path = SRC) -> list[str]:
     names = set()
     for path in sources:
         names |= defined_names(ast.parse(path.read_text(encoding="utf-8")))
-    in_src = word_counts(sources)
+    in_src = name_counts(sources)
     in_bench = word_counts(sorted(BENCH.glob("*.py")))
     return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
 
@@ -51,12 +62,18 @@ def test_every_helper_is_read():
 
 
 def test_audit_sees_a_helper_nothing_reads(tmp_path):
-    # a copy of the package with a planted function and constant: the audit
-    # names both
+    # a copy of the package with a planted function, a constant, and a
+    # function that only a docstring and a comment mention: the audit names
+    # all three
     src = tmp_path / "src" / "fujita"
     src.mkdir(parents=True)
     for path in SRC.glob("*.py"):
         (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     with (src / "modelio.py").open("a", encoding="utf-8") as fh:
-        fh.write("\n\ndef vector_to_json(v):\n    return list(v)\n\nUNREAD_VERSION = '1'\n")
-    assert unread_names(src) == ["UNREAD_VERSION", "vector_to_json"]
+        fh.write(
+            "\n\ndef vector_to_json(v):\n    return list(v)\n\nUNREAD_VERSION = '1'\n"
+            "\n\ndef mentioned_only(v):\n"
+            '    """Unlike `mentioned_only`, nothing calls this."""\n'
+            "    return v  # mentioned_only\n"
+        )
+    assert unread_names(src) == ["UNREAD_VERSION", "mentioned_only", "vector_to_json"]

@@ -55,11 +55,11 @@ class TestRank:
 class TestSolve:
     def test_scalar(self):
         sol = solve(MatQ([[2]]), VecQ([3]))
-        assert sol.unique and sol.particular == VecQ([Fraction(3, 2)])
+        assert not sol.kernel and sol.particular == VecQ([Fraction(3, 2)])
 
     def test_underdetermined(self):
         sol = solve(MatQ([[1, 1]]), VecQ([1]))
-        assert not sol.unique
+        assert sol.kernel
         assert len(sol.kernel) == 1
         # particular solves, kernel annihilates
         m = MatQ([[1, 1]])
