@@ -36,31 +36,44 @@ max: L is interior iff every group's least f_j.L is positive, the group
 winners are compared exactly, and the masks ANDed for the face are those
 of the winning groups' facets that reach a (all of a group with f_j.K = 0).
 
-Faces are memoized per cone, keyed by the bitmask of their generators G_F,
-at most FACE_MEMO_BOUND of them; the memo is emptied when full.  One
-elimination of G_F's coordinate rows gives span_dim and the pivot rows R,
-kept for every face.  R maps span(G_F) isomorphically onto Q^R, so for any
-basis B of that span drawn from G_F the matrix G_B[R, :] is invertible.
-Each face keeps a short list of such bases, its cells, each with d =
-|det G_B[R, :]| and d * G_B[R, :]^-1, most recently used first.  The
-witness of a point p of the face is then, by Caratheodory's theorem, a
-nonnegative combination of some cell's generators: lam = inverse times p[R]
-over d, one integer matrix-vector product, for the first cell that gives
-lam >= 0 (it moves to the front).  A simplicial face (|F| = span_dim: G_F
-is independent) has one cell, B = F, built with the face, and no LP.  Any
-other face starts with none; when every cell misses, the witness comes
-from one LP on the rows R of G_F and p (p lies in span(G_F), so the other
-rows follow), which must end optimal, and its solution is scaled to
-integers over one denominator.  The LP's final basis becomes a new cell,
-whose inverse is built the first time the cell is tried; a face keeps at
-most |F| cells and drops the least recently used.  So on a revisited face
-the witness may come from an earlier query's basis.  Every witness, d *
-lam, must be nonnegative and recombine to d * p on every coordinate row,
-or the call raises InternalError; a simplicial face on which lam is
-negative raises it too.  The boundary point is then kept with its face in
-one slot, like K.  Only `minimal_face` hands out faces, on either route:
-it reads that point's face with no product, and builds the facets for a
-nonzero point of the ray LP.
+A face F whose generators G_F are independent (|F| = span_dim) is
+simplicial, as more than 90% of the distinct faces that seeded del Pezzo
+queries meet on the degree-2 cone are.  The facets' zero sets, transposed
+once with the facets, give per generator g_j the bitmask of the facets
+containing it, and F is simplicial iff every g_j in F has a dual facet
+f_j: one that contains every other generator of F and not g_j (Fukuda and
+Prodon 1996).  Prefix and suffix
+ANDs of those masks find every f_j in O(|F|) big-integer operations.  Then
+f_j.g_i = 0 for i != j, so the unique witness of a point p of F is lam_j =
+f_j.p / f_j.g_j, and f_j.p = num f_j.L + den f_j.K is read off the two
+products already taken for a (K's are kept with the base); only the |F|
+dot products f_j.g_j are new.  A simplicial face takes no elimination, no
+inverse, no LP and no memo entry.
+
+Other faces are memoized per cone, keyed by the bitmask of their
+generators, at most FACE_MEMO_BOUND of them; the memo is read before the
+test above and is emptied when full.  One elimination of G_F's coordinate
+rows gives span_dim and the pivot rows R, kept for the face.  R maps
+span(G_F) isomorphically onto Q^R, so for any basis B of that span drawn
+from G_F the matrix G_B[R, :] is invertible.  Each face keeps a short list
+of such bases, its cells, each with d = |det G_B[R, :]| and d *
+G_B[R, :]^-1, most recently used first.  The witness of a point p of the
+face is then, by Caratheodory's theorem, a nonnegative combination of some
+cell's generators: lam = inverse times p[R] over d, one integer
+matrix-vector product, for the first cell that gives lam >= 0 (it moves to
+the front).  A face starts with no cell; when every cell misses, the
+witness comes from one LP on the rows R of G_F and p (p lies in span(G_F),
+so the other rows follow), which must end optimal, and its solution is
+scaled to integers over one denominator.  The LP's final basis becomes a
+new cell, whose inverse is built the first time the cell is tried; a face
+keeps at most |F| cells and drops the least recently used.  So on a
+revisited face the witness may come from an earlier query's basis.  Every
+witness, d * lam, must be nonnegative and recombine to d * p on every
+coordinate row, or the call raises InternalError, as it does for a dual
+facet that holds its own generator.  The boundary point is then kept with its
+face in one slot, like K.  Only `minimal_face` hands out faces, on either
+route: it reads that point's face with no product, and builds the facets
+for a nonzero point of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -78,8 +91,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
-from math import gcd
+from itertools import accumulate, compress
+from math import gcd, lcm
 from operator import and_, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -102,13 +115,14 @@ from .qlinalg import (
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
-# Faces kept per cone, keyed by their generator mask, at most this many.  A
-# fixed bound, not a setting: the toric benchmark meets fewer than 200
-# distinct faces on its largest cone, and the memo is emptied when full, so
-# memory does not grow with the number of queries.
+# Non-simplicial faces kept per cone, keyed by their generator mask, at most
+# this many.  A fixed bound, not a setting: the toric benchmark meets fewer
+# than 200 distinct faces on its largest cone, and the memo is emptied when
+# full, so memory does not grow with the number of queries.
 FACE_MEMO_BOUND = 256
 
-# a cell of a face, (B, d, d * G_B[R, :]^-1); see `ConeQ._face`
+# a cell of a non-simplicial face, (B, d, d * G_B[R, :]^-1), or (B, 0, None)
+# from the face LP's basis until first tried; see `ConeQ._face`
 Cell = tuple[tuple[int, ...], int, list[list[int]] | None]
 
 
@@ -257,6 +271,7 @@ class ConeQ:
         "_gens_int",
         "_facets",
         "_facet_gen_masks",
+        "_gen_facet_masks",
         "_faces",
         "_point",
         "_base",
@@ -276,6 +291,7 @@ class ConeQ:
         self._gens = tuple([VecQ.from_scaled(g, 1) for g in ints])
         self._facets = None
         self._facet_gen_masks = None
+        self._gen_facet_masks = None
         self._faces = {}
         self._point = None
         self._base = None
@@ -308,11 +324,17 @@ class ConeQ:
         return tuple([VecQ.from_scaled(f, 1) for f in self._facets])
 
     def _compute_facets(self):
-        """The facets, the generators each annihilates (DD's zero sets) and
-        their packed products."""
+        """The facets, the generators each annihilates (DD's zero sets), per
+        generator the facets that contain it (the transpose), and the
+        facets' packed products."""
         ordered = sorted(zip(*_dd_extremal_rays(list(self._gens_int), self.ambient_dim)))
         facets_int = tuple([f for f, _ in ordered])
         self._facet_gen_masks = tuple([z for _, z in ordered])
+        # column t of the zero sets' bit strings is generator k-1-t; read
+        # each column last facet first, so that facet i is bit i
+        k = len(self._gens_int)
+        columns = zip(*[format(z, f"0{k}b") for z in self._facet_gen_masks])
+        self._gen_facet_masks = tuple([int("".join(col)[::-1], 2) for col in columns][::-1])
         self._packed = PackedRows(facets_int)
         self._facets = facets_int
 
@@ -400,29 +422,56 @@ class ConeQ:
         every = (1 << len(self._gens_int)) - 1
         return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), every))[0]
 
-    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], list[Cell]]:
-        """The memoized face whose generators G_F are the set bits of mask,
-        the pivot coordinate rows R of G_F, and the face's cells, most
+    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], list[Cell] | None]:
+        """The face whose generators G_F are the set bits of mask, and how
+        to solve on it.  A simplicial face (|F| = span_dim: G_F is
+        independent) comes back as (face, duals, None), where duals[i] is a
+        facet f_j containing every generator of F but its i-th, g_j, in
+        increasing order of j; it is recognised from the generator masks
+        and not memoized.  Any other face is memoized as (face, R, cells):
+        the pivot coordinate rows R of G_F, from one elimination of G_F's
+        coordinate rows, which also gives span_dim, and its cells, most
         recently used first.  A cell is a basis B of span(G_F) drawn from
         G_F, kept as (B, d, d * G_B[R, :]^-1) with d = |det G_B[R, :]|, or
-        as (B, 0, None) until its inverse is first needed.  A simplicial
-        face (|F| = span_dim) gets its one cell here; any other face starts
-        with none.  One elimination of G_F's coordinate rows gives R and
-        span_dim."""
+        as (B, 0, None) until its inverse is first needed.  The memo is
+        read before F is tested."""
         entry = self._faces.get(mask)
-        if entry is None:
-            gens = self._gens_int
-            inside = [j for j in range(len(gens)) if mask >> j & 1]
-            coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
-            rows = tuple(pivot_columns(coords))
-            cells = []
-            if len(rows) == len(inside):
-                cells.append((tuple(inside), *scaled_inverse([coords[t] for t in rows])))
-            entry = FaceQ(self, frozenset(inside), len(rows)), rows, cells
-            if len(self._faces) >= FACE_MEMO_BOUND:
-                self._faces.clear()
-            self._faces[mask] = entry
+        if entry is not None:
+            return entry
+        inside = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        duals = self._duals(inside)
+        if duals is not None:
+            return FaceQ(self, frozenset(inside), len(inside)), duals, None
+        gens = self._gens_int
+        coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
+        rows = tuple(pivot_columns(coords))
+        entry = FaceQ(self, frozenset(inside), len(rows)), rows, []
+        if len(self._faces) >= FACE_MEMO_BOUND:
+            self._faces.clear()
+        self._faces[mask] = entry
         return entry
+
+    def _duals(self, inside: list[int]) -> tuple[int, ...] | None:
+        """Per generator g_j of the face F with generators `inside`, the
+        least facet f_j that contains every other generator of F and not
+        g_j; None when some g_j has none, which happens iff G_F is
+        dependent.  With every f_j, f_j.g_i = 0 for i != j and f_j.g_j > 0,
+        so G_F is independent; conversely each cone(G_F minus g_j) of a
+        simplicial face is a face of the cone, the cut of the facets that
+        contain it, and g_j is not in it.  Prefix and suffix ANDs of the
+        generators' facet masks give each f_j in O(|F|) operations."""
+        masks = [self._gen_facet_masks[j] for j in inside]
+        before = every = (1 << len(self._facets)) - 1
+        # after[i]: the AND of the masks after the i-th
+        after = list(accumulate(reversed(masks), and_, initial=every))[-2::-1]
+        duals = []
+        for m, rest in zip(masks, after):
+            others = before & rest & ~m
+            if not others:
+                return None
+            duals.append((others & -others).bit_length() - 1)
+            before &= m
+        return tuple(duals)
 
     # -- ray optimization ----------------------------------------------------
 
@@ -432,10 +481,11 @@ class ConeQ:
         """The least a, the boundary point base + a*direction and a witness
         as in `min_a_with_witness`; None unless direction is interior.  With
         the facets built, two packed products give a and the point's face
-        (see the module docstring), and the witness is read off the first
-        of the face's cells that holds the point, else one LP on its
-        generators' pivot rows, whose basis becomes a cell; either is
-        checked in integers.  K's products are kept for the next call with
+        (see the module docstring), and the witness is read off those
+        products and the dual facets on a simplicial face, else off the
+        first of the face's cells that holds the point, else one LP on its
+        generators' pivot rows, whose basis becomes a cell; each is checked
+        in integers.  K's products are kept for the next call with
         an equal base, and the point with its face for `minimal_face`.
         Without the facets, `contains` and the ray LP answer: a alone never
         forces them."""
@@ -449,8 +499,9 @@ class ConeQ:
         vl, dl = scaled_ints(direction)
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
-            self._base = base, vk, dk, self._groups(self._slots(vk))
-        _, vk, dk, groups = self._base
+            sk = self._slots(vk)
+            self._base = base, vk, dk, self._groups(sk), sk
+        _, vk, dk, groups, sk = self._base
         sl = self._slots(vl)
         # per group: -f.K, the f.L of its best facet, and the group's f.L
         # and masks (see the module docstring); L is interior iff the least
@@ -481,31 +532,41 @@ class ConeQ:
         scale = den * dk
         gens = self._gens_int
         face, rows, cells = self._face(mask)
-        # scale*(a*direction + base) in integers, and its pivot rows R
+        # scale*(a*direction + base) in integers
         p = [num * l + den * k for l, k in zip(vl, vk)]
-        pr = [p[t] for t in rows]
         new_cell = None
-        for i, (basis, det, inverse) in enumerate(cells):
-            if inverse is None:
-                det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
-                if inverse is None:
-                    raise InternalError("a stored basis of the face is singular")
-                cells[i] = basis, det, inverse
-            # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
-            lam = [idot(r, pr) for r in inverse]
-            if min(lam, default=0) >= 0:
-                cells.insert(0, cells.pop(i))
-                break
-        else:
+        if cells is None:
+            # a simplicial face, rows its dual facets: f_j meets p in
+            # lam_j f_j.g_j, and f_j.p = num f_j.L + den f_j.K is read off
+            # both products
             basis = sorted(face.generators_in_face)
-            if len(basis) == face.span_dim:
-                raise InternalError("face witness is negative on a simplicial face")
-            # p lies in span(G_F), so the rows R imply the others
-            res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
-            if res.status is not LPStatus.OPTIMAL:
-                raise InternalError(f"face witness LP is {res.status.value}")
-            lam, det = scaled_ints(res.x)
-            new_cell = tuple([basis[j] for j in sorted(res.basis)]), 0, None
+            facets = self._facets
+            dots = [idot(facets[f], gens[j]) for f, j in zip(rows, basis)]
+            if min(dots, default=1) <= 0:
+                raise InternalError("a dual facet of a simplicial face misses its generator")
+            det = lcm(*dots)
+            lam = [(num * sl[f] + den * sk[f]) * (det // x) for f, x in zip(rows, dots)]
+        else:
+            pr = [p[t] for t in rows]
+            for i, (basis, det, inverse) in enumerate(cells):
+                if inverse is None:
+                    det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
+                    if inverse is None:
+                        raise InternalError("a stored basis of the face is singular")
+                    cells[i] = basis, det, inverse
+                # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
+                lam = [idot(r, pr) for r in inverse]
+                if min(lam, default=0) >= 0:
+                    cells.insert(0, cells.pop(i))
+                    break
+            else:
+                basis = sorted(face.generators_in_face)
+                # p lies in span(G_F), so the rows R imply the others
+                res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
+                if res.status is not LPStatus.OPTIMAL:
+                    raise InternalError(f"face witness LP is {res.status.value}")
+                lam, det = scaled_ints(res.x)
+                new_cell = tuple([basis[j] for j in sorted(res.basis)]), 0, None
         self._check_witness(basis, lam, det, p)
         if new_cell is not None:
             # at most |F| cells; the least recently used one goes
@@ -558,9 +619,10 @@ class ConeQ:
         """Raise InternalError unless lam >= 0 and the generators in support,
         weighted by lam, sum to det * p: lam / det is a witness of p."""
         gens = self._gens_int
-        if min(lam, default=0) < 0 or [
-            idot([gens[j][t] for j in support], lam) for t in range(self.ambient_dim)
-        ] != [det * x for x in p]:
+        # one coordinate row of the support's generators at a time; an empty
+        # support sums to 0
+        rows = zip(*[gens[j] for j in support]) if support else [()] * self.ambient_dim
+        if min(lam, default=0) < 0 or [idot(r, lam) for r in rows] != [det * x for x in p]:
             raise InternalError("witness is negative or misses the boundary point")
 
     def _ray_lp(self, base: VecQ, direction: Sequence) -> LPResult:

@@ -18,13 +18,17 @@ agreement.
 The Zariski decomposition (`zariski_for_variety`, the one entry) reads the
 negative generators of the asked model's own effective cone and its own
 form, built into integers once per model (`_surface_curves`); the kernel
-(`_zariski`) solves each support's Gram system by one fraction-free
-inverse.  On a del Pezzo model whose generators are all (-1)-curves
-(degrees 1-7) it runs before any membership test, because a run that
-succeeds proves the class pseudo-effective: P meets every generator
-non-negatively, so P is nef; a nef class is pseudo-effective (the nef cone
-is the dual of the effective cone and lies inside it); and N is a
-nonnegative combination of curves.  A failing run always asks the cone
+(`_zariski`) solves each support's Gram system exactly: on a del Pezzo
+surface a negative-definite support is a set of pairwise disjoint
+(-1)-curves (two meeting ones have the Gram minor 1 - m^2 <= 0), so its
+Gram matrix is -I and the solve reads the diagonal; a support whose Gram
+matrix is checked not to be diagonal, on a raw surface, takes one
+fraction-free inverse.  On a del Pezzo model whose generators are all
+(-1)-curves (degrees 1-7) it runs before any membership test, because a
+run that succeeds proves the class pseudo-effective: P meets every
+generator non-negatively, so P is nef; a nef class is pseudo-effective
+(the nef cone is the dual of the effective cone and lies inside it); and
+N is a nonnegative combination of curves.  A failing run always asks the cone
 whether the class was outside it.
 """
 
@@ -33,7 +37,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
+from math import prod
 from typing import NamedTuple
 
 from . import invariants
@@ -208,8 +213,9 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
     would contradict negative definiteness and trips the internal guard.
 
     d is scaled once to D = den * d by the lcm of its denominators.  With
-    det * G^-1 from `qlinalg.scaled_inverse` of the support's Gram matrix G,
-    the multiplicities are y / (det * den) for the integer y = det * G^-1
+    det * G^-1 for the support's Gram matrix G (`_gram_solve`: read off the
+    diagonal when G is diagonal, else `qlinalg.scaled_inverse`), the
+    multiplicities are y / (det * den) for the integer y = det * G^-1
     (D . F c_i), and the residual is carried as the integer vector
     det * den * (d - N) = det * D - sum y_i c_i.  Each round's scan pairs
     the residual with every curve in one packed product
@@ -238,11 +244,7 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
         # the curves with residual . F c_i < 0
         support.extend(compress(range(len(ints)), map((0).__gt__, meets)))
         gram = [[idot(ints[i], images[j]) for j in support] for i in support]
-        det, inverse = scaled_inverse(gram)
-        if det == 0:
-            raise InternalNonTermination("support Gram system is degenerate")
-        rhs = [first[i] for i in support]
-        ys = [idot(row, rhs) for row in inverse]
+        det, ys = _gram_solve(gram, [first[i] for i in support])
         if any(y <= 0 for y in ys):
             raise InternalNonTermination("nonpositive multiplicity in support")
         residual = [det * x for x in big_d]
@@ -254,6 +256,22 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
         positive=VecQ.from_scaled(residual, scale),
         negative_support=tuple([(sc.curves[i], Fraction(y, scale)) for i, y in zip(support, ys)]),
     )
+
+
+def _gram_solve(gram: list[list[int]], rhs: list[int]) -> tuple[int, list[int]]:
+    """det > 0 and the integer y = det * G^-1 rhs for the square integer
+    Gram matrix G.  A G that is exactly diagonal with no zero on its
+    diagonal, as -I is on every del Pezzo support, is solved directly:
+    det = |prod g_ii| and y_i = (det / g_ii) rhs_i.  Any other G takes one
+    `qlinalg.scaled_inverse`."""
+    diagonal = [row[i] for i, row in enumerate(gram)]
+    if all(diagonal) and sum(map(bool, chain.from_iterable(gram))) == len(diagonal):
+        det = abs(prod(diagonal))
+        return det, [det // g * r for g, r in zip(diagonal, rhs)]
+    det, inverse = scaled_inverse(gram)
+    if det == 0:
+        raise InternalNonTermination("support Gram system is degenerate")
+    return det, [idot(row, rhs) for row in inverse]
 
 
 def _require_pseudo_effective(cone: ConeQ, d: VecQ) -> None:

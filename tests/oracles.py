@@ -26,8 +26,10 @@ one integer dot per (facet, generator) pair checks the incidence masks
 read off DD, the ray LP on a copy of the cone without facets checks
 the facet route for a and its minimal face, and the per-facet arg-max loop
 with one integer dot per facet checks the grouped arg-max of
-`ConeQ.min_a_with_point`.  `lift_class` is no oracle: it lifts a class to
-the coefficients that `divisor_polytope` takes.
+`ConeQ.min_a_with_point`, and `Fraction` Gauss-Jordan on a face's
+generators checks the witness read off a simplicial face's dual facets.
+`lift_class` is no oracle: it lifts a class to the coefficients that
+`divisor_polytope` takes.
 """
 
 from fractions import Fraction
@@ -648,6 +650,28 @@ def solve_by_back_substitution(m: MatQ, rhs: VecQ) -> LinearSolution | None:
     particular = back_substitute({}, True)
     kernel = tuple([back_substitute({f: Fraction(1)}, False) for f in free_cols])
     return LinearSolution(particular, kernel)
+
+
+def combination_by_fractions(vectors, p) -> list[Fraction] | None:
+    """The coefficients c with sum c_i vectors[i] = p when the vectors are
+    independent, else None: plain `Fraction` Gauss-Jordan on the columns
+    [vectors | p], with no `qlinalg` elimination, packing or scaling."""
+    n = len(vectors)
+    rows = [[Fraction(v[t]) for v in vectors] + [Fraction(p[t])] for t in range(len(p))]
+    for c in range(n):
+        r = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if r is None:
+            return None
+        rows[c], rows[r] = rows[r], rows[c]
+        piv = rows[c][c]
+        rows[c] = [x / piv for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(row[n] != 0 for row in rows[n:]):
+        raise AssertionError("p is not in the span of the vectors")
+    return [rows[c][n] for c in range(n)]
 
 
 def inertia_by_fractions(m: MatQ) -> tuple[int, int, int]:

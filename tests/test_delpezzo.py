@@ -233,6 +233,15 @@ def boundary_classes(surf, count, seed):
     return out
 
 
+def raw_chain():
+    """Curves C1, C2 with C1^2 = -1, C2^2 = -2, C1.C2 = 1 on a raw model:
+    their Gram matrix is not diagonal."""
+    return VarietyModel(
+        "raw-chain", 3, vec(-3, 1, 1), ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]),
+        intersection_form=MatQ([[1, 0, 0], [0, -1, 1], [0, 1, -2]]),
+    )
+
+
 class TestPackedCurveScan:
     """The kernel's curve scan, one packed product per round (one dot per
     curve past 63 bits), against the Fraction loop."""
@@ -260,8 +269,9 @@ class TestPackedCurveScan:
 
     def test_one_product_per_round_on_degree_two(self, monkeypatch):
         # each round scans the curves with one packed product, and the last
-        # one finds none; every other idot is a Gram entry or a row of the
-        # Gram solve, so none runs per curve
+        # one finds none; every support is pairwise disjoint (-1)-curves, so
+        # each Gram matrix is -I and is solved off its diagonal: no inverse
+        # runs, and every other idot is a Gram entry
         surf = del_pezzo(2)
         sc = _surface_curves(surf)
         products = counting(monkeypatch, qlinalg.PackedRows, "products")
@@ -269,26 +279,25 @@ class TestPackedCurveScan:
         dots = [counting(monkeypatch, owner, "idot") for owner in (qlinalg, delpezzo)]
         rounds_seen = set()
         for d in boundary_classes(surf, 40, 0x2D07):
-            for calls in [products, inverses, *dots]:
+            for calls in [products, *dots]:
                 calls.clear()
             res = _zariski(sc, d)
-            sizes = [len(gram) for (gram,) in inverses]
-            assert len(products) == len(sizes) + 1
-            assert sum(map(len, dots)) == len(products) + sum(n * n + n for n in sizes)
-            assert sum(sizes[-1:]) == len(res.negative_support)
-            rounds_seen.add(len(sizes))
-        assert {0, 1} <= rounds_seen
+            rounds = len(products) - 1
+            assert rounds <= 1
+            size = len(res.negative_support)
+            assert sum(map(len, dots)) == len(products) + rounds * size * size
+            rounds_seen.add(rounds)
+        assert {0, 1} <= rounds_seen and inverses == []
 
     def test_support_grown_over_two_rounds(self, monkeypatch):
         # curves C1, C2 with C1^2 = -1, C2^2 = -2, C1.C2 = 1: D = 3 C1 + C2
         # meets only C1 negatively, and D - 2 C1 then meets C2 negatively,
         # so the Gram right-hand sides of round two are D's, not the
-        # residual's.  No del Pezzo class needs a second round.
-        m = VarietyModel(
-            "raw-chain", 3, vec(-3, 1, 1), ConeQ([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]),
-            intersection_form=MatQ([[1, 0, 0], [0, -1, 1], [0, 1, -2]]),
-        )
+        # residual's.  No del Pezzo class needs a second round.  Round one's
+        # Gram matrix (-1) is diagonal; round two's is not, and is inverted.
+        m = raw_chain()
         sc = _surface_curves(m)
+        products = counting(monkeypatch, qlinalg.PackedRows, "products")
         inverses = counting(monkeypatch, delpezzo, "scaled_inverse")
         rng = random.Random(0xC4A1)
         classes = [vec(0, 3, 1), vec(1, 3, 1), vec(2, 5, 2)]
@@ -296,29 +305,39 @@ class TestPackedCurveScan:
         two_rounds = 0
         for d in classes:
             for n in (1, 2**64 + 1):
+                products.clear()
                 inverses.clear()
                 assert _zariski(sc, n * d) == zariski_by_fractions(sc.curves, m.pair, m.eff_cone, n * d), d
-                two_rounds += len(inverses) == 2
+                if len(products) == 3:
+                    assert [len(gram) for (gram,) in inverses] == [2]
+                    two_rounds += 1
         assert two_rounds >= 6
 
     def test_a_wrong_inverse_is_caught(self, monkeypatch):
         # a planted determinant twice the true one leaves the residual
-        # negative on the support curves, a doubled inverse positive: both
-        # mean a broken solve, never a new curve
+        # negative on the support curves, a doubled inverse or a doubled
+        # diagonal y positive: each means a broken solve, never a new curve.
+        # The inverse is planted on the raw chain's second round, whose Gram
+        # matrix is not diagonal; y on a degree-3 support, whose Gram
+        # matrix is -I.
+        m = raw_chain()
+        chain = _surface_curves(m), vec(0, 3, 1)
         surf = del_pezzo(3)
         sc = _surface_curves(surf)
         d = next(d for d in boundary_classes(surf, 20, 0xBAD) if _zariski(sc, d).negative_support)
-        solve = delpezzo.scaled_inverse
-        plants = (
-            lambda det, inv: (2 * det, inv),
-            lambda det, inv: (det, [[2 * x for x in r] for r in inv]),
-        )
-        for plant in plants:
-            monkeypatch.setattr(delpezzo, "scaled_inverse", lambda rows: plant(*solve(rows)))
+        plants = [
+            ("scaled_inverse", lambda det, inv: (2 * det, inv), chain),
+            ("scaled_inverse", lambda det, inv: (det, [[2 * x for x in r] for r in inv]), chain),
+            ("_gram_solve", lambda det, ys: (det, [2 * y for y in ys]), (sc, d)),
+        ]
+        for name, plant, case in plants:
+            solve = getattr(delpezzo, name)
+            monkeypatch.setattr(delpezzo, name, lambda *args: plant(*solve(*args)))
             with pytest.raises(InternalNonTermination, match="meets a support curve"):
-                _zariski(sc, d)
-        monkeypatch.undo()
+                _zariski(*case)
+            monkeypatch.undo()
         assert _zariski(sc, d) == zariski_by_fractions(sc.curves, surf.pair, surf.eff_cone, d)
+        assert _zariski(*chain) == zariski_by_fractions(chain[0].curves, m.pair, m.eff_cone, chain[1])
 
 
 class TestSurfaceB:

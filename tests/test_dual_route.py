@@ -1,20 +1,22 @@
 """The facet route of `ConeQ.min_a_with_point`: bigness, a and the
 boundary point's minimal face read off two packed facet products, the face
-kept for `minimal_face`, and the witness read off the face's memoized
-inverse when the face is simplicial, else one LP over the face's
-generators, either checked in integers.  The ray LP on a copy of the cone
-without facets is the oracle for a and the face, and `solve_lp` on the
-face's generators for the witness on a simplicial face.  `b_invariant`
-gives the same answer on a cone whichever route it took."""
+kept for `minimal_face`, and the witness read off the face's dual facets
+when the face is simplicial, else off a memoized cell or one LP over the
+face's generators, either checked in integers.  The ray LP on a copy of
+the cone without facets is the oracle for a and the face, and `solve_lp`
+and `Fraction` Gauss-Jordan on the face's generators for the witness on a
+simplicial face.  `b_invariant` gives the same answer on a cone whichever
+route it took."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fujita import cli, cones
+from fujita import cli, cones, qlinalg
 from fujita.cones import ConeQ
 from fujita.delpezzo import del_pezzo
 from fujita.errors import InternalError, KPseudoEffective, NotBig
@@ -24,7 +26,12 @@ from fujita.qlinalg import MatQ, VecQ, nullspace
 from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
 from conftest import counting, dots_taken, random_cones, random_rational_vector, vec, with_fresh_cone
-from oracles import min_a_and_face_by_facet_loop, min_a_and_face_by_ray_lp
+from oracles import (
+    combination_by_fractions,
+    min_a_and_face_by_facet_loop,
+    min_a_and_face_by_ray_lp,
+    rank_by_bareiss,
+)
 
 HUGE = (2**64 + 1, 2**200 + 3)
 
@@ -294,27 +301,156 @@ def test_fujita_alone_leaves_degree_one_facets_unbuilt(monkeypatch):
     assert runs == [] and m.eff_cone._facets is None
 
 
-def test_a_wrong_cached_inverse_is_caught():
-    surf = del_pezzo(7)
+def check_dual_rule(c, queries, n):
+    """`min_a_with_point` on c, whose facets exist, for n * base and
+    n * direction over the queries.  On each boundary point's face F the
+    dual rule must answer iff rank(G_F) = |F| by the Bareiss oracle; on a
+    simplicial face its facets must be dual to G_F, the witness must be
+    `Fraction` Gauss-Jordan's solve on G_F, and no elimination, inverse or
+    LP may run in `cones`; any other face must be memoized.  Returns the
+    number of simplicial and of other faces met."""
+    met = [0, 0]
+    facets = c.facets
+    with pytest.MonkeyPatch.context() as mp:
+        solves = [counting(mp, cones, name) for name in ("pivot_columns", "scaled_inverse", "solve_lp")]
+        for base, direction in queries:
+            for calls in solves:
+                calls.clear()
+            got = c.min_a_with_point(n * base, n * direction)
+            if got is None:
+                continue
+            _, point, witness = got
+            face = c._point[1]
+            inside = sorted(face.generators_in_face)
+            gens = [c.generators[j] for j in inside]
+            simplicial = not gens or rank_by_bareiss(MatQ([list(g) for g in gens])) == len(gens)
+            duals = c._duals(inside)
+            assert (duals is not None) == simplicial, (base, direction)
+            met[not simplicial] += 1
+            mask = sum([1 << j for j in inside])
+            if not simplicial:
+                assert mask in c._faces and c._faces[mask][0] == face
+                continue
+            assert face.span_dim == len(gens) and mask not in c._faces
+            assert solves == [[], [], []], (base, direction)
+            for f, j in zip(duals, inside):
+                assert [facets[f].dot(g) > 0 for g in gens] == [i == j for i in inside]
+            expected = [Fraction(0)] * len(c.generators)
+            for j, x in zip(inside, combination_by_fractions(gens, point)):
+                expected[j] = x
+            assert list(witness) == expected, (base, direction)
+    return met
+
+
+class TestDualRule:
+    """Faces met by seeded queries on del Pezzo degrees 2-7, the toric
+    catalog with the benchmark's product fans and random cones, at scale 1
+    and 2^80 (products past 63 bits come back as lists): the dual rule
+    against the Bareiss rank and a `Fraction` solve."""
+
+    @pytest.mark.parametrize("n", [1, 2**80])
+    def test_del_pezzo_faces(self, n):
+        met = [0, 0]
+        for degree in range(2, 8):
+            surf = del_pezzo(degree)
+            c = with_facets(surf.variety().eff_cone)
+            rng = random.Random(0xD0A1 + degree)
+            gens = list(c.generators)
+            queries = []
+            for _ in range(60):
+                v = rng.randint(1, 2) * -surf.canonical
+                for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+                    v = v + rng.randint(1, 3) * gens[j]
+                queries.append((surf.canonical, v))
+            met = [x + y for x, y in zip(met, check_dual_rule(c, queries, n))]
+        assert min(met) > 10, met
+
+    @pytest.mark.parametrize("n", [1, 2**80])
+    def test_toric_faces(self, toric_fans, n):
+        rng = random.Random(0x7041D)
+        met = [0, 0]
+        for fan in toric_fans.values():
+            m = variety_model(fan)
+            c = with_facets(m.eff_cone)
+            pres = ns_presentation(fan)
+            queries = []
+            for i in range(20):
+                coeffs = [rng.randint(-1 if i % 2 else 1, 3) for _ in fan.rays]
+                queries.append((m.canonical, pres.divisor_class(coeffs)))
+            met = [x + y for x, y in zip(met, check_dual_rule(c, queries, n))]
+        assert min(met) > 10, met
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_cones(), st.randoms(use_true_random=False))
+    def test_random_cone_faces(self, c, rng):
+        check_dual_rule_on_random_cone(c, rng)
+
+
+def check_dual_rule_on_random_cone(c, rng):
+    """The dual rule on a random cone: random bases and the negated
+    generators along an interior direction, at scale 1 and 2^80."""
+    c.facets
+    d = c.ambient_dim
+    interior = VecQ.zero(d)
+    for g in c.generators:
+        interior = interior + rng.randint(1, 3) * g
+    queries = [(random_rational_vector(rng, d, (-6, 6), (1, 3)), interior) for _ in range(3)]
+    queries += [(-1 * g, interior) for g in c.generators]
+    for n in (1, 2**80):
+        assert sum(check_dual_rule(c, queries, n)) == len(queries)
+
+
+class TestDualRuleDotPath:
+    """The dual rule again with `qlinalg` reading the host as big-endian,
+    so that every product comes back as a list of one idot per facet."""
+
+    @pytest.fixture(autouse=True)
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "sys", SimpleNamespace(byteorder="big"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_cones(), st.randoms(use_true_random=False))
+    def test_random_cone_faces(self, c, rng):
+        check_dual_rule_on_random_cone(c, rng)
+
+    test_del_pezzo_faces = TestDualRule.test_del_pezzo_faces
+    test_toric_faces = TestDualRule.test_toric_faces
+
+
+def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
+    # a simplicial face, whose witness is read off its dual facets: a
+    # planted dual facet that holds its generator, one that misses another
+    # generator of the face, and a doubled f_j.g_j are each an internal
+    # error, and the next query answers as before
+    surf = del_pezzo(5)
     c = with_facets(surf.variety().eff_cone)
-    bundle = -2 * surf.canonical + c.generators[0] + 2 * c.generators[-1]
+    bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[1]
     answer = c.min_a_with_point(surf.canonical, bundle)
     face = c.minimal_face(answer[1])
-    assert len(face.generators_in_face) == face.span_dim > 0
-    mask = sum([1 << j for j in face.generators_in_face])
-    entry = c._faces[mask]
-    _, rows, [(basis, det, inverse)] = entry
-    doubled = [[2 * x for x in r] for r in inverse]
-    negated = [[-x for x in r] for r in inverse]
-    # doubled: a nonnegative witness that misses the point; negated with its
-    # determinant: one that recombines but is negative
-    for cell in ((basis, det, doubled), (basis, -det, negated)):
-        c._faces[mask] = face, rows, [cell]
-        with pytest.raises(InternalError) as exc:
+    inside = sorted(face.generators_in_face)
+    assert len(inside) == face.span_dim > 1 and c._faces == {}
+    duals = c._duals(inside)
+    # facets holding g_j (f.g_j = 0), and facets holding neither g_j nor
+    # the face's other generator g_i (a wrong lam_j, still positive)
+    j, i = inside
+    on_j = [e for e in range(len(c._facets)) if c._gen_facet_masks[j] >> e & 1]
+    holding = c._gen_facet_masks[j] | c._gen_facet_masks[i]
+    off_other = [e for e in range(len(c._facets)) if not holding >> e & 1]
+    assert on_j and off_other
+    facet = c._facets[duals[0]]
+    dot = cones.idot
+    plants = [
+        (ConeQ, "_duals", lambda self, inside: (on_j[0],) + duals[1:], "misses its generator"),
+        (ConeQ, "_duals", lambda self, inside: (off_other[0],) + duals[1:], "misses the boundary point"),
+        (cones, "idot", lambda a, b: 2 * dot(a, b) if a is facet else dot(a, b), "misses the boundary point"),
+    ]
+    for owner, name, plant, message in plants:
+        monkeypatch.setattr(owner, name, plant)
+        with pytest.raises(InternalError, match=message) as exc:
             c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
-    c._faces[mask] = entry
-    assert c.min_a_with_point(surf.canonical, bundle) == answer
+        monkeypatch.undo()
+        assert c.min_a_with_point(surf.canonical, bundle) == answer
 
 
 def test_a_wrong_lp_witness_is_caught(monkeypatch):

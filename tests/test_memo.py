@@ -3,6 +3,7 @@
 Zariski decomposition read the model they are asked about, and toric balance
 read through class rigidity agrees with the adjoint-divisor route."""
 
+import itertools
 import random
 
 import pytest
@@ -65,7 +66,7 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
 
         if warm:
             # the facet products of L and K decide bigness, a and the face;
-            # the witness is read off the face's inverse when the face is
+            # the witness is read off the face's dual facets when the face is
             # simplicial, else one LP over its generators gives it, and
             # `b_invariant` reads the face kept with the point, no product
             simplicial = len(res.face.generators_in_face) == res.face.span_dim
@@ -114,7 +115,7 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             # `toric.variety_model` builds the facets with the model, so a
             # query sees the warm state.  Warm, the facet products of L and
             # K decide bigness, a and the face, the witness is read off the
-            # face's inverse when the face is simplicial ({0} included) and
+            # face's dual facets when the face is simplicial ({0} included) and
             # is one LP over its generators otherwise, and `b_invariant`,
             # rigidity and the balanced verdict each ask `minimal_face`,
             # which reads the face kept with the point and takes no product.
@@ -275,9 +276,10 @@ def test_fan_caches_stay_within_their_bound():
 
 def test_face_memo_stays_within_its_bound():
     # sums of at most three generators of the degree-2 cone meet more
-    # distinct faces than the bound; each face, asked again after the memo
-    # was emptied, is unchanged and equals the per-facet loop's.  The whole
-    # cone, the face of an interior point, has the key of every generator.
+    # distinct faces than the bound; each face, asked again, is unchanged
+    # and equals the per-facet loop's.  Only the non-simplicial ones are
+    # memoized.  The whole cone, the face of an interior point, has the key
+    # of every generator.
     c = ConeQ(del_pezzo(2).variety().eff_cone.generators)
     c.facets
     gens = c.generators
@@ -296,6 +298,28 @@ def test_face_memo_stays_within_its_bound():
         first.append(face)
         assert all(0 <= key <= every for key in c._faces)
     assert len({f.generators_in_face for f in first}) > FACE_MEMO_BOUND
+    for v, face in zip(points, first):
+        assert c.minimal_face(v) == face == minimal_face_by_facet_loop(c, v)
+        assert len(c._faces) <= FACE_MEMO_BOUND
+    assert all(len(f.generators_in_face) > f.span_dim for f, _, _ in c._faces.values())
+
+
+def test_face_memo_is_emptied_when_full():
+    # the cone over the 6-cube, generators (s, 1) for s in {-1, 1}^6: the
+    # point (c, 1), c in {-1, 0, 1}^6, lies inside the cube face that fixes
+    # the coordinates where c is nonzero, and the cones over the 473 cube
+    # faces of dimension 2 or more are non-simplicial, more than the
+    # bound.  The memo is emptied when full, and each face, asked again, is
+    # unchanged and equals the per-facet loop's.
+    c = ConeQ([list(s) + [1] for s in itertools.product((-1, 1), repeat=6)])
+    c.facets
+    points = [vec(*x, 1) for x in itertools.product((-1, 0, 1), repeat=6)]
+    first, sizes = [], []
+    for v in points:
+        first.append(c.minimal_face(v))
+        sizes.append(len(c._faces))
+    assert max(sizes) == FACE_MEMO_BOUND and sizes[-1] < FACE_MEMO_BOUND
+    assert sum(len(f.generators_in_face) > f.span_dim for f in first) == 473
     for v, face in zip(points, first):
         assert c.minimal_face(v) == face == minimal_face_by_facet_loop(c, v)
         assert len(c._faces) <= FACE_MEMO_BOUND
@@ -385,8 +409,9 @@ def test_a_point_in_a_stored_cell_runs_no_face_lp(monkeypatch):
 def _cell_queries(cases, count, lps):
     """count seeded queries round robin over (cone, K, bundle sampler):
     every witness is nonnegative and recombines to its point, and one that
-    no LP gave, read off a cell, has an independent support.  Returns the
-    cell witnesses on non-simplicial faces."""
+    no LP gave, read off a cell or a simplicial face's dual facets, has an
+    independent support.  Returns the cell witnesses on non-simplicial
+    faces."""
     hits = 0
     for i in range(count):
         c, canonical, sample = cases[i % len(cases)]
@@ -405,8 +430,8 @@ def _cell_queries(cases, count, lps):
 
 def test_a_face_keeps_at_most_its_generator_count_of_cells(monkeypatch, toric_fans):
     # 2000 seeded queries on del Pezzo degrees 2-6 and 2000 over the toric
-    # catalog: a simplicial face keeps its one cell ({0} too), any other at
-    # most |F|, and on the non-simplicial faces cells answer many queries
+    # catalog: no simplicial face ({0} neither) is memoized, any other
+    # keeps at most |F| cells, and on those faces cells answer many queries
     rng = random.Random(5772)
     lps = counting(monkeypatch, cones, "solve_lp")
     dp, tor = [], []
@@ -438,7 +463,7 @@ def test_a_face_keeps_at_most_its_generator_count_of_cells(monkeypatch, toric_fa
     for c, _, _ in dp + tor:
         for face, rows, cells in c._faces.values():
             size = len(face.generators_in_face)
-            assert len(cells) == 1 if size == face.span_dim else 0 < len(cells) <= size
+            assert size > face.span_dim and 0 < len(cells) <= size
             assert all(len(basis) == len(rows) == face.span_dim for basis, _, _ in cells)
 
 
