@@ -27,8 +27,8 @@ cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
 positive there, so by the same rule they cut out its minimal face.  K is
 fixed per model, so the cone keeps the last base vector with its scaled
-integers and products, and a query with an equal base takes one product.
-With the base it keeps the facets grouped by their value of f_j.K.  Within
+integers and its facets grouped by their value of f_j.K, and a query with
+an equal base takes one product.  Within
 a group the ratio -f_j.K / f_j.L is largest at the least f_j.L when
 f_j.K < 0, at the greatest when f_j.K > 0, and is 0 throughout when
 f_j.K = 0.  So L's product is read one group at a time by C-level min and
@@ -36,44 +36,39 @@ max: L is interior iff every group's least f_j.L is positive, the group
 winners are compared exactly, and the masks ANDed for the face are those
 of the winning groups' facets that reach a (all of a group with f_j.K = 0).
 
-A face F whose generators G_F are independent (|F| = span_dim) is
-simplicial, as more than 90% of the distinct faces that seeded del Pezzo
-queries meet on the degree-2 cone are.  The facets' zero sets, transposed
-once with the facets, give per generator g_j the bitmask of the facets
-containing it, and F is simplicial iff every g_j in F has a dual facet
-f_j: one that contains every other generator of F and not g_j (Fukuda and
-Prodon 1996).  Prefix and suffix
-ANDs of those masks find every f_j in O(|F|) big-integer operations.  Then
-f_j.g_i = 0 for i != j, so the unique witness of a point p of F is lam_j =
-f_j.p / f_j.g_j, and f_j.p = num f_j.L + den f_j.K is read off the two
-products already taken for a (K's are kept with the base); only the |F|
-dot products f_j.g_j are new.  A simplicial face takes no elimination, no
-inverse, no LP and no memo entry.
+A cell of a face F is a basis B of span(G_F) drawn from its generators
+G_F, with coordinate rows R on which G_B is invertible, kept as (B, d,
+d * G_B[R, :]^-1) for an integer d > 0.  The witness of a point p of F
+on a cell is lam = inverse p[R] / d.  It comes from the first cell that
+gives lam >= 0; by Caratheodory's theorem some basis does.  Every witness
+must be nonnegative and recombine to p on every coordinate row, or the
+call raises InternalError.
 
-Other faces are memoized per cone, keyed by the bitmask of their
-generators, at most FACE_MEMO_BOUND of them; the memo is read before the
-test above and is emptied when full.  One elimination of G_F's coordinate
-rows gives span_dim and the pivot rows R, kept for the face.  R maps
-span(G_F) isomorphically onto Q^R, so for any basis B of that span drawn
-from G_F the matrix G_B[R, :] is invertible.  Each face keeps a short list
-of such bases, its cells, each with d = |det G_B[R, :]| and d *
-G_B[R, :]^-1, most recently used first.  The witness of a point p of the
-face is then, by Caratheodory's theorem, a nonnegative combination of some
-cell's generators: lam = inverse times p[R] over d, one integer
-matrix-vector product, for the first cell that gives lam >= 0 (it moves to
-the front).  A face starts with no cell; when every cell misses, the
-witness comes from one LP on the rows R of G_F and p (p lies in span(G_F),
-so the other rows follow), which must end optimal, and its solution is
-scaled to integers over one denominator.  The LP's final basis becomes a
-new cell, whose inverse is built the first time the cell is tried; a face
-keeps at most |F| cells and drops the least recently used.  So on a
-revisited face the witness may come from an earlier query's basis.  Every
-witness, d * lam, must be nonnegative and recombine to d * p on every
-coordinate row, or the call raises InternalError, as it does for a dual
-facet that holds its own generator.  The boundary point is then kept with its
-face in one slot, like K.  Only `minimal_face` hands out faces, on either
-route: it reads that point's face with no product, and builds the facets
-for a nonzero point of the ray LP.
+F is simplicial when G_F is independent, as more than 90% of the distinct
+faces that seeded del Pezzo queries meet on the degree-2 cone are.  The
+facets' zero sets, transposed once, give per generator g_j the bitmask of
+the facets holding it.  F is simplicial iff each g_j in F has a dual
+facet f_j, one holding every other generator of F but not g_j (Fukuda
+and Prodon 1996); prefix and suffix ANDs find them all in O(|F|)
+big-integer operations.  As f_j.g_i = 0 for i != j, F has one cell, built
+per query: B = G_F, R every coordinate, d the lcm of the f_j.g_j and row
+j equal to (d / f_j.g_j) f_j.  A point's witness on F is unique, so a
+miss is an internal error.  A simplicial face runs no elimination, no
+inverse and no LP, and takes no memo entry.
+
+Other faces are memoized per cone by their generator mask, at most
+FACE_MEMO_BOUND of them; the memo is read first and emptied when full.
+One elimination of G_F's coordinate rows gives span_dim and the pivot
+rows R, which all the face's cells share.  A face starts with no cell
+and keeps at most |F|, most recently used first.  When every cell misses,
+one LP on the rows R of G_F and p proposes a basis: its final one.  Its
+inverse is built at once, it goes to the front, dropping the last cell
+when the face is full, and the witness is read off it as off any cell.
+So on a revisited face the witness may come from an earlier query's
+basis.  The boundary point is then kept with its face in one slot, like
+K.  Only `minimal_face` hands out faces, on either route: it reads that
+point's face with no product, and builds the facets for a nonzero point
+of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -91,10 +86,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import and_, itemgetter, not_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -116,14 +111,14 @@ from .qlinalg import (
 from .simplex import LPResult, LPStatus, solve_lp
 
 # Non-simplicial faces kept per cone, keyed by their generator mask, at most
-# this many.  A fixed bound, not a setting: the toric benchmark meets fewer
-# than 200 distinct faces on its largest cone, and the memo is emptied when
-# full, so memory does not grow with the number of queries.
+# this many.  A fixed bound, not a setting: over 20 000 seeded queries the memo
+# peaks at 126 faces on `dp-dual-path` (every non-simplicial proper face of the
+# degree-2 cone) and 130 on `toric-polytope`, and is never emptied.  It is
+# emptied when full, so memory does not grow with the number of queries.
 FACE_MEMO_BOUND = 256
 
-# a cell of a non-simplicial face, (B, d, d * G_B[R, :]^-1), or (B, 0, None)
-# from the face LP's basis until first tried; see `ConeQ._face`
-Cell = tuple[tuple[int, ...], int, list[list[int]] | None]
+# a cell of a face, (B, d, d * G_B[R, :]^-1); see `ConeQ._face`
+Cell = tuple[tuple[int, ...], int, list[list[int]]]
 
 
 class Containment(Enum):
@@ -430,11 +425,9 @@ class ConeQ:
         increasing order of j; it is recognised from the generator masks
         and not memoized.  Any other face is memoized as (face, R, cells):
         the pivot coordinate rows R of G_F, from one elimination of G_F's
-        coordinate rows, which also gives span_dim, and its cells, most
-        recently used first.  A cell is a basis B of span(G_F) drawn from
-        G_F, kept as (B, d, d * G_B[R, :]^-1) with d = |det G_B[R, :]|, or
-        as (B, 0, None) until its inverse is first needed.  The memo is
-        read before F is tested."""
+        coordinate rows, which also gives span_dim, and its cells (see the
+        module docstring), most recently used first.  The memo is read
+        before F is tested."""
         entry = self._faces.get(mask)
         if entry is not None:
             return entry
@@ -481,12 +474,12 @@ class ConeQ:
         """The least a, the boundary point base + a*direction and a witness
         as in `min_a_with_witness`; None unless direction is interior.  With
         the facets built, two packed products give a and the point's face
-        (see the module docstring), and the witness is read off those
-        products and the dual facets on a simplicial face, else off the
-        first of the face's cells that holds the point, else one LP on its
-        generators' pivot rows, whose basis becomes a cell; each is checked
-        in integers.  K's products are kept for the next call with
-        an equal base, and the point with its face for `minimal_face`.
+        (see the module docstring), and the witness is read off the first
+        cell of the face that holds the point: a simplicial face's one
+        cell, from its dual facets, else a stored cell, else the cell of
+        the face LP's basis.  It is checked in integers.  K's scaled
+        integers and facet groups are kept for the next call with an equal
+        base, and the point with its face for `minimal_face`.
         Without the facets, `contains` and the ray LP answer: a alone never
         forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
@@ -499,9 +492,8 @@ class ConeQ:
         vl, dl = scaled_ints(direction)
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
-            sk = self._slots(vk)
-            self._base = base, vk, dk, self._groups(sk), sk
-        _, vk, dk, groups, sk = self._base
+            self._base = base, vk, dk, self._groups(self._slots(vk))
+        _, vk, dk, groups = self._base
         sl = self._slots(vl)
         # per group: -f.K, the f.L of its best facet, and the group's f.L
         # and masks (see the module docstring); L is interior iff the least
@@ -534,51 +526,57 @@ class ConeQ:
         face, rows, cells = self._face(mask)
         # scale*(a*direction + base) in integers
         p = [num * l + den * k for l, k in zip(vl, vk)]
-        new_cell = None
         if cells is None:
-            # a simplicial face, rows its dual facets: f_j meets p in
-            # lam_j f_j.g_j, and f_j.p = num f_j.L + den f_j.K is read off
-            # both products
-            basis = sorted(face.generators_in_face)
-            facets = self._facets
-            dots = [idot(facets[f], gens[j]) for f, j in zip(rows, basis)]
+            # a simplicial face, rows its dual facets: its one cell has B = G_F, R
+            # every coordinate and row j (d / f_j.g_j) f_j, d = lcm f_j.g_j
+            duals = [self._facets[f] for f in rows]
+            basis = tuple(sorted(face.generators_in_face))
+            dots = [idot(f, gens[j]) for f, j in zip(duals, basis)]
             if min(dots, default=1) <= 0:
                 raise InternalError("a dual facet of a simplicial face misses its generator")
             det = lcm(*dots)
-            lam = [(num * sl[f] + den * sk[f]) * (det // x) for f, x in zip(rows, dots)]
+            inverse = [f if x == det else [det // x * v for v in f] for f, x in zip(duals, dots)]
+            cells = [(basis, det, inverse)]
+            pr = p
         else:
             pr = [p[t] for t in rows]
-            for i, (basis, det, inverse) in enumerate(cells):
-                if inverse is None:
-                    det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
-                    if inverse is None:
-                        raise InternalError("a stored basis of the face is singular")
-                    cells[i] = basis, det, inverse
-                # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
-                lam = [idot(r, pr) for r in inverse]
-                if min(lam, default=0) >= 0:
-                    cells.insert(0, cells.pop(i))
-                    break
-            else:
-                basis = sorted(face.generators_in_face)
-                # p lies in span(G_F), so the rows R imply the others
-                res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
-                if res.status is not LPStatus.OPTIMAL:
-                    raise InternalError(f"face witness LP is {res.status.value}")
-                lam, det = scaled_ints(res.x)
-                new_cell = tuple([basis[j] for j in sorted(res.basis)]), 0, None
+        # the stored cells, most recently used first, then the face LP's;
+        # past the last, lam < 0 fails the check
+        for i, (basis, det, inverse) in enumerate(chain(cells, self._face_lp_cell(face, rows, pr))):
+            # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
+            lam = [idot(r, pr) for r in inverse]
+            if min(lam, default=0) >= 0:
+                break
         self._check_witness(basis, lam, det, p)
-        if new_cell is not None:
-            # at most |F| cells; the least recently used one goes
-            if len(cells) >= len(basis):
-                cells.pop()
-            cells.insert(0, new_cell)
+        if i == len(cells):
+            cells.append((basis, det, inverse))
+        if i:
+            # to the front; at most |F| cells, the least recently used goes
+            cells.insert(0, cells.pop(i))
+            del cells[len(face.generators_in_face):]
         witness = [Fraction(0)] * len(gens)
         for j, x in zip(basis, lam):
             witness[j] = Fraction(x, det * scale)
         point = VecQ.from_scaled(p, scale)
         self._point = point, face
         return Fraction(num * dl, scale), point, tuple(witness)
+
+    def _face_lp_cell(self, face: FaceQ, rows: Sequence[int], pr: list[int]) -> Iterator[Cell]:
+        """Yield, when asked, the cell of the face LP's final basis: one LP
+        on the rows R of G_F and the point's rows pr, which imply the others
+        as the point lies in span(G_F).  A simplicial face runs none."""
+        basis = sorted(face.generators_in_face)
+        if len(basis) == face.span_dim:
+            raise InternalError("the dual facets of a simplicial face miss its point")
+        gens = self._gens_int
+        res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
+        if res.status is not LPStatus.OPTIMAL:
+            raise InternalError(f"face witness LP is {res.status.value}")
+        basis = tuple([basis[j] for j in sorted(res.basis)])
+        det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
+        if inverse is None:
+            raise InternalError("the face LP's basis is singular")
+        yield basis, det, inverse
 
     def _groups(self, sk: Sequence[int]) -> list[tuple[int, itemgetter, tuple[int, ...]]]:
         """The facets grouped by their value of f.K, given every f.K: per

@@ -64,27 +64,38 @@ from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the trace
 TERMINAL_WALK_BOUND = 2**16
 
 
+def _integer(x, where: str) -> int:
+    """x as an integer, read as `modelio.parse_int` reads one: `as_rat`,
+    then denominator 1; anything else is an InvalidModel naming where."""
+    try:
+        q = as_rat(x)
+        if q.denominator == 1:
+            return q.numerator
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise InvalidModel(f"{where} has an entry that is not an integer: {x!r}")
+
+
 class Fan:
     """Complete simplicial fan; immutable and hashable."""
 
     __slots__ = ("lattice_dim", "rays", "max_cones", "smooth_checked", "_hash")
 
     def __init__(self, rays, max_cones, require_smooth=False, strict=False):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(tuple([_integer(x, f"ray {i}") for x in r]) for i, r in enumerate(rays))
         if not rays:
             raise InvalidModel("fan needs at least one ray")
         n = len(rays[0])
         if any(len(r) != n for r in rays):
             raise InvalidModel("rays of mixed dimension")
         for r in rays:
-            g = 0
-            for x in r:
-                g = gcd(g, x)
-            if g != 1:
+            if gcd(*r) != 1:
                 raise InvalidModel(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise InvalidModel("rays must be pairwise distinct")
-        cones = tuple(tuple(sorted(set(c))) for c in max_cones)
+        cones = tuple(
+            tuple(sorted({_integer(i, f"cone {k}") for i in c})) for k, c in enumerate(max_cones)
+        )
         for c in cones:
             if any(i < 0 or i >= len(rays) for i in c):
                 raise InvalidModel(f"cone {c} references a missing ray")
@@ -378,23 +389,13 @@ def toric_balanced_all_subvarieties(f: Fan, bundle_coeffs) -> bool:
 # -- fibrations ------------------------------------------------------------------
 
 
-class FibrationData(NamedTuple):
-    projection: MatQ
-    vertical_ray_indices: frozenset[int]
-    ns_pi_rank: int
-
-
-def fibration_data(f: Fan, projection: MatQ) -> FibrationData:
-    """Vertical rays are those with nonzero image under the lattice
-    projection; their classes span the vertical part of NS."""
+def fibration_data(f: Fan, projection: MatQ) -> int:
+    """The rank of the vertical part of NS: the span of the classes of the
+    vertical rays, those with nonzero image under the lattice projection."""
     pres = ns_presentation(f)
     if projection.cols != f.lattice_dim:
         raise ProjectionIncompatible("projection width does not match the lattice")
-    vertical = frozenset(
-        i for i, r in enumerate(f.rays) if not projection.apply(r).is_zero()
-    )
-    ns_pi = span_dim([pres.ray_classes[i] for i in sorted(vertical)])
-    return FibrationData(projection, vertical, ns_pi)
+    return span_dim([c for r, c in zip(f.rays, pres.ray_classes) if not projection.apply(r).is_zero()])
 
 
 def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int, int]:
@@ -423,7 +424,6 @@ def fibration_b_crosscheck(f: Fan, bundle_coeffs, projection: MatQ) -> tuple[int
         raise ProjectionIncompatible(
             "polytope affine hull does not match the annihilator of ker(projection)"
         )
-    fib = fibration_data(f, projection)
-    return res.b, model.ns_rank - fib.ns_pi_rank
+    return res.b, model.ns_rank - fibration_data(f, projection)
 
 

@@ -1,13 +1,14 @@
 """The facet route of `ConeQ.min_a_with_point`: bigness, a and the
 boundary point's minimal face read off two packed facet products, the face
-kept for `minimal_face`, and the witness read off the face's dual facets
-when the face is simplicial, else off a memoized cell or one LP over the
-face's generators, either checked in integers.  The ray LP on a copy of
-the cone without facets is the oracle for a and the face, and `solve_lp`
-and `Fraction` Gauss-Jordan on the face's generators for the witness on a
-simplicial face.  `b_invariant` gives the same answer on a cone whichever
-route it took."""
+kept for `minimal_face`, and the witness read off the first cell of the
+face that holds the point (a simplicial face's one cell, from its dual
+facets, else a memoized cell or the cell of the face LP's basis), checked
+in integers.  The ray LP on a copy of the cone without facets is the
+oracle for a and the face, and `solve_lp` and `Fraction` Gauss-Jordan on
+the answering cell's generators for the witness.  `b_invariant` gives the
+same answer on a cone whichever route it took."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -307,8 +308,10 @@ def check_dual_rule(c, queries, n):
     dual rule must answer iff rank(G_F) = |F| by the Bareiss oracle; on a
     simplicial face its facets must be dual to G_F, the witness must be
     `Fraction` Gauss-Jordan's solve on G_F, and no elimination, inverse or
-    LP may run in `cones`; any other face must be memoized.  Returns the
-    number of simplicial and of other faces met."""
+    LP may run in `cones`.  Any other face must be memoized, and the
+    witness must be the `Fraction` solve on the basis of its front cell,
+    the one that answered.  Returns the number of simplicial and of other
+    faces met."""
     met = [0, 0]
     facets = c.facets
     with pytest.MonkeyPatch.context() as mp:
@@ -328,13 +331,15 @@ def check_dual_rule(c, queries, n):
             assert (duals is not None) == simplicial, (base, direction)
             met[not simplicial] += 1
             mask = sum([1 << j for j in inside])
-            if not simplicial:
+            if simplicial:
+                assert face.span_dim == len(gens) and mask not in c._faces
+                assert solves == [[], [], []], (base, direction)
+                for f, j in zip(duals, inside):
+                    assert [facets[f].dot(g) > 0 for g in gens] == [i == j for i in inside]
+            else:
                 assert mask in c._faces and c._faces[mask][0] == face
-                continue
-            assert face.span_dim == len(gens) and mask not in c._faces
-            assert solves == [[], [], []], (base, direction)
-            for f, j in zip(duals, inside):
-                assert [facets[f].dot(g) > 0 for g in gens] == [i == j for i in inside]
+                inside = c._faces[mask][2][0][0]
+                gens = [c.generators[j] for j in inside]
             expected = [Fraction(0)] * len(c.generators)
             for j, x in zip(inside, combination_by_fractions(gens, point)):
                 expected[j] = x
@@ -346,7 +351,8 @@ class TestDualRule:
     """Faces met by seeded queries on del Pezzo degrees 2-7, the toric
     catalog with the benchmark's product fans and random cones, at scale 1
     and 2^80 (products past 63 bits come back as lists): the dual rule
-    against the Bareiss rank and a `Fraction` solve."""
+    against the Bareiss rank, and every witness, off a simplicial face's
+    dual facets or a cell of any other face, against a `Fraction` solve."""
 
     @pytest.mark.parametrize("n", [1, 2**80])
     def test_del_pezzo_faces(self, n):
@@ -437,12 +443,14 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
     holding = c._gen_facet_masks[j] | c._gen_facet_masks[i]
     off_other = [e for e in range(len(c._facets)) if not holding >> e & 1]
     assert on_j and off_other
-    facet = c._facets[duals[0]]
+    # f_j.g_j for the first generator: its dual facet against it, and no
+    # other product of that facet (its cell row may be the facet itself)
+    facet, generator = c._facets[duals[0]], c._gens_int[j]
     dot = cones.idot
     plants = [
         (ConeQ, "_duals", lambda self, inside: (on_j[0],) + duals[1:], "misses its generator"),
         (ConeQ, "_duals", lambda self, inside: (off_other[0],) + duals[1:], "misses the boundary point"),
-        (cones, "idot", lambda a, b: 2 * dot(a, b) if a is facet else dot(a, b), "misses the boundary point"),
+        (cones, "idot", lambda a, b: 2 * dot(a, b) if a is facet and b is generator else dot(a, b), "misses the boundary point"),
     ]
     for owner, name, plant, message in plants:
         monkeypatch.setattr(owner, name, plant)
@@ -453,10 +461,13 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
         assert c.min_a_with_point(surf.canonical, bundle) == answer
 
 
-def test_a_wrong_lp_witness_is_caught(monkeypatch):
+def test_a_wrong_face_lp_result_is_caught(monkeypatch):
     # a non-simplicial face: four generators spanning three dimensions, so
-    # the witness of its first point comes from the LP on them.  Each plant
-    # meets the face on a new copy of the cone, with no cells yet.
+    # the face LP proposes the basis of its first point's cell.  Each plant
+    # meets the face on a new copy of the cone, with no cells yet: an LP
+    # that is not optimal, a basis whose cell gives a negative witness, and
+    # a basis with a repeated column, whose inverse does not exist.  Each
+    # is an internal error, and the next query answers as before.
     surf = del_pezzo(6)
     cone = surf.variety().eff_cone
     bundle = -1 * surf.canonical + cone.generators[0] + 2 * cone.generators[4]
@@ -467,35 +478,41 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
     c = fresh()
     answer = c.min_a_with_point(surf.canonical, bundle)
     face = c.minimal_face(answer[1])
-    assert len(face.generators_in_face) > face.span_dim
-    (kernel,) = nullspace(MatQ([list(col) for col in zip(*face.generator_vectors())]))
+    inside = face.generator_vectors()
+    assert len(inside) > face.span_dim
+    # a basis of the face's span drawn from its generators on which the
+    # point has a negative coefficient, by the `Fraction` oracle
+    negative = next(
+        b
+        for b in itertools.combinations(range(len(inside)), face.span_dim)
+        if min(combination_by_fractions([inside[j] for j in b], answer[1]) or [0]) < 0
+    )
     solve = cones.solve_lp
 
     def infeasible(res):
         return LPResult(LPStatus.INFEASIBLE, None, None)
 
-    def doubled(res):
-        # nonnegative, but twice the boundary point
-        return res._replace(x=tuple([2 * x for x in res.x]))
+    def negative_basis(res):
+        return res._replace(basis=negative)
 
-    def shifted(res):
-        # plus a multiple of the face's kernel: recombines, but the kernel
-        # vector has entries of both signs on a strict cone, so one goes
-        # negative
-        n = (1 + max(res.x)) / min([abs(k) for k in kernel if k])
-        return res._replace(x=tuple([x + n * k for x, k in zip(res.x, kernel)]))
+    def repeated_column(res):
+        return res._replace(basis=res.basis[:1] + res.basis[:-1])
 
-    for plant in (infeasible, doubled, shifted):
+    for plant, message in (
+        (infeasible, "LP is infeasible"),
+        (negative_basis, "witness is negative"),
+        (repeated_column, "basis is singular"),
+    ):
         c = fresh()  # built first: its constructor's strictness LP is not planted
         monkeypatch.setattr(cones, "solve_lp", lambda *args: plant(solve(*args)))
-        with pytest.raises(InternalError) as exc:
+        with pytest.raises(InternalError, match=message) as exc:
             c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
         monkeypatch.undo()
-    assert fresh().min_a_with_point(surf.canonical, bundle) == answer
-    # the LP sees only the face's pivot rows R; with one of them dropped
-    # from the memo its solution misses a row, which the check of every
-    # coordinate row catches
+        assert c.min_a_with_point(surf.canonical, bundle) == answer
+    # the LP and the cell see only the face's pivot rows R; with one of
+    # them dropped from the memo the cell's witness misses a row, which the
+    # check of every coordinate row catches
     c = fresh()
     c.min_a_with_point(surf.canonical, bundle)
     mask = sum([1 << j for j in face.generators_in_face])
@@ -509,8 +526,8 @@ def test_a_wrong_lp_witness_is_caught(monkeypatch):
 
 def test_a_wrong_cell_inverse_is_caught():
     # a cell kept from the face LP on a non-simplicial face, its inverse
-    # built on reuse and then doubled: the witness it gives is nonnegative
-    # but misses the point, and that is an internal error, not a miss
+    # doubled before reuse: the witness it gives is nonnegative but misses
+    # the point, and that is an internal error, not a miss
     surf = del_pezzo(6)
     c = with_facets(surf.variety().eff_cone)
     bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[4]

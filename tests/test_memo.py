@@ -383,27 +383,30 @@ def test_point_face_memo_stays_within_its_bound():
 
 def test_a_point_in_a_stored_cell_runs_no_face_lp(monkeypatch):
     # the first visit to a non-simplicial face runs the face LP and keeps
-    # its final basis B as a cell, with the inverse left to its first reuse.
-    # L + g, g in B, keeps a and the face and moves the boundary point by
-    # a*g inside cone(B): the cell holds it, and no LP runs.
+    # its final basis B as a cell, its inverse on the face's pivot rows R
+    # built at once.  L + g, g in B, keeps a and the face and moves the
+    # boundary point by a*g inside cone(B): the cell holds it, and neither
+    # an LP nor an inverse runs.
     surf = del_pezzo(6)
     c = ConeQ(surf.variety().eff_cone.generators)
     c.facets
     gens = c.generators
     bundle = -1 * surf.canonical + gens[0] + 2 * gens[4]
     lps = counting(monkeypatch, cones, "solve_lp")
+    inverses = counting(monkeypatch, cones, "scaled_inverse")
     a, point, witness = c.min_a_with_point(surf.canonical, bundle)
     face = c._point[1]
-    assert len(face.generators_in_face) > face.span_dim and len(lps) == 1
+    assert len(face.generators_in_face) > face.span_dim and (len(lps), len(inverses)) == (1, 1)
     mask = sum([1 << j for j in face.generators_in_face])
-    [(basis, det, inverse)] = c._faces[mask][2]
-    assert (len(basis), det, inverse) == (face.span_dim, 0, None)
+    _, rows, [cell] = c._faces[mask]
+    basis, det, inverse = cell
+    assert len(basis) == len(rows) == face.span_dim and det > 0
+    assert len(inverse) == len(rows) and all(len(r) == len(rows) for r in inverse)
     assert {j for j, w in enumerate(witness) if w} <= set(basis) <= face.generators_in_face
     g = gens[basis[0]]
     assert c.min_a_with_point(surf.canonical, bundle + g)[:2] == (a, point + a * g)
-    assert c._point[1] is face and len(lps) == 1
-    [(again, det, inverse)] = c._faces[mask][2]
-    assert again == basis and det > 0 and len(inverse) == face.span_dim
+    assert c._point[1] is face and (len(lps), len(inverses)) == (1, 1)
+    assert c._faces[mask][2] == [cell]
 
 
 def _cell_queries(cases, count, lps):

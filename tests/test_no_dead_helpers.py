@@ -1,12 +1,17 @@
-"""Every helper in `src/fujita` is read by something.
+"""Every helper in `src/fujita` is read by something, and every import is
+read by the module that makes it.
 
-The audit lists every non-dunder function, class, method and module-level
-constant defined in `src/fujita/*.py`, and counts its uses: a name must
-occur as a code token at least twice in `src/fujita` (its definition and
-one use), so a docstring or a comment that mentions it is no use, or as
-a whole word at least once in `bench/`, which drives the program from
-outside and names its tracer targets in strings.  A name that only tests
-read belongs in the tests.
+The helper audit lists every non-dunder function, class, method and
+module-level constant defined in `src/fujita/*.py`, and counts its uses: a
+name must occur as a code token at least twice in `src/fujita` (its
+definition and one use), so a docstring or a comment that mentions it is
+no use, or as a whole word at least once in `bench/`, which drives the
+program from outside and names its tracer targets in strings.  A name
+that only tests read belongs in the tests.
+
+The import audit lists every name a module imports and requires the
+module's code to read it.  `__future__` imports, the re-exports of
+`__init__.py` and imports marked `# noqa: F401` are exempt.
 """
 
 import ast
@@ -57,8 +62,35 @@ def unread_names(src: Path = SRC) -> list[str]:
     return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        with path.open("rb") as fh:
+            tokens = list(tokenize.tokenize(fh.readline))
+        # the lines of the comments that exempt an import
+        exempt = {t.start[0] for t in tokens if t.type == tokenize.COMMENT and "noqa: F401" in t.string}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if exempt & set(range(node.lineno, node.end_lineno + 1)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(f"{path.name}: {name}")
+    return out
+
+
 def test_every_helper_is_read():
     assert unread_names() == []
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
 
 
 def test_audit_sees_a_helper_nothing_reads(tmp_path):
@@ -77,3 +109,25 @@ def test_audit_sees_a_helper_nothing_reads(tmp_path):
             "    return v  # mentioned_only\n"
         )
     assert unread_names(src) == ["UNREAD_VERSION", "mentioned_only", "vector_to_json"]
+
+
+def test_audit_sees_an_import_nothing_reads(tmp_path):
+    # a copy of the package with a planted unused import in a module, one
+    # more in a function and one that only a comment mentions: the audit
+    # names all three, and the same imports in `__init__.py` or marked
+    # `# noqa: F401` pass
+    src = tmp_path / "src" / "fujita"
+    src.mkdir(parents=True)
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert unused_imports(src) == []
+    with (src / "__init__.py").open("a", encoding="utf-8") as fh:
+        fh.write("\nimport heapq\n")
+    with (src / "toric.py").open("a", encoding="utf-8") as fh:
+        fh.write("\nfrom bisect import insort  # noqa: F401\n")
+    with (src / "cones.py").open("a", encoding="utf-8") as fh:
+        fh.write(
+            "\nimport os.path\nfrom .qlinalg import scaled_ints as unread_ints, VecQ\n"
+            "\n\ndef planted():\n    import heapq  # heapq\n    return VecQ\n"
+        )
+    assert unused_imports(src) == ["cones.py: os", "cones.py: unread_ints", "cones.py: heapq"]

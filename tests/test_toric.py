@@ -89,6 +89,21 @@ class TestFanValidation:
         with pytest.raises(InvalidModel):
             Fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
+    def test_non_integer_entries(self):
+        # each ray entry and cone index is read as `modelio.parse_int` reads
+        # one; a float, a non-integral Fraction or a bool is not truncated
+        # to an integer but names its ray or cone
+        rays = [(1, 0), (0, 1), (-1, -1)]
+        cones = [(0, 1), (1, 2), (0, 2)]
+        for x in (1.7, 1.0, Fraction(3, 2), True, "1/0", "x"):
+            with pytest.raises(InvalidModel, match="^ray 0 has an entry that is not an integer"):
+                Fan([(x, 0)] + rays[1:], cones)
+            with pytest.raises(InvalidModel, match="^cone 2 has an entry that is not an integer"):
+                Fan(rays, cones[:2] + [(0, x)])
+        # exact integers in any form are read as they are
+        fan = Fan([(Fraction(1), "0"), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, Fraction(4, 2))])
+        assert fan == Fan(rays, cones)
+
     def test_duplicate_ray(self):
         with pytest.raises(InvalidModel):
             Fan([(1, 0), (1, 0), (0, 1)], [(0, 2), (2, 1)])
