@@ -27,14 +27,17 @@ cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
 positive there, so by the same rule they cut out its minimal face.  K is
 fixed per model, so the cone keeps the last base vector with its scaled
-integers and its facets grouped by their value of f_j.K, and a query with
-an equal base takes one product.  Within
-a group the ratio -f_j.K / f_j.L is largest at the least f_j.L when
-f_j.K < 0, at the greatest when f_j.K > 0, and is 0 throughout when
-f_j.K = 0.  So L's product is read one group at a time by C-level min and
-max: L is interior iff every group's least f_j.L is positive, the group
-winners are compared exactly, and the masks ANDed for the face are those
-of the winning groups' facets that reach a (all of a group with f_j.K = 0).
+integers, and from K's one product, the facets ordered by f_j.K, packed
+in that order (a second `PackedRows`), with each group's bounds [lo, hi)
+in the order and the generator masks in the order.  A query with an equal
+base takes one product, of L off that packing.  Within a group the ratio
+-f_j.K / f_j.L is largest at the least f_j.L when f_j.K < 0, at the
+greatest when f_j.K > 0, and is 0 throughout when f_j.K = 0.  So L's
+product is read one group at a time, as a zero-copy slice, by C-level min
+and max: L is interior iff every group's least f_j.L is positive, the
+group winners are compared exactly, and the masks ANDed for the face are
+those of the winning groups' facets that reach a (all of a group with
+f_j.K = 0), found by one `qlinalg.positions` scan of the group's slots.
 
 A cell of a face F is a basis B of span(G_F) drawn from its generators
 G_F, with coordinate rows R on which G_B is invertible, kept as (B, d,
@@ -86,9 +89,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, groupby
 from math import gcd, lcm
-from operator import and_, itemgetter, not_
+from operator import and_, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -104,6 +107,7 @@ from .qlinalg import (
     VecQ,
     idot,
     pivot_columns,
+    positions,
     primitive_int,
     scaled_ints,
     scaled_inverse,
@@ -478,10 +482,10 @@ class ConeQ:
         cell of the face that holds the point: a simplicial face's one
         cell, from its dual facets, else a stored cell, else the cell of
         the face LP's basis.  It is checked in integers.  K's scaled
-        integers and facet groups are kept for the next call with an equal
-        base, and the point with its face for `minimal_face`.
-        Without the facets, `contains` and the ray LP answer: a alone never
-        forces them."""
+        integers, facet groups and their packing are kept for the next
+        call with an equal base, and the point with its face for
+        `minimal_face`.  Without the facets, `contains` and the ray LP
+        answer: a alone never forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets is None:
@@ -492,19 +496,19 @@ class ConeQ:
         vl, dl = scaled_ints(direction)
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
-            self._base = base, vk, dk, self._groups(self._slots(vk))
-        _, vk, dk, groups = self._base
-        sl = self._slots(vl)
-        # per group: -f.K, the f.L of its best facet, and the group's f.L
-        # and masks (see the module docstring); L is interior iff the least
-        # f.L of every group is positive
+            self._base = (base, vk, dk) + self._groups(self._slots(vk))
+        _, vk, dk, packed, groups, masks = self._base
+        sl = packed.products(vl)
+        # per group: -f.K, the f.L of its best facet and its bounds (see the
+        # module docstring); L is interior iff the least f.L of every group
+        # is positive
         tops = []
-        for n, get, masks in groups:
-            ls = get(sl)
+        for n, lo, hi in groups:
+            ls = sl[lo:hi]
             least = min(ls)
             if least <= 0:
                 return None
-            tops.append((n, least if n >= 0 else max(ls), ls, masks))
+            tops.append((n, least if n >= 0 else max(ls), lo, hi))
         num, den = tops[0][:2]
         for n, l, _, _ in tops:
             if n * den > num * l:  # l, den > 0
@@ -512,14 +516,12 @@ class ConeQ:
         # the facets reaching a: a whole group with f.K = 0, else the
         # facets of a group with its best f.L
         mask = (1 << len(self._gens_int)) - 1
-        for n, l, ls, masks in tops:
+        for n, l, lo, hi in tops:
             if n * den == num * l:
                 if not n:
-                    mask = reduce(and_, masks, mask)
+                    mask = reduce(and_, masks[lo:hi], mask)
                     continue
-                i = -1
-                for _ in range(ls.count(l)):
-                    i = ls.index(l, i + 1)
+                for i in positions(sl, l, lo, hi):
                     mask &= masks[i]
         scale = den * dk
         gens = self._gens_int
@@ -578,20 +580,19 @@ class ConeQ:
             raise InternalError("the face LP's basis is singular")
         yield basis, det, inverse
 
-    def _groups(self, sk: Sequence[int]) -> list[tuple[int, itemgetter, tuple[int, ...]]]:
-        """The facets grouped by their value of f.K, given every f.K: per
-        group -f.K, a getter of the group's slots from any product, and the
-        group's generator masks."""
-        by_k: dict[int, list[int]] = {}
-        for j, k in enumerate(sk):
-            by_k.setdefault(k, []).append(j)
-        groups = []
-        for k, js in by_k.items():
-            # the first index twice, so that a one-facet group also gets a
-            # tuple; it changes no min, max or AND
-            get = itemgetter(*js, js[0])
-            groups.append((-k, get, get(self._facet_gen_masks)))
-        return groups
+    def _groups(self, sk: Sequence[int]) -> tuple[PackedRows, list[tuple[int, int, int]], tuple[int, ...]]:
+        """The facets ordered by their value of f.K, given every f.K: their
+        packing in that order, per group of equal f.K its -f.K and its
+        bounds [lo, hi) in the order, and their generator masks in the
+        order."""
+        order = sorted(range(len(sk)), key=sk.__getitem__)
+        groups, lo = [], 0
+        for k, run in groupby(order, key=sk.__getitem__):
+            hi = lo + len(list(run))
+            groups.append((-k, lo, hi))
+            lo = hi
+        masks = self._facet_gen_masks
+        return PackedRows([self._facets[j] for j in order]), groups, tuple([masks[j] for j in order])
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

@@ -23,9 +23,11 @@ reduction of `inertia` all run on it.  Rows share one denominator, kept
 positive, so stored signs are true signs.
 
 `PackedRows` is the one home of the packed product: every row.v of a
-fixed set of integer rows from one big-integer product, with its width
-and byte-order guards.  The cone's facet products and the Zariski curve
-scan both read it.
+fixed set of integer rows from one big-integer product, in the narrowest
+of 16-, 32- and 64-bit slots that holds the bound l1 * max|v|, with its
+width and byte-order guards.  The cone's facet products and the Zariski
+curve scan both read it, and `positions` finds a value's slots in a
+product without reading the others.
 """
 
 from __future__ import annotations
@@ -266,34 +268,68 @@ class PackedRows:
     vector v are read off one big-integer product (Kronecker
     substitution; SIMD within a register, Lamport 1975).
 
-    The packing is built once: x = sum_t v_t P_t + HIGH, P_t = sum_j
-    r_jt 2^(64 j), HIGH the top bit of every 64-bit slot, holds r_j.v +
-    2^63 in slot j.  While l1 * max|v_t| < 2^63 (l1 the largest absolute
-    row sum), no slot borrows or carries, and x ^ HIGH holds every r_j.v
-    in two's complement, read as one `memoryview` cast to signed 64-bit
-    slots.  A larger product, rows with l1 >= 2^63, or a big-endian host
-    take one `idot` per row instead."""
+    For a slot width w, the packing x = sum_t v_t P_t + HIGH, P_t = sum_j
+    r_jt 2^(w j), HIGH the top bit of every w-bit slot, holds r_j.v +
+    2^(w-1) in slot j.  While l1 * max|v_t| < 2^(w-1) (l1 the largest
+    absolute row sum), no slot borrows or carries, and x ^ HIGH holds every
+    r_j.v in two's complement, read as one `memoryview` cast to signed
+    w-bit slots.  w is the least of 16, 32 and 64 that holds that bound,
+    and each width's packing is built on its first use and kept.  A
+    product needing more than 63 bits, or a big-endian host, takes one
+    `idot` per row instead."""
 
-    __slots__ = ("rows", "_l1", "_packing")
+    __slots__ = ("rows", "_l1", "_packings")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = tuple(rows)
         self._l1 = max([sum(map(abs, r)) for r in self.rows], default=0)
-        self._packing = None
-        if self._l1 < 1 << 63:  # else no product fits the 64-bit slots
-            high = int.from_bytes((bytes(7) + b"\x80") * len(self.rows), "little")
-            biased = [b"".join([(x + (1 << 63)).to_bytes(8, "little") for x in c]) for c in zip(*self.rows)]
-            self._packing = [int.from_bytes(b, "little") - high for b in biased], high
+        self._packings = {}
+
+    def _packing(self, size: int) -> tuple[list[int], int]:
+        """The columns P_t and HIGH for slots of `size` bytes, built on
+        the first call and kept."""
+        try:
+            return self._packings[size]
+        except KeyError:
+            bias = 1 << (8 * size - 1)
+            high = int.from_bytes(bias.to_bytes(size, "little") * len(self.rows), "little")
+            biased = [b"".join([(x + bias).to_bytes(size, "little") for x in c]) for c in zip(*self.rows)]
+            packing = self._packings[size] = [int.from_bytes(b, "little") - high for b in biased], high
+            return packing
 
     def products(self, v: Sequence[int]) -> Sequence[int]:
-        """Every row.v, in row order: one packed product, or one `idot`
-        per row when the product needs more than 63 bits or the host is
-        big-endian."""
-        if sys.byteorder != "little" or (self._l1 * max([abs(x) for x in v] + [1])).bit_length() > 63:
+        """Every row.v, in row order: one packed product in the narrowest
+        slots that hold l1 * max|v_t|, or one `idot` per row when that needs
+        more than 63 bits or the host is big-endian."""
+        bits = (self._l1 * max([abs(x) for x in v] + [1])).bit_length()
+        if sys.byteorder != "little" or bits > 63:
             return [idot(r, v) for r in self.rows]
-        cols, high = self._packing
-        raw = ((idot(v, cols) + high) ^ high).to_bytes(8 * len(self.rows), "little")
-        return memoryview(raw).cast("q")
+        size, code = (2, "h") if bits < 16 else (4, "i") if bits < 32 else (8, "q")
+        cols, high = self._packing(size)
+        raw = ((idot(v, cols) + high) ^ high).to_bytes(size * len(self.rows), "little")
+        return memoryview(raw).cast(code)
+
+
+def positions(products: Sequence[int], x: int, lo: int, hi: int) -> list[int]:
+    """The indices i in [lo, hi) with products[i] == x, in increasing
+    order, for a result of `PackedRows.products`.  A packed result is
+    searched for x's slot bytes at slot-aligned offsets of its bytes; a
+    list by `list.index`."""
+    found = []
+    if type(products) is memoryview:
+        raw, size = products.obj, products.itemsize
+        pattern, end = x.to_bytes(size, "little", signed=True), hi * size
+        at = raw.find(pattern, lo * size, end)
+        while at >= 0:
+            if at % size == 0:  # else it straddles two slots
+                found.append(at // size)
+            at = raw.find(pattern, at + 1, end)
+        return found
+    at = lo - 1
+    for _ in range(products[lo:hi].count(x)):
+        at = products.index(x, at + 1, hi)
+        found.append(at)
+    return found
 
 
 def pivot(rows: list[list[int]], r: int, c: int, d: int, first: int = 0) -> int:

@@ -62,6 +62,23 @@ def dots_taken(c, v) -> int:
     return sum(map(len, calls))
 
 
+def products_by_packing(calls, c) -> tuple[int, int]:
+    """Of the `PackedRows.products` calls recorded in `calls`, those on c's
+    facets in facet order (K's, and those of `contains` and `minimal_face`)
+    and those on its facets in the order of the last base's f.K groups
+    (L's in `min_a_with_point`)."""
+    grouped = c._base[3] if c._base else None
+    return sum(args[0] is c._packed for args in calls), sum(args[0] is grouped for args in calls)
+
+
+def straddling(size) -> list[int]:
+    """Positive slot values [A, B, x] for slots of `size` bytes, A and B
+    greater than x, whose little-endian bytes, A's followed by B's, hold
+    x's one byte past the start of A's slot."""
+    ones = [1] * (size - 1)
+    return [int.from_bytes(bytes(b), "little") for b in ([2] + ones, [1] + [2] * (size - 1), ones + [1])]
+
+
 @st.composite
 def random_cones(draw):
     """Cones in dimensions 1-5, each full-dimensional and strict, as every

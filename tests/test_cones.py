@@ -358,8 +358,10 @@ class TestPackedSigns:
         assert lps == []
 
     def test_one_packing_per_width(self):
-        # one 64-bit packing serves every small probe; a probe whose
-        # product needs more than 63 bits takes one idot per facet
+        # the small probe's products fit 16-bit slots, whose packing is
+        # built on the first product and kept for every later one; a probe
+        # whose product needs more than 63 bits takes one idot per facet and
+        # builds no packing
         c = ConeQ(del_pezzo(3).variety().eff_cone.generators, ambient_dim=7)
         v = vec(3, -1, -1, -1, -1, -1, -1)
         for _ in range(2):
@@ -367,6 +369,7 @@ class TestPackedSigns:
                 assert c.contains(n * v) is Containment.INSIDE
                 assert c.minimal_face(n * v).span_dim == 7
                 assert dots_taken(c, n * v) == (1 if n == 1 else len(c._facets))
+        assert list(c._packed._packings) == [2]
 
 
 class TestDotPath:

@@ -23,14 +23,23 @@ from fujita.delpezzo import del_pezzo
 from fujita.errors import InternalError, KPseudoEffective, NotBig
 from fujita.fixtures import load_catalog
 from fujita.invariants import VarietyModel, b_invariant, fujita
-from fujita.qlinalg import MatQ, VecQ, nullspace
+from fujita.qlinalg import MatQ, VecQ, nullspace, scaled_ints
 from fujita.simplex import LPResult, LPStatus, solve_lp
 from fujita.toric import ns_presentation, variety_model
-from conftest import counting, dots_taken, random_cones, random_rational_vector, vec, with_fresh_cone
+from conftest import (
+    counting,
+    dots_taken,
+    random_cones,
+    random_rational_vector,
+    straddling,
+    vec,
+    with_fresh_cone,
+)
 from oracles import (
     combination_by_fractions,
     min_a_and_face_by_facet_loop,
     min_a_and_face_by_ray_lp,
+    minimal_face_by_facet_loop,
     rank_by_bareiss,
 )
 
@@ -188,7 +197,7 @@ def test_grouped_arg_max_on_every_sign_of_fk():
         assert check_dual_route(c, base, direction)
         assert c.min_a_with_point(base, direction)[0] == a
         assert c.minimal_face(base + a * direction).generators_in_face == face
-        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[4]}
         ties += len(tie_groups(c, base, a, direction)) > 1
     assert signs == {-1, 0, 1} and ties == 3
 
@@ -211,9 +220,69 @@ def test_grouped_arg_max_on_del_pezzo_cones_with_mixed_bases(degree):
             direction = direction + rng.randint(1, 2) * gens[j]
         assert check_dual_route(c, base, direction)
         a = c.min_a_with_point(base, direction)[0]
-        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[4]}
         ties += len(tie_groups(c, base, a, direction)) > 1
     assert signs == {-1, 0, 1} and ties > 10
+
+
+# L's products in the group order on the orthant of Q^8 with this base:
+# f.K = -2 on the facets in slots 0-3, -1 on those in slots 4-7
+TIE_BASE = vec(-1, -1, -1, -1, -2, -2, -2, -2)
+TIE_SLOTS = [
+    [2, 5, 5, 2, 9, 9, 9, 9],  # the first and last slot of a group
+    [5, 2, 2, 5, 9, 9, 9, 9],  # inside a group
+    [3, 3, 3, 3, 9, 9, 9, 9],  # a whole group
+    [9, 9, 9, 9, 1, 3, 3, 1],  # the first and last slot of the last group
+    [4, 6, 6, 4, 2, 3, 3, 2],  # two groups, each at its first and last slot
+]
+
+
+def check_ties(base, slots, size):
+    """`min_a_with_point` on the orthant whose facets take the products
+    `slots` of L in the group order; the face must equal the per-facet
+    loop's, and L's product must come in slots of `size` bytes on a
+    little-endian host (None: one idot per facet)."""
+    d = len(slots)
+    c = with_facets(ConeQ([vec(*[int(i == j) for j in range(d)]) for i in range(d)]))
+    direction = vec(*slots[::-1])  # facet j is x_(d-1-j) >= 0
+    assert check_dual_route(c, base, direction)
+    point, face = c._point
+    assert face == minimal_face_by_facet_loop(c, point), slots
+    sl = c._base[3].products(scaled_ints(direction)[0])
+    assert list(sl) == slots
+    packed = type(sl) is memoryview
+    assert (sl.itemsize if packed else None) == (size if qlinalg.sys.byteorder == "little" else None)
+    return sl if packed else None
+
+
+class TestTieScan:
+    """The facets reaching a found by the tie scan of one group-ordered
+    product: ties at a group's ends, inside it, across groups and over a
+    whole group, in each slot width, and a slot byte pattern that straddles
+    two slots, which is no tie."""
+
+    @pytest.mark.parametrize("n, size", [(1, 2), (2**20, 4), (2**40, 8), (2**70, None)])
+    def test_ties_in_every_width(self, n, size):
+        for slots in TIE_SLOTS:
+            check_ties(TIE_BASE, [n * x for x in slots], size)
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_a_straddling_match_is_no_tie(self, size):
+        slots = straddling(size)
+        sl = check_ties(vec(-1, -1, -1), slots, size)
+        if sl is not None:
+            assert sl.obj.find(slots[2].to_bytes(size, "little")) == 1
+
+
+class TestTieScanDotPath:
+    """The tie cases with `qlinalg` reading the host as big-endian."""
+
+    @pytest.fixture(autouse=True)
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "sys", SimpleNamespace(byteorder="big"))
+
+    test_ties_in_every_width = TestTieScan.test_ties_in_every_width
+    test_a_straddling_match_is_no_tie = TestTieScan.test_a_straddling_match_is_no_tie
 
 
 @pytest.mark.parametrize(

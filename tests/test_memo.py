@@ -24,7 +24,7 @@ from fujita.errors import NotBig, NotPseudoEffective
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import ns_presentation, variety_model
-from conftest import MEMOS, counting, vec, with_fresh_cone
+from conftest import MEMOS, counting, products_by_packing, vec, with_fresh_cone
 from oracles import minimal_face_by_facet_loop, rank_by_bareiss, toric_balanced_by_adjoint
 
 BOUND = 16
@@ -54,31 +54,32 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         faces = counting(monkeypatch, ConeQ, "minimal_face")
         lps = counting(monkeypatch, cones, "solve_lp")
         solves = counting(monkeypatch, qlinalg, "solve")
-        slots = counting(monkeypatch, ConeQ, "_slots")
+        products = counting(monkeypatch, qlinalg.PackedRows, "products")
 
         fr = fujita(m, bundle)
-        chain_products = len(slots)
+        chain_products = products_by_packing(products, m.eff_cone)
         res = b_invariant(m, bundle)
-        face_products = len(slots) - chain_products
+        face_products = tuple(x - y for x, y in zip(products_by_packing(products, m.eff_cone), chain_products))
         case = surface_b(m, bundle)
         balance = surface_balanced(m, bundle)
         rigid = is_rigid_class(m, fr.boundary_class)
 
         if warm:
-            # the facet products of L and K decide bigness, a and the face;
-            # the witness is read off the face's dual facets when the face is
-            # simplicial, else one LP over its generators gives it, and
-            # `b_invariant` reads the face kept with the point, no product
+            # one product of K in facet order, for its groups, and one of L
+            # in their order decide bigness, a and the face; the witness is
+            # read off the face's dual facets when the face is simplicial,
+            # else one LP over its generators gives it, and `b_invariant`
+            # reads the face kept with the point, no product
             simplicial = len(res.face.generators_in_face) == res.face.span_dim
             assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 1, 0 if simplicial else 1)
             assert all(len(lp[2]) == len(res.face.generators_in_face) for lp in lps)
-            assert (chain_products, face_products) == (2, 0)
+            assert (chain_products, face_products) == ((1, 1), (0, 0))
         else:
             # `fujita` asks the cone once whether the bundle is big, then
             # solves the ray LP; `b_invariant` builds the facets for the
-            # face and takes one product
+            # face and takes one product in facet order
             assert (len(rays), len(memberships), len(faces), len(lps)) == (1, 1, 1, 2)
-            assert (chain_products, face_products) == (0, 1)
+            assert (chain_products, face_products) == ((0, 0), (1, 0))
         # the face pass and the Zariski kernel prove membership of the
         # boundary class themselves, and `is_rigid_class` leaves the
         # question to its route
@@ -103,7 +104,7 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             rays = counting(monkeypatch, ConeQ, "min_a_with_witness")
             faces = counting(monkeypatch, ConeQ, "minimal_face")
             lps = counting(monkeypatch, cones, "solve_lp")
-            slots = counting(monkeypatch, ConeQ, "_slots")
+            products = counting(monkeypatch, qlinalg.PackedRows, "products")
             res = b_invariant(m, bundle)
             fr = res.fujita
             chain_lps = len(lps)
@@ -113,24 +114,26 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             # face of the boundary class: no polytope, no LP
             assert (len(polytopes), len(supports), len(lps)) == (0, 0, chain_lps), name
             # `toric.variety_model` builds the facets with the model, so a
-            # query sees the warm state.  Warm, the facet products of L and
-            # K decide bigness, a and the face, the witness is read off the
+            # query sees the warm state.  Warm, one product of K in facet
+            # order and one of L in the order of K's groups decide bigness,
+            # a and the face, the witness is read off the
             # face's dual facets when the face is simplicial ({0} included) and
             # is one LP over its generators otherwise, and `b_invariant`,
             # rigidity and the balanced verdict each ask `minimal_face`,
             # which reads the face kept with the point and takes no product.
             # Cold (a cone built without facets), `fujita` asks whether the
             # bundle is big and solves the ray LP, which keeps no face, so
-            # each of the three `minimal_face` calls takes one product, the
-            # first after building the facets, unless the boundary class is
-            # 0, whose face {0} needs neither.
+            # each of the three `minimal_face` calls takes one product in
+            # facet order, the first after building the facets, unless the
+            # boundary class is 0, whose face {0} needs neither.
+            counts = products_by_packing(products, m.eff_cone)
             if warm:
-                assert (len(memberships), len(rays), len(faces), len(slots)) == (0, 0, 3, 2), name
+                assert (len(memberships), len(rays), len(faces), counts) == (0, 0, 3, (1, 1)), name
                 simplicial = len(res.face.generators_in_face) == res.face.span_dim
                 assert chain_lps == (0 if simplicial else 1), name
             else:
-                products = 0 if fr.boundary_class.is_zero() else 3
-                assert (len(memberships), len(rays), len(faces), len(slots)) == (1, 1, 3, products), name
+                faces_taken = 0 if fr.boundary_class.is_zero() else 3
+                assert (len(memberships), len(rays), len(faces), counts) == (1, 1, 3, (faces_taken, 0)), name
                 assert chain_lps == 2, name
             assert balanced == rigid, name
             monkeypatch.undo()
@@ -326,10 +329,11 @@ def test_face_memo_is_emptied_when_full():
 
 
 def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
-    # on a warm cone, K's facet products are kept after the first query, so
-    # each later `fujita` query takes one packed product (of L); the
-    # boundary point is kept with its face, so `minimal_face` and toric
-    # rigidity on that point, or on an equal vector built anew, take none
+    # on a warm cone, K's groups and their packing are kept after the first
+    # query, so each later `fujita` query takes one packed product, of L in
+    # the order of K's groups, and none of K; the boundary point is kept
+    # with its face, so `minimal_face` and toric rigidity on that point, or
+    # on an equal vector built anew, take none
     for name, fan in toric_fans.items():
         m = fresh_cone(variety_model(fan), warm=True)
         monkeypatch.setattr(toric, "variety_model", lambda f: m)
@@ -338,15 +342,15 @@ def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
         fujita(m, bundle)
         for k in (2, 3, 5):
             with pytest.MonkeyPatch.context() as mp:
-                slots = counting(mp, ConeQ, "_slots")
+                products = counting(mp, qlinalg.PackedRows, "products")
                 fr = fujita(m, k * bundle)
-                assert len(slots) == 1, name
+                assert products_by_packing(products, c) == (0, 1), name
                 for point in (fr.boundary_class, VecQ(list(fr.boundary_class))):
                     face = c.minimal_face(point)
                     assert face is c._point[1] and face == minimal_face_by_facet_loop(c, point), name
                     rigid = toric.class_is_rigid(fan, point)
                     assert rigid == (len(face.generators_in_face) == face.span_dim), name
-                assert len(slots) == 1, name
+                assert products_by_packing(products, c) == (0, 1) and len(products) == 1, name
         monkeypatch.undo()
 
 

@@ -10,12 +10,16 @@ program from outside and names its tracer targets in strings.  A name
 that only tests read belongs in the tests.
 
 The import audit lists every name a module imports and requires the
-module's code to read it.  `__future__` imports, the re-exports of
-`__init__.py` and imports marked `# noqa: F401` are exempt.
+module's code to read it, with names resolved by scope (stdlib
+`symtable`): a module's import is read where some scope reads the name as
+a global or an annotation names it, so a local variable of the same name
+does not count.  `__future__` imports, the re-exports of `__init__.py` and
+imports marked `# noqa: F401` are exempt.
 """
 
 import ast
 import re
+import symtable
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -62,6 +66,40 @@ def unread_names(src: Path = SRC) -> list[str]:
     return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
 
 
+def imports_by_scope(node: ast.AST, scope: tuple[str, int] | None = None):
+    """Every import statement under node, with the (name, line) of the
+    innermost function or class around it, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name, child.lineno
+        yield from imports_by_scope(child, inner)
+
+
+def reads_binding(table: symtable.SymbolTable, name: str) -> bool:
+    """Whether some scope reads the binding of `name` that `table` makes:
+    table itself, or a scope nested in it that resolves the name to that
+    binding, as a global when table is the module and as a free variable
+    when it is a function.  A scope that binds the name itself hides it
+    from the scopes inside it."""
+    if table.lookup(name).is_referenced():
+        return True
+    resolves = symtable.Symbol.is_global if table.get_type() == "module" else symtable.Symbol.is_free
+    stack = list(table.get_children())
+    while stack:
+        inner = stack.pop()
+        if name in inner.get_identifiers():
+            sym = inner.lookup(name)
+            if not resolves(sym):
+                continue
+            if sym.is_referenced():
+                return True
+        stack.extend(inner.get_children())
+    return False
+
+
 def unused_imports(src: Path = SRC) -> list[str]:
     out = []
     for path in sorted(src.glob("*.py")):
@@ -71,17 +109,30 @@ def unused_imports(src: Path = SRC) -> list[str]:
             tokens = list(tokenize.tokenize(fh.readline))
         # the lines of the comments that exempt an import
         exempt = {t.start[0] for t in tokens if t.type == tokenize.COMMENT and "noqa: F401" in t.string}
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        module = symtable.symtable(source, path.name, "exec")
+        tables = {None: module}
+        stack = [module]
+        while stack:
+            table = stack.pop()
+            tables[table.get_name(), table.get_lineno()] = table
+            stack.extend(table.get_children())
+        # `from __future__ import annotations` leaves annotations out of the
+        # symbol tables; they are read in the module's globals
+        annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+        annotations += [node.returns for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        annotated = {n.id for a in annotations if a for n in ast.walk(a) if isinstance(n, ast.Name)}
+        for node, scope in imports_by_scope(tree):
+            if getattr(node, "module", None) == "__future__":
                 continue
             if exempt & set(range(node.lineno, node.end_lineno + 1)):
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in read:
-                    out.append(f"{path.name}: {name}")
+                if reads_binding(tables[scope], name) or (scope is None and name in annotated):
+                    continue
+                out.append(f"{path.name}: {name}")
     return out
 
 
@@ -113,9 +164,10 @@ def test_audit_sees_a_helper_nothing_reads(tmp_path):
 
 def test_audit_sees_an_import_nothing_reads(tmp_path):
     # a copy of the package with a planted unused import in a module, one
-    # more in a function and one that only a comment mentions: the audit
-    # names all three, and the same imports in `__init__.py` or marked
-    # `# noqa: F401` pass
+    # whose name only a local variable of `ConeQ.__init__` reads, one in a
+    # function and one that only a comment mentions: the audit names them
+    # all, and the same imports in `__init__.py` or marked `# noqa: F401`
+    # pass
     src = tmp_path / "src" / "fujita"
     src.mkdir(parents=True)
     for path in SRC.glob("*.py"):
@@ -127,7 +179,7 @@ def test_audit_sees_an_import_nothing_reads(tmp_path):
         fh.write("\nfrom bisect import insort  # noqa: F401\n")
     with (src / "cones.py").open("a", encoding="utf-8") as fh:
         fh.write(
-            "\nimport os.path\nfrom .qlinalg import scaled_ints as unread_ints, VecQ\n"
+            "\nimport os.path\nfrom .qlinalg import scaled_ints as ints, VecQ\n"
             "\n\ndef planted():\n    import heapq  # heapq\n    return VecQ\n"
         )
-    assert unused_imports(src) == ["cones.py: os", "cones.py: unread_ints", "cones.py: heapq"]
+    assert unused_imports(src) == ["cones.py: os", "cones.py: ints", "cones.py: heapq"]

@@ -21,7 +21,7 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
-from conftest import counting, identity, transpose, unit
+from conftest import counting, identity, straddling, transpose, unit
 from oracles import (
     add_fractions_bigint,
     det_by_permutations,
@@ -466,7 +466,8 @@ def dots_in(monkeypatch, packed, v):
 
 class TestPackedRows:
     """Every row.v from one packed product while l1 * max|v| < 2^63 (l1
-    the largest absolute row sum), one idot per row past that, and the same
+    the largest absolute row sum), in the narrowest of 16-, 32- and 64-bit
+    slots that holds that bound, one idot per row past it, and the same
     numbers either way."""
 
     # l1 = 1, 2, 3 and a row entry past 2^63, which no slot can hold
@@ -503,6 +504,42 @@ class TestPackedRows:
         for v in ((edge + 1, 0), (0, -edge - 1)):
             got, dots = dots_in(monkeypatch, packed, v)
             assert got == products_by_loop(packed.rows, v) and dots == 3, v
+
+    def test_narrow_slot_edges(self, monkeypatch):
+        # products at the edges of the 16- and 32-bit slots, next to each
+        # other in both orders: +-(2^15 - 1), +-2^15, +-(2^31 - 1), +-2^31
+        # as entries of v, and with l1 = 3 also the entries that put
+        # l1 * max|v| just under and at 2^15 and 2^31.  Each takes the
+        # narrowest slots that hold l1 * max|v| and one idot; a width one bit
+        # narrower carries into the next slot
+        for rows in ([(1, 0), (0, -1), (1, 0)], [(1, 2), (-2, -1), (3, 0)]):
+            packed = qlinalg.PackedRows(rows)
+            l1 = max(sum(map(abs, r)) for r in rows)
+            edges = {2**15 - 1, 2**15, 2**31 - 1, 2**31}
+            edges |= {(2**15 - 1) // l1, (2**15 - 1) // l1 + 1, (2**31 - 1) // l1, (2**31 - 1) // l1 + 1}
+            for e in sorted(edges):
+                for v in ((e, 0), (0, e), (e, e), (e, -e), (e, 1), (1, e)):
+                    for w in (v, tuple(-t for t in v)):
+                        got, dots = dots_in(monkeypatch, packed, w)
+                        assert got == products_by_loop(rows, w) and dots == 1, (rows, w)
+                        bound = l1 * max(map(abs, w))
+                        size = min(s for s in (2, 4, 8) if bound < 2 ** (8 * s - 1))
+                        assert packed.products(w).itemsize == size, (rows, w)
+
+    def test_positions_reads_whole_slots(self):
+        # x's bytes one byte past a slot start, A's then B's, match no slot;
+        # the matches at both ends of [lo, hi) do, and none outside it
+        for size in (2, 4, 8):
+            a, b, x = straddling(size)
+            values = [x, a, b, x, a, b, x, x]
+            packed = qlinalg.PackedRows([[int(i == j) for j in range(8)] for i in range(8)])
+            sl = packed.products(values)
+            assert sl.itemsize == size and sl.obj.find(x.to_bytes(size, "little"), size) == 1 + size
+            for got in (sl, list(sl)):
+                assert qlinalg.positions(got, x, 0, 8) == [0, 3, 6, 7]
+                assert qlinalg.positions(got, x, 1, 7) == [3, 6]
+                assert qlinalg.positions(got, x, 4, 6) == []
+                assert qlinalg.positions(got, a, 1, 2) == [1]
 
     def test_random_rows(self, monkeypatch, rng):
         for _ in range(200):
