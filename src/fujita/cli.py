@@ -75,13 +75,13 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
         "face_generators": [vector_to_str_list(g) for g in res.face.generator_vectors()],
         "model": problem.name,
         "ns_rank": m.ns_rank,
-        "paths": ["polyhedral"],
+        "paths": [invariants.b_route(m)],
     }
     if problem.model.kind == "del_pezzo":
         case = delpezzo.surface_b(m, problem.bundle_class)
         if case.b != res.b:
             raise InternalError(
-                f"surface case analysis b={case.b} disagrees with polyhedral b={res.b}"
+                f"surface case analysis b={case.b} disagrees with {report['paths'][0]} b={res.b}"
             )
         report["paths"].append("surface_case")
         report["surface_case"] = case.case.value

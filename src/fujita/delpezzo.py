@@ -12,17 +12,20 @@ and read only the model they are given.
 
 The degree-b computation runs twice in this package: polyhedrally (minimal
 supported face) and through the Zariski decomposition case split implemented
-here; the test suite drives both on random big bundles and demands exact
+here (`surface_b`; `surface_balanced` reads the same memoized analysis);
+the test suite drives both on random big bundles and demands exact
 agreement.
 
 The Zariski decomposition (`zariski_for_variety`, the one entry) reads the
 negative generators of the asked model's own effective cone and its own
-form, built into integers once per model (`_surface_curves`); the kernel
-(`_zariski`) solves each support's Gram system exactly: on a del Pezzo
-surface a negative-definite support is a set of pairwise disjoint
-(-1)-curves (two meeting ones have the Gram minor 1 - m^2 <= 0), so its
-Gram matrix is -I and the solve reads the diagonal; a support whose Gram
-matrix is checked not to be diagonal, on a raw surface, takes one
+form, built into integers once per model (`_surface_curves`), with each
+curve's self-intersection and, built on first use, the bitmask of the
+curves it meets.  The kernel (`_zariski`) solves each support's Gram
+system exactly.  On a del Pezzo surface a negative-definite support is a
+set of pairwise disjoint (-1)-curves (two meeting ones have the Gram minor
+1 - m^2 <= 0): the meet masks show it, its Gram matrix is -I, and the
+solve reads the self-intersections with no Gram entry built.  A support
+whose curves meet, on a raw surface, takes its Gram matrix and one
 fraction-free inverse.  On a del Pezzo model whose generators are all
 (-1)-curves (degrees 1-7) it runs before any membership test, because a
 run that succeeds proves the class pseudo-effective: P meets every
@@ -30,6 +33,28 @@ generator non-negatively, so P is nef; a nef class is pseudo-effective
 (the nef cone is the dual of the effective cone and lies inside it); and
 N is a nonnegative combination of curves.  A failing run always asks the cone
 whether the class was outside it.
+
+The same decomposition of a boundary class p = aL + K = P + N, N = sum
+mu_i C_i, gives the minimal face of p on a del Pezzo surface of degree at
+most 7 (Manin, Cubic Forms, 1974; Dolgachev, Classical Algebraic Geometry,
+2012, ch. 8), with a certificate that `surface_face` checks in integers:
+a functional s, nonnegative on every generator, vanishing exactly on the
+face and at p, and a witness of p positive on every generator of the face.
+
+- P = 0: the C_i are pairwise disjoint (-1)-curves and the face is
+  cone(C_1, ..., C_n).  s = -K + sum C_i, the pullback of -K_Y from the
+  contraction X -> Y of the C_i, has s.C_i = 0 and s.C = 1 + sum C_i.C >= 1
+  on every other (-1)-curve C; the witness is N.  (p = 0 gives the face
+  {0} and s = -K.)
+- P != 0: P = t c for a conic class c (c^2 = 0, -K.c = 2) and t > 0, and the
+  face is the facet c^perp, whose generators are the components of the
+  reducible fibres of |c|, pairs E + E' = c of curves meeting each other
+  and no other component.  s = c, and the witness N + (2t / #components)
+  sum of the components recombines to N + t c.
+
+`invariants.b_invariant` reads b off this face on the degree-1 surface,
+whose cone has 19 440 facets; degrees 2-7 keep the polyhedral face, so
+that the two b computations above stay independent.
 """
 
 from __future__ import annotations
@@ -37,23 +62,24 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from math import prod
 from typing import NamedTuple
 
 from . import invariants
-from .cones import ConeQ, Containment
+from .cones import ConeQ, Containment, FaceQ
 from .errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
     DimensionMismatch,
+    InternalError,
     InternalNonTermination,
     InvalidModel,
     NonPositiveDegree,
     NotPseudoEffective,
 )
 from .invariants import MEMO_BOUND, DelPezzo, VarietyModel
-from .qlinalg import MatQ, PackedRows, VecQ, as_rat, idot, scaled_ints, scaled_inverse
+from .qlinalg import MatQ, PackedRows, VecQ, as_rat, idot, scaled_ints, scaled_inverse, span_dim
 
 
 @lru_cache(maxsize=None)
@@ -175,12 +201,16 @@ class SurfaceCurves(NamedTuple):
     solutions unchanged (the Gram matrix and the right-hand side scale
     alike), so the kernel never divides by it.  `images.rows[i]` is form
     times curve i, so `images.products` pairs a class with every curve in
-    one packed product."""
+    one packed product.  `squares[i]` is curve i's self-intersection under
+    that form, and `meets[i]` the bitmask of the other curves that curve i
+    meets (bit j for curve j), None until `_meets` builds it."""
 
     curves: tuple[VecQ, ...]
     form: list[list[int]]
     ints: tuple[list[int], ...]
     images: PackedRows
+    squares: tuple[int, ...]
+    meets: list[int | None]
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -197,10 +227,22 @@ def _surface_curves(m: VarietyModel) -> SurfaceCurves:
     for g in m.eff_cone.generators:
         v = scaled_ints(g)[0]
         image = [idot(row, v) for row in form]
-        if idot(v, image) < 0:
-            kept.append((g, v, image))
-    curves, ints, images = zip(*kept) if kept else ((), (), ())
-    return SurfaceCurves(curves, form, ints, PackedRows(images))
+        square = idot(v, image)
+        if square < 0:
+            kept.append((g, v, image, square))
+    curves, ints, images, squares = zip(*kept) if kept else ((), (), (), ())
+    return SurfaceCurves(curves, form, ints, PackedRows(images), squares, [None] * len(curves))
+
+
+def _meets(sc: SurfaceCurves, i: int) -> int:
+    """The bitmask of the curves other than curve i that meet it: the
+    nonzero slots of one packed product of curve i with every curve, taken
+    on the first call and kept."""
+    mask = sc.meets[i]
+    if mask is None:
+        pairs = sc.images.products(sc.ints[i])
+        mask = sc.meets[i] = sum([1 << j for j in compress(range(len(pairs)), pairs)]) & ~(1 << i)
+    return mask
 
 
 def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
@@ -213,24 +255,28 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
     would contradict negative definiteness and trips the internal guard.
 
     d is scaled once to D = den * d by the lcm of its denominators.  With
-    det * G^-1 for the support's Gram matrix G (`_gram_solve`: read off the
-    diagonal when G is diagonal, else `qlinalg.scaled_inverse`), the
-    multiplicities are y / (det * den) for the integer y = det * G^-1
-    (D . F c_i), and the residual is carried as the integer vector
-    det * den * (d - N) = det * D - sum y_i c_i.  Each round's scan pairs
-    the residual with every curve in one packed product
-    (`qlinalg.PackedRows`; one dot per curve once the products may pass 63
-    bits), and the first scan, of D, holds every right-hand side D . F c_i.
-    The residual meets each support curve in exactly 0, as det * rhs -
-    G y = 0, so a new curve is never in the support, which therefore grows
-    strictly, bounded by the curve count; a nonzero product on a support
-    curve means a broken solve and trips the guard.  Fractions are built
-    only for the result.  The caller decides pseudo-effectivity.
+    det * G^-1 for the support's Gram matrix G, the multiplicities are
+    y / (det * den) for the integer y = det * G^-1 (D . F c_i), and the
+    residual is carried as the integer vector det * den * (d - N) =
+    det * D - sum y_i c_i.  The curves' meet masks (`_meets`) decide
+    whether the support is pairwise disjoint, as every del Pezzo support
+    is.  Then G is diagonal, its entries the self-intersections g_ii, and
+    det = |prod g_ii| and y_i = (det / g_ii) rhs_i are read off it with no
+    Gram entry built; a support whose curves meet, on a raw surface, takes
+    its Gram matrix and `_gram_solve`.  Each round's scan pairs the
+    residual with every curve in one packed product (`qlinalg.PackedRows`;
+    one dot per curve once the products may pass 63 bits), and the first
+    scan, of D, holds every right-hand side D . F c_i.  The residual meets
+    each support curve in exactly 0, as det * rhs - G y = 0, so a new curve
+    is never in the support, which therefore grows strictly, bounded by the
+    curve count; a nonzero product on a support curve means a broken solve
+    and trips the guard.  Fractions are built only for the result.  The
+    caller decides pseudo-effectivity.
     """
     if d.dim != len(sc.form):
         raise DimensionMismatch("vector dimension mismatch")
     big_d, den = scaled_ints(d)
-    ints, images = sc.ints, sc.images.rows
+    ints, images, squares = sc.ints, sc.images.rows, sc.squares
     support: list[int] = []
     ys: list[int] = []
     det = 1
@@ -243,9 +289,14 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
             break
         # the curves with residual . F c_i < 0
         support.extend(compress(range(len(ints)), map((0).__gt__, meets)))
-        gram = [[idot(ints[i], images[j]) for j in support] for i in support]
-        det, ys = _gram_solve(gram, [first[i] for i in support])
-        if any(y <= 0 for y in ys):
+        rhs = [first[i] for i in support]
+        every = sum([1 << i for i in support])
+        if any([_meets(sc, i) & every for i in support]):
+            det, ys = _gram_solve([[idot(ints[i], images[j]) for j in support] for i in support], rhs)
+        else:
+            det = abs(prod([squares[i] for i in support]))
+            ys = [det // squares[i] * r for i, r in zip(support, rhs)]
+        if min(ys) <= 0:
             raise InternalNonTermination("nonpositive multiplicity in support")
         residual = [det * x for x in big_d]
         for y, i in zip(ys, support):
@@ -259,15 +310,9 @@ def _zariski(sc: SurfaceCurves, d: VecQ) -> ZariskiDecomposition:
 
 
 def _gram_solve(gram: list[list[int]], rhs: list[int]) -> tuple[int, list[int]]:
-    """det > 0 and the integer y = det * G^-1 rhs for the square integer
-    Gram matrix G.  A G that is exactly diagonal with no zero on its
-    diagonal, as -I is on every del Pezzo support, is solved directly:
-    det = |prod g_ii| and y_i = (det / g_ii) rhs_i.  Any other G takes one
+    """det = |det G| > 0 and the integer y = det * G^-1 rhs for the square
+    integer Gram matrix G of a support whose curves meet, by one
     `qlinalg.scaled_inverse`."""
-    diagonal = [row[i] for i, row in enumerate(gram)]
-    if all(diagonal) and sum(map(bool, chain.from_iterable(gram))) == len(diagonal):
-        det = abs(prod(diagonal))
-        return det, [det // g * r for g, r in zip(diagonal, rhs)]
     det, inverse = scaled_inverse(gram)
     if det == 0:
         raise InternalNonTermination("support Gram system is degenerate")
@@ -327,11 +372,14 @@ class SurfaceBalance(NamedTuple):
     fiber_class: VecQ | None     # primitive fiber class witness when unbalanced in the fibration case
 
 
+@lru_cache(maxsize=MEMO_BOUND)
 def _surface_case(m: VarietyModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, VecQ]:
     """Decompose the boundary class a*L + K on m, any model with a form,
     and split on its positive part: zero gives b = rank - #support, a
     nonzero (necessarily square-zero nef) class gives b = 1.  Returns the
-    analysis and the positive part."""
+    analysis and the positive part.  The last MEMO_BOUND results are kept
+    per (model, bundle), so `surface_b` and `surface_balanced` of one
+    bundle share one analysis and one square check."""
     fr = invariants.fujita(m, bundle)
     dec = zariski_decompose(m, fr.boundary_class)
     n = len(dec.negative_support)
@@ -358,6 +406,69 @@ def surface_balanced(m: VarietyModel, bundle: VecQ) -> SurfaceBalance:
     if analysis.case is SurfaceCase.BASE_POINT:
         return SurfaceBalance(True, analysis, None)
     return SurfaceBalance(False, analysis, positive.primitive())
+
+
+class SurfaceFace(NamedTuple):
+    face: FaceQ                     # the minimal face of the class in the model's cone
+    functional: VecQ                # s: s.g >= 0 on every generator, 0 exactly on the face, s.p = 0
+    witness: tuple[Fraction, ...]   # the class from the generators, weights positive exactly on the face
+
+
+def surface_face(m: VarietyModel, p: VecQ) -> SurfaceFace:
+    """The minimal face of a boundary class p in the effective cone of a
+    del Pezzo model of degree 1-7, read off its memoized Zariski
+    decomposition p = P + N, N = sum mu_i C_i, with its certificate, checked
+    in integers (see the module docstring); a failed check is an
+    InternalError.
+
+    P = 0: s = -K + sum C_i, and the witness is N.  P = t c, c a conic:
+    s = c, whose zero set is the components of the reducible fibres of |c|,
+    each meeting one other, its partner E' = c - E; the witness is N plus
+    2t / #components on each component."""
+    sc = _surface_curves(m)
+    if len(sc.curves) != len(m.eff_cone.generators):
+        raise InvalidModel(f"model {m.name!r} has effective generators that are not negative curves")
+    dec = zariski_for_variety(m, p)
+    weights = [Fraction(0)] * len(sc.curves)
+    for curve, mult in dec.negative_support:
+        weights[sc.curves.index(curve)] = mult
+    fibred = not dec.positive.is_zero()
+    if fibred:
+        s = dec.positive.primitive()
+        if m.pair(s, s) != 0 or m.pair(m.canonical, s) != -2:
+            raise InternalError("the positive part of a boundary class is not a multiple of a conic")
+    else:
+        s = sum([c for c, _ in dec.negative_support], -1 * m.canonical)
+    si = scaled_ints(s)[0]
+    values = sc.images.products(si)
+    zeros = [j for j, x in enumerate(values) if not x]
+    if fibred:
+        # the zero set of the conic s: the fibre components, each paired
+        # with the one component it meets
+        t = next(Fraction(x, y) for x, y in zip(dec.positive, si) if y)
+        every = sum([1 << j for j in zeros])
+        for i in zeros:
+            partner = _meets(sc, i) & every
+            j = partner.bit_length() - 1
+            if partner.bit_count() != 1 or [x + y for x, y in zip(sc.ints[i], sc.ints[j])] != si:
+                raise InternalError("a fibre component of the conic has no partner summing to it")
+            weights[i] += 2 * t / len(zeros)
+    # the certificate: s >= 0 on every generator and 0 exactly on the face,
+    # s.p = 0, and the witness, positive exactly on the face, sums to p
+    lam, den = scaled_ints(weights)
+    face = [j for j, x in enumerate(lam) if x]
+    if min(values, default=0) < 0 or zeros != face:
+        raise InternalError("s is negative on a generator or vanishes off the face")
+    pi, pq = scaled_ints(p)
+    if idot([idot(row, si) for row in sc.form], pi):
+        raise InternalError("s does not vanish at the boundary class")
+    total = [0] * len(pi)
+    for j in face:
+        total = [x + lam[j] * c for x, c in zip(total, sc.ints[j])]
+    if min(lam, default=0) < 0 or [pq * x for x in total] != [den * x for x in pi]:
+        raise InternalError("the face witness is negative or misses the boundary class")
+    dim = span_dim([sc.ints[j] for j in face])
+    return SurfaceFace(FaceQ(m.eff_cone, frozenset(face), dim), s, tuple(weights))
 
 
 def curve_fujita(deg_on_curve) -> Fraction:

@@ -13,7 +13,9 @@ The chain a -> boundary class a*L + K -> minimal face -> b is written once:
 `ConeQ.min_a_with_point` call (the facet route divides the integer point it
 already holds instead of recomputing a*L + K in Fractions), and
 `b_invariant` asks the cone's `minimal_face` for the face of that class,
-whichever route the cone took; every other caller (the (a, b) pair, the
+whichever route the cone took, except on the degree-1 del Pezzo surface,
+where the certified face of its Zariski decomposition answers with no
+facets (`b_route`, fixed per model); every other caller (the (a, b) pair, the
 CLI report, the fixture runner, the toric fibration cross-check) reads
 theirs.  Each stage is computed once per (model, class): `fujita` and the
 Zariski decomposition keep small memos of their last results, immutable
@@ -205,11 +207,25 @@ def fujita(m: VarietyModel, bundle: DivisorClass) -> FujitaResult:
     return FujitaResult(a, boundary, witness)
 
 
+def b_route(m: VarietyModel) -> str:
+    """The route that finds the minimal face of a boundary class on m,
+    fixed per model: "zariski_face" on the degree-1 del Pezzo surface,
+    whose cone's 19 440 facets cost tens of seconds of DD, else
+    "polyhedral", the cone's own `minimal_face`."""
+    p = m.provenance
+    return "zariski_face" if isinstance(p, DelPezzo) and p.degree == 1 else "polyhedral"
+
+
 def b_invariant(m: VarietyModel, bundle: DivisorClass) -> BInvariantResult:
     """The chain a -> boundary class -> minimal face -> b: the codimension
-    of the minimal supported face containing a*L + K."""
+    of the minimal supported face containing a*L + K, from the cone or,
+    on the degree-1 del Pezzo surface, from the certified Zariski face
+    (`b_route`)."""
     fr = fujita(m, bundle)
-    face = m.eff_cone.minimal_face(fr.boundary_class)
+    if b_route(m) == "zariski_face":
+        face = delpezzo.surface_face(m, fr.boundary_class).face
+    else:
+        face = m.eff_cone.minimal_face(fr.boundary_class)
     return BInvariantResult(m.ns_rank - face.span_dim, face, fr)
 
 
@@ -231,12 +247,8 @@ def is_rigid_class(m: VarietyModel, d: DivisorClass) -> bool:
     cone itself when it must.
     """
     if isinstance(m.provenance, Toric):
-        from . import toric
-
         return toric._rigid(m.eff_cone, d)
     if m.intersection_form is not None:
-        from . import delpezzo
-
         return delpezzo.zariski_for_variety(m, d).positive.is_zero()
     if m.eff_cone.contains(d) is Containment.OUTSIDE:
         raise NotPseudoEffective(f"class is not pseudo-effective on {m.name!r}")
@@ -279,3 +291,10 @@ def check_birational_invariance(
             f"{blowup.ns_rank}x{m.ns_rank}"
         )
     return invariant_pair(m, bundle) == invariant_pair(blowup, pullback.apply(bundle))
+
+
+# The surface and toric modules build on this one and import it, so they are
+# bound here, after every name they read from it exists: whichever of the
+# three is imported first, the others then find it complete or in progress.
+# A module-level name costs a query no import statement.
+from . import delpezzo, toric  # noqa: E402

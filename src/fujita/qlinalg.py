@@ -33,6 +33,7 @@ product without reading the others.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,6 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DimensionMismatch, InternalError
 
 _INT = frozenset([int])
+_UNSIGNED = {2: "H", 4: "I", 8: "Q"}  # struct codes of unsigned slots by byte size
 
 
 def as_rat(x) -> Fraction:
@@ -274,7 +276,10 @@ class PackedRows:
     absolute row sum), no slot borrows or carries, and x ^ HIGH holds every
     r_j.v in two's complement, read as one `memoryview` cast to signed
     w-bit slots.  w is the least of 16, 32 and 64 that holds that bound,
-    and each width's packing is built on its first use and kept.  A
+    and each width's packing is built on its first use and kept.  Each
+    column is read off one `struct.pack` of its entries plus 2^(w-1) into
+    unsigned little-endian w-bit slots, so the build holds one column's
+    entries at a time.  A
     product needing more than 63 bits, or a big-endian host, takes one
     `idot` per row instead."""
 
@@ -293,8 +298,11 @@ class PackedRows:
         except KeyError:
             bias = 1 << (8 * size - 1)
             high = int.from_bytes(bias.to_bytes(size, "little") * len(self.rows), "little")
-            biased = [b"".join([(x + bias).to_bytes(size, "little") for x in c]) for c in zip(*self.rows)]
-            packing = self._packings[size] = [int.from_bytes(b, "little") - high for b in biased], high
+            code = _UNSIGNED[size]
+            fmt = f"<{len(self.rows)}{code}"
+            dim = len(self.rows[0]) if self.rows else 0
+            columns = [struct.pack(fmt, *[r[t] + bias for r in self.rows]) for t in range(dim)]
+            packing = self._packings[size] = [int.from_bytes(b, "little") - high for b in columns], high
             return packing
 
     def products(self, v: Sequence[int]) -> Sequence[int]:

@@ -284,7 +284,7 @@ def variety_model(f: Fan) -> VarietyModel:
     fans' models are kept, with their facets and faces."""
     pres = ns_presentation(f)
     cone = ConeQ(pres.ray_classes, ambient_dim=pres.rank)
-    cone.facets
+    cone._compute_facets()
     return VarietyModel(
         name=f"toric-{len(f.rays)}rays-dim{f.lattice_dim}",
         ns_rank=pres.rank,

@@ -13,7 +13,7 @@ from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
 from fujita.qlinalg import MatQ, VecQ, scaled_ints, span_dim
 
-MEMOS = (invariants.fujita, delpezzo.zariski_for_variety)
+MEMOS = (invariants.fujita, delpezzo.zariski_for_variety, delpezzo._surface_case)
 
 
 @pytest.fixture(autouse=True)

@@ -11,8 +11,9 @@ import time
 import pytest
 
 from fujita import fixtures
-from fujita.cones import Containment
+from fujita.cones import ConeQ, Containment
 from fujita.delpezzo import (
+    SurfaceCase,
     del_pezzo,
     enumerate_negative_curves,
     quadric_surface,
@@ -28,7 +29,7 @@ from fujita.invariants import (
 )
 from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import fibration_b_crosscheck
-from conftest import sample_big_classes
+from conftest import counting, sample_big_classes
 
 
 def report(num, ok, detail, budget, elapsed):
@@ -168,6 +169,31 @@ def test_acceptance_08_dual_path_oracle():
         60,
         time.perf_counter() - t0,
     )
+
+
+def test_degree_one_b_from_the_zariski_face(monkeypatch):
+    # next to acceptance 8, which leaves degree 1 out: on 200 seeded big
+    # bundles c*(-K) plus a few (-1)-curves of the degree-1 surface,
+    # `b_invariant` (which reads the certified Zariski face there) equals
+    # `surface_b`, and no facet of the 240-generator cone is built
+    t0 = time.perf_counter()
+    surf = del_pezzo(1)
+    gens = surf.eff_cone.generators
+    facets = counting(monkeypatch, ConeQ, "_compute_facets")
+    rng = random.Random(0xD1)
+    cases = set()
+    for _ in range(200):
+        bundle = rng.randint(1, 2) * -surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            bundle = bundle + rng.randint(1, 3) * gens[j]
+        case = surface_b(surf, bundle)
+        assert b_invariant(surf, bundle).b == case.b, tuple(bundle)
+        cases.add(case.case)
+    elapsed = time.perf_counter() - t0
+    print(f"DEGREE 1: b_invariant == surface_b on 200 bundles ({elapsed:.2f}s, budget 30s)")
+    assert facets == [] and surf.eff_cone._facets is None
+    assert cases == set(SurfaceCase)
+    assert elapsed < 30
 
 
 def test_acceptance_09_birational_invariance():

@@ -233,6 +233,40 @@ class TestInvariantsCommand:
         assert error["code"] == "internal_error"
         assert error["message"] == "surface case analysis b=8 disagrees with polyhedral b=7"
 
+    DP1_PLUS_H = {"model": {"kind": "del_pezzo", "degree": 1}, "line_bundle": [4] + [-1] * 8}
+
+    def test_degree_one_b_from_the_zariski_face(self, tmp_path):
+        # L = -K + H on the degree-1 surface: b was tens of seconds of DD
+        # for the cone's 19 440 facets; the certified Zariski face needs
+        # none.  Timed in a new interpreter, so no cache of this process
+        # helps, and the route is named first in `paths`
+        path = write(tmp_path, self.DP1_PLUS_H)
+        probe = (
+            "import contextlib, io, json, time, fujita.cli\n"
+            "out = io.StringIO()\n"
+            "t0 = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = fujita.cli.main(['invariants', '--json', {path!r}])\n"
+            "print(json.dumps([code, time.perf_counter() - t0, out.getvalue()]))\n"
+        )
+        code, elapsed, out = json.loads(fresh_python(probe))
+        report = json.loads(out)
+        assert code == 0 and elapsed < 1, elapsed
+        assert (report["a"], report["b"], report["surface_case"]) == ("3/4", 1, "base_point")
+        assert report["paths"] == ["zariski_face", "surface_case", "zariski"]
+        assert len(report["face_generators"]) == 8 and report["rigid"] is True
+
+    def test_exit_5_when_the_zariski_face_fails_its_check(self, capsys, tmp_path, monkeypatch):
+        # a decomposition with its support dropped: s = -K vanishes nowhere,
+        # and the face certificate fails
+        real = delpezzo.zariski_for_variety
+        monkeypatch.setattr(
+            delpezzo, "zariski_for_variety", lambda m, d: real(m, d)._replace(negative_support=())
+        )
+        code, out = run_cli(capsys, "invariants", write(tmp_path, self.DP1_PLUS_H), "--json")
+        assert code == 5
+        assert json.loads(out)["error"]["code"] == "internal_error"
+
     def test_exit_2_on_bad_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")

@@ -16,6 +16,7 @@ from fujita.delpezzo import (
     quadric_surface,
     surface_b,
     surface_balanced,
+    surface_face,
     negative_classes,
     weak_balance_curve_check,
     zariski_decompose,
@@ -25,14 +26,16 @@ from fujita.errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
     DimensionMismatch,
+    InternalError,
     InternalNonTermination,
+    InvalidModel,
     NonPositiveDegree,
     NotPseudoEffective,
 )
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
-from fujita.qlinalg import MatQ, VecQ, inertia
+from fujita.qlinalg import MatQ, VecQ, inertia, scaled_ints
 from conftest import counting, random_rational_vector, sample_big_classes, vec
-from oracles import minus_one_curves_by_multisets, zariski_by_fractions
+from oracles import minimal_face_by_facet_loop, minus_one_curves_by_multisets, zariski_by_fractions
 
 CURVE_COUNTS = {7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
 
@@ -269,32 +272,43 @@ class TestPackedCurveScan:
 
     def test_one_product_per_round_on_degree_two(self, monkeypatch):
         # each round scans the curves with one packed product, and the last
-        # one finds none; every support is pairwise disjoint (-1)-curves, so
-        # each Gram matrix is -I and is solved off its diagonal: no inverse
-        # runs, and every other idot is a Gram entry
+        # one finds none; every support is pairwise disjoint (-1)-curves,
+        # which the curves' meet masks show, so each Gram matrix is -I and is
+        # read off the self-intersections: no Gram entry, no inverse, and
+        # every idot is a packed product's.  A curve's meet mask takes one
+        # packed product of that curve, the first time a support holds it,
+        # and is kept.
         surf = del_pezzo(2)
-        sc = _surface_curves(surf)
+        sc = _surface_curves.__wrapped__(surf)  # no mask built yet
         products = counting(monkeypatch, qlinalg.PackedRows, "products")
         inverses = counting(monkeypatch, delpezzo, "scaled_inverse")
         dots = [counting(monkeypatch, owner, "idot") for owner in (qlinalg, delpezzo)]
-        rounds_seen = set()
+        rounds_seen, held, masks_built, sizes = set(), set(), [], set()
         for d in boundary_classes(surf, 40, 0x2D07):
             for calls in [products, *dots]:
                 calls.clear()
             res = _zariski(sc, d)
-            rounds = len(products) - 1
+            built = [i for _, v in products for i, c in enumerate(sc.ints) if v is c]
+            rounds = len(products) - len(built) - 1
             assert rounds <= 1
-            size = len(res.negative_support)
-            assert sum(map(len, dots)) == len(products) + rounds * size * size
+            support = {sc.curves.index(c) for c, _ in res.negative_support}
+            assert set(built) == support - held
+            held |= support
+            masks_built += built
+            sizes.add(len(support))
+            assert sum(map(len, dots)) == len(products)
             rounds_seen.add(rounds)
         assert {0, 1} <= rounds_seen and inverses == []
+        assert sorted(masks_built) == sorted(held) and max(sizes) >= 2
+        assert {i for i, mask in enumerate(sc.meets) if mask is not None} == held
 
     def test_support_grown_over_two_rounds(self, monkeypatch):
         # curves C1, C2 with C1^2 = -1, C2^2 = -2, C1.C2 = 1: D = 3 C1 + C2
         # meets only C1 negatively, and D - 2 C1 then meets C2 negatively,
         # so the Gram right-hand sides of round two are D's, not the
         # residual's.  No del Pezzo class needs a second round.  Round one's
-        # Gram matrix (-1) is diagonal; round two's is not, and is inverted.
+        # support, C1 alone, is read off its self-intersection; round two's
+        # curves meet, and its Gram matrix is inverted.
         m = raw_chain()
         sc = _surface_curves(m)
         products = counting(monkeypatch, qlinalg.PackedRows, "products")
@@ -316,28 +330,163 @@ class TestPackedCurveScan:
     def test_a_wrong_inverse_is_caught(self, monkeypatch):
         # a planted determinant twice the true one leaves the residual
         # negative on the support curves, a doubled inverse or a doubled
-        # diagonal y positive: each means a broken solve, never a new curve.
-        # The inverse is planted on the raw chain's second round, whose Gram
-        # matrix is not diagonal; y on a degree-3 support, whose Gram
-        # matrix is -I.
+        # self-intersection positive: each means a broken solve, never a new
+        # curve.  The inverse is planted on the raw chain's second round,
+        # whose curves meet; the self-intersections on a degree-3 support of
+        # disjoint curves, which the mask solve reads off them.
         m = raw_chain()
         chain = _surface_curves(m), vec(0, 3, 1)
         surf = del_pezzo(3)
         sc = _surface_curves(surf)
         d = next(d for d in boundary_classes(surf, 20, 0xBAD) if _zariski(sc, d).negative_support)
         plants = [
-            ("scaled_inverse", lambda det, inv: (2 * det, inv), chain),
-            ("scaled_inverse", lambda det, inv: (det, [[2 * x for x in r] for r in inv]), chain),
-            ("_gram_solve", lambda det, ys: (det, [2 * y for y in ys]), (sc, d)),
+            ("scaled_inverse", lambda det, inv: (2 * det, inv)),
+            ("scaled_inverse", lambda det, inv: (det, [[2 * x for x in r] for r in inv])),
         ]
-        for name, plant, case in plants:
+        for name, plant in plants:
             solve = getattr(delpezzo, name)
             monkeypatch.setattr(delpezzo, name, lambda *args: plant(*solve(*args)))
             with pytest.raises(InternalNonTermination, match="meets a support curve"):
-                _zariski(*case)
+                _zariski(*chain)
             monkeypatch.undo()
+        doubled = sc._replace(squares=tuple([2 * x for x in sc.squares]))
+        with pytest.raises(InternalNonTermination, match="meets a support curve"):
+            _zariski(doubled, d)
         assert _zariski(sc, d) == zariski_by_fractions(sc.curves, surf.pair, surf.eff_cone, d)
         assert _zariski(*chain) == zariski_by_fractions(chain[0].curves, m.pair, m.eff_cone, chain[1])
+
+
+def conic_cases(surf, count, seed):
+    """Boundary classes of seeded big bundles on surf, split by the
+    positive part of their Zariski decomposition: those with P = 0 and a
+    nonempty support, and those with P != 0."""
+    rigid, fibred = [], []
+    for p in boundary_classes(surf, count, seed):
+        dec = zariski_for_variety(surf, p)
+        if dec.positive.is_zero():
+            if dec.negative_support:
+                rigid.append(p)
+        else:
+            fibred.append(p)
+    return rigid, fibred
+
+
+def check_face(surf, p):
+    """The unplanted answer: surface_face passes its checks, and on degrees
+    2-7 its face is the per-facet loop's."""
+    got = surface_face(surf, p)
+    if surf.provenance.degree > 1:
+        assert got.face == minimal_face_by_facet_loop(surf.eff_cone, p)
+
+
+class TestSurfaceFace:
+    """The minimal face from the Zariski decomposition, with its
+    certificate, which `b_invariant` reads on degree 1."""
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_equals_the_polyhedral_face(self, degree):
+        # an oracle test: the certified face equals the cone's minimal face,
+        # s and the witness are checked here again in Fractions, and b is
+        # `surface_b`'s
+        surf = del_pezzo(degree)
+        gens = surf.eff_cone.generators
+        rng = random.Random(0xFACE + degree)
+        kinds = set()
+        for _ in range(40):
+            bundle = rng.randint(1, 2) * -surf.canonical
+            for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+                bundle = bundle + rng.randint(1, 3) * gens[j]
+            p = fujita(surf, bundle).boundary_class
+            got = surface_face(surf, p)
+            assert got.face == surf.eff_cone.minimal_face(p), (degree, bundle)
+            values = [surf.pair(got.functional, g) for g in gens]
+            assert min(values) >= 0 and surf.pair(got.functional, p) == 0
+            assert {j for j, x in enumerate(values) if x == 0} == got.face.generators_in_face
+            assert {j for j, w in enumerate(got.witness) if w} == got.face.generators_in_face
+            assert min(got.witness) >= 0
+            assert sum([w * g for w, g in zip(got.witness, gens)], VecQ.zero(surf.ns_rank)) == p
+            assert surf.ns_rank - got.face.span_dim == surface_b(surf, bundle).b
+            kinds.add(surface_b(surf, bundle).case)
+        assert kinds == set(SurfaceCase)
+
+    def test_the_zero_class(self):
+        for degree in (1, 4):
+            surf = del_pezzo(degree)
+            got = surface_face(surf, VecQ.zero(surf.ns_rank))
+            assert (got.face.generators_in_face, got.face.span_dim) == (frozenset(), 0)
+            assert got.functional == -1 * surf.canonical and not any(got.witness)
+
+    def test_needs_every_generator_negative(self):
+        for surf in (del_pezzo(8), quadric_surface()):
+            with pytest.raises(InvalidModel):
+                surface_face(surf, -1 * surf.canonical)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_a_planted_wrong_support_is_caught(self, monkeypatch, degree):
+        # a support curve dropped, or swapped for a curve outside the
+        # support: s then fails to vanish at the class or on the face, or
+        # the witness misses the class
+        surf = del_pezzo(degree)
+        rigid, _ = conic_cases(surf, 16, 0x5A + degree)
+        curves = negative_classes(surf)
+        for p in rigid[:3]:
+            dec = zariski_for_variety(surf, p)
+            support = dec.negative_support
+            other = next(c for c in curves if c not in [c for c, _ in support])
+            for planted in (support[1:], ((other, support[0][1]),) + support[1:]):
+                wrong = dec._replace(negative_support=planted)
+                monkeypatch.setattr(delpezzo, "zariski_for_variety", lambda m, d: wrong)
+                with pytest.raises(InternalError):
+                    surface_face(surf, p)
+                monkeypatch.undo()
+            check_face(surf, p)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_a_planted_wrong_conic_is_caught(self, monkeypatch, degree):
+        # the positive part t c swapped for t c' with another conic c', or
+        # for t (c + c'), which is no conic
+        surf = del_pezzo(degree)
+        _, fibred = conic_cases(surf, 30, 0xC0 + degree)
+        conics = {zariski_for_variety(surf, p).positive.primitive() for p in fibred}
+        assert len(conics) >= 2
+        for p in fibred[:3]:
+            dec = zariski_for_variety(surf, p)
+            c = dec.positive.primitive()
+            other = next(x for x in conics if x != c)
+            t = next(x / y for x, y in zip(dec.positive, c) if y)
+            for planted in (t * other, t * (c + other)):
+                wrong = dec._replace(positive=planted)
+                monkeypatch.setattr(delpezzo, "zariski_for_variety", lambda m, d: wrong)
+                with pytest.raises(InternalError):
+                    surface_face(surf, p)
+                monkeypatch.undo()
+            check_face(surf, p)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_a_planted_wrong_fibre_pairing_is_caught(self, monkeypatch, degree):
+        # the meet masks of two reducible fibres E + E' and F + F' planted
+        # so that E meets F' and F meets E' among the fibre components: the
+        # pairing is an involution still, but E + F' is not the conic
+        surf = del_pezzo(degree)
+        _, fibred = conic_cases(surf, 30, 0xF1 + degree)
+        sc = _surface_curves(surf)
+        for p in fibred[:3]:
+            c = scaled_ints(zariski_for_variety(surf, p).positive.primitive())[0]
+            fibres = [j for j, x in enumerate(sc.images.products(c)) if not x]
+            every = sum([1 << j for j in fibres])
+            partner = {i: (delpezzo._meets(sc, i) & every).bit_length() - 1 for i in fibres}
+            e, f = fibres[0], next(j for j in fibres if j not in (fibres[0], partner[fibres[0]]))
+            planted = list(sc.meets)
+            for i in (e, partner[e], f, partner[f]):
+                planted[i] = delpezzo._meets(sc, i) & ~every
+            for i, j in ((e, partner[f]), (f, partner[e])):
+                planted[i] |= 1 << j
+                planted[j] |= 1 << i
+            monkeypatch.setattr(delpezzo, "_surface_curves", lambda m: sc._replace(meets=planted))
+            with pytest.raises(InternalError, match="no partner summing to it"):
+                surface_face(surf, p)
+            monkeypatch.undo()
+            check_face(surf, p)
 
 
 class TestSurfaceB:

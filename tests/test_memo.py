@@ -11,6 +11,7 @@ import pytest
 from fujita import cones, delpezzo, qlinalg, toric
 from fujita.cones import FACE_MEMO_BOUND, ConeQ
 from fujita.delpezzo import (
+    SurfaceCase,
     del_pezzo,
     negative_classes,
     quadric_surface,
@@ -89,6 +90,35 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         assert case.b == res.b
         assert balance.balanced == rigid
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 7])
+def test_surface_questions_share_one_zariski_run_and_one_square(monkeypatch, degree):
+    # `surface_b`, `surface_balanced` and `is_rigid_class` of one bundle
+    # read one memoized case analysis and one decomposition: one kernel run,
+    # and at most one pairing, the square of a nonzero positive part.  The
+    # memos are emptied per bundle, as two bundles may share a boundary class
+    surf = del_pezzo(degree)
+    gens = surf.eff_cone.generators
+    rng = random.Random(0x5A5E + degree)
+    cases = set()
+    for _ in range(12):
+        for memo in MEMOS:
+            memo.cache_clear()
+        bundle = rng.randint(1, 2) * -surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            bundle = bundle + rng.randint(1, 3) * gens[j]
+        boundary = fujita(surf, bundle).boundary_class
+        with pytest.MonkeyPatch.context() as mp:
+            kernels = counting(mp, delpezzo, "_zariski")
+            pairs = counting(mp, VarietyModel, "pair")
+            case = surface_b(surf, bundle)
+            balance = surface_balanced(surf, bundle)
+            rigid = is_rigid_class(surf, boundary)
+        assert len(kernels) == 1 and len(pairs) == (case.case is SurfaceCase.BASE_CURVE)
+        assert balance.analysis is case and balance.balanced == rigid
+        cases.add(case.case)
+    assert cases == set(SurfaceCase)
 
 
 def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fans):
@@ -253,6 +283,7 @@ def test_memos_stay_within_their_bound():
         bundle = vec(i + 2, -1 - i % 2 - i // 2 % 3)  # distinct, inside the cone
         zariski_decompose(surf, fujita(m, bundle).boundary_class)
         zariski_decompose(surf, vec(i, -i))
+        surface_b(surf, bundle)
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == BOUND

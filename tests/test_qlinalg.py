@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -525,6 +526,42 @@ class TestPackedRows:
                         bound = l1 * max(map(abs, w))
                         size = min(s for s in (2, 4, 8) if bound < 2 ** (8 * s - 1))
                         assert packed.products(w).itemsize == size, (rows, w)
+
+    def test_packing_columns_match_the_byte_join(self, rng):
+        # each column from one packing of its biased slots equals the column built
+        # from one `to_bytes` object per entry, on random rows with negative
+        # entries and on rows holding the slot edges -2^(w-1), -(2^(w-1) - 1)
+        # and 2^(w-1) - 1, at every width; HIGH is the same too
+        def by_bytes(rows, size):
+            bias = 1 << (8 * size - 1)
+            high = int.from_bytes(bias.to_bytes(size, "little") * len(rows), "little")
+            biased = [b"".join([(x + bias).to_bytes(size, "little") for x in c]) for c in zip(*rows)]
+            return [int.from_bytes(b, "little") - high for b in biased], high
+
+        for size in (2, 4, 8):
+            edge = 1 << (8 * size - 1)
+            cases = [[tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(rng.randint(1, 30))]
+                     for d in (1, 3, 7) for _ in range(10)]
+            cases.append([(-edge, edge - 1, 0), (edge - 1, -edge, 1 - edge), (0, 1 - edge, -1)])
+            cases.append([(-edge,), (edge - 1,), (-edge,)])
+            for rows in cases:
+                packing = qlinalg.PackedRows(rows)._packing(size)
+                assert packing == by_bytes(rows, size), (size, rows)
+
+    def test_packing_peak_memory(self, rng):
+        # the 16-bit packing of 19 440 rows of dimension 10 with entries in
+        # [-6, 6], the degree-1 cone's facet count, peaks under 2 MB while
+        # it is built; one to_bytes object per entry peaked at 4.4 MB
+        rows = [tuple(rng.randint(-6, 6) for _ in range(10)) for _ in range(19440)]
+        packed = qlinalg.PackedRows(rows)
+        tracemalloc.start()
+        try:
+            packed._packing(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, peak
+        assert list(packed.products([1] + [0] * 9)) == [r[0] for r in rows]
 
     def test_positions_reads_whole_slots(self):
         # x's bytes one byte past a slot start, A's then B's, match no slot;

@@ -580,6 +580,21 @@ def test_tight_rays_are_the_rays_off_the_face(toric_fans):
             assert off == set(poly.tight_rays), (name, coeffs)
 
 
+def test_a_model_is_built_with_its_facets_and_no_facet_tuple(monkeypatch, toric_fans):
+    # `variety_model` builds its cone's facets once, with the model, and
+    # reads no `ConeQ.facets`, which would build a tuple of VecQ to drop
+    reads = []
+    facets = ConeQ.facets
+    monkeypatch.setattr(ConeQ, "facets", property(lambda c: reads.append(c) or facets.fget(c)))
+    runs = counting(monkeypatch, ConeQ, "_compute_facets")
+    for name, fan in toric_fans.items():
+        m = variety_model.__wrapped__(fan)
+        assert m.eff_cone._facets is not None, name
+        assert [c for c in runs if c[0] is m.eff_cone] == [(m.eff_cone,)], name
+    assert reads == [] and len(runs) == len(toric_fans)
+    assert tuple(m.eff_cone.facets) and reads == [m.eff_cone]
+
+
 def test_toric_queries_run_on_the_facet_route(monkeypatch, toric_fans):
     # the model is built with its facets, so a query runs no DD and no ray
     # LP; the witness needs no LP when the face is simplicial (on P^2 a*L + K
