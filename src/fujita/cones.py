@@ -41,37 +41,36 @@ f_j.K = 0), found by one `qlinalg.positions` scan of the group's slots.
 
 A cell of a face F is a basis B of span(G_F) drawn from its generators
 G_F, with coordinate rows R on which G_B is invertible, kept as (B, d,
-d * G_B[R, :]^-1) for an integer d > 0.  The witness of a point p of F
-on a cell is lam = inverse p[R] / d.  It comes from the first cell that
-gives lam >= 0; by Caratheodory's theorem some basis does.  Every witness
-must be nonnegative and recombine to p on every coordinate row, or the
-call raises InternalError.
+d * G_B[R, :]^-1, G_B's coordinate rows) for an integer d > 0.  A point p
+of F has the witness lam = inverse p[R] / d on the first cell that gives
+lam >= 0 (some basis does, by Caratheodory's theorem).  A witness that is
+negative or misses p on a coordinate row raises InternalError, and F
+leaves the memo.
 
-F is simplicial when G_F is independent, as more than 90% of the distinct
+Every face is memoized per cone by its generator mask, with its cells.  F
+is simplicial when G_F is independent, as more than 90% of the distinct
 faces that seeded del Pezzo queries meet on the degree-2 cone are.  The
 facets' zero sets, transposed once, give per generator g_j the bitmask of
-the facets holding it.  F is simplicial iff each g_j in F has a dual
-facet f_j, one holding every other generator of F but not g_j (Fukuda
-and Prodon 1996); prefix and suffix ANDs find them all in O(|F|)
-big-integer operations.  As f_j.g_i = 0 for i != j, F has one cell, built
-per query: B = G_F, R every coordinate, d the lcm of the f_j.g_j and row
-j equal to (d / f_j.g_j) f_j.  A point's witness on F is unique, so a
-miss is an internal error.  A simplicial face runs no elimination, no
-inverse and no LP, and takes no memo entry.
+the facets holding it.  F is simplicial iff each g_j in F has a dual facet
+f_j, one holding every other generator of F but not g_j (Fukuda and
+Prodon 1996); prefix and suffix ANDs find them all in O(|F|) big-integer
+operations.  As f_j.g_i = 0 for i != j, F has one cell, with no
+elimination, inverse or LP: B = G_F, R every coordinate, d the lcm of the
+f_j.g_j and row j (d / f_j.g_j) f_j.  It is built on the first witness
+read and kept once that witness passes; the witness is unique, so a miss
+is an internal error.
 
-Other faces are memoized per cone by their generator mask, at most
-FACE_MEMO_BOUND of them; the memo is read first and emptied when full.
-One elimination of G_F's coordinate rows gives span_dim and the pivot
-rows R, which all the face's cells share.  A face starts with no cell
-and keeps at most |F|, most recently used first.  When every cell misses,
-one LP on the rows R of G_F and p proposes a basis: its final one.  Its
-inverse is built at once, it goes to the front, dropping the last cell
-when the face is full, and the witness is read off it as off any cell.
-So on a revisited face the witness may come from an earlier query's
-basis.  The boundary point is then kept with its face in one slot, like
-K.  Only `minimal_face` hands out faces, on either route: it reads that
-point's face with no product, and builds the facets for a nonzero point
-of the ray LP.
+Any other face takes one elimination of G_F's coordinate rows for span_dim
+and the pivot rows R that all its cells share, and keeps at most |F|
+cells, most recently used first.  When every cell misses, the final basis
+of one LP on the rows R of G_F and p gives a new front cell, dropping the
+last when the face is full; so a revisited face may answer with an earlier
+query's basis.  A memo of FACE_MEMO_BOUND faces drops its simplicial ones,
+which cost no elimination or LP to rebuild, and is emptied only if the
+others fill it.  The boundary point is kept with its face in one slot,
+like K.  Only `minimal_face` hands out faces, on either route: it reads
+that point's face with no product, and builds the facets for a nonzero
+point of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -88,11 +87,11 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain, compress, groupby
+from functools import lru_cache, reduce
+from itertools import accumulate, compress, groupby
 from math import gcd, lcm
 from operator import and_, not_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -114,15 +113,17 @@ from .qlinalg import (
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
-# Non-simplicial faces kept per cone, keyed by their generator mask, at most
-# this many.  A fixed bound, not a setting: over 20 000 seeded queries the memo
-# peaks at 126 faces on `dp-dual-path` (every non-simplicial proper face of the
-# degree-2 cone) and 130 on `toric-polytope`, and is never emptied.  It is
-# emptied when full, so memory does not grow with the number of queries.
+# Faces kept per cone, keyed by their generator mask: a fixed bound, not a
+# setting.  Over 20 000 queries at seed 5 the memo peaks at 179 faces on
+# `toric-polytope`; on `dp-dual-path` degrees 2-4 fill it 21, 4 and 1 times,
+# each time dropping the simplicial faces and keeping the 126, 27 and 10
+# others, so memory does not grow with the number of queries.
 FACE_MEMO_BOUND = 256
 
-# a cell of a face, (B, d, d * G_B[R, :]^-1); see `ConeQ._face`
-Cell = tuple[tuple[int, ...], int, list[list[int]]]
+# a face's cell (module docstring): B, d, d * G_B[R, :]^-1, G_B's coordinate rows
+Cell = tuple[tuple[int, ...], int, list[list[int]], list[tuple[int, ...]]]
+# cells share equal coordinate rows: on `dp-dual-path` 9 208 rows take 391 values
+_shared_row = lru_cache(maxsize=1024)(lambda row: row)
 
 
 class Containment(Enum):
@@ -421,30 +422,30 @@ class ConeQ:
         every = (1 << len(self._gens_int)) - 1
         return self._face(reduce(and_, compress(self._facet_gen_masks, map(not_, sl)), every))[0]
 
-    def _face(self, mask: int) -> tuple[FaceQ, tuple[int, ...], list[Cell] | None]:
-        """The face whose generators G_F are the set bits of mask, and how
-        to solve on it.  A simplicial face (|F| = span_dim: G_F is
-        independent) comes back as (face, duals, None), where duals[i] is a
-        facet f_j containing every generator of F but its i-th, g_j, in
-        increasing order of j; it is recognised from the generator masks
-        and not memoized.  Any other face is memoized as (face, R, cells):
-        the pivot coordinate rows R of G_F, from one elimination of G_F's
-        coordinate rows, which also gives span_dim, and its cells (see the
-        module docstring), most recently used first.  The memo is read
-        before F is tested."""
+    def _face(self, mask: int) -> tuple[FaceQ, Sequence[int], list[Cell], tuple[int, ...] | None]:
+        """The memo entry (face, R, cells, duals) of the face whose
+        generators G_F are the set bits of mask, read before F is tested.  A
+        simplicial face (G_F independent) has R every coordinate and duals[i]
+        a facet f_j holding every generator of F but its i-th, g_j; any
+        other face has duals None and R the pivot coordinate rows of G_F, by
+        one elimination.  A full memo drops the simplicial faces first."""
         entry = self._faces.get(mask)
         if entry is not None:
             return entry
-        inside = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        inside, rest = [], mask
+        while rest:
+            inside.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
         duals = self._duals(inside)
         if duals is not None:
-            return FaceQ(self, frozenset(inside), len(inside)), duals, None
-        gens = self._gens_int
-        coords = [[gens[j][t] for j in inside] for t in range(self.ambient_dim)]
-        rows = tuple(pivot_columns(coords))
-        entry = FaceQ(self, frozenset(inside), len(rows)), rows, []
+            entry = FaceQ(self, frozenset(inside), len(inside)), range(self.ambient_dim), [], duals
+        else:
+            gens = self._gens_int
+            rows = tuple(pivot_columns([[gens[j][t] for j in inside] for t in range(self.ambient_dim)]))
+            entry = FaceQ(self, frozenset(inside), len(rows)), rows, [], None
         if len(self._faces) >= FACE_MEMO_BOUND:
-            self._faces.clear()
+            kept = {m: e for m, e in self._faces.items() if e[3] is None}
+            self._faces = kept if len(kept) < FACE_MEMO_BOUND else {}
         self._faces[mask] = entry
         return entry
 
@@ -479,13 +480,11 @@ class ConeQ:
         as in `min_a_with_witness`; None unless direction is interior.  With
         the facets built, two packed products give a and the point's face
         (see the module docstring), and the witness is read off the first
-        cell of the face that holds the point: a simplicial face's one
-        cell, from its dual facets, else a stored cell, else the cell of
-        the face LP's basis.  It is checked in integers.  K's scaled
-        integers, facet groups and their packing are kept for the next
-        call with an equal base, and the point with its face for
-        `minimal_face`.  Without the facets, `contains` and the ray LP
-        answer: a alone never forces them."""
+        of the face's cells that holds the point, else off a new cell, and
+        checked in integers.  K's scaled integers, facet groups and their
+        packing are kept for the next call with an equal base, and the
+        point with its face for `minimal_face`.  Without the facets,
+        `contains` and the ray LP answer: a alone never forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets is None:
@@ -524,61 +523,65 @@ class ConeQ:
                 for i in positions(sl, l, lo, hi):
                     mask &= masks[i]
         scale = den * dk
-        gens = self._gens_int
-        face, rows, cells = self._face(mask)
+        face, rows, cells, duals = self._face(mask)
         # scale*(a*direction + base) in integers
         p = [num * l + den * k for l, k in zip(vl, vk)]
-        if cells is None:
-            # a simplicial face, rows its dual facets: its one cell has B = G_F, R
-            # every coordinate and row j (d / f_j.g_j) f_j, d = lcm f_j.g_j
-            duals = [self._facets[f] for f in rows]
-            basis = tuple(sorted(face.generators_in_face))
-            dots = [idot(f, gens[j]) for f, j in zip(duals, basis)]
-            if min(dots, default=1) <= 0:
-                raise InternalError("a dual facet of a simplicial face misses its generator")
-            det = lcm(*dots)
-            inverse = [f if x == det else [det // x * v for v in f] for f, x in zip(duals, dots)]
-            cells = [(basis, det, inverse)]
-            pr = p
-        else:
-            pr = [p[t] for t in rows]
-        # the stored cells, most recently used first, then the face LP's;
-        # past the last, lam < 0 fails the check
-        for i, (basis, det, inverse) in enumerate(chain(cells, self._face_lp_cell(face, rows, pr))):
-            # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
-            lam = [idot(r, pr) for r in inverse]
-            if min(lam, default=0) >= 0:
-                break
-        self._check_witness(basis, lam, det, p)
+        pr = p if len(rows) == self.ambient_dim else [p[t] for t in rows]
+        try:
+            # the stored cells, most recently used first, then a new one
+            for i, (basis, det, inverse, coords) in enumerate(cells):
+                # G_B lam = p, lam = inverse p[R] / det: a hit iff lam >= 0
+                lam = [idot(r, pr) for r in inverse]
+                if min(lam, default=0) >= 0:
+                    break
+            else:
+                if duals is not None and cells:
+                    raise InternalError("the dual facets of a simplicial face miss its point")
+                i = len(cells)
+                basis, det, inverse, coords = self._new_cell(face, rows, pr, duals)
+                lam = [idot(r, pr) for r in inverse]
+            self._check_witness(coords, lam, det, p)
+        except InternalError:
+            # no face with a failing cell stays memoized
+            self._faces.pop(mask, None)
+            raise
         if i == len(cells):
-            cells.append((basis, det, inverse))
+            cells.append((basis, det, inverse, coords))
         if i:
             # to the front; at most |F| cells, the least recently used goes
             cells.insert(0, cells.pop(i))
             del cells[len(face.generators_in_face):]
-        witness = [Fraction(0)] * len(gens)
+        witness = [Fraction(0)] * len(self._gens_int)
         for j, x in zip(basis, lam):
             witness[j] = Fraction(x, det * scale)
         point = VecQ.from_scaled(p, scale)
         self._point = point, face
         return Fraction(num * dl, scale), point, tuple(witness)
 
-    def _face_lp_cell(self, face: FaceQ, rows: Sequence[int], pr: list[int]) -> Iterator[Cell]:
-        """Yield, when asked, the cell of the face LP's final basis: one LP
-        on the rows R of G_F and the point's rows pr, which imply the others
-        as the point lies in span(G_F).  A simplicial face runs none."""
+    def _new_cell(self, face: FaceQ, rows: Sequence[int], pr: list[int], duals: tuple[int, ...] | None) -> Cell:
+        """A cell of the face for the point with rows pr, as none of its
+        cells holds it: a simplicial face's one cell, from its dual facets,
+        or else the final basis of the face LP on the rows R of G_F and pr,
+        which imply the others as the point lies in span(G_F)."""
         basis = sorted(face.generators_in_face)
-        if len(basis) == face.span_dim:
-            raise InternalError("the dual facets of a simplicial face miss its point")
         gens = self._gens_int
-        res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
-        if res.status is not LPStatus.OPTIMAL:
-            raise InternalError(f"face witness LP is {res.status.value}")
-        basis = tuple([basis[j] for j in sorted(res.basis)])
-        det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
-        if inverse is None:
-            raise InternalError("the face LP's basis is singular")
-        yield basis, det, inverse
+        if duals is not None:
+            facets = [self._facets[f] for f in duals]
+            dots = [idot(f, gens[j]) for f, j in zip(facets, basis)]
+            if min(dots, default=1) <= 0:
+                raise InternalError("a dual facet of a simplicial face misses its generator")
+            det = lcm(*dots)
+            inverse = [f if x == det else [det // x * v for v in f] for f, x in zip(facets, dots)]
+        else:
+            res = solve_lp([[gens[j][t] for j in basis] for t in rows], pr, [0] * len(basis))
+            if res.status is not LPStatus.OPTIMAL:
+                raise InternalError(f"face witness LP is {res.status.value}")
+            basis = [basis[j] for j in sorted(res.basis)]
+            det, inverse = scaled_inverse([[gens[j][t] for j in basis] for t in rows])
+            if inverse is None:
+                raise InternalError("the face LP's basis is singular")
+        coords = [_shared_row(r) for r in zip(*[gens[j] for j in basis])]
+        return tuple(basis), det, inverse, coords or [()] * self.ambient_dim
 
     def _groups(self, sk: Sequence[int]) -> tuple[PackedRows, list[tuple[int, int, int]], tuple[int, ...]]:
         """The facets ordered by their value of f.K, given every f.K: their
@@ -611,17 +614,14 @@ class ConeQ:
         a = res.x[k] - res.x[k + 1]
         lam, det = scaled_ints(res.x[:k])
         p, scale = scaled_ints(base + a * direction)
-        self._check_witness(range(k), [scale * x for x in lam], det, p)
+        self._check_witness(list(zip(*self._gens_int)), [scale * x for x in lam], det, p)
         return a, res.x[:k]
 
-    def _check_witness(self, support: Sequence[int], lam: list[int], det: int, p: list[int]):
-        """Raise InternalError unless lam >= 0 and the generators in support,
-        weighted by lam, sum to det * p: lam / det is a witness of p."""
-        gens = self._gens_int
-        # one coordinate row of the support's generators at a time; an empty
-        # support sums to 0
-        rows = zip(*[gens[j] for j in support]) if support else [()] * self.ambient_dim
-        if min(lam, default=0) < 0 or [idot(r, lam) for r in rows] != [det * x for x in p]:
+    def _check_witness(self, coords: Sequence[Sequence[int]], lam: list[int], det: int, p: list[int]):
+        """Raise InternalError unless lam >= 0 and the support's generators,
+        given by their coordinate rows and weighted by lam, sum to det * p:
+        lam / det is a witness of p."""
+        if min(lam, default=0) < 0 or [idot(r, lam) for r in coords] != [det * x for x in p]:
             raise InternalError("witness is negative or misses the boundary point")
 
     def _ray_lp(self, base: VecQ, direction: Sequence) -> LPResult:

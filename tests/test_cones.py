@@ -531,11 +531,19 @@ class TestMinimalFace:
                 enlarged = [c.generators[j] for j in range(len(c.generators)) if gmask >> j & 1]
                 assert span_dim(enlarged) > face.span_dim
 
-    def test_against_lp_support_oracle(self):
+    def test_against_lp_support_oracle(self, monkeypatch):
+        # the LP support oracle on every cone, and on those of rank <= 5
+        # the cut of the Fourier-Motzkin facets vanishing at v, which needs
+        # neither DD nor an LP.  With a memo of two faces, every point is
+        # asked again after the memo has evicted.
+        monkeypatch.setattr(cones, "FACE_MEMO_BOUND", 2)
         for name in ["orthant3", "bl1p2", "quadric", "dp6", "dp5", "dp4"]:
             c = FIXTURE_CONES[name]
             rng = random.Random(0xACE + len(name))
             gens = list(c.generators)
+            ints = [tuple(int(x) for x in g) for g in gens]
+            fm = fm_facets(ints, c.ambient_dim) if c.ambient_dim <= 5 else None
+            points, faces = [], []
             for _ in range(12):
                 picks = rng.sample(range(len(gens)), rng.randint(1, min(3, len(gens))))
                 v = VecQ.zero(c.ambient_dim)
@@ -543,6 +551,14 @@ class TestMinimalFace:
                     v = v + rng.randint(1, 3) * gens[i]
                 face = c.minimal_face(v)
                 assert face.generators_in_face == minimal_face_generators_lp(c, v), name
+                if fm is not None:
+                    vanishing = [f for f in fm if sum(a * x for a, x in zip(f, v)) == 0]
+                    on_all = [all(sum(a * x for a, x in zip(f, g)) == 0 for f in vanishing) for g in ints]
+                    assert face.generators_in_face == {j for j, on in enumerate(on_all) if on}, name
+                points.append(v)
+                faces.append(face)
+            assert len(c._faces) <= 2 < len(set(faces)), name
+            assert [c.minimal_face(v) for v in points] == faces, name
 
 
 class TestMinAOnRay:

@@ -1,9 +1,9 @@
 """The facet route of `ConeQ.min_a_with_point`: bigness, a and the
 boundary point's minimal face read off two packed facet products, the face
 kept for `minimal_face`, and the witness read off the first cell of the
-face that holds the point (a simplicial face's one cell, from its dual
-facets, else a memoized cell or the cell of the face LP's basis), checked
-in integers.  The ray LP on a copy of the cone without facets is the
+memoized face that holds the point (a simplicial face's one cell, from its
+dual facets, else a stored cell or the cell of the face LP's basis),
+checked in integers.  The ray LP on a copy of the cone without facets is the
 oracle for a and the face, and `solve_lp` and `Fraction` Gauss-Jordan on
 the answering cell's generators for the witness.  `b_invariant` gives the
 same answer on a cone whichever route it took."""
@@ -377,10 +377,11 @@ def check_dual_rule(c, queries, n):
     dual rule must answer iff rank(G_F) = |F| by the Bareiss oracle; on a
     simplicial face its facets must be dual to G_F, the witness must be
     `Fraction` Gauss-Jordan's solve on G_F, and no elimination, inverse or
-    LP may run in `cones`.  Any other face must be memoized, and the
-    witness must be the `Fraction` solve on the basis of its front cell,
-    the one that answered.  Returns the number of simplicial and of other
-    faces met."""
+    LP may run in `cones`; it must be memoized with those dual facets,
+    every coordinate as its rows and one cell on G_F.  Any other face must
+    be memoized, and the witness must be the `Fraction` solve on the basis
+    of its front cell, the one that answered.  Returns the number of
+    simplicial and of other faces met."""
     met = [0, 0]
     facets = c.facets
     with pytest.MonkeyPatch.context() as mp:
@@ -400,14 +401,17 @@ def check_dual_rule(c, queries, n):
             assert (duals is not None) == simplicial, (base, direction)
             met[not simplicial] += 1
             mask = sum([1 << j for j in inside])
+            assert mask in c._faces and c._faces[mask][0] == face
+            _, rows, cells, memo_duals = c._faces[mask]
             if simplicial:
-                assert face.span_dim == len(gens) and mask not in c._faces
+                assert face.span_dim == len(gens) and memo_duals == duals
+                assert list(rows) == list(range(c.ambient_dim)) and [cell[0] for cell in cells] == [tuple(inside)]
                 assert solves == [[], [], []], (base, direction)
                 for f, j in zip(duals, inside):
                     assert [facets[f].dot(g) > 0 for g in gens] == [i == j for i in inside]
             else:
-                assert mask in c._faces and c._faces[mask][0] == face
-                inside = c._faces[mask][2][0][0]
+                assert memo_duals is None
+                inside = cells[0][0]
                 gens = [c.generators[j] for j in inside]
             expected = [Fraction(0)] * len(c.generators)
             for j, x in zip(inside, combination_by_fractions(gens, point)):
@@ -496,15 +500,20 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
     # a simplicial face, whose witness is read off its dual facets: a
     # planted dual facet that holds its generator, one that misses another
     # generator of the face, and a doubled f_j.g_j are each an internal
-    # error, and the next query answers as before
+    # error.  Each plant meets the face on a new copy of the cone, as a
+    # memoized face would not run `_duals` or the cell again.  The error
+    # leaves no memo entry, and the next query answers as before.
     surf = del_pezzo(5)
-    c = with_facets(surf.variety().eff_cone)
+    cone = surf.variety().eff_cone
+    c = with_facets(cone)
     bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[1]
     answer = c.min_a_with_point(surf.canonical, bundle)
     face = c.minimal_face(answer[1])
     inside = sorted(face.generators_in_face)
-    assert len(inside) == face.span_dim > 1 and c._faces == {}
+    assert len(inside) == face.span_dim > 1
+    mask = sum([1 << j for j in inside])
     duals = c._duals(inside)
+    assert list(c._faces) == [mask] and c._faces[mask][3] == duals
     # facets holding g_j (f.g_j = 0), and facets holding neither g_j nor
     # the face's other generator g_i (a wrong lam_j, still positive)
     j, i = inside
@@ -512,9 +521,6 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
     holding = c._gen_facet_masks[j] | c._gen_facet_masks[i]
     off_other = [e for e in range(len(c._facets)) if not holding >> e & 1]
     assert on_j and off_other
-    # f_j.g_j for the first generator: its dual facet against it, and no
-    # other product of that facet (its cell row may be the facet itself)
-    facet, generator = c._facets[duals[0]], c._gens_int[j]
     dot = cones.idot
     plants = [
         (ConeQ, "_duals", lambda self, inside: (on_j[0],) + duals[1:], "misses its generator"),
@@ -522,12 +528,42 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
         (cones, "idot", lambda a, b: 2 * dot(a, b) if a is facet and b is generator else dot(a, b), "misses the boundary point"),
     ]
     for owner, name, plant, message in plants:
+        c = with_facets(cone)
+        # f_j.g_j for the first generator: its dual facet against it, and
+        # no other product of that facet (its cell row may be the facet)
+        facet, generator = c._facets[duals[0]], c._gens_int[j]
         monkeypatch.setattr(owner, name, plant)
         with pytest.raises(InternalError, match=message) as exc:
             c.min_a_with_point(surf.canonical, bundle)
         assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+        assert c._faces == {}
         monkeypatch.undo()
         assert c.min_a_with_point(surf.canonical, bundle) == answer
+        assert c._faces[mask][3] == duals
+
+
+def test_a_wrong_memoized_simplicial_cell_is_caught():
+    # the one cell of a simplicial face, memoized by its first query, then
+    # planted: an inverse doubled (a nonnegative witness that misses the
+    # point) and one negated (a negative witness, a miss, which a simplicial
+    # face cannot have).  Each is an internal error, exit 5, the face leaves
+    # the memo, and the next query answers as before.
+    surf = del_pezzo(5)
+    c = with_facets(surf.variety().eff_cone)
+    bundle = -1 * surf.canonical + c.generators[0] + 2 * c.generators[1]
+    answer = c.min_a_with_point(surf.canonical, bundle)
+    face = c._point[1]
+    assert len(face.generators_in_face) == face.span_dim > 1
+    mask = sum([1 << j for j in face.generators_in_face])
+    for n, message in ((2, "misses the boundary point"), (-1, "dual facets of a simplicial face miss")):
+        face, rows, [(basis, det, inverse, coords)], duals = c._faces[mask]
+        c._faces[mask][2][0] = basis, det, [[n * x for x in r] for r in inverse], coords
+        with pytest.raises(InternalError, match=message) as exc:
+            c.min_a_with_point(surf.canonical, bundle)
+        assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+        assert mask not in c._faces
+        assert c.min_a_with_point(surf.canonical, bundle) == answer
+        assert c._faces[mask][2] == [(basis, det, inverse, coords)]
 
 
 def test_a_wrong_face_lp_result_is_caught(monkeypatch):
@@ -586,9 +622,10 @@ def test_a_wrong_face_lp_result_is_caught(monkeypatch):
     c.min_a_with_point(surf.canonical, bundle)
     mask = sum([1 << j for j in face.generators_in_face])
     entry = c._faces[mask]
-    c._faces[mask] = entry[0], entry[1][:-1], []
+    c._faces[mask] = entry[0], entry[1][:-1], [], None
     with pytest.raises(InternalError):
         c.min_a_with_point(surf.canonical, bundle)
+    assert mask not in c._faces
     c._faces[mask] = entry
     assert c.min_a_with_point(surf.canonical, bundle) == answer
 
@@ -606,11 +643,12 @@ def test_a_wrong_cell_inverse_is_caught():
     assert len(face.generators_in_face) > face.span_dim
     mask = sum([1 << j for j in face.generators_in_face])
     entry = c._faces[mask]
-    _, rows, [(basis, det, inverse)] = entry
-    c._faces[mask] = face, rows, [(basis, det, [[2 * x for x in r] for r in inverse])]
+    _, rows, [(basis, det, inverse, coords)], _ = entry
+    c._faces[mask] = face, rows, [(basis, det, [[2 * x for x in r] for r in inverse], coords)], None
     with pytest.raises(InternalError) as exc:
         c.min_a_with_point(surf.canonical, bundle)
     assert cli._error_payload(exc.value)[0] == cli.EXIT_INTERNAL
+    assert mask not in c._faces
     c._faces[mask] = entry
     assert c.min_a_with_point(surf.canonical, bundle) == answer
 

@@ -308,12 +308,28 @@ def test_fan_caches_stay_within_their_bound():
     assert [answer(n) for n in range(20)] == first
 
 
+def memo_kinds(c) -> tuple[int, int]:
+    """The number of simplicial and of other faces in the cone's face memo,
+    each entry checked for its kind: a simplicial face keeps its dual
+    facets and every coordinate as its rows, any other face None and its
+    span_dim pivot rows."""
+    kinds = [0, 0]
+    for mask, (face, rows, cells, duals) in c._faces.items():
+        assert mask == sum([1 << j for j in face.generators_in_face])
+        simplicial = len(face.generators_in_face) == face.span_dim
+        assert (duals is not None) == simplicial
+        assert len(rows) == (c.ambient_dim if simplicial else face.span_dim)
+        kinds[not simplicial] += 1
+    return kinds[0], kinds[1]
+
+
 def test_face_memo_stays_within_its_bound():
     # sums of at most three generators of the degree-2 cone meet more
     # distinct faces than the bound; each face, asked again, is unchanged
-    # and equals the per-facet loop's.  Only the non-simplicial ones are
-    # memoized.  The whole cone, the face of an interior point, has the key
-    # of every generator.
+    # and equals the per-facet loop's.  Every face is memoized; a full memo
+    # drops only the simplicial ones, so no non-simplicial face met ever
+    # leaves it.  The whole cone, the face of an interior point, has the
+    # key of every generator.
     c = ConeQ(del_pezzo(2).variety().eff_cone.generators)
     c.facets
     gens = c.generators
@@ -325,17 +341,21 @@ def test_face_memo_stays_within_its_bound():
         for j in rng.sample(range(len(gens)), rng.randint(0, 2)):
             v = v + gens[j]
         points.append(v)
-    first = []
+    first, kept = [], set()
     for v in points:
         face = c.minimal_face(v)
         assert len(c._faces) <= FACE_MEMO_BOUND
         first.append(face)
         assert all(0 <= key <= every for key in c._faces)
+        if len(face.generators_in_face) > face.span_dim:
+            kept.add(sum([1 << j for j in face.generators_in_face]))
+        assert kept <= set(c._faces)
     assert len({f.generators_in_face for f in first}) > FACE_MEMO_BOUND
     for v, face in zip(points, first):
         assert c.minimal_face(v) == face == minimal_face_by_facet_loop(c, v)
-        assert len(c._faces) <= FACE_MEMO_BOUND
-    assert all(len(f.generators_in_face) > f.span_dim for f, _, _ in c._faces.values())
+        assert len(c._faces) <= FACE_MEMO_BOUND and kept <= set(c._faces)
+    simplicial, other = memo_kinds(c)
+    assert simplicial > 0 and other == len(kept) > 0
 
 
 def test_face_memo_is_emptied_when_full():
@@ -343,20 +363,94 @@ def test_face_memo_is_emptied_when_full():
     # point (c, 1), c in {-1, 0, 1}^6, lies inside the cube face that fixes
     # the coordinates where c is nonzero, and the cones over the 473 cube
     # faces of dimension 2 or more are non-simplicial, more than the
-    # bound.  The memo is emptied when full, and each face, asked again, is
-    # unchanged and equals the per-facet loop's.
+    # bound.  A full memo first drops its simplicial faces (vertices and
+    # edges) and keeps the others; once those alone fill it, it is emptied.
+    # Each face, asked again, is unchanged and equals the per-facet loop's.
     c = ConeQ([list(s) + [1] for s in itertools.product((-1, 1), repeat=6)])
     c.facets
     points = [vec(*x, 1) for x in itertools.product((-1, 0, 1), repeat=6)]
-    first, sizes = [], []
+    first, sizes, drops = [], [], []
     for v in points:
+        before = memo_kinds(c)
         first.append(c.minimal_face(v))
         sizes.append(len(c._faces))
+        if sizes[-1] <= sum(before):
+            # one eviction, then the new face: the non-simplicial faces
+            # kept, or none when they filled the memo
+            assert sum(before) == FACE_MEMO_BOUND
+            drops.append(before[1] if before[1] < FACE_MEMO_BOUND else 0)
+            assert sizes[-1] == drops[-1] + 1
     assert max(sizes) == FACE_MEMO_BOUND and sizes[-1] < FACE_MEMO_BOUND
+    assert min(drops) == 0 < max(drops)
     assert sum(len(f.generators_in_face) > f.span_dim for f in first) == 473
     for v, face in zip(points, first):
         assert c.minimal_face(v) == face == minimal_face_by_facet_loop(c, v)
         assert len(c._faces) <= FACE_MEMO_BOUND
+
+
+def queries_with_bound(monkeypatch, models, sample, count, bound):
+    """count seeded queries round robin over new cones on the models'
+    generators, facets built, with the face memo bound patched.  After every
+    query each face that ever held cells found by the face LP must still
+    hold some.  Returns the answers with their faces, the number of face
+    LPs, per cone the number of such faces and the most faces held, and
+    the number of queries after which some face had left the memo."""
+    monkeypatch.setattr(cones, "FACE_MEMO_BOUND", bound)
+    cs = [ConeQ(m.eff_cone.generators, ambient_dim=m.ns_rank) for m in models]
+    for c in cs:
+        c.facets
+    lps = counting(monkeypatch, cones, "solve_lp")
+    rng = random.Random(0xB0D)
+    answers, evictions = [], 0
+    # per cone, the faces whose cells the face LP found
+    held = [set() for _ in cs]
+    peaks = [[0, 0] for _ in cs]
+    for i in range(count):
+        k = i % len(cs)
+        c = cs[k]
+        before = set(c._faces)
+        answer = c.min_a_with_point(models[k].canonical, sample(k, rng))
+        face = c._point[1].generators_in_face
+        answers.append((answer, face))
+        evictions += not before <= c._faces.keys()
+        mask = sum([1 << j for j in face])
+        if c._faces[mask][3] is None:
+            held[k].add(mask)
+        assert all(c._faces[mask][2] for mask in held[k])
+        peaks[k][0] = max(peaks[k][0], len(held[k]))
+        peaks[k][1] = max(peaks[k][1], len(c._faces))
+    monkeypatch.undo()
+    return answers, len(lps), peaks, evictions
+
+
+def test_eviction_never_costs_a_face_lp(toric_fans):
+    # 3000 seeded degree-2 queries and 3000 over the toric catalog, first
+    # with a bound no memo reaches, then with one more than the most
+    # non-simplicial faces any of these cones held: the memo then evicts
+    # often, but drops only simplicial faces, which need no LP, so the
+    # answers, witnesses, faces and face-LP counts are the same
+    surf = del_pezzo(2)
+    gens = surf.variety().eff_cone.generators
+
+    def dp_sample(k, rng):
+        bundle = rng.randint(1, 2) * -surf.canonical
+        for j in rng.sample(range(len(gens)), rng.randint(1, 3)):
+            bundle = bundle + rng.randint(1, 3) * gens[j]
+        return bundle
+
+    fans = list(toric_fans.values())
+
+    def toric_sample(k, rng):
+        return ns_presentation(fans[k]).divisor_class([rng.randint(1, 3) for _ in fans[k].rays])
+
+    for models, sample in (([surf.variety()], dp_sample), ([variety_model(f) for f in fans], toric_sample)):
+        with pytest.MonkeyPatch.context() as mp:
+            unbounded = queries_with_bound(mp, models, sample, 3000, 10**6)
+            bound = 1 + max(other for other, _ in unbounded[2])
+            assert bound < max(size for _, size in unbounded[2]) and unbounded[3] == 0
+            bounded = queries_with_bound(mp, models, sample, 3000, bound)
+        assert bounded[:2] == unbounded[:2] and bounded[3] > 0
+        assert max(size for _, size in bounded[2]) == bound
 
 
 def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
@@ -433,8 +527,9 @@ def test_a_point_in_a_stored_cell_runs_no_face_lp(monkeypatch):
     face = c._point[1]
     assert len(face.generators_in_face) > face.span_dim and (len(lps), len(inverses)) == (1, 1)
     mask = sum([1 << j for j in face.generators_in_face])
-    _, rows, [cell] = c._faces[mask]
-    basis, det, inverse = cell
+    _, rows, [cell], duals = c._faces[mask]
+    basis, det, inverse, coords = cell
+    assert duals is None and coords == [tuple([gens[j][t] for j in basis]) for t in range(c.ambient_dim)]
     assert len(basis) == len(rows) == face.span_dim and det > 0
     assert len(inverse) == len(rows) and all(len(r) == len(rows) for r in inverse)
     assert {j for j, w in enumerate(witness) if w} <= set(basis) <= face.generators_in_face
@@ -468,8 +563,9 @@ def _cell_queries(cases, count, lps):
 
 def test_a_face_keeps_at_most_its_generator_count_of_cells(monkeypatch, toric_fans):
     # 2000 seeded queries on del Pezzo degrees 2-6 and 2000 over the toric
-    # catalog: no simplicial face ({0} neither) is memoized, any other
-    # keeps at most |F| cells, and on those faces cells answer many queries
+    # catalog: a simplicial face ({0} too) keeps its one cell, on G_F, any
+    # other keeps at most |F| cells, and on those faces cells answer many
+    # queries.  Equal coordinate rows of cells are one tuple.
     rng = random.Random(5772)
     lps = counting(monkeypatch, cones, "solve_lp")
     dp, tor = [], []
@@ -499,10 +595,15 @@ def test_a_face_keeps_at_most_its_generator_count_of_cells(monkeypatch, toric_fa
     hits = [_cell_queries(cases, 2000, lps) for cases in (dp, tor)]
     assert min(hits) > 100, hits
     for c, _, _ in dp + tor:
-        for face, rows, cells in c._faces.values():
+        for face, rows, cells, duals in c._faces.values():
             size = len(face.generators_in_face)
-            assert size > face.span_dim and 0 < len(cells) <= size
-            assert all(len(basis) == len(rows) == face.span_dim for basis, _, _ in cells)
+            if duals is not None:
+                assert [cell[0] for cell in cells] == [tuple(sorted(face.generators_in_face))]
+            else:
+                assert size > face.span_dim and 0 < len(cells) <= size
+                assert all(len(cell[0]) == len(rows) == face.span_dim for cell in cells)
+    rows = [r for c, _, _ in dp + tor for entry in c._faces.values() for cell in entry[2] for r in cell[3]]
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows) // 10
 
 
 def test_exceptions_are_not_cached():
