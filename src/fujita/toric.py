@@ -7,7 +7,9 @@ matrix; the effective cone is spanned by the boundary divisor classes
 (generator j is the class of ray j; none is zero on a complete fan), and
 its facets are built with the model.  An invariant divisor is rigid iff
 its polytope {m : <m, v_ray> >= -a_ray} is a point, which is the
-executable h^0 oracle used by the balancedness criterion.
+executable h^0 oracle used by the balancedness criterion.  The class map
+keeps its last MEMO_BOUND classes of int coefficients, so a toric query
+that maps its coefficients twice computes the class once.
 
 That dimension is read off the minimal face F of the effective cone
 containing the class, with no LP.  The polytope is the set of
@@ -56,7 +58,7 @@ from .errors import (
     ProjectionIncompatible,
 )
 from .invariants import MEMO_BOUND, Toric, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat, idot, nullspace, scaled_inverse, span_dim
+from .qlinalg import _INT, MatQ, VecQ, as_rat, idot, nullspace, scaled_inverse, span_dim
 from .simplex import solve_lp  # noqa: F401  (bench/selftest.py checks the tracer rebinds it here)
 
 # Largest |det| of a singular cone whose terminality strict mode walks,
@@ -65,8 +67,10 @@ TERMINAL_WALK_BOUND = 2**16
 
 
 def _integer(x, where: str) -> int:
-    """x as an integer, read as `modelio.parse_int` reads one: `as_rat`,
-    then denominator 1; anything else is an InvalidModel naming where."""
+    """x as an integer, read as `modelio.parse_int` reads one: an int as it
+    is, else `as_rat` with denominator 1; else an InvalidModel naming where."""
+    if type(x) is int:
+        return x
     try:
         q = as_rat(x)
         if q.denominator == 1:
@@ -238,24 +242,37 @@ class NSPresentation(NamedTuple):
     kernel of the ray matrix R, whose columns are the rays.  A row y kills
     every principal divisor (<m, v_ray>)_ray iff R y = 0, so the class of
     sum a_ray D_ray is `class_map` times a (Gale duality), and
-    `ray_classes` are the class map's columns."""
+    `ray_classes` are the class map's columns.  Equality and hashing are
+    by identity, as for `VarietyModel`, so a class memo lookup hashes only
+    the coefficients."""
 
     fan: Fan
     rank: int
     class_map: MatQ
     ray_classes: tuple[VecQ, ...]
 
-    def divisor_class(self, coeffs) -> VecQ:
-        """Class of sum a_ray D_ray: one integer product of the class map's
-        scaled rows with the coefficients, scaled once by the lcm of their
-        denominators."""
-        try:
-            return self.class_map.apply(coeffs)
-        except DimensionMismatch:
-            raise InvalidModel("coefficient count does not match ray count") from None
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-    def canonical_class(self) -> VecQ:
-        return self.divisor_class([-1] * len(self.fan.rays))
+    def divisor_class(self, coeffs) -> VecQ:
+        """Class of sum a_ray D_ray (`_class_of`), kept for the last
+        MEMO_BOUND tuples of int coefficients: equal ones, as a list or a
+        tuple, get the identical VecQ.  Other entries are mapped anew, as
+        a bool or a float equal to an int would find that int's class."""
+        key = tuple(coeffs)
+        if _INT.issuperset(map(type, key)):
+            return _class_of(self, key)
+        return _class_of.__wrapped__(self, key)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _class_of(pres: NSPresentation, coeffs: tuple) -> VecQ:
+    """The class map times the coefficients, in integers (`MatQ.apply`)."""
+    try:
+        return pres.class_map.apply(coeffs)
+    except DimensionMismatch:
+        raise InvalidModel("coefficient count does not match ray count") from None
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -288,7 +305,7 @@ def variety_model(f: Fan) -> VarietyModel:
     return VarietyModel(
         name=f"toric-{len(f.rays)}rays-dim{f.lattice_dim}",
         ns_rank=pres.rank,
-        canonical=pres.canonical_class(),
+        canonical=pres.divisor_class([-1] * len(f.rays)),
         eff_cone=cone,
         intersection_form=None,
         provenance=Toric(f),

@@ -13,7 +13,7 @@ from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
 from fujita.qlinalg import MatQ, VecQ, scaled_ints, span_dim
 
-MEMOS = (invariants.fujita, delpezzo.zariski_for_variety, delpezzo._surface_case)
+MEMOS = (invariants.fujita, delpezzo.zariski_for_variety, delpezzo._surface_case, toric._class_of)
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +69,30 @@ def products_by_packing(calls, c) -> tuple[int, int]:
     (L's in `min_a_with_point`)."""
     grouped = c._base[3] if c._base else None
     return sum(args[0] is c._packed for args in calls), sum(args[0] is grouped for args in calls)
+
+
+def packing_rows(rows) -> list:
+    """rows repeated in order up to `qlinalg.PACK_MIN_ROWS` rows, the
+    fewest that `PackedRows` packs; each row, each pair of neighbours, the
+    last row and the largest absolute row sum are those of rows."""
+    return [rows[i % len(rows)] for i in range(max(len(rows), qlinalg.PACK_MIN_ROWS))]
+
+
+def packing_cone(gens) -> list[VecQ]:
+    """The generators of the simplicial cone of d independent gens in Q^d,
+    in the first d coordinates, plus the orthant of the next
+    `qlinalg.PACK_MIN_ROWS` - d: its facets are gens' facets padded with
+    zeros and the unit rows of the added coordinates, PACK_MIN_ROWS in
+    all, so its products pack while its largest absolute facet row sum
+    is that of gens' cone."""
+    d, n = len(gens), max(len(gens), qlinalg.PACK_MIN_ROWS)
+    return [VecQ(list(g) + [0] * (n - d)) for g in gens] + [unit(n, i) for i in range(d, n)]
+
+
+def packing_probe(v, dim) -> VecQ:
+    """v's entries repeated in order up to dim entries: on a
+    `packing_cone`, the added unit facets take v's entries as products."""
+    return VecQ([v[i % v.dim] for i in range(dim)])
 
 
 def straddling(size) -> list[int]:

@@ -20,7 +20,15 @@ from fujita.errors import Infeasible, InternalError, InvalidModel, OutsideCone, 
 from fujita.qlinalg import VecQ, span_dim
 from fujita.simplex import LPResult, LPStatus
 from fujita.toric import variety_model
-from conftest import counting, dots_taken, random_cones, random_rational_vector, vec
+from conftest import (
+    counting,
+    dots_taken,
+    packing_cone,
+    packing_probe,
+    random_cones,
+    random_rational_vector,
+    vec,
+)
 from oracles import (
     brute_force_facets,
     contains_by_facet_loop,
@@ -268,7 +276,9 @@ class TestIncidenceMasks:
 def check_random_cone(c, rng):
     """Small probes and their huge multiples on c against the per-facet
     loops.  Small probes take the one packed product on a little-endian
-    host; probes past 2^64 take one idot per facet."""
+    host when c has at least PACK_MIN_ROWS facets (about 2 in 5 of the
+    random cones); probes past 2^64, and any probe on fewer facets, take
+    one idot per facet."""
     c.facets
     d = c.ambient_dim
     probes = [VecQ.zero(d)] + list(c.generators)
@@ -282,7 +292,8 @@ def check_random_cone(c, rng):
     for v in probes:
         check_packed_against_loop(c, v, seen)
     per_facet = len(c._facets)
-    small_cost = 1 if qlinalg.sys.byteorder == "little" else per_facet
+    packs = qlinalg.sys.byteorder == "little" and per_facet >= qlinalg.PACK_MIN_ROWS
+    small_cost = 1 if packs else per_facet
     for v in small:
         assert dots_taken(c, v) == small_cost, v
         if not v.is_zero():
@@ -325,20 +336,19 @@ class TestPackedSigns:
         # s = +-2^63 does not fit a 64-bit slot; one bit less carries into
         # the next slot (or out of the last one) and flips the sign read.
         # The last cone has a facet entry past 2^63, which no slot can hold.
+        # Each cone is probed as it is, below the crossover, and with the
+        # orthant that brings it to PACK_MIN_ROWS facets, so that it packs
         seen = set()
-        for c in (
-            ConeQ([vec(1)]),
-            ConeQ([vec(1, 0), vec(1, 1)]),
-            ConeQ([vec(1, 2), vec(0, 1)]),
-            ConeQ([vec(2**64, 1), vec(0, 1)]),
-        ):
-            c.facets
-            for e in (62, 63, 64):
-                for x in (2**e - 1, 2**e, 2**e + 1):
-                    for v in (vec(x), vec(x, 0), vec(x, x), vec(x, -x), vec(0, x), vec(x, 1)):
-                        if v.dim == c.ambient_dim:
-                            check_packed_against_loop(c, v, seen)
-                            check_packed_against_loop(c, -v, seen)
+        for gens in ([vec(1)], [vec(1, 0), vec(1, 1)], [vec(1, 2), vec(0, 1)], [vec(2**64, 1), vec(0, 1)]):
+            for c in (ConeQ(gens), ConeQ(packing_cone(gens))):
+                assert (len(c.facets) >= qlinalg.PACK_MIN_ROWS) == (c.ambient_dim > len(gens))
+                for e in (62, 63, 64):
+                    for x in (2**e - 1, 2**e, 2**e + 1):
+                        for v in (vec(x), vec(x, 0), vec(x, x), vec(x, -x), vec(0, x), vec(x, 1)):
+                            if v.dim == len(gens):
+                                v = packing_probe(v, c.ambient_dim)
+                                check_packed_against_loop(c, v, seen)
+                                check_packed_against_loop(c, -v, seen)
         assert seen == {*Containment, "face", OutsideCone}
 
     def test_one_product_per_question(self, monkeypatch):

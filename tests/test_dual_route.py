@@ -29,6 +29,8 @@ from fujita.toric import ns_presentation, variety_model
 from conftest import (
     counting,
     dots_taken,
+    packing_cone,
+    packing_probe,
     random_cones,
     random_rational_vector,
     straddling,
@@ -111,17 +113,20 @@ def test_random_strict_cones_match_ray_lp(c, rng):
 
 def test_width_boundary():
     # f.K = +-2^63 needs 128-bit slots: one bit less carries into the next
-    # slot (or out of the last one); both products are probed at the edge
+    # slot (or out of the last one); both products are probed at the edge,
+    # on each cone as it is, below the crossover, and with the orthant
+    # that brings it to PACK_MIN_ROWS facets, so that it packs
     for gens in ([vec(1)], [vec(1, 0), vec(1, 1)], [vec(1, 2), vec(0, 1)]):
-        c = with_facets(ConeQ(gens))
-        inside = sum(c.generators[1:], c.generators[0])
-        for e in (62, 63, 64):
-            for x in (2**e - 1, 2**e, 2**e + 1):
-                for v in (vec(x), vec(x, 0), vec(x, x), vec(x, -x), vec(0, x), vec(x, 1)):
-                    if v.dim == c.ambient_dim:
-                        for base in (v, -v):
-                            assert check_dual_route(c, base, inside)
-                            check_dual_route(c, inside, base)
+        for c in (with_facets(ConeQ(gens)), with_facets(ConeQ(packing_cone(gens)))):
+            inside = sum(c.generators[1:], c.generators[0])
+            for e in (62, 63, 64):
+                for x in (2**e - 1, 2**e, 2**e + 1):
+                    for v in (vec(x), vec(x, 0), vec(x, x), vec(x, -x), vec(0, x), vec(x, 1)):
+                        if v.dim == len(gens):
+                            v = packing_probe(v, c.ambient_dim)
+                            for base in (v, -v):
+                                assert check_dual_route(c, base, inside)
+                                check_dual_route(c, inside, base)
 
 
 def test_wide_slots_on_del_pezzo():
@@ -268,8 +273,10 @@ class TestTieScan:
 
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_a_straddling_match_is_no_tie(self, size):
-        slots = straddling(size)
-        sl = check_ties(vec(-1, -1, -1), slots, size)
+        # [A, B, x] twice, six facets, so that the product packs: x's bytes
+        # straddle each A, B pair, and the ties are the two x slots
+        slots = straddling(size) * 2
+        sl = check_ties(vec(*[-1] * len(slots)), slots, size)
         if sl is not None:
             assert sl.obj.find(slots[2].to_bytes(size, "little")) == 1
 

@@ -5,6 +5,7 @@ read through class rigidity agrees with the adjoint-divisor route."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from fujita.delpezzo import (
     zariski_decompose,
     zariski_for_variety,
 )
-from fujita.errors import NotBig, NotPseudoEffective
+from fujita.errors import InvalidModel, NotBig, NotPseudoEffective
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import ns_presentation, variety_model
@@ -279,11 +280,13 @@ def test_one_lp_per_divisor_polytope(monkeypatch, toric_fans):
 def test_memos_stay_within_their_bound():
     surf = del_pezzo(8)
     m = surf.variety()
+    pres = ns_presentation(toric.Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)]))
     for i in range(1000):
         bundle = vec(i + 2, -1 - i % 2 - i // 2 % 3)  # distinct, inside the cone
         zariski_decompose(surf, fujita(m, bundle).boundary_class)
         zariski_decompose(surf, vec(i, -i))
         surface_b(surf, bundle)
+        pres.divisor_class((i, 1, 0))
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == BOUND
@@ -614,6 +617,49 @@ def test_exceptions_are_not_cached():
             fujita(m, not_big)
     info = fujita.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_one_class_map_per_toric_query(monkeypatch, toric_fans):
+    # 300 seeded queries shaped like the benchmark's toric query, each
+    # with empty memos: the class map, `fujita`, `minimal_face`, rigidity
+    # and the balanced verdict, whose lookup finds the class the query
+    # mapped, so the coefficients are mapped to a class once
+    fans = list(toric_fans.values())
+    models = [variety_model(f) for f in fans]
+    rng = random.Random(0xC1A55)
+    maps = counting(monkeypatch, MatQ, "apply")
+    for i in range(300):
+        for memo in MEMOS:
+            memo.cache_clear()
+        fan, m = fans[i % len(fans)], models[i % len(fans)]
+        coeffs = tuple(rng.randint(1, 3) for _ in fan.rays)
+        bundle = ns_presentation(fan).divisor_class(coeffs)
+        fr = fujita(m, bundle)
+        m.eff_cone.minimal_face(fr.boundary_class)
+        rigid = is_rigid_class(m, fr.boundary_class)
+        assert toric.toric_balanced_all_subvarieties(fan, coeffs) == rigid
+    assert len(maps) == 300
+
+
+def test_class_memo_shares_classes_and_keeps_no_error(toric_fans):
+    # equal integer coefficients, as a list or a tuple, give the one kept
+    # class; a wrong count raises on every call and is not kept; entries
+    # that are not ints are mapped anew, so a bool equal to a kept int is
+    # still rejected
+    pres = ns_presentation(toric_fans["dp6-toric"])
+    k = len(pres.fan.rays)
+    cls = pres.divisor_class([1 + i % 3 for i in range(k)])
+    assert pres.divisor_class(tuple(1 + i % 3 for i in range(k))) is cls
+    for _ in range(3):
+        with pytest.raises(InvalidModel, match="^coefficient count does not match ray count$"):
+            pres.divisor_class([1] * (k + 1))
+    info = toric._class_of.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+    exact = [Fraction(1 + i % 3) for i in range(k)]
+    assert pres.divisor_class(exact) == cls and pres.divisor_class(exact) is not cls
+    with pytest.raises(TypeError):
+        pres.divisor_class([True] + [1 + i % 3 for i in range(1, k)])
+    assert toric._class_of.cache_info().currsize == 1
 
 
 def test_repeat_calls_return_the_shared_frozen_result():

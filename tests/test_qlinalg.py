@@ -22,7 +22,7 @@ from fujita.qlinalg import (
     solve,
     span_dim,
 )
-from conftest import counting, identity, straddling, transpose, unit
+from conftest import counting, identity, packing_rows, straddling, transpose, unit
 from oracles import (
     add_fractions_bigint,
     det_by_permutations,
@@ -468,17 +468,18 @@ def dots_in(monkeypatch, packed, v):
 class TestPackedRows:
     """Every row.v from one packed product while l1 * max|v| < 2^63 (l1
     the largest absolute row sum), in the narrowest of 16-, 32- and 64-bit
-    slots that holds that bound, one idot per row past it, and the same
-    numbers either way."""
+    slots that holds that bound, one idot per row past it or on fewer than
+    PACK_MIN_ROWS rows, and the same numbers either way."""
 
-    # l1 = 1, 2, 3 and a row entry past 2^63, which no slot can hold
+    # l1 = 1, 2, 3 and a row entry past 2^63, which no slot can hold;
+    # repeated up to the crossover, so that they pack
     ROWS = ([(1,)], [(1, 0), (1, 1)], [(1, 2), (0, 1)], [(2**64, 1), (0, 1)])
 
     def test_width_boundary(self, monkeypatch):
         # s = +-2^63 does not fit a 64-bit slot; one bit less carries into
         # the next slot (or out of the last one) and flips the sign read
         paths = set()
-        for rows in self.ROWS:
+        for rows in map(packing_rows, self.ROWS):
             packed = qlinalg.PackedRows(rows)
             l1 = max(sum(map(abs, r)) for r in rows)
             for e in (62, 63, 64):
@@ -497,14 +498,14 @@ class TestPackedRows:
     def test_slot_edges(self, monkeypatch):
         # with l1 = 1, products of +-(2^63 - 1) are the widest a slot
         # holds, next to each other in both orders; 2^63 takes the dots
-        packed = qlinalg.PackedRows([(1, 0), (0, -1), (1, 0)])
+        packed = qlinalg.PackedRows(packing_rows([(1, 0), (0, -1), (1, 0)]))
         edge = 2**63 - 1
         for v in ((edge, 0), (0, edge), (-edge, edge), (edge, -edge), (-edge, 1)):
             got, dots = dots_in(monkeypatch, packed, v)
             assert got == products_by_loop(packed.rows, v) and dots == 1, v
         for v in ((edge + 1, 0), (0, -edge - 1)):
             got, dots = dots_in(monkeypatch, packed, v)
-            assert got == products_by_loop(packed.rows, v) and dots == 3, v
+            assert got == products_by_loop(packed.rows, v) and dots == len(packed.rows), v
 
     def test_narrow_slot_edges(self, monkeypatch):
         # products at the edges of the 16- and 32-bit slots, next to each
@@ -513,7 +514,7 @@ class TestPackedRows:
         # l1 * max|v| just under and at 2^15 and 2^31.  Each takes the
         # narrowest slots that hold l1 * max|v| and one idot; a width one bit
         # narrower carries into the next slot
-        for rows in ([(1, 0), (0, -1), (1, 0)], [(1, 2), (-2, -1), (3, 0)]):
+        for rows in map(packing_rows, ([(1, 0), (0, -1), (1, 0)], [(1, 2), (-2, -1), (3, 0)])):
             packed = qlinalg.PackedRows(rows)
             l1 = max(sum(map(abs, r)) for r in rows)
             edges = {2**15 - 1, 2**15, 2**31 - 1, 2**31}
@@ -526,6 +527,33 @@ class TestPackedRows:
                         bound = l1 * max(map(abs, w))
                         size = min(s for s in (2, 4, 8) if bound < 2 ** (8 * s - 1))
                         assert packed.products(w).itemsize == size, (rows, w)
+
+    def test_few_rows_take_one_dot_per_row(self, monkeypatch, rng):
+        # the measured crossover: up to 4 rows take one idot per row, at
+        # every width, and 5 rows one packed product.  Below it the
+        # products and the positions of each value are those of the packed
+        # path, forced by a crossover of one row
+        assert qlinalg.PACK_MIN_ROWS == 5
+        for n in range(6):
+            for bits in (3, 20, 40, 200):
+                rows = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(n)]
+                v = [rng.randint(-(2**bits), 2**bits) for _ in range(3)]
+                l1 = max([sum(map(abs, r)) for r in rows], default=0)
+                fits = l1 * max(map(abs, v)) < 2**63
+                packed = qlinalg.PackedRows(rows)
+                got, dots = dots_in(monkeypatch, packed, v)
+                assert (got, dots) == (products_by_loop(rows, v), 1 if n == 5 and fits else n), (rows, v)
+                if n == 5:
+                    continue
+                with monkeypatch.context() as mp:
+                    mp.setattr(qlinalg, "PACK_MIN_ROWS", 1)
+                    forced = packed.products(v)
+                    assert list(forced) == got
+                    assert (type(forced) is memoryview) == (n > 0 and fits)
+                    for x in set(got):
+                        for lo, hi in ((0, n), (1, n), (0, n - 1)):
+                            at = qlinalg.positions(forced, x, lo, hi)
+                            assert qlinalg.positions(packed.products(v), x, lo, hi) == at, (rows, v)
 
     def test_packing_columns_match_the_byte_join(self, rng):
         # each column from one packing of its biased slots equals the column built

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,25 @@ class TestFanValidation:
         # exact integers in any form are read as they are
         fan = Fan([(Fraction(1), "0"), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, Fraction(4, 2))])
         assert fan == Fan(rays, cones)
+
+    def test_int_entries_build_no_fraction(self, monkeypatch):
+        # an int entry is read at once; a bool, a float, a fraction string
+        # and None still name their ray or cone, and an integer given as a
+        # string or a Fraction is still read
+        rays = [(1, 0), (0, 1), (-1, -1)]
+        cones = [(0, 1), (1, 2), (0, 2)]
+        rats = counting(monkeypatch, toric, "as_rat")
+        Fan(rays, cones)
+        assert rats == []
+        for x in (True, 1.5, "1/2", None):
+            with pytest.raises(InvalidModel, match=f"^ray 0 has an entry that is not an integer: {re.escape(repr(x))}$"):
+                Fan([(x, 0)] + rays[1:], cones)
+            with pytest.raises(InvalidModel, match=f"^cone 2 has an entry that is not an integer: {re.escape(repr(x))}$"):
+                Fan(rays, cones[:2] + [(0, x)])
+        ints = Fan(rays + [(3, -2)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        for x in (3, "3", Fraction(6, 2)):
+            fan = Fan(rays + [(x, -2)], [(0, 1), (1, 2), (2, x), (x, 0)])
+            assert fan == ints and type(fan.rays[3][0]) is int and type(fan.max_cones[2][1]) is int
 
     def test_duplicate_ray(self):
         with pytest.raises(InvalidModel):
