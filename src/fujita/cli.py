@@ -3,12 +3,12 @@
     fujita invariants <file>...     exact a, b, face generators, rigidity
     fujita balanced <file>...       verdict per subvariety datum
     fujita zariski <file>...        Zariski decomposition of the class in "line_bundle"
-    fujita fixtures list|run [id]   catalog listing / pass-fail table
+    fujita fixtures list            catalog listing
+    fujita fixtures run [ID...]     pass-fail table
 
-Flags: --json (machine output, byte-for-byte deterministic), --jobs N >= 1
-(parallel batch over files or fixture ids, at most one worker per task and
-per CPU), --strict-fan (terminality of each singular cone, |det| at most
-2^16; every fan is checked for exact completeness whatever the flag).
+Flags: --json (machine output, byte-for-byte deterministic), --strict-fan
+(terminality of each singular cone, |det| at most 2^16; every fan is checked
+for exact completeness whatever the flag).  `fixtures list` takes no ids.
 FUJITA_FIXTURE_DIR overrides the fixture catalog directory.
 
 Exit codes: 0 ok, 1 fixture failure or stdout closed early (as in
@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from . import delpezzo, fixtures, invariants, modelio
 from .errors import (
@@ -44,7 +43,6 @@ EXIT_SCHEMA = 2
 EXIT_NOT_BIG = 3
 EXIT_K_PSEFF = 4
 EXIT_INTERNAL = 5
-ProcessPoolExecutor = None  # loads multiprocessing: imported by the first pooled batch
 
 
 def _json_dumps(obj) -> str:
@@ -156,43 +154,7 @@ _REPORTERS = {
 }
 
 
-def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for a batch: never more than the tasks or the CPUs
-    this process may run on (its affinity mask, where the platform has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(jobs, tasks, cpus)
-
-
-def _batch(items: list, jobs: int, run_one, run_share) -> list:
-    """The results for the items, in item order.  With one worker,
-    run_one(item) runs each in this process; otherwise each worker of a
-    process pool takes every workers-th item and runs run_share(share),
-    which returns the share's results in order, so a worker's set-up (such
-    as a catalog load) happens once per worker."""
-    global ProcessPoolExecutor
-    workers = _workers(jobs, len(items))
-    if workers <= 1:
-        return [run_one(item) for item in items]
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    results: list = [None] * len(items)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shares = [items[w::workers] for w in range(workers)]
-        for w, share in enumerate(pool.map(run_share, shares)):
-            results[w::workers] = share
-    return results
-
-
-def _process_files(tasks: list[tuple[str, str, bool]]) -> list[tuple[int, dict | list]]:
-    """Worker task: run a share of the files."""
-    return [_process_file(t) for t in tasks]
-
-
-def _process_file(args: tuple[str, str, bool]) -> tuple[int, dict | list]:
-    command, path, strict_fan = args
+def _process_file(command: str, path: str, strict_fan: bool) -> tuple[int, dict | list]:
     try:
         return EXIT_OK, _REPORTERS[command](path, strict_fan)
     except FujitaError as exc:
@@ -239,16 +201,15 @@ def _emit_human(command: str, path: str, payload) -> None:
             print(f"check {name}: {'ok' if ok else 'FAILED'}")
 
 
-def _run_files(command: str, paths: list[str], as_json: bool, jobs: int, strict_fan: bool) -> int:
-    tasks = [(command, p, strict_fan) for p in paths]
-    results = _batch(tasks, jobs, _process_file, _process_files)
+def _run_files(command: str, paths: list[str], as_json: bool, strict_fan: bool) -> int:
     exit_code = EXIT_OK
-    for path, (code, payload) in zip(paths, results):
+    for path in paths:
+        code, payload = _process_file(command, path, strict_fan)
         if as_json:
             print(_json_dumps(payload))
         else:
             _emit_human(command, path, payload)
-        if code != EXIT_OK and exit_code == EXIT_OK:
+        if exit_code == EXIT_OK:
             exit_code = code
     return exit_code
 
@@ -263,12 +224,6 @@ def _fixture_report(fixture: fixtures.Fixture) -> dict:
             for c in report.checks
         ],
     }
-
-
-def _run_fixture_ids(ids: list[str], strict_fan: bool) -> list[dict]:
-    """Worker task: load the catalog once and run a share of the fixture ids."""
-    catalog = fixtures.load_catalog(strict_fan=strict_fan)
-    return [_fixture_report(catalog[fid]) for fid in ids]
 
 
 def _cmd_fixtures(ns) -> int:
@@ -290,14 +245,8 @@ def _cmd_fixtures(ns) -> int:
     ids = ns.ids or sorted(catalog)
     missing = [i for i in ids if i not in catalog]
     if missing:
-        print(f"unknown fixture ids: {', '.join(missing)}", file=sys.stderr)
-        return EXIT_SCHEMA
-    reports = _batch(
-        ids,
-        ns.jobs,
-        lambda fid: _fixture_report(catalog[fid]),
-        partial(_run_fixture_ids, strict_fan=ns.strict_fan),
-    )
+        raise SchemaError(f"unknown fixture ids: {', '.join(missing)}")
+    reports = [_fixture_report(catalog[fid]) for fid in ids]
     all_passed = all(r["passed"] for r in reports)
     if ns.json:
         print(_json_dumps(reports))
@@ -322,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel batch size")
         p.add_argument(
             "--strict-fan",
             action="store_true",
@@ -349,7 +297,7 @@ def _dispatch(ns) -> int:
     try:
         if ns.command == "fixtures":
             return _cmd_fixtures(ns)
-        return _run_files(ns.command, ns.files, ns.json, ns.jobs, ns.strict_fan)
+        return _run_files(ns.command, ns.files, ns.json, ns.strict_fan)
     except FujitaError as exc:
         code, payload = _error_payload(exc)
         if getattr(ns, "json", False):
@@ -362,8 +310,8 @@ def _dispatch(ns) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.jobs < 1:
-        parser.error(f"argument --jobs: expected an integer >= 1, got {ns.jobs}")
+    if ns.command == "fixtures" and ns.action == "list" and ns.ids:
+        parser.error(f"fixtures list takes no ids, got {' '.join(ns.ids)}")
     try:
         code = _dispatch(ns)
         sys.stdout.flush()

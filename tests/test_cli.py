@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -538,8 +539,25 @@ class TestFixturesCommand:
         assert kib <= 2048, f"fixtures run --json added {kib} KiB of peak RSS"
 
     def test_unknown_id(self, capsys):
-        code, _ = run_cli(capsys, "fixtures", "run", "missing-fixture")
-        assert code == 2
+        # was a bare stderr line, with stdout empty under --json too
+        code = cli.main(["fixtures", "run", "nope", "p2-toric", "missing-fixture", "--json"])
+        assert (code, *capsys.readouterr()) == (
+            2,
+            '{"error":{"code":"schema_error","message":"$: unknown fixture ids: nope, missing-fixture"}}\n',
+            "",
+        )
+        code = cli.main(["fixtures", "run", "nope", "p2-toric"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: $: unknown fixture ids: nope\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_list_takes_no_ids(self, capsys, flags):
+        # the ids were ignored, and the whole catalog listed with exit 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fixtures", "list", "extra-id", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fixtures list takes no ids, got extra-id" in captured.err
 
     @pytest.mark.parametrize("text", ['{"id": "x", "model": ', "[1]"])
     def test_exit_2_on_a_malformed_catalog_file(self, capsys, tmp_path, monkeypatch, text):
@@ -630,11 +648,18 @@ class TestFixturesCommand:
 
 
 class TestBatchMode:
-    def test_import_leaves_process_pool_unloaded(self):
-        # a serial run needs no multiprocessing: the pool is imported by the
-        # first batch that uses one
-        probe = "import sys, fujita.cli; print('concurrent.futures.process' in sys.modules)"
-        assert fresh_python(probe) == "False"
+    def test_serial_run_loads_no_process_pool(self):
+        # every batch runs in this process: nothing forks, imports
+        # multiprocessing or pickles a result
+        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
+        probe = (
+            "import contextlib, io, sys\n"
+            "from fujita import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(['invariants', *{files!r}, '--json']), cli.main(['fixtures', 'run', '--json'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        assert fresh_python(probe) == "[0, 0] []"
 
     def test_import_loads_no_dataclasses(self):
         # the records are NamedTuples: dataclasses, with the inspect module
@@ -647,46 +672,51 @@ class TestBatchMode:
         package = pathlib.Path(cli.__file__).parent
         assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
 
-    def test_jobs_parallel_matches_serial(self, capsys):
-        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
-        code1, out1 = run_cli(capsys, "invariants", *files, "--json")
-        code2, out2 = run_cli(capsys, "invariants", *files, "--json", "--jobs", "2")
-        assert (code1, out1) == (code2, out2) == (0, out1)
+    def test_source_names_no_process_pool(self):
+        package = pathlib.Path(cli.__file__).parent
+        pool = re.compile(r"multiprocessing|concurrent\.futures|sched_getaffinity")
+        assert [p.name for p in package.glob("*.py") if pool.search(p.read_text())] == []
 
-    def test_batch_error_code_first_failure(self, capsys, tmp_path):
-        good = fixture_path("dp7-anticanonical")
-        bad = write(tmp_path, {"model": {"kind": "nonsense"}, "line_bundle": [1]})
-        code, out = run_cli(capsys, "invariants", good, bad, "--json")
-        assert code == 2
-        lines = out.strip().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[1])["error"]["code"] == "schema_error"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", fixture_path("p2-toric")],
+            ["balanced", fixture_path("pgl2-p3")],
+            ["zariski", fixture_path("dp7-anticanonical")],
+            ["fixtures", "list"],
+            ["fixtures", "run"],
+        ],
+        ids=["invariants", "balanced", "zariski", "fixtures-list", "fixtures-run"],
+    )
+    def test_jobs_is_a_usage_error(self, capsys, argv):
+        # every batch runs in one process; the option that chose a pool is gone
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--json", "--jobs", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
 
-
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
-
-    seen: list = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "seen", [])
-    return _InProcessPool.seen
+    @pytest.mark.parametrize(
+        "kinds, code",
+        [(["ok", "schema"], 2), (["not_big", "schema"], 3), (["schema", "not_big"], 2)],
+        ids=["ok-schema", "not-big-schema", "schema-not-big"],
+    )
+    def test_batch_error_code_first_failure(self, capsys, tmp_path, kinds, code):
+        # each file prints its line in argument order; the exit code is the
+        # first failure's
+        files = {
+            "ok": (fixture_path("dp7-anticanonical"), None),
+            "schema": (write(tmp_path, {"model": {"kind": "nonsense"}, "line_bundle": [1]}, "bad.json"), "schema_error"),
+            "not_big": (
+                write(tmp_path, {"model": {"kind": "del_pezzo", "degree": 8}, "line_bundle": [1, -1]}, "small.json"),
+                "not_big",
+            ),
+        }
+        got, out = run_cli(capsys, "invariants", *(files[k][0] for k in kinds), "--json")
+        assert got == code
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line.get("error", {}).get("code") for line in lines] == [files[k][1] for k in kinds]
 
 
 @pytest.fixture
@@ -700,64 +730,6 @@ def count_catalog_loads(monkeypatch):
 
     monkeypatch.setattr(fixtures, "load_catalog", counting)
     return calls
-
-
-def allow_cpus(monkeypatch, n):
-    """The process may run on n CPUs, whatever the machine has."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-
-
-class TestJobsClamp:
-    def test_clamped_to_tasks(self, capsys, in_process_pool, monkeypatch):
-        allow_cpus(monkeypatch, 64)
-        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
-        _, serial = run_cli(capsys, "invariants", *files, "--json")
-        code, out = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
-        assert (code, out) == (0, serial)
-        assert in_process_pool == [2]
-
-    def test_clamped_to_cpus(self, capsys, in_process_pool, monkeypatch):
-        # the affinity mask counts, not the 64 CPUs of the machine
-        allow_cpus(monkeypatch, 3)
-        files = [fixture_path(f) for f in ("dp7-anticanonical", "p2-toric", "dp3-anticanonical", "pgl2-p3")]
-        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "1000")
-        assert code == 0
-        assert in_process_pool == [3]
-
-    def test_one_cpu_runs_serially(self, capsys, in_process_pool, monkeypatch):
-        allow_cpus(monkeypatch, 1)
-        files = [fixture_path("dp7-anticanonical"), fixture_path("p2-toric")]
-        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "8")
-        assert code == 0
-        assert in_process_pool == []
-
-    @pytest.mark.parametrize("cpus, pool", [(None, []), (3, [3])])
-    def test_without_affinity_counts_the_machine(self, capsys, in_process_pool, monkeypatch, cpus, pool):
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        files = [fixture_path(f) for f in ("dp7-anticanonical", "p2-toric", "dp3-anticanonical", "pgl2-p3")]
-        code, _ = run_cli(capsys, "invariants", *files, "--json", "--jobs", "8")
-        assert code == 0
-        assert in_process_pool == pool
-
-    def test_fixtures_run_clamped(self, capsys, in_process_pool, monkeypatch, count_catalog_loads):
-        allow_cpus(monkeypatch, 2)
-        ids = ["cubic-threefold", "dp3-anticanonical", "p2-toric", "x22-lines", "pgl2-p3"]
-        _, serial = run_cli(capsys, "fixtures", "run", *ids, "--json")
-        count_catalog_loads.clear()
-        code, out = run_cli(capsys, "fixtures", "run", *ids, "--json", "--jobs", "99")
-        assert (code, out) == (0, serial)
-        assert in_process_pool == [2]
-        # once to check the ids, then once in each worker
-        assert len(count_catalog_loads) == 3
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_below_one_is_a_usage_error(self, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["fixtures", "run", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
 
 
 class TestFixturesCatalogLoads:
