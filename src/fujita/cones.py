@@ -16,28 +16,27 @@ negative.  The ray LP's witness of base + a*direction is checked in
 integers as the facet route's is (below).
 
 Once the facets exist, membership and the minimal face read every f_j.v
-off one packed product (`qlinalg.PackedRows`, built once with the
-facets).  v is outside iff some f_j.v < 0 and on the boundary iff the
-least is 0; its minimal face is cut out by the facets vanishing at v:
-the generators on all of them.
+off one packed product (`qlinalg.PackedRows`, kept with the facets in the
+cone's one facet store).  v is outside iff some f_j.v < 0 and on the
+boundary iff the least is 0; its minimal face is cut out by the facets
+vanishing at v: the generators on all of them.
 
 Two such products, of L and of K, give the least a with K + aL in the cone
 by LP duality.  L is interior iff every f_j.L > 0; then K + aL is in the
 cone iff a >= -f_j.K / f_j.L for every j, so a is the largest ratio.  The
 facets reaching it are exactly those vanishing at K + aL, all others being
 positive there, so by the same rule they cut out its minimal face.  K is
-fixed per model, so the cone keeps the last base vector with its scaled
-integers, and from K's one product, the facets ordered by f_j.K, packed
-in that order (a second `PackedRows`), with each group's bounds [lo, hi)
-in the order and the generator masks in the order.  A query with an equal
-base takes one product, of L off that packing.  Within a group the ratio
--f_j.K / f_j.L is largest at the least f_j.L when f_j.K < 0, at the
-greatest when f_j.K > 0, and is 0 throughout when f_j.K = 0.  So L's
-product is read one group at a time, as a zero-copy slice, by C-level min
-and max: L is interior iff every group's least f_j.L is positive, the
-group winners are compared exactly, and the masks ANDed for the face are
-those of the winning groups' facets that reach a (all of a group with
-f_j.K = 0), found by one `qlinalg.positions` scan of the group's slots.
+fixed per model: K's one product orders the store by f_j.K in place, and
+the cone keeps K, its scaled integers and each group's bounds [lo, hi), so
+a query with an equal base takes one product, of L, and a new base
+reorders.  Within a group the ratio -f_j.K / f_j.L is largest at the least
+f_j.L when f_j.K < 0, at the greatest when f_j.K > 0, and is 0 throughout
+when f_j.K = 0.  So L's product is read one group at a time, as a
+zero-copy slice, by C-level min and max: L is interior iff every group's
+least f_j.L is positive, the group winners are compared exactly, and the
+masks ANDed for the face are those of the winning groups' facets that
+reach a (all of a group with f_j.K = 0), found by one `qlinalg.positions`
+scan of the group's slots.
 
 A cell of a face F is a basis B of span(G_F) drawn from its generators
 G_F, with coordinate rows R on which G_B is invertible, kept as (B, d,
@@ -50,13 +49,13 @@ leaves the memo.
 Every face is memoized per cone by its generator mask, with its cells.  F
 is simplicial when G_F is independent, as more than 90% of the distinct
 faces that seeded del Pezzo queries meet on the degree-2 cone are.  The
-facets' zero sets, transposed once, give per generator g_j the bitmask of
-the facets holding it.  F is simplicial iff each g_j in F has a dual facet
-f_j, one holding every other generator of F but not g_j (Fukuda and
-Prodon 1996); prefix and suffix ANDs find them all in O(|F|) big-integer
-operations.  As f_j.g_i = 0 for i != j, F has one cell, with no
-elimination, inverse or LP: B = G_F, R every coordinate, d the lcm of the
-f_j.g_j and row j (d / f_j.g_j) f_j.  It is built on the first witness
+facets' zero sets, transposed in each store, give per generator g_j the
+bitmask of the facets holding it.  F is simplicial iff each g_j in F has a
+dual facet f_j, one holding every other generator of F but not g_j (Fukuda
+and Prodon 1996); prefix and suffix ANDs find them all in O(|F|)
+big-integer operations.  As f_j.g_i = 0 for i != j, F has one cell, with
+no elimination, inverse or LP: B = G_F, R every coordinate, d the lcm of
+the f_j.g_j and row j (d / f_j.g_j) f_j.  It is built on the first witness
 read and kept once that witness passes; the witness is unique, so a miss
 is an internal error.
 
@@ -65,12 +64,12 @@ and the pivot rows R that all its cells share, and keeps at most |F|
 cells, most recently used first.  When every cell misses, the final basis
 of one LP on the rows R of G_F and p gives a new front cell, dropping the
 last when the face is full; so a revisited face may answer with an earlier
-query's basis.  A memo of FACE_MEMO_BOUND faces drops its simplicial ones,
-which cost no elimination or LP to rebuild, and is emptied only if the
-others fill it.  The boundary point is kept with its face in one slot,
-like K.  Only `minimal_face` hands out faces, on either route: it reads
-that point's face with no product, and builds the facets for a nonzero
-point of the ray LP.
+query's basis.  A full memo or a reorder of the facets drops the
+simplicial faces, which name duals by facet index and cost no LP to
+rebuild, and empties the memo only if the others fill it.  The boundary
+point is kept with its face in one slot, like K.  Only `minimal_face`
+hands out faces, on either route: it reads that point's face with no
+product, and builds the facets for a nonzero point of the ray LP.
 
 `positive_support` finds, by one LP, the coordinates that some point of
 {x >= 0 : A x = b} makes positive; the rest are the always-active
@@ -113,11 +112,10 @@ from .qlinalg import (
 )
 from .simplex import LPResult, LPStatus, solve_lp
 
-# Faces kept per cone, keyed by their generator mask: a fixed bound, not a
-# setting.  Over 20 000 queries at seed 5 the memo peaks at 179 faces on
-# `toric-polytope`; on `dp-dual-path` degrees 2-4 fill it 21, 4 and 1 times,
-# each time dropping the simplicial faces and keeping the 126, 27 and 10
-# others, so memory does not grow with the number of queries.
+# Faces kept per cone, keyed by generator mask: a fixed bound, not a setting.
+# Over 20 000 queries at seed 5 the memo peaks at 179 faces on `toric-polytope`;
+# `dp-dual-path` degrees 2-4 fill it 21, 4 and 1 times, keeping at most 126, 27
+# and 10 non-simplicial faces, so memory does not grow with the queries.
 FACE_MEMO_BOUND = 256
 
 # a face's cell (module docstring): B, d, d * G_B[R, :]^-1, G_B's coordinate rows
@@ -316,27 +314,27 @@ class ConeQ:
 
     @property
     def facets(self) -> tuple[VecQ, ...]:
-        """Irredundant facet normals, primitive integer, lexicographic
-        order.  Built anew on each call from the integer rows the cone
-        keeps."""
+        """Irredundant facet normals, primitive integer, in lexicographic
+        order whatever the stored order; built anew on each call."""
         if self._facets is None:
             self._compute_facets()
-        return tuple([VecQ.from_scaled(f, 1) for f in self._facets])
+        return tuple([VecQ.from_scaled(f, 1) for f in sorted(self._facets)])
 
     def _compute_facets(self):
-        """The facets, the generators each annihilates (DD's zero sets), per
-        generator the facets that contain it (the transpose), and the
-        facets' packed products."""
-        ordered = sorted(zip(*_dd_extremal_rays(list(self._gens_int), self.ambient_dim)))
-        facets_int = tuple([f for f, _ in ordered])
+        """DD's facets and their zero sets, stored in lexicographic order."""
+        self._store(sorted(zip(*_dd_extremal_rays(list(self._gens_int), self.ambient_dim))))
+
+    def _store(self, ordered: Sequence[tuple[tuple[int, ...], int]]):
+        """Store the (facet, zero set) pairs in this order, with per generator
+        the facets holding it (the transpose) and the facets' packing."""
         self._facet_gen_masks = tuple([z for _, z in ordered])
         # column t of the zero sets' bit strings is generator k-1-t; read
         # each column last facet first, so that facet i is bit i
         k = len(self._gens_int)
         columns = zip(*[format(z, f"0{k}b") for z in self._facet_gen_masks])
         self._gen_facet_masks = tuple([int("".join(col)[::-1], 2) for col in columns][::-1])
-        self._packed = PackedRows(facets_int)
-        self._facets = facets_int
+        self._facets = tuple([f for f, _ in ordered])
+        self._packed = PackedRows(self._facets)
 
     def _slots(self, vi: list[int]) -> Sequence[int]:
         """Every f_j.vi, in facet order (`qlinalg.PackedRows.products`)."""
@@ -444,20 +442,25 @@ class ConeQ:
             rows = tuple(pivot_columns([[gens[j][t] for j in inside] for t in range(self.ambient_dim)]))
             entry = FaceQ(self, frozenset(inside), len(rows)), rows, [], None
         if len(self._faces) >= FACE_MEMO_BOUND:
-            kept = {m: e for m, e in self._faces.items() if e[3] is None}
-            self._faces = kept if len(kept) < FACE_MEMO_BOUND else {}
+            self._drop_simplicial()
         self._faces[mask] = entry
         return entry
 
+    def _drop_simplicial(self):
+        """Drop the memo's simplicial faces; empty it if the others fill it."""
+        kept = {m: e for m, e in self._faces.items() if e[3] is None}
+        self._faces = kept if len(kept) < FACE_MEMO_BOUND else {}
+
     def _duals(self, inside: list[int]) -> tuple[int, ...] | None:
         """Per generator g_j of the face F with generators `inside`, the
-        least facet f_j that contains every other generator of F and not
-        g_j; None when some g_j has none, which happens iff G_F is
-        dependent.  With every f_j, f_j.g_i = 0 for i != j and f_j.g_j > 0,
-        so G_F is independent; conversely each cone(G_F minus g_j) of a
-        simplicial face is a face of the cone, the cut of the facets that
-        contain it, and g_j is not in it.  Prefix and suffix ANDs of the
-        generators' facet masks give each f_j in O(|F|) operations."""
+        first facet f_j in the stored order that contains every other
+        generator of F and not g_j; None when some g_j has none, which
+        happens iff G_F is dependent.  With every f_j, f_j.g_i = 0 for
+        i != j and f_j.g_j > 0, so G_F is independent; conversely each
+        cone(G_F minus g_j) of a simplicial face is a face of the cone, the
+        cut of the facets that contain it, and g_j is not in it.  Prefix and
+        suffix ANDs of the generators' facet masks give each f_j in O(|F|)
+        operations."""
         masks = [self._gen_facet_masks[j] for j in inside]
         before = every = (1 << len(self._facets)) - 1
         # after[i]: the AND of the masks after the i-th
@@ -481,10 +484,8 @@ class ConeQ:
         the facets built, two packed products give a and the point's face
         (see the module docstring), and the witness is read off the first
         of the face's cells that holds the point, else off a new cell, and
-        checked in integers.  K's scaled integers, facet groups and their
-        packing are kept for the next call with an equal base, and the
-        point with its face for `minimal_face`.  Without the facets,
-        `contains` and the ray LP answer: a alone never forces them."""
+        checked in integers.  Without the facets, `contains` and the ray LP
+        answer: a alone never forces them."""
         if base.dim != self.ambient_dim or direction.dim != self.ambient_dim:
             raise DimensionMismatch("ray data dimension mismatch")
         if self._facets is None:
@@ -495,9 +496,9 @@ class ConeQ:
         vl, dl = scaled_ints(direction)
         if self._base is None or self._base[0] != base:
             vk, dk = scaled_ints(base)
-            self._base = (base, vk, dk) + self._groups(self._slots(vk))
-        _, vk, dk, packed, groups, masks = self._base
-        sl = packed.products(vl)
+            self._base = base, vk, dk, self._groups(self._slots(vk))
+        _, vk, dk, groups = self._base
+        sl, masks = self._packed.products(vl), self._facet_gen_masks
         # per group: -f.K, the f.L of its best facet and its bounds (see the
         # module docstring); L is interior iff the least f.L of every group
         # is positive
@@ -583,19 +584,18 @@ class ConeQ:
         coords = [_shared_row(r) for r in zip(*[gens[j] for j in basis])]
         return tuple(basis), det, inverse, coords or [()] * self.ambient_dim
 
-    def _groups(self, sk: Sequence[int]) -> tuple[PackedRows, list[tuple[int, int, int]], tuple[int, ...]]:
-        """The facets ordered by their value of f.K, given every f.K: their
-        packing in that order, per group of equal f.K its -f.K and its
-        bounds [lo, hi) in the order, and their generator masks in the
-        order."""
+    def _groups(self, sk: Sequence[int]) -> list[tuple[int, int, int]]:
+        """Given every f.K, store the facets stably ordered by f.K; per group
+        of equal f.K, its -f.K and its bounds [lo, hi) in that order."""
         order = sorted(range(len(sk)), key=sk.__getitem__)
         groups, lo = [], 0
         for k, run in groupby(order, key=sk.__getitem__):
             hi = lo + len(list(run))
             groups.append((-k, lo, hi))
             lo = hi
-        masks = self._facet_gen_masks
-        return PackedRows([self._facets[j] for j in order]), groups, tuple([masks[j] for j in order])
+        self._store([(self._facets[j], self._facet_gen_masks[j]) for j in order])
+        self._drop_simplicial()
+        return groups
 
     def min_a_with_witness(
         self, base: VecQ, direction: VecQ

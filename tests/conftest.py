@@ -62,13 +62,13 @@ def dots_taken(c, v) -> int:
     return sum(map(len, calls))
 
 
-def products_by_packing(calls, c) -> tuple[int, int]:
+def store_products(calls, c) -> int:
     """Of the `PackedRows.products` calls recorded in `calls`, those on c's
-    facets in facet order (K's, and those of `contains` and `minimal_face`)
-    and those on its facets in the order of the last base's f.K groups
-    (L's in `min_a_with_point`)."""
-    grouped = c._base[3] if c._base else None
-    return sum(args[0] is c._packed for args in calls), sum(args[0] is grouped for args in calls)
+    one facet store, in whichever order it held the facets at the call:
+    K's before a new base reorders it, L's after, and those of `contains`
+    and `minimal_face`."""
+    facets = set(c._facets or ())
+    return sum(set(args[0].rows) == facets for args in calls)
 
 
 def packing_rows(rows) -> list:

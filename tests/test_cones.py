@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,9 +18,9 @@ from fujita.cones import (
 )
 from fujita.delpezzo import del_pezzo, quadric_surface
 from fujita.errors import Infeasible, InternalError, InvalidModel, OutsideCone, UnboundedBelow
-from fujita.qlinalg import VecQ, span_dim
+from fujita.qlinalg import VecQ, scaled_ints, span_dim
 from fujita.simplex import LPResult, LPStatus
-from fujita.toric import variety_model
+from fujita.toric import ns_presentation, variety_model
 from conftest import (
     counting,
     dots_taken,
@@ -382,6 +383,45 @@ class TestPackedSigns:
         assert list(c._packed._packings) == [2]
 
 
+    def test_one_store_after_a_query(self, toric_fans):
+        # `min_a_with_point` on each del Pezzo cone of degree 2-7 and on the
+        # toric catalog cones, at two scales of L: the cone keeps one facet
+        # store, reordered by f.K in place, and so at most one packing per
+        # width; `_base` holds K, its integers, its scale and the group
+        # bounds, no packing; and `facets` reads as before the query
+        cases = []
+        for d in range(2, 8):
+            surf = del_pezzo(d)
+            eff = surf.variety().eff_cone
+            cases.append((eff, surf.canonical, -1 * surf.canonical + eff.generators[0] + 2 * eff.generators[-1]))
+        for fan in toric_fans.values():
+            m = variety_model(fan)
+            coeffs = [1 + i % 3 for i in range(len(fan.rays))]
+            cases.append((m.eff_cone, m.canonical, ns_presentation(fan).divisor_class(coeffs)))
+        packed = 0
+        for eff, k, bundle in cases:
+            c = ConeQ(eff.generators, ambient_dim=eff.ambient_dim)
+            lex = c.facets
+            for n in (1, 2**40):
+                assert c.min_a_with_point(k, n * bundle) is not None
+            base, ints, scale, groups = c._base
+            assert base == k and (ints, scale) == scaled_ints(k)
+            assert [hi for _, _, hi in groups] == [lo for _, lo, _ in groups[1:]] + [len(c._facets)]
+            held = [getattr(c, name) for name in ConeQ.__slots__] + list(c._base)
+            stores = [x for x in held if isinstance(x, qlinalg.PackedRows)]
+            assert stores == [c._packed] and c._packed.rows == c._facets
+            widths = Counter([size for store in stores for size in store._packings])
+            assert set(widths.values()) <= {1}
+            packed += bool(widths)
+            dots = [qlinalg.idot(f, ints) for f in c._facets]
+            assert dots == sorted(dots) and c.facets == lex
+            assert c._facet_gen_masks == facet_generator_masks_by_dot(c)
+            assert c._gen_facet_masks == tuple(
+                [sum([(m >> j & 1) << i for i, m in enumerate(c._facet_gen_masks)]) for j in range(len(c.generators))]
+            )
+        assert packed >= 8, packed
+
+
 class TestDotPath:
     """The packed-sign cases again with `qlinalg` reading the host as
     big-endian, so that every product, small ones too, takes one idot per
@@ -532,7 +572,8 @@ class TestMinimalFace:
             face = c.minimal_face(v)
             masks = c._facet_gen_masks
             all_gens = (1 << len(c.generators)) - 1
-            active = [i for i, f in enumerate(c.facets) if f.dot(v) == 0]
+            # indices into the facets as stored, which a query may reorder
+            active = [i for i, f in enumerate(c._facets) if VecQ(f).dot(v) == 0]
             for dropped in active:
                 gmask = all_gens
                 for i in active:

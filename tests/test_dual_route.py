@@ -202,7 +202,7 @@ def test_grouped_arg_max_on_every_sign_of_fk():
         assert check_dual_route(c, base, direction)
         assert c.min_a_with_point(base, direction)[0] == a
         assert c.minimal_face(base + a * direction).generators_in_face == face
-        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[4]}
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
         ties += len(tie_groups(c, base, a, direction)) > 1
     assert signs == {-1, 0, 1} and ties == 3
 
@@ -225,9 +225,53 @@ def test_grouped_arg_max_on_del_pezzo_cones_with_mixed_bases(degree):
             direction = direction + rng.randint(1, 2) * gens[j]
         assert check_dual_route(c, base, direction)
         a = c.min_a_with_point(base, direction)[0]
-        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[4]}
+        signs |= {(n > 0) - (n < 0) for n, _, _ in c._base[3]}
         ties += len(tie_groups(c, base, a, direction)) > 1
     assert signs == {-1, 0, 1} and ties > 10
+
+
+def test_a_base_switch_drops_only_the_simplicial_faces(monkeypatch):
+    # K, then another base, then K again on one cone.  Each switch reorders
+    # the one facet store by the new base's f.K and drops the simplicial
+    # faces, whose duals are facet indices; the other faces keep their
+    # LP-found cells, so the revisited face of K's first query runs no face
+    # LP.  Every a, face and witness equals the per-facet loop's and the
+    # `Fraction` solve's on the answering basis.
+    surf = del_pezzo(6)
+    c = with_facets(surf.variety().eff_cone)
+    gens, k = c.generators, surf.canonical
+    lex = c.facets
+    # bundles[4] meets the face of g_0, g_1, g_3, g_4 (span 3) from both bases
+    bundles = [-1 * k + gens[0] + 2 * g for g in gens]
+    lps = counting(monkeypatch, cones, "solve_lp")
+    orders, kept = [], {}
+    for base in (k, k + gens[1], k):
+        vk = scaled_ints(base)[0]
+        for i, bundle in enumerate(bundles[4:] + bundles):
+            before = len(lps)
+            a, point, witness = c.min_a_with_point(base, bundle)
+            face = c._point[1]
+            assert (a, face.generators_in_face) == min_a_and_face_by_facet_loop(c, base, bundle)
+            mask = sum([1 << j for j in face.generators_in_face])
+            basis = c._faces[mask][2][0][0]
+            expected = [Fraction(0)] * len(gens)
+            for j, x in zip(basis, combination_by_fractions([gens[j] for j in basis], point)):
+                expected[j] = x
+            assert list(witness) == expected, (base, bundle)
+            if i == 0:
+                # the first query after a switch: no simplicial face is left,
+                # and every other face kept its cells, the same list
+                assert len(face.generators_in_face) > face.span_dim
+                assert all(e[3] is None for e in c._faces.values())
+                assert all(c._faces[m][2] is cells and cells for m, cells in kept.items())
+                if base == k and kept:
+                    assert len(lps) == before
+        dots = [qlinalg.idot(f, vk) for f in c._facets]
+        assert dots == sorted(dots) and c.facets == lex
+        orders.append(c._facets)
+        assert any(e[3] is not None for e in c._faces.values())
+        kept = {m: e[2] for m, e in c._faces.items() if e[3] is None}
+    assert orders[0] != orders[1] and kept
 
 
 # L's products in the group order on the orthant of Q^8 with this base:
@@ -253,7 +297,7 @@ def check_ties(base, slots, size):
     assert check_dual_route(c, base, direction)
     point, face = c._point
     assert face == minimal_face_by_facet_loop(c, point), slots
-    sl = c._base[3].products(scaled_ints(direction)[0])
+    sl = c._packed.products(scaled_ints(direction)[0])
     assert list(sl) == slots
     packed = type(sl) is memoryview
     assert (sl.itemsize if packed else None) == (size if qlinalg.sys.byteorder == "little" else None)
@@ -390,7 +434,6 @@ def check_dual_rule(c, queries, n):
     of its front cell, the one that answered.  Returns the number of
     simplicial and of other faces met."""
     met = [0, 0]
-    facets = c.facets
     with pytest.MonkeyPatch.context() as mp:
         solves = [counting(mp, cones, name) for name in ("pivot_columns", "scaled_inverse", "solve_lp")]
         for base, direction in queries:
@@ -414,8 +457,9 @@ def check_dual_rule(c, queries, n):
                 assert face.span_dim == len(gens) and memo_duals == duals
                 assert list(rows) == list(range(c.ambient_dim)) and [cell[0] for cell in cells] == [tuple(inside)]
                 assert solves == [[], [], []], (base, direction)
+                # the duals index the facets as stored after the query
                 for f, j in zip(duals, inside):
-                    assert [facets[f].dot(g) > 0 for g in gens] == [i == j for i in inside]
+                    assert [VecQ(c._facets[f]).dot(g) > 0 for g in gens] == [i == j for i in inside]
             else:
                 assert memo_duals is None
                 inside = cells[0][0]
@@ -524,6 +568,7 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
     # facets holding g_j (f.g_j = 0), and facets holding neither g_j nor
     # the face's other generator g_i (a wrong lam_j, still positive)
     j, i = inside
+    dual = c._facets[duals[0]]  # the duals index the facets as stored after the query
     on_j = [e for e in range(len(c._facets)) if c._gen_facet_masks[j] >> e & 1]
     holding = c._gen_facet_masks[j] | c._gen_facet_masks[i]
     off_other = [e for e in range(len(c._facets)) if not holding >> e & 1]
@@ -537,8 +582,9 @@ def test_a_wrong_dual_facet_or_product_is_caught(monkeypatch):
     for owner, name, plant, message in plants:
         c = with_facets(cone)
         # f_j.g_j for the first generator: its dual facet against it, and
-        # no other product of that facet (its cell row may be the facet)
-        facet, generator = c._facets[duals[0]], c._gens_int[j]
+        # no other product of that facet (its cell row may be the facet);
+        # the query reorders this copy's own facet tuples
+        facet, generator = c._facets[c._facets.index(dual)], c._gens_int[j]
         monkeypatch.setattr(owner, name, plant)
         with pytest.raises(InternalError, match=message) as exc:
             c.min_a_with_point(surf.canonical, bundle)

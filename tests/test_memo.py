@@ -26,7 +26,7 @@ from fujita.errors import InvalidModel, NotBig, NotPseudoEffective
 from fujita.invariants import VarietyModel, b_invariant, fujita, is_rigid_class
 from fujita.qlinalg import MatQ, VecQ
 from fujita.toric import ns_presentation, variety_model
-from conftest import MEMOS, counting, products_by_packing, vec, with_fresh_cone
+from conftest import MEMOS, counting, store_products, vec, with_fresh_cone
 from oracles import minimal_face_by_facet_loop, rank_by_bareiss, toric_balanced_by_adjoint
 
 BOUND = 16
@@ -59,29 +59,29 @@ def test_surface_calls_share_one_ray_lp_and_one_zariski(monkeypatch, degree):
         products = counting(monkeypatch, qlinalg.PackedRows, "products")
 
         fr = fujita(m, bundle)
-        chain_products = products_by_packing(products, m.eff_cone)
+        chain_products = store_products(products, m.eff_cone)
         res = b_invariant(m, bundle)
-        face_products = tuple(x - y for x, y in zip(products_by_packing(products, m.eff_cone), chain_products))
+        face_products = store_products(products, m.eff_cone) - chain_products
         case = surface_b(m, bundle)
         balance = surface_balanced(m, bundle)
         rigid = is_rigid_class(m, fr.boundary_class)
 
         if warm:
-            # one product of K in facet order, for its groups, and one of L
-            # in their order decide bigness, a and the face; the witness is
+            # one product of K, which reorders the one store by f.K, and one
+            # of L in that order decide bigness, a and the face; the witness is
             # read off the face's dual facets when the face is simplicial,
             # else one LP over its generators gives it, and `b_invariant`
             # reads the face kept with the point, no product
             simplicial = len(res.face.generators_in_face) == res.face.span_dim
             assert (len(rays), len(memberships), len(faces), len(lps)) == (0, 0, 1, 0 if simplicial else 1)
             assert all(len(lp[2]) == len(res.face.generators_in_face) for lp in lps)
-            assert (chain_products, face_products) == ((1, 1), (0, 0))
+            assert (chain_products, face_products) == (2, 0)
         else:
             # `fujita` asks the cone once whether the bundle is big, then
             # solves the ray LP; `b_invariant` builds the facets for the
             # face and takes one product in facet order
             assert (len(rays), len(memberships), len(faces), len(lps)) == (1, 1, 1, 2)
-            assert (chain_products, face_products) == ((0, 0), (1, 0))
+            assert (chain_products, face_products) == (0, 1)
         # the face pass and the Zariski kernel prove membership of the
         # boundary class themselves, and `is_rigid_class` leaves the
         # question to its route
@@ -145,9 +145,9 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             # face of the boundary class: no polytope, no LP
             assert (len(polytopes), len(supports), len(lps)) == (0, 0, chain_lps), name
             # `toric.variety_model` builds the facets with the model, so a
-            # query sees the warm state.  Warm, one product of K in facet
-            # order and one of L in the order of K's groups decide bigness,
-            # a and the face, the witness is read off the
+            # query sees the warm state.  Warm, one product of K, which
+            # reorders the one store by f.K, and one of L in that order
+            # decide bigness, a and the face, the witness is read off the
             # face's dual facets when the face is simplicial ({0} included) and
             # is one LP over its generators otherwise, and `b_invariant`,
             # rigidity and the balanced verdict each ask `minimal_face`,
@@ -157,14 +157,14 @@ def test_toric_query_builds_no_polytope_and_no_rigidity_lp(monkeypatch, toric_fa
             # each of the three `minimal_face` calls takes one product in
             # facet order, the first after building the facets, unless the
             # boundary class is 0, whose face {0} needs neither.
-            counts = products_by_packing(products, m.eff_cone)
+            counts = store_products(products, m.eff_cone)
             if warm:
-                assert (len(memberships), len(rays), len(faces), counts) == (0, 0, 3, (1, 1)), name
+                assert (len(memberships), len(rays), len(faces), counts) == (0, 0, 3, 2), name
                 simplicial = len(res.face.generators_in_face) == res.face.span_dim
                 assert chain_lps == (0 if simplicial else 1), name
             else:
                 faces_taken = 0 if fr.boundary_class.is_zero() else 3
-                assert (len(memberships), len(rays), len(faces), counts) == (1, 1, 3, (faces_taken, 0)), name
+                assert (len(memberships), len(rays), len(faces), counts) == (1, 1, 3, faces_taken), name
                 assert chain_lps == 2, name
             assert balanced == rigid, name
             monkeypatch.undo()
@@ -457,11 +457,11 @@ def test_eviction_never_costs_a_face_lp(toric_fans):
 
 
 def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
-    # on a warm cone, K's groups and their packing are kept after the first
-    # query, so each later `fujita` query takes one packed product, of L in
-    # the order of K's groups, and none of K; the boundary point is kept
-    # with its face, so `minimal_face` and toric rigidity on that point, or
-    # on an equal vector built anew, take none
+    # on a warm cone, K's groups are kept after the first query, which
+    # ordered the one store by f.K, so each later `fujita` query takes one
+    # packed product, of L on that store, and none of K; the boundary point
+    # is kept with its face, so `minimal_face` and toric rigidity on that
+    # point, or on an equal vector built anew, take none
     for name, fan in toric_fans.items():
         m = fresh_cone(variety_model(fan), warm=True)
         monkeypatch.setattr(toric, "variety_model", lambda f: m)
@@ -472,13 +472,13 @@ def test_chain_reads_k_and_the_boundary_face_once(monkeypatch, toric_fans):
             with pytest.MonkeyPatch.context() as mp:
                 products = counting(mp, qlinalg.PackedRows, "products")
                 fr = fujita(m, k * bundle)
-                assert products_by_packing(products, c) == (0, 1), name
+                assert store_products(products, c) == 1, name
                 for point in (fr.boundary_class, VecQ(list(fr.boundary_class))):
                     face = c.minimal_face(point)
                     assert face is c._point[1] and face == minimal_face_by_facet_loop(c, point), name
                     rigid = toric.class_is_rigid(fan, point)
                     assert rigid == (len(face.generators_in_face) == face.span_dim), name
-                assert products_by_packing(products, c) == (0, 1) and len(products) == 1, name
+                assert store_products(products, c) == len(products) == 1, name
         monkeypatch.undo()
 
 
