@@ -11,6 +11,7 @@ from .delpezzo import (
     del_pezzo,
     enumerate_negative_curves,
     quadric_surface,
+    surface,
     surface_b,
     surface_balanced,
     weak_balance_curve_check,

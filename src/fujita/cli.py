@@ -76,7 +76,7 @@ def _report_invariants(path: str, strict_fan: bool) -> dict:
         "paths": [invariants.b_route(m)],
     }
     if problem.model.kind == "del_pezzo":
-        case = delpezzo.surface_b(m, problem.bundle_class)
+        case = delpezzo.surface(m, problem.bundle_class)
         if case.b != res.b:
             raise InternalError(
                 f"surface case analysis b={case.b} disagrees with {report['paths'][0]} b={res.b}"

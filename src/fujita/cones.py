@@ -246,6 +246,14 @@ def _dd_extremal_rays(cons: list[tuple[int, ...]], d: int) -> tuple[list[tuple[i
     return rays, masks
 
 
+def check_witness(coords: Sequence[Sequence[int]], lam: list[int], det: int, p: list[int]):
+    """Raise InternalError unless lam >= 0 and the support's generators,
+    given by their coordinate rows and weighted by lam, sum to det * p:
+    lam / det is a witness of p."""
+    if min(lam, default=0) < 0 or [idot(r, lam) for r in coords] != [det * x for x in p]:
+        raise InternalError("witness is negative or misses the boundary point")
+
+
 class FaceQ(NamedTuple):
     """A supported face of a cone: the cut of all facets vanishing on a
     given vector, recorded by the generators it contains."""
@@ -541,7 +549,7 @@ class ConeQ:
                 i = len(cells)
                 basis, det, inverse, coords = self._new_cell(face, rows, pr, duals)
                 lam = [idot(r, pr) for r in inverse]
-            self._check_witness(coords, lam, det, p)
+            check_witness(coords, lam, det, p)
         except InternalError:
             # no face with a failing cell stays memoized
             self._faces.pop(mask, None)
@@ -614,15 +622,8 @@ class ConeQ:
         a = res.x[k] - res.x[k + 1]
         lam, det = scaled_ints(res.x[:k])
         p, scale = scaled_ints(base + a * direction)
-        self._check_witness(list(zip(*self._gens_int)), [scale * x for x in lam], det, p)
+        check_witness(list(zip(*self._gens_int)), [scale * x for x in lam], det, p)
         return a, res.x[:k]
-
-    def _check_witness(self, coords: Sequence[Sequence[int]], lam: list[int], det: int, p: list[int]):
-        """Raise InternalError unless lam >= 0 and the support's generators,
-        given by their coordinate rows and weighted by lam, sum to det * p:
-        lam / det is a witness of p."""
-        if min(lam, default=0) < 0 or [idot(r, lam) for r in coords] != [det * x for x in p]:
-            raise InternalError("witness is negative or misses the boundary point")
 
     def _ray_lp(self, base: VecQ, direction: Sequence) -> LPResult:
         """The LP min a s.t. base + a*direction is a nonnegative combination

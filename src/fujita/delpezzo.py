@@ -12,9 +12,9 @@ and read only the model they are given.
 
 The degree-b computation runs twice in this package: polyhedrally (minimal
 supported face) and through the Zariski decomposition case split implemented
-here (`surface_b`; `surface_balanced` reads the same memoized analysis);
-the test suite drives both on random big bundles and demands exact
-agreement.
+here (`surface`, one memoized answer per (model, bundle) holding the case,
+b and the balanced verdict); the test suite drives both on random big
+bundles and demands exact agreement.
 
 The Zariski decomposition (`zariski_for_variety`, the one entry) reads the
 negative generators of the asked model's own effective cone and its own
@@ -67,7 +67,7 @@ from math import prod
 from typing import NamedTuple
 
 from . import invariants
-from .cones import ConeQ, Containment, FaceQ
+from .cones import ConeQ, Containment, FaceQ, check_witness
 from .errors import (
     CurveInExcludedLocus,
     DegreeOutOfRange,
@@ -360,52 +360,42 @@ class SurfaceCase(Enum):
     BASE_CURVE = "base_curve"    # positive part a nonzero square-zero nef class
 
 
-class SurfaceCaseAnalysis(NamedTuple):
+class SurfaceAnswer(NamedTuple):
     case: SurfaceCase
     b: int
     n_components: int
-
-
-class SurfaceBalance(NamedTuple):
     balanced: bool
-    analysis: SurfaceCaseAnalysis
     fiber_class: VecQ | None     # primitive fiber class witness when unbalanced in the fibration case
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def _surface_case(m: VarietyModel, bundle: VecQ) -> tuple[SurfaceCaseAnalysis, VecQ]:
-    """Decompose the boundary class a*L + K on m, any model with a form,
-    and split on its positive part: zero gives b = rank - #support, a
-    nonzero (necessarily square-zero nef) class gives b = 1.  Returns the
-    analysis and the positive part.  The last MEMO_BOUND results are kept
-    per (model, bundle), so `surface_b` and `surface_balanced` of one
-    bundle share one analysis and one square check."""
-    fr = invariants.fujita(m, bundle)
-    dec = zariski_decompose(m, fr.boundary_class)
+def surface(m: VarietyModel, bundle: VecQ) -> SurfaceAnswer:
+    """b and the balanced verdict of a bundle on m, any model with a form,
+    from the Zariski decomposition of its boundary class a*L + K.  A zero
+    positive part gives b = rank - #support, and L is balanced (the class
+    is rigid).  A nonzero one, necessarily square-zero and nef, gives b = 1,
+    and the general fiber realizes the same pair (a, 1): L is unbalanced,
+    with the fiber's primitive class as the witness.  The last MEMO_BOUND
+    answers are kept per (model, bundle)."""
+    dec = zariski_for_variety(m, invariants.fujita(m, bundle).boundary_class)
     n = len(dec.negative_support)
     if dec.positive.is_zero():
-        return SurfaceCaseAnalysis(SurfaceCase.BASE_POINT, m.ns_rank - n, n), dec.positive
+        return SurfaceAnswer(SurfaceCase.BASE_POINT, m.ns_rank - n, n, True, None)
     if m.pair(dec.positive, dec.positive) != 0:
         raise InternalNonTermination(
             "positive part of a boundary class must have square zero"
         )
-    return SurfaceCaseAnalysis(SurfaceCase.BASE_CURVE, 1, n), dec.positive
+    return SurfaceAnswer(SurfaceCase.BASE_CURVE, 1, n, False, dec.positive.primitive())
 
 
-def surface_b(m: VarietyModel, bundle: VecQ) -> SurfaceCaseAnalysis:
-    """The case split for b on a surface: decompose a*L + K; a vanishing
-    positive part gives b = rank - #support, a nonzero one gives b = 1."""
-    return _surface_case(m, bundle)[0]
+def surface_b(m: VarietyModel, bundle: VecQ) -> SurfaceAnswer:
+    """`surface(m, bundle)`; kept only because the benchmark names it."""
+    return surface(m, bundle)
 
 
-def surface_balanced(m: VarietyModel, bundle: VecQ) -> SurfaceBalance:
-    """Balanced iff the adjoint boundary class is rigid (positive part
-    zero).  In the fibration case the general fiber realizes the same pair
-    (a, 1), and its primitive class is returned as the witness."""
-    analysis, positive = _surface_case(m, bundle)
-    if analysis.case is SurfaceCase.BASE_POINT:
-        return SurfaceBalance(True, analysis, None)
-    return SurfaceBalance(False, analysis, positive.primitive())
+def surface_balanced(m: VarietyModel, bundle: VecQ) -> SurfaceAnswer:
+    """`surface(m, bundle)`; kept only because the benchmark names it."""
+    return surface(m, bundle)
 
 
 class SurfaceFace(NamedTuple):
@@ -462,11 +452,7 @@ def surface_face(m: VarietyModel, p: VecQ) -> SurfaceFace:
     pi, pq = scaled_ints(p)
     if idot([idot(row, si) for row in sc.form], pi):
         raise InternalError("s does not vanish at the boundary class")
-    total = [0] * len(pi)
-    for j in face:
-        total = [x + lam[j] * c for x, c in zip(total, sc.ints[j])]
-    if min(lam, default=0) < 0 or [pq * x for x in total] != [den * x for x in pi]:
-        raise InternalError("the face witness is negative or misses the boundary class")
+    check_witness(list(zip(*sc.ints)), [pq * x for x in lam], den, pi)
     dim = span_dim([sc.ints[j] for j in face])
     return SurfaceFace(FaceQ(m.eff_cone, frozenset(face), dim), s, tuple(weights))
 

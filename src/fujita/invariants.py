@@ -17,12 +17,14 @@ whichever route the cone took, except on the degree-1 del Pezzo surface,
 where the certified face of its Zariski decomposition answers with no
 facets (`b_route`, fixed per model); every other caller (the (a, b) pair, the
 CLI report, the fixture runner, the toric fibration cross-check) reads
-theirs.  Each stage is computed once per (model, class): `fujita` and the
-Zariski decomposition keep small memos of their last results, immutable
-NamedTuples shared between callers, never exceptions, with a fixed bound,
-and the face of the boundary point is kept by the cone, so `b_invariant`
-and toric rigidity read it with no product.  Rigidity reads the asked
-model's own cone and form; the provenance tag only picks the oracle.
+theirs.  Each stage is computed once per (model, class): `fujita`, the
+Zariski decomposition and, on a surface, `delpezzo.surface` (the case, b
+and the balanced verdict of one bundle) keep small memos of their last
+results, immutable NamedTuples shared between callers, never exceptions,
+with a fixed bound, and the face of the boundary point is kept by the
+cone, so `b_invariant` and toric rigidity read it with no product.
+Rigidity reads the asked model's own cone and form; the provenance tag
+only picks the oracle.
 
 Membership in the effective cone is asked once, by the stage that needs
 it: `fujita` (is the bundle big, read off the facet product of a once the

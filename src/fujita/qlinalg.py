@@ -159,10 +159,6 @@ class VecQ:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "VecQ") -> Fraction:
-        self._check(other)
-        return Fraction(idot(self._n, other._n), self._q * other._q)
-
     def is_zero(self) -> bool:
         return not any(self._n)
 

@@ -13,7 +13,7 @@ from fujita.cones import ConeQ
 from fujita.fixtures import load_catalog
 from fujita.qlinalg import MatQ, VecQ, scaled_ints, span_dim
 
-MEMOS = (invariants.fujita, delpezzo.zariski_for_variety, delpezzo._surface_case, toric._class_of)
+MEMOS = (invariants.fujita, delpezzo.zariski_for_variety, delpezzo.surface, toric._class_of)
 
 
 @pytest.fixture(autouse=True)

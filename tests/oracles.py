@@ -26,8 +26,10 @@ one integer dot per (facet, generator) pair checks the incidence masks
 read off DD, the ray LP on a copy of the cone without facets checks
 the facet route for a and its minimal face, and the per-facet arg-max loop
 with one integer dot per facet checks the grouped arg-max of
-`ConeQ.min_a_with_point`, and `Fraction` Gauss-Jordan on a face's
-generators checks the witness read off a simplicial face's dual facets.
+`ConeQ.min_a_with_point`, `Fraction` Gauss-Jordan on a face's
+generators checks the witness read off a simplicial face's dual facets,
+and the conic and plane classes, by the Cauchy-Schwarz-bounded search,
+check DD's facets of the del Pezzo cones of degrees 2-7.
 `lift_class` is no oracle: it lifts a class to the coefficients that
 `divisor_polytope` takes.
 """
@@ -342,6 +344,43 @@ def minus_one_curves_by_multisets(degree, search_bound) -> set:
     return found
 
 
+def nef_normals(degree) -> set:
+    """The facet normals of the effective cone of the del Pezzo surface of
+    degree 2..7, with no DD: the extremal rays of the nef cone, the conic
+    classes F (F^2 = 0, -K.F = 2) and the plane classes (F^2 = 1,
+    -K.F = 3) aH - sum b_i E_i with every b_i >= 0, each as its normal
+    J F = (a, b_1, ..., b_r), J = diag(1, -1, ..., -1).  The search is that
+    of `delpezzo.enumerate_negative_curves`: a branch is cut when
+    Cauchy-Schwarz leaves no completion, and a runs from 1 while the cut
+    over all r entries, r(a^2 - F^2) >= (3a + K.F)^2, holds."""
+    r = 9 - degree
+    found = set()
+    for square, k_deg in ((0, 2), (1, 3)):
+        a = 1
+        while r * (a * a - square) >= (3 * a - k_deg) ** 2:
+            target_sum, target_sq = 3 * a - k_deg, a * a - square
+
+            def rec(prefix, s, sq):
+                rem = r - len(prefix)
+                need = target_sum - s
+                if not rem:
+                    if not need and sq == target_sq:
+                        found.add((a,) + tuple(prefix))
+                elif need >= 0 and rem * (target_sq - sq) >= need * need:
+                    for b in range(a + 1):
+                        rec(prefix + [b], s + b, sq + b * b)
+
+            rec([], 0, 0)
+            a += 1
+    return found
+
+
+def dot(u, v) -> Fraction:
+    """The dot product of two rational vectors of one dimension, one
+    `Fraction` product per entry."""
+    return sum([Fraction(a) * b for a, b in zip(u, v, strict=True)], Fraction(0))
+
+
 def cones_holding_by_solve(rays, max_cones, u) -> list:
     """The maximal cones c holding u, found by solving M_c x = u in
     rationals (M_c has the cone's rays as columns) and testing x >= 0."""
@@ -451,7 +490,7 @@ def divisor_class_by_solve(fan, coeffs) -> VecQ:
     m = solve_by_back_substitution(pivot_matrix, VecQ([xs[i] for i in pivots]))
     assert m is not None and not m.kernel
     mv = m.particular
-    return VecQ([xs[i] - mv.dot(VecQ(fan.rays[i])) for i in basis])
+    return VecQ([xs[i] - dot(mv, fan.rays[i]) for i in basis])
 
 
 def lift_class(fan, cls: VecQ) -> tuple[Fraction, ...]:
@@ -493,7 +532,7 @@ def strict_fan_checks_by_solve(rays, max_cones) -> None:
         extras = []
         for c in owners:
             extra = next(i for i in c if i not in ridge)
-            extras.append(h.dot(VecQ(rays[extra])))
+            extras.append(dot(h, rays[extra]))
         if extras[0] * extras[1] >= 0:
             raise IncompleteFan(
                 f"maximal cones on wall {ridge} do not cover both sides"

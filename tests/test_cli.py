@@ -226,8 +226,8 @@ class TestInvariantsCommand:
         assert error["message"] == f"$.model: cone (0, 1, 2) has |det| {q}, over the walk bound 65536"
 
     def test_exit_5_when_the_surface_case_disagrees(self, capsys, monkeypatch):
-        real = delpezzo.surface_b
-        monkeypatch.setattr(delpezzo, "surface_b", lambda m, d: real(m, d)._replace(b=8))
+        real = delpezzo.surface
+        monkeypatch.setattr(delpezzo, "surface", lambda m, d: real(m, d)._replace(b=8))
         code, out = run_cli(capsys, "invariants", fixture_path("dp3-anticanonical"), "--json")
         assert code == 5
         error = json.loads(out)["error"]

@@ -34,10 +34,12 @@ from oracles import (
     brute_force_facets,
     contains_by_facet_loop,
     contains_by_lp,
+    dot,
     facet_generator_masks_by_dot,
     fm_facets,
     minimal_face_by_facet_loop,
     minimal_face_generators_lp,
+    nef_normals,
     positive_support_by_basis_enumeration,
 )
 
@@ -94,7 +96,7 @@ class TestDualize:
             gens = c.generators
             target = c.dim() - 1
             for f in c.facets:
-                tight = [g for g in gens if f.dot(g) == 0]
+                tight = [g for g in gens if dot(f, g) == 0]
                 assert span_dim(tight) >= target, name
 
     @pytest.mark.parametrize("name", ["orthant2", "orthant3", "bl1p2", "quadric", "dp7", "dp6", "dp5"])
@@ -117,6 +119,15 @@ class TestDualize:
             assert sorted(tuple(int(x) for x in g) for g in back.facets) == sorted(
                 tuple(int(x) for x in g) for g in c.generators
             ), name
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_facets_are_the_nef_rays(self, degree):
+        # a DD-free oracle: on degrees 2-7 the facet normals are J F for
+        # the conic and plane classes F
+        count = {7: 3, 6: 5, 5: 10, 4: 26, 3: 99, 2: 702}[degree]
+        normals = nef_normals(degree)
+        assert len(normals) == count
+        assert set(int_facets(del_pezzo(degree).eff_cone)) == normals
 
     def test_duality_round_trip_rank8(self):
         c = del_pezzo(2).variety().eff_cone
@@ -573,7 +584,7 @@ class TestMinimalFace:
             masks = c._facet_gen_masks
             all_gens = (1 << len(c.generators)) - 1
             # indices into the facets as stored, which a query may reorder
-            active = [i for i, f in enumerate(c._facets) if VecQ(f).dot(v) == 0]
+            active = [i for i, f in enumerate(c._facets) if dot(f, v) == 0]
             for dropped in active:
                 gmask = all_gens
                 for i in active:

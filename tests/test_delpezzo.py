@@ -442,6 +442,24 @@ class TestSurfaceFace:
             check_face(surf, p)
 
     @pytest.mark.parametrize("degree", [1, 3])
+    def test_a_planted_wrong_multiplicity_is_caught(self, monkeypatch, degree):
+        # a support curve's multiplicity doubled or negated: s and the face
+        # stay, and only the integer witness check sees that the weights
+        # miss the class or are negative
+        surf = del_pezzo(degree)
+        rigid, _ = conic_cases(surf, 16, 0x3C + degree)
+        for p in rigid[:3]:
+            dec = zariski_for_variety(surf, p)
+            (curve, mult), rest = dec.negative_support[0], dec.negative_support[1:]
+            for planted in (2 * mult, -mult):
+                wrong = dec._replace(negative_support=((curve, planted),) + rest)
+                monkeypatch.setattr(delpezzo, "zariski_for_variety", lambda m, d: wrong)
+                with pytest.raises(InternalError, match="witness is negative or misses the boundary point"):
+                    surface_face(surf, p)
+                monkeypatch.undo()
+            check_face(surf, p)
+
+    @pytest.mark.parametrize("degree", [1, 3])
     def test_a_planted_wrong_conic_is_caught(self, monkeypatch, degree):
         # the positive part t c swapped for t c' with another conic c', or
         # for t (c + c'), which is no conic

@@ -39,6 +39,7 @@ from conftest import (
 )
 from oracles import (
     combination_by_fractions,
+    dot,
     min_a_and_face_by_facet_loop,
     min_a_and_face_by_ray_lp,
     minimal_face_by_facet_loop,
@@ -176,7 +177,7 @@ def tie_groups(c, base, a, direction):
     """The distinct f.K over the facets that reach a: those vanishing at
     base + a*direction."""
     point = base + a * direction
-    return {f.dot(base) for f in c.facets if f.dot(point) == 0}
+    return {dot(f, base) for f in c.facets if dot(f, point) == 0}
 
 
 def test_grouped_arg_max_on_every_sign_of_fk():
@@ -459,7 +460,7 @@ def check_dual_rule(c, queries, n):
                 assert solves == [[], [], []], (base, direction)
                 # the duals index the facets as stored after the query
                 for f, j in zip(duals, inside):
-                    assert [VecQ(c._facets[f]).dot(g) > 0 for g in gens] == [i == j for i in inside]
+                    assert [dot(c._facets[f], g) > 0 for g in gens] == [i == j for i in inside]
             else:
                 assert memo_duals is None
                 inside = cells[0][0]

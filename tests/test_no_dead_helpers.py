@@ -5,9 +5,11 @@ The helper audit lists every non-dunder function, class, method and
 module-level constant defined in `src/fujita/*.py`, and counts its uses: a
 name must occur as a code token at least twice in `src/fujita` (its
 definition and one use), so a docstring or a comment that mentions it is
-no use, or as a whole word at least once in `bench/`, which drives the
-program from outside and names its tracer targets in strings.  A name
-that only tests read belongs in the tests.
+no use, or at least once in `bench/`, which drives the program from
+outside: as an attribute read (`delpezzo.surface_b`) or as a word of a
+string that is no docstring (the tracer's targets).  A bare name in
+`bench/` is no use, as `bench/` defines helpers of its own (its `dot`).  A
+name that only tests read belongs in the tests.
 
 The import audit lists every name a module imports and requires the
 module's code to read it, with names resolved by scope (stdlib
@@ -49,20 +51,33 @@ def name_counts(paths) -> Counter:
     return counts
 
 
-def word_counts(paths) -> Counter:
+def bench_reads(paths) -> Counter:
+    """The attribute reads and the words of the strings, docstrings aside,
+    in the given files."""
     counts = Counter()
     for path in paths:
-        counts.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        docs = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                counts.update(re.findall(r"\w+", node.value))
     return counts
 
 
-def unread_names(src: Path = SRC) -> list[str]:
+def unread_names(src: Path = SRC, bench: Path = BENCH) -> list[str]:
     sources = sorted(src.glob("*.py"))
     names = set()
     for path in sources:
         names |= defined_names(ast.parse(path.read_text(encoding="utf-8")))
     in_src = name_counts(sources)
-    in_bench = word_counts(sorted(BENCH.glob("*.py")))
+    in_bench = bench_reads(sorted(bench.glob("*.py")))
     return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
 
 
@@ -160,6 +175,33 @@ def test_audit_sees_a_helper_nothing_reads(tmp_path):
             "    return v  # mentioned_only\n"
         )
     assert unread_names(src) == ["UNREAD_VERSION", "mentioned_only", "vector_to_json"]
+
+
+def test_audit_counts_no_bare_name_in_bench(tmp_path):
+    # a copy of the package with four planted helpers, and a copy of
+    # `bench/` with a planted module that defines and calls its own `dot`,
+    # mentions one helper in a docstring, names one in a tracer target
+    # string and reads one as an attribute: the audit names the first two
+    src = tmp_path / "src" / "fujita"
+    src.mkdir(parents=True)
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with (src / "modelio.py").open("a", encoding="utf-8") as fh:
+        for name in ("dot", "documented", "traced", "read_by_attribute"):
+            fh.write(f"\n\ndef {name}(v):\n    return v\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    for path in BENCH.glob("*.py"):
+        (bench / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (bench / "planted.py").write_text(
+        '"""Drives `documented`."""\n'
+        "from fujita import modelio\n"
+        'TARGETS = {"modelio": ("traced",)}\n'
+        "\n\ndef dot(u, v):\n    return sum(a * b for a, b in zip(u, v))\n"
+        "\n\nprint(dot([1], [1]), modelio.read_by_attribute)\n",
+        encoding="utf-8",
+    )
+    assert unread_names(src, bench) == ["documented", "dot"]
 
 
 def test_audit_sees_an_import_nothing_reads(tmp_path):

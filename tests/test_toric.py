@@ -39,6 +39,7 @@ from oracles import (
     check_fibration_hull_by_nullspace,
     cones_holding_by_solve,
     divisor_class_by_solve,
+    dot,
     fan_coverage_by_solve,
     implicit_equalities_per_ray,
     lift_class,
@@ -504,7 +505,7 @@ class TestPolytopes:
         poly = divisor_polytope(fan, coeffs)
         assert poly.sample_point is not None
         for ray, a in zip(fan.rays, coeffs):
-            assert VecQ(ray).dot(poly.sample_point) >= -a
+            assert dot(ray, poly.sample_point) >= -a
 
 
 def _random_polytopes(toric_fans, per_fan=10):
@@ -540,7 +541,7 @@ def test_sample_point_has_zero_slack_exactly_on_tight_rays(toric_fans):
         poly = divisor_polytope(fan, coeffs)
         if poly.dim < 0:
             continue
-        slack = [VecQ(ray).dot(poly.sample_point) + a for ray, a in zip(fan.rays, coeffs)]
+        slack = [dot(ray, poly.sample_point) + a for ray, a in zip(fan.rays, coeffs)]
         assert all(s >= 0 for s in slack), (name, coeffs)
         assert {i for i, s in enumerate(slack) if s == 0} == set(poly.tight_rays), (name, coeffs)
 
