@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, dispatch and rendering.  The
+reports come from `modelio` (one per file command) and `fixtures`.
 
     fujita invariants <file>...     exact a, b, face generators, rigidity
     fujita balanced <file>...       verdict per subvariety datum
@@ -24,18 +25,8 @@ import json
 import os
 import sys
 
-from . import delpezzo, fixtures, invariants, modelio
-from .errors import (
-    FujitaError,
-    InternalError,
-    KPseudoEffective,
-    NotBig,
-    NotPseudoEffective,
-    RigidityUndecidable,
-    SchemaError,
-)
-from .modelio import vector_to_str_list
-from .qlinalg import inertia, MatQ
+from . import fixtures, modelio
+from .errors import FujitaError, KPseudoEffective, NotBig, NotPseudoEffective, SchemaError
 
 EXIT_OK = 0
 EXIT_FIXTURE_FAILURE = 1
@@ -63,100 +54,16 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
     return code, {"error": {"code": name, "message": str(exc)}}
 
 
-def _report_invariants(path: str, strict_fan: bool) -> dict:
-    problem = modelio.load_problem(path, strict_fan)
-    m = problem.model.variety
-    res = invariants.b_invariant(m, problem.bundle_class)
-    report = {
-        "a": str(res.fujita.a),
-        "b": res.b,
-        "face_generators": [vector_to_str_list(g) for g in res.face.generator_vectors()],
-        "model": problem.name,
-        "ns_rank": m.ns_rank,
-        "paths": [invariants.b_route(m)],
-    }
-    if problem.model.kind == "del_pezzo":
-        case = delpezzo.surface(m, problem.bundle_class)
-        if case.b != res.b:
-            raise InternalError(
-                f"surface case analysis b={case.b} disagrees with {report['paths'][0]} b={res.b}"
-            )
-        report["paths"].append("surface_case")
-        report["surface_case"] = case.case.value
-    try:
-        report["rigid"] = invariants.is_rigid_class(m, res.fujita.boundary_class)
-        report["paths"].append(
-            "divisor_polytope" if problem.model.kind == "toric" else "zariski"
-        )
-    except RigidityUndecidable:
-        pass
-    return report
-
-
-def _report_balanced(path: str, strict_fan: bool) -> list:
-    problem = modelio.load_problem(path, strict_fan)
-    m = problem.model.variety
-    out = []
-    for name, datum in problem.subvarieties:
-        verdict = invariants.balanced_verdict(m, problem.bundle_class, datum)
-        out.append(
-            {
-                "name": name,
-                "pair_x": [str(verdict.pair_x[0]), verdict.pair_x[1]],
-                "pair_y": [str(verdict.pair_y[0]), verdict.pair_y[1]],
-                "verdict": verdict.classification.value,
-            }
-        )
-    return out
-
-
-def _report_zariski(path: str, strict_fan: bool) -> dict:
-    problem = modelio.load_problem(path, strict_fan)
-    m = problem.model.variety
-    if m.intersection_form is None:
-        raise SchemaError(
-            "zariski needs a model with an intersection form (del_pezzo or lattice surface)",
-            "$.model",
-        )
-    d = problem.bundle_class
-    dec = delpezzo.zariski_for_variety(m, d)
-    support = list(dec.negative_support)
-    recomposed = dec.positive + dec.negative
-    negatives = delpezzo.negative_classes(m)
-    gram = MatQ([[m.pair(ci, cj) for cj, _ in support] for ci, _ in support])
-    checks = {
-        "decomposition_exact": recomposed == d,
-        "positive_orthogonal_to_support": all(
-            m.pair(dec.positive, c) == 0 for c, _ in support
-        ),
-        "support_gram_negative_definite": (
-            inertia(gram) == (0, len(support), 0) if support else True
-        ),
-        "positive_nonnegative_on_negative_curves": all(
-            m.pair(dec.positive, c) >= 0 for c in negatives
-        ),
-    }
-    return {
-        "positive": vector_to_str_list(dec.positive),
-        "negative": [
-            {"class": vector_to_str_list(c), "mult": str(x)}
-            for c, x in support
-        ],
-        "checks": checks,
-        "model": problem.name,
-    }
-
-
 _REPORTERS = {
-    "invariants": _report_invariants,
-    "balanced": _report_balanced,
-    "zariski": _report_zariski,
+    "invariants": modelio.invariants_report,
+    "balanced": modelio.balanced_report,
+    "zariski": modelio.zariski_report,
 }
 
 
 def _process_file(command: str, path: str, strict_fan: bool) -> tuple[int, dict | list]:
     try:
-        return EXIT_OK, _REPORTERS[command](path, strict_fan)
+        return EXIT_OK, _REPORTERS[command](modelio.load_problem(path, strict_fan))
     except FujitaError as exc:
         return _error_payload(exc)
     except Exception as exc:  # pragma: no cover - defensive
@@ -219,10 +126,7 @@ def _fixture_report(fixture: fixtures.Fixture) -> dict:
     return {
         "id": report.fixture_id,
         "passed": report.passed,
-        "checks": [
-            {"name": c.name, "expected": c.expected, "actual": c.actual, "ok": c.ok}
-            for c in report.checks
-        ],
+        "checks": [c._asdict() for c in report.checks],
     }
 
 

@@ -18,6 +18,11 @@ Rationals are integers or strings -?[0-9]+(/[0-9]+)?, never "1e3", "1_000",
 JSON path of the offending value.  Fixture files are the same format plus
 "id", "description", "source", and "expected" blocks, so every fixture is
 directly consumable by the CLI.
+
+A loaded problem has three reports, the values the CLI prints and the
+fixture runner checks: `invariants_report` (a, b, the minimal face,
+rigidity), `balanced_report` (the verdict per subvariety datum) and
+`zariski_report` (the decomposition of the bundle class, with its checks).
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import delpezzo, toric
+from . import delpezzo, invariants, toric
 from .cones import ConeQ
-from .errors import BigFailureOnY, DegreeOutOfRange, InvalidModel, SchemaError
+from .errors import BigFailureOnY, DegreeOutOfRange, InternalError, InvalidModel, RigidityUndecidable, SchemaError
 from .invariants import SubvarietyDatum, VarietyModel
-from .qlinalg import MatQ, VecQ, as_rat
+from .qlinalg import MatQ, VecQ, as_rat, inertia
 
 _FIXTURE_KEYS = {"id", "description", "source", "expected", "name"}
 _TOP_KEYS = {"model", "line_bundle", "subvarieties", "fibration"} | _FIXTURE_KEYS
@@ -268,3 +273,91 @@ def load_problem(path: str, strict_fan: bool = False) -> LoadedProblem:
 
 def vector_to_str_list(v: VecQ) -> list[str]:
     return [str(x) for x in v]
+
+
+def invariants_report(problem: LoadedProblem) -> dict:
+    """a, b, the minimal face's generators and the routes taken; `rigid`
+    unless no rigidity oracle applies.  On a del Pezzo model the surface
+    case analysis must give the same b, else InternalError."""
+    m = problem.model.variety
+    res = invariants.b_invariant(m, problem.bundle_class)
+    report = {
+        "a": str(res.fujita.a),
+        "b": res.b,
+        "face_generators": [vector_to_str_list(g) for g in res.face.generator_vectors()],
+        "model": problem.name,
+        "ns_rank": m.ns_rank,
+        "paths": [invariants.b_route(m)],
+    }
+    if problem.model.kind == "del_pezzo":
+        case = delpezzo.surface(m, problem.bundle_class)
+        if case.b != res.b:
+            raise InternalError(
+                f"surface case analysis b={case.b} disagrees with {report['paths'][0]} b={res.b}"
+            )
+        report["paths"].append("surface_case")
+        report["surface_case"] = case.case.value
+    try:
+        report["rigid"] = invariants.is_rigid_class(m, res.fujita.boundary_class)
+        report["paths"].append(
+            "divisor_polytope" if problem.model.kind == "toric" else "zariski"
+        )
+    except RigidityUndecidable:
+        pass
+    return report
+
+
+def balanced_report(problem: LoadedProblem) -> list:
+    """The (a, b) pairs of X and of each subvariety datum, in file order,
+    with their balanced verdict."""
+    m = problem.model.variety
+    out = []
+    for name, datum in problem.subvarieties:
+        verdict = invariants.balanced_verdict(m, problem.bundle_class, datum)
+        out.append(
+            {
+                "name": name,
+                "pair_x": [str(verdict.pair_x[0]), verdict.pair_x[1]],
+                "pair_y": [str(verdict.pair_y[0]), verdict.pair_y[1]],
+                "verdict": verdict.classification.value,
+            }
+        )
+    return out
+
+
+def zariski_report(problem: LoadedProblem) -> dict:
+    """The Zariski decomposition of the bundle class, with the four
+    properties that characterise it checked exactly."""
+    m = problem.model.variety
+    if m.intersection_form is None:
+        raise SchemaError(
+            "zariski needs a model with an intersection form (del_pezzo or lattice surface)",
+            "$.model",
+        )
+    d = problem.bundle_class
+    dec = delpezzo.zariski_for_variety(m, d)
+    support = list(dec.negative_support)
+    recomposed = dec.positive + dec.negative
+    negatives = delpezzo.negative_classes(m)
+    gram = MatQ([[m.pair(ci, cj) for cj, _ in support] for ci, _ in support])
+    checks = {
+        "decomposition_exact": recomposed == d,
+        "positive_orthogonal_to_support": all(
+            m.pair(dec.positive, c) == 0 for c, _ in support
+        ),
+        "support_gram_negative_definite": (
+            inertia(gram) == (0, len(support), 0) if support else True
+        ),
+        "positive_nonnegative_on_negative_curves": all(
+            m.pair(dec.positive, c) >= 0 for c in negatives
+        ),
+    }
+    return {
+        "positive": vector_to_str_list(dec.positive),
+        "negative": [
+            {"class": vector_to_str_list(c), "mult": str(x)}
+            for c, x in support
+        ],
+        "checks": checks,
+        "model": problem.name,
+    }

@@ -516,6 +516,18 @@ class TestFixturesCommand:
         reports = json.loads(out)
         assert reports[0]["passed"] is True
 
+    def test_exit_5_when_the_surface_case_disagrees(self, capsys, monkeypatch):
+        # `fixtures run` checks the invariants report that the CLI prints,
+        # so a surface case analysis whose b is off by one stops it as it
+        # stops `invariants`; it passed when the runner computed b itself
+        real = delpezzo.surface
+        monkeypatch.setattr(delpezzo, "surface", lambda m, d: real(m, d)._replace(b=real(m, d).b + 1))
+        code, out = run_cli(capsys, "fixtures", "run", "dp3-anticanonical", "--json")
+        assert (code, json.loads(out)) == (
+            5,
+            {"error": {"code": "internal_error", "message": "surface case analysis b=8 disagrees with polyhedral b=7"}},
+        )
+
     def test_catalog_run_adds_little_peak_memory(self):
         # the whole catalog run in a fresh interpreter adds under 1 MB of
         # peak RSS to the import of the CLI on CPython 3.11 (x86-64 Linux);

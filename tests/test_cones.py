@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from fujita.cones import (
     positive_support,
 )
 from fujita.delpezzo import del_pezzo, quadric_surface
+from fujita.invariants import b_invariant
 from fujita.errors import Infeasible, InternalError, InvalidModel, OutsideCone, UnboundedBelow
 from fujita.qlinalg import VecQ, scaled_ints, span_dim
 from fujita.simplex import LPResult, LPStatus
@@ -39,6 +41,7 @@ from oracles import (
     fm_facets,
     minimal_face_by_facet_loop,
     minimal_face_generators_lp,
+    minus_one_curves_by_multisets,
     nef_normals,
     positive_support_by_basis_enumeration,
 )
@@ -46,6 +49,12 @@ from oracles import (
 
 def int_facets(c):
     return sorted(tuple(int(x) for x in f) for f in c.facets)
+
+
+@pytest.fixture(scope="module")
+def dp1_normals():
+    """The degree-1 normals of `nef_normals`, built once: about 4 s."""
+    return sorted(nef_normals(1))
 
 
 def dp6_cone():
@@ -128,6 +137,41 @@ class TestDualize:
         normals = nef_normals(degree)
         assert len(normals) == count
         assert set(int_facets(del_pezzo(degree).eff_cone)) == normals
+
+    def test_degree_one_nef_rays_count_the_facets(self, dp1_normals):
+        # DD of the degree-1 cone takes tens of seconds, so its facets are
+        # counted, not built: the (-1)-curve test drops 232 of the conic and
+        # plane classes, and 19 440 are left
+        assert len(dp1_normals) == 19440
+        assert (5, 1, 1, 1, 1, 1, 1, 3, 3) not in dp1_normals
+
+    def test_degree_one_a_and_face_by_the_nef_rays(self, dp1_normals):
+        # a DD-free oracle through neither the ray LP nor the Zariski
+        # kernel: on 20 seeded bundles c*(-K) plus a few (-1)-curves, a is
+        # the largest -n.K / n.L over the normals n (compared by
+        # cross-multiplication), and the certified Zariski face that
+        # `b_invariant` reads holds the curves on every arg-max normal
+        surf = del_pezzo(1)
+        canonical = tuple(int(x) for x in surf.canonical)
+        curves = sorted(minus_one_curves_by_multisets(1, 6))
+        rng = random.Random(0xD1)
+        for _ in range(20):
+            c = rng.randint(1, 2)
+            bundle = [-c * x for x in canonical]
+            for curve in rng.sample(curves, rng.randint(1, 3)):
+                n = rng.randint(1, 3)
+                bundle = [x + n * y for x, y in zip(bundle, curve)]
+            ratios = [(-sum(map(mul, n, canonical)), sum(map(mul, n, bundle))) for n in dp1_normals]
+            assert all(q > 0 for _, q in ratios)
+            best = ratios[0]
+            for p, q in ratios:
+                if p * best[1] > best[0] * q:
+                    best = p, q
+            tight = [n for n, (p, q) in zip(dp1_normals, ratios) if p * best[1] == best[0] * q]
+            res = b_invariant(surf, VecQ(bundle))
+            assert res.fujita.a == Fraction(*best), bundle
+            face = {e for e in curves if all(sum(map(mul, n, e)) == 0 for n in tight)}
+            assert {tuple(int(x) for x in g) for g in res.face.generator_vectors()} == face, bundle
 
     def test_duality_round_trip_rank8(self):
         c = del_pezzo(2).variety().eff_cone

@@ -17,6 +17,11 @@ module's code to read it, with names resolved by scope (stdlib
 a global or an annotation names it, so a local variable of the same name
 does not count.  `__future__` imports, the re-exports of `__init__.py` and
 imports marked `# noqa: F401` are exempt.
+
+The slot audit lists every name in the `__slots__` of a class in
+`src/fujita` and requires it to be read as an attribute (`x.name` in a
+load, not an assignment) somewhere in `src/fujita` or in `bench/`: a slot
+that is only written holds state nothing uses.
 """
 
 import ast
@@ -79,6 +84,29 @@ def unread_names(src: Path = SRC, bench: Path = BENCH) -> list[str]:
     in_src = name_counts(sources)
     in_bench = bench_reads(sorted(bench.glob("*.py")))
     return sorted(n for n in names if in_src[n] < 2 and in_bench[n] < 1)
+
+
+def attribute_reads(paths) -> Counter:
+    """The attribute names read, not assigned or deleted, in the given files."""
+    counts = Counter()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                counts[node.attr] += 1
+    return counts
+
+
+def unread_slots(src: Path = SRC, bench: Path = BENCH) -> list[str]:
+    sources = sorted(src.glob("*.py"))
+    slots = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]:
+                        slots += [(node.name, name) for name in ast.literal_eval(stmt.value)]
+    reads = attribute_reads(sources + sorted(bench.glob("*.py")))
+    return [f"{cls}.{name}" for cls, name in slots if not reads[name]]
 
 
 def imports_by_scope(node: ast.AST, scope: tuple[str, int] | None = None):
@@ -159,6 +187,10 @@ def test_every_import_is_read():
     assert unused_imports() == []
 
 
+def test_every_slot_is_read():
+    assert unread_slots() == []
+
+
 def test_audit_sees_a_helper_nothing_reads(tmp_path):
     # a copy of the package with a planted function, a constant, and a
     # function that only a docstring and a comment mention: the audit names
@@ -225,3 +257,20 @@ def test_audit_sees_an_import_nothing_reads(tmp_path):
             "\n\ndef planted():\n    import heapq  # heapq\n    return VecQ\n"
         )
     assert unused_imports(src) == ["cones.py: os", "cones.py: ints", "cones.py: heapq"]
+
+
+def test_audit_sees_a_slot_nothing_reads(tmp_path):
+    # a copy of the package with a planted class of two slots, both
+    # assigned and one read: the audit names the other
+    src = tmp_path / "src" / "fujita"
+    src.mkdir(parents=True)
+    for path in SRC.glob("*.py"):
+        (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert unread_slots(src) == []
+    with (src / "qlinalg.py").open("a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\nclass Planted:\n    __slots__ = (\"planted_read\", \"planted_unread\")\n"
+            "\n    def __init__(self):\n        self.planted_read = self.planted_unread = 0\n"
+            "\n    def value(self):\n        return self.planted_read\n"
+        )
+    assert unread_slots(src) == ["Planted.planted_unread"]
